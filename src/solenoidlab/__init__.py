@@ -22,6 +22,7 @@ from .dynamics import (
 )
 from .errors import (
     InvalidInputError,
+    InvariantError,
     OutOfRegimeError,
     UnsupportedMapError,
     UnsupportedModeError,

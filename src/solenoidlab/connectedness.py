@@ -16,7 +16,7 @@ from typing import Any
 import numpy as np
 
 from .dynamics import SelfMap, iterate
-from .errors import InvalidInputError
+from .errors import InvalidInputError, InvariantError
 from .metric_core import FiniteMetricSpace
 
 Point = Any
@@ -93,7 +93,8 @@ def dense_orbit_check(
 
     Walks ``max_iter`` steps in each direction.  A dense orbit chains the
     whole space together, so a positive answer forces a single component at
-    the same resolution; that implication is asserted.
+    the same resolution; that implication is checked and a failure raises
+    :class:`InvariantError`.
     """
     if epsilon <= 0:
         raise InvalidInputError(f"resolution must be positive, got {epsilon}")
@@ -112,5 +113,6 @@ def dense_orbit_check(
     dense = covered == len(space)
     if dense:
         parts = invariant_components(space, mapping, epsilon)
-        assert len(parts.blocks) == 1, "dense orbit with a disconnected graph"
+        if len(parts.blocks) != 1:
+            raise InvariantError("dense orbit with a disconnected graph")
     return DenseOrbitReport(dense=dense, covering_fraction=covered / len(space))

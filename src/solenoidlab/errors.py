@@ -17,3 +17,11 @@ class UnsupportedModeError(InvalidInputError):
 
 class OutOfRegimeError(InvalidInputError):
     """Raised when a numeric parameter leaves the range a formula is valid on."""
+
+
+class InvariantError(RuntimeError):
+    """Raised when an internal invariant fails: a library bug, not bad input.
+
+    Explicit checks raise it instead of ``assert`` so they hold under
+    ``python -O`` too.
+    """

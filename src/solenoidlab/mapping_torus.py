@@ -6,7 +6,7 @@ canonical representative has time in [0, 1).  Four distances are provided:
 * ``product_metric``: max of base distance and time gap, on representatives.
 * ``quotient_metric``: infimum of the product metric over representative
   shifts.  Only valid when the glue map is an isometry; the infimum is a
-  minimum over an explicit finite window, and the window bound is asserted
+  minimum over an explicit finite window, and the window bound is checked
   rather than assumed.
 * ``representative_distance``: minimum of the product metric over
   representatives constrained to times within 3/4 of zero and within 1/2 of
@@ -28,14 +28,19 @@ import numpy as np
 from scipy.sparse.csgraph import dijkstra, floyd_warshall
 
 from .dynamics import SelfMap, estimate_bilipschitz_constant, iterate
-from .errors import InvalidInputError, UnsupportedMapError, UnsupportedModeError
+from .errors import (
+    InvalidInputError,
+    InvariantError,
+    UnsupportedMapError,
+    UnsupportedModeError,
+)
 from .metric_core import DEFAULT_TOLERANCE, FiniteMetricSpace, truncate
 
 Point = Any
 
 #: Representative times are constrained to [-3/4, 3/4] in the constrained
 #: minimum; shifts are enumerated over a wider window and the excess is
-#: asserted redundant.
+#: checked redundant.
 _TIME_CAP = 0.75
 _GAP_CAP = 0.5
 _SHIFTS = (-2, -1, 0, 1, 2)
@@ -164,7 +169,8 @@ def quotient_metric(p: TorusPoint, q: TorusPoint, ts: TorusSpace) -> float:
         best = min(best, rho)
     # Shifts outside the window satisfy rho >= |r+n-t| > reach, and the
     # identity shift already gives at most max(diameter_bound, 1) < reach.
-    assert best <= max(ts.diameter_bound, 1.0), "window bound violated"
+    if not best <= max(ts.diameter_bound, 1.0):
+        raise InvariantError("window bound violated")
     return best
 
 
@@ -182,7 +188,7 @@ def representative_distance(p: TorusPoint, q: TorusPoint, ts: TorusSpace) -> flo
     Representatives (f^m(x), r+m), (f^n(y), t+n) are admissible when both
     times lie in [-3/4, 3/4] and differ by at most 1/2.  For canonical
     inputs the shifts m, n = -1, 0 already realise the minimum; a wider
-    window is scanned anyway and the excess asserted redundant.
+    window is scanned anyway and the excess checked redundant.
     """
     _require_canonical(p, ts)
     _require_canonical(q, ts)
@@ -202,8 +208,10 @@ def representative_distance(p: TorusPoint, q: TorusPoint, ts: TorusSpace) -> flo
             best = min(best, rho)
             if m in _CORE_SHIFTS and n in _CORE_SHIFTS:
                 core_best = min(core_best, rho)
-    assert best < math.inf, "no admissible representative pair"
-    assert core_best == best, "shifts beyond {-1, 0} improved the minimum"
+    if not best < math.inf:
+        raise InvariantError("no admissible representative pair")
+    if core_best != best:
+        raise InvariantError("shifts beyond {-1, 0} improved the minimum")
     return best
 
 
@@ -252,8 +260,10 @@ def representative_distance_matrix(
             best = np.minimum(best, cand)
             if m in _CORE_SHIFTS and n in _CORE_SHIFTS:
                 core = np.minimum(core, cand)
-    assert np.all(np.isfinite(best)), "no admissible representative pair"
-    assert np.array_equal(core, best), "shifts beyond {-1, 0} improved the minimum"
+    if not np.all(np.isfinite(best)):
+        raise InvariantError("no admissible representative pair")
+    if not np.array_equal(core, best):
+        raise InvariantError("shifts beyond {-1, 0} improved the minimum")
     return best
 
 
@@ -278,7 +288,8 @@ def _distance_rows(
                 continue
             rho = np.maximum(m_base[row, powers[n][idx]], gap)
             best = np.minimum(best, np.where(ok, rho, np.inf))
-    assert np.all(np.isfinite(best)), "no admissible representative pair"
+    if not np.all(np.isfinite(best)):
+        raise InvariantError("no admissible representative pair")
     return best
 
 

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 from typing import Any, Callable, Sequence
 
 import numpy as np
+from scipy.sparse.csgraph import floyd_warshall
 
 from .errors import InvalidInputError
 
@@ -32,6 +33,9 @@ class FiniteMetricSpace:
     When ``power_base`` is set, ``exponents`` holds one exponent per pair and
     ``power_base ** exponents`` reproduces ``matrix`` entry for entry; the
     diagonal uses ``inf`` so equal points get distance exactly 0.
+
+    The verification scans memoise their pass/fail verdicts per tolerance on
+    the space, so neither array may be written to after construction.
     """
 
     points: tuple
@@ -60,6 +64,7 @@ class FiniteMetricSpace:
             if not np.array_equal(self.power_base ** self.exponents, self.matrix):
                 raise InvalidInputError("exponent table does not reproduce the matrix")
         object.__setattr__(self, "_index", {p: i for i, p in enumerate(self.points)})
+        object.__setattr__(self, "_verdicts", {})
 
     def __len__(self) -> int:
         return len(self.points)
@@ -199,14 +204,116 @@ def _ultrametric_violations(space: FiniteMetricSpace, tol: float) -> list[AxiomV
     return out
 
 
+def _within_subdominant(key: np.ndarray, tol: float) -> bool:
+    """Whether ``key[i, j] <= sub[i, j] + tol`` for every ``i != j``.
+
+    ``sub`` is the subdominant ultrametric of the edge weights
+    ``min(key[i, j], key[j, i])``: the largest weight on the minimum spanning
+    tree path from ``i`` to ``j`` (Gower & Ross 1969).  It is built by a
+    dense Prim pass in O(N^2): when ``v`` joins the tree through ``parent``
+    with weight ``w``, its row over the earlier vertices is
+    ``max(sub[parent], w)``, and each pair is compared as its row is filled.
+    Since ``sub[i, j] <= max(key[i, k], key[k, j])`` for every ``k``, a
+    ``True`` answer rules out a strong-triangle violation at ``tol``.
+    Off-diagonal keys must be finite.
+    """
+    n = len(key)
+    sub = np.empty((n, n))
+    order = np.empty(n, dtype=np.intp)
+    in_tree = np.zeros(n, dtype=bool)
+    best = np.full(n, np.inf)
+    parent = np.zeros(n, dtype=np.intp)
+    v = 0
+    for t in range(n):
+        done = order[:t]
+        if t:
+            row = np.maximum(sub[parent[v], done], best[v])
+            bound = row + tol
+            if not (np.all(key[v, done] <= bound) and np.all(key[done, v] <= bound)):
+                return False
+            sub[v, done] = row
+            sub[done, v] = row
+        sub[v, v] = -np.inf
+        order[t] = v
+        in_tree[v] = True
+        weight = np.minimum(key[v], key[:, v])
+        closer = weight < best
+        best[closer] = weight[closer]
+        parent[closer] = v
+        v = int(np.argmin(np.where(in_tree, np.inf, best)))
+    return True
+
+
+def _memoised(verdict: Callable[[FiniteMetricSpace, float], bool]):
+    """Keep ``verdict(space, tol)`` on the space, one boolean per tolerance.
+
+    A verdict of ``True`` proves the exact scan finds nothing; ``False`` only
+    means the exact scan has to run.
+    """
+
+    def cached(space: FiniteMetricSpace, tol: float) -> bool:
+        memo = space._verdicts  # type: ignore[attr-defined]
+        key = (verdict.__name__, tol)
+        if key not in memo:
+            memo[key] = verdict(space, tol)
+        return memo[key]
+
+    return cached
+
+
+@_memoised
+def _basic_clear(space: FiniteMetricSpace, tol: float) -> bool:
+    """No basic violation, an exactly zero diagonal and finite distances: the
+    precondition of both fast verdicts.  A diagonal that is nonzero within
+    ``tol`` shifts the triple scan's ``k = i`` and ``k = j`` sums, which
+    neither bound covers."""
+    m = space.matrix
+    return (
+        not _basic_violations(space, tol)
+        and not np.diag(m).any()
+        and bool(np.isfinite(m).all())
+    )
+
+
+@_memoised
+def _float_ultrametric_clear(space: FiniteMetricSpace, tol: float) -> bool:
+    return _basic_clear(space, tol) and _within_subdominant(space.matrix, tol)
+
+
+@_memoised
+def _metric_clear(space: FiniteMetricSpace, tol: float) -> bool:
+    # Off the diagonal every distance is positive (separation and symmetry at
+    # tol >= 0), so a float ultrametric at tol is also a metric at tol:
+    # fl(a + b) >= max(a, b).
+    # Otherwise the shortest-path fixpoint sp bounds every fl(m_ik + m_kj)
+    # from below, since float addition is monotone.
+    if not _basic_clear(space, tol):
+        return False
+    if _float_ultrametric_clear(space, tol):
+        return True
+    m = space.matrix
+    return bool(np.all(m <= floyd_warshall(m, directed=True) + tol))
+
+
+@_memoised
+def _ultrametric_clear(space: FiniteMetricSpace, tol: float) -> bool:
+    if space.exponents is None:
+        return _float_ultrametric_clear(space, tol)
+    # The exact scan compares exponents, e(x,z) >= min(e(x,y), e(y,z)), with
+    # no tolerance; negation turns that into a max exactly.
+    return _basic_clear(space, tol) and _within_subdominant(-space.exponents, 0.0)
+
+
 def _scan(space: FiniteMetricSpace, tol: float, with_ultra: bool) -> MetricReport:
-    basic = _basic_violations(space, tol)
-    triangle = _triangle_violations(space, tol)
-    ultra = _ultrametric_violations(space, tol) if with_ultra else []
-    axioms = tuple(basic + triangle)
+    axioms: tuple[AxiomViolation, ...] = ()
+    if not _metric_clear(space, tol):
+        axioms = tuple(_basic_violations(space, tol) + _triangle_violations(space, tol))
+    ultra: tuple[AxiomViolation, ...] = ()
+    if with_ultra and not _ultrametric_clear(space, tol):
+        ultra = tuple(_ultrametric_violations(space, tol))
     return MetricReport(
         axiom_violations=axioms,
-        ultrametric_violations=tuple(ultra),
+        ultrametric_violations=ultra,
         diameter=space.diameter(),
         is_metric=not axioms,
         is_ultrametric=(not axioms and not ultra) if with_ultra else None,
@@ -218,6 +325,16 @@ def verify_metric_axioms(space: FiniteMetricSpace, tol: float = 0.0) -> MetricRe
 
     A violation is recorded whenever an inequality fails by more than
     ``tol``; every offending pair or triple is kept.
+
+    A space with no identity, symmetry or separation violation, an exactly
+    zero diagonal and finite distances is first tested without enumerating
+    triples: it passes if no distance exceeds its subdominant ultrametric
+    (O(N^2)) or, failing that, its shortest-path distance (scipy's
+    Floyd-Warshall, O(N^3) in C), each plus ``tol``.  Both tests imply that
+    the triple scan finds nothing.  Any other space runs the Python-driven
+    O(N^3) triple scan, so the violations, their order and their slack are
+    those of the exhaustive scan.  Verdicts are memoised per ``tol`` on the
+    space and shared with :func:`verify_ultrametric`.
     """
     return _scan(space, tol, with_ultra=False)
 
@@ -227,6 +344,11 @@ def verify_ultrametric(space: FiniteMetricSpace, tol: float = 0.0) -> MetricRepo
 
     On spaces with an exponent table, ultrametric triples are compared on
     integer exponents so no float slack enters at all.
+
+    The strong inequality is first tested in O(N^2) against the subdominant
+    ultrametric, on the negated exponents when the space has an exponent
+    table and on the matrix with ``tol`` otherwise.  Only a space that fails
+    this test runs the O(N^3) triple scan that lists its violations.
     """
     return _scan(space, tol, with_ultra=True)
 

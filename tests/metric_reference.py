@@ -1,0 +1,90 @@
+"""Reference axiom scans: the exhaustive triple enumeration, kept as the oracle.
+
+``metric_core`` decides passing spaces without enumerating triples and falls
+back to the same enumeration for failing ones.  This module is the plain
+O(N^3) scan on its own, so property tests can hold the library's reports,
+violations and their order included, against it.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+
+from solenoidlab import AxiomViolation, FiniteMetricSpace, MetricReport
+
+
+def basic_violations(space: FiniteMetricSpace, tol: float) -> list[AxiomViolation]:
+    m = space.matrix
+    pts = space.points
+    out: list[AxiomViolation] = []
+    for i in np.flatnonzero(np.abs(np.diag(m)) > tol):
+        out.append(AxiomViolation("identity", (pts[i],), float(abs(m[i, i]))))
+    asym = np.abs(m - m.T)
+    for i, j in np.argwhere(np.triu(asym, k=1) > tol):
+        out.append(AxiomViolation("symmetry", (pts[i], pts[j]), float(asym[i, j])))
+    off = np.triu(np.ones_like(m, dtype=bool), k=1)
+    for i, j in np.argwhere(off & (m <= tol)):
+        out.append(
+            AxiomViolation("separation", (pts[i], pts[j]), float(tol - m[i, j]))
+        )
+    return out
+
+
+def triangle_violations(space: FiniteMetricSpace, tol: float) -> list[AxiomViolation]:
+    m = space.matrix
+    pts = space.points
+    upper = np.triu(np.ones_like(m, dtype=bool), k=1)
+    out = []
+    for k in range(len(pts)):
+        through = m[:, k][:, None] + m[k, :][None, :]
+        for i, j in np.argwhere(upper & (m > through + tol)):
+            out.append(
+                AxiomViolation(
+                    "triangle",
+                    (pts[i], pts[j], pts[k]),
+                    float(m[i, j] - through[i, j]),
+                )
+            )
+    return out
+
+
+def ultrametric_violations(space: FiniteMetricSpace, tol: float) -> list[AxiomViolation]:
+    m = space.matrix
+    pts = space.points
+    upper = np.triu(np.ones_like(m, dtype=bool), k=1)
+    out = []
+    if space.exponents is not None:
+        e = space.exponents
+        for k in range(len(pts)):
+            floor = np.minimum(e[:, k][:, None], e[k, :][None, :])
+            for i, j in np.argwhere(upper & (e < floor)):
+                peak = max(m[i, k], m[k, j])
+                out.append(
+                    AxiomViolation(
+                        "ultrametric", (pts[i], pts[j], pts[k]), float(m[i, j] - peak)
+                    )
+                )
+        return out
+    for k in range(len(pts)):
+        peak = np.maximum(m[:, k][:, None], m[k, :][None, :])
+        for i, j in np.argwhere(upper & (m > peak + tol)):
+            out.append(
+                AxiomViolation(
+                    "ultrametric", (pts[i], pts[j], pts[k]), float(m[i, j] - peak[i, j])
+                )
+            )
+    return out
+
+
+def scan(space: FiniteMetricSpace, tol: float, with_ultra: bool) -> MetricReport:
+    basic = basic_violations(space, tol)
+    triangle = triangle_violations(space, tol)
+    ultra = ultrametric_violations(space, tol) if with_ultra else []
+    axioms = tuple(basic + triangle)
+    return MetricReport(
+        axiom_violations=axioms,
+        ultrametric_violations=tuple(ultra),
+        diameter=space.diameter(),
+        is_metric=not axioms,
+        is_ultrametric=(not axioms and not ultra) if with_ultra else None,
+    )

@@ -3,7 +3,9 @@
 import pytest
 
 from solenoidlab import (
+    ComponentPartition,
     InvalidInputError,
+    InvariantError,
     build_full_shift,
     build_padic_cycle,
     build_two_fixed_points,
@@ -12,6 +14,7 @@ from solenoidlab import (
     metric_space_from_matrix,
     self_map_from_function,
 )
+from solenoidlab import connectedness
 
 
 def test_two_fixed_points_split():
@@ -112,3 +115,18 @@ def test_dense_orbit_validation():
         dense_orbit_check(space, mapping, 0, 0.5, -1)
     with pytest.raises(InvalidInputError):
         dense_orbit_check(space, mapping, 99, 0.5, 4)
+
+
+def test_dense_orbit_with_split_components_raises_invariant_error(monkeypatch):
+    space, mapping, _ = build_padic_cycle(2, 3)
+    split = ComponentPartition(
+        resolution=0.125,
+        blocks=(space.points[:4], space.points[4:]),
+        invariant=True,
+        witness=space.points[:4],
+    )
+    monkeypatch.setattr(connectedness, "invariant_components", lambda *args: split)
+    with pytest.raises(InvariantError, match="disconnected") as caught:
+        dense_orbit_check(space, mapping, 0, 0.125, 8)
+    # A library bug, not a usage error.
+    assert not isinstance(caught.value, InvalidInputError)
