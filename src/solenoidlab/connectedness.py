@@ -14,28 +14,14 @@ from dataclasses import dataclass
 from typing import Any
 
 import numpy as np
+from scipy.sparse import coo_matrix
+from scipy.sparse.csgraph import connected_components
 
-from .dynamics import SelfMap, iterate
+from .dynamics import SelfMap, index_cycles
 from .errors import InvalidInputError, InvariantError
 from .metric_core import FiniteMetricSpace
 
 Point = Any
-
-
-class _DisjointSets:
-    def __init__(self, n: int):
-        self.parent = list(range(n))
-
-    def find(self, i: int) -> int:
-        while self.parent[i] != i:
-            self.parent[i] = self.parent[self.parent[i]]
-            i = self.parent[i]
-        return i
-
-    def union(self, i: int, j: int) -> None:
-        ri, rj = self.find(i), self.find(j)
-        if ri != rj:
-            self.parent[max(ri, rj)] = min(ri, rj)
 
 
 @dataclass(frozen=True)
@@ -55,19 +41,21 @@ def invariant_components(
     if epsilon <= 0:
         raise InvalidInputError(f"resolution must be positive, got {epsilon}")
     n = len(space)
-    dsu = _DisjointSets(n)
-    close = space.matrix <= epsilon
-    for i, j in np.argwhere(np.triu(close, k=1)):
-        dsu.union(int(i), int(j))
-    for i, p in enumerate(space.points):
-        dsu.union(i, space.index_of(mapping(p)))
-    roots: dict[int, list[Point]] = {}
-    for i, p in enumerate(space.points):
-        roots.setdefault(dsu.find(i), []).append(p)
-    blocks = tuple(tuple(members) for _, members in sorted(roots.items()))
-    invariant = all(
-        {mapping(p) for p in block} == set(block) for block in blocks
+    image = index_cycles(space, mapping).power(1)
+    close_i, close_j = np.nonzero(np.triu(space.matrix <= epsilon, k=1))
+    rows = np.concatenate([close_i, np.arange(n)])
+    cols = np.concatenate([close_j, image])
+    graph = coo_matrix((np.ones(len(rows), dtype=np.int8), (rows, cols)), shape=(n, n))
+    _, labels = connected_components(graph, directed=False)
+    # Blocks ordered by their smallest index, members in index order.
+    _, first = np.unique(labels, return_index=True)
+    root = first[labels]
+    members = np.argsort(root, kind="stable")
+    bounds = np.flatnonzero(np.diff(root[members])) + 1
+    blocks = tuple(
+        tuple(space.points[i] for i in block) for block in np.split(members, bounds)
     )
+    invariant = bool(np.all(labels[image] == labels))
     return ComponentPartition(
         resolution=epsilon,
         blocks=blocks,
@@ -91,23 +79,20 @@ def dense_orbit_check(
 ) -> DenseOrbitReport:
     """Does the origin's orbit come within epsilon of every point?
 
-    Walks ``max_iter`` steps in each direction.  A dense orbit chains the
-    whole space together, so a positive answer forces a single component at
-    the same resolution; that implication is checked and a failure raises
+    Takes the points up to ``max_iter`` steps away in each direction, read
+    from the cycle through the origin.  A dense orbit chains the whole space
+    together, so a positive answer forces a single component at the same
+    resolution; that implication is checked and a failure raises
     :class:`InvariantError`.
     """
     if epsilon <= 0:
         raise InvalidInputError(f"resolution must be positive, got {epsilon}")
     if max_iter < 0:
         raise InvalidInputError(f"iteration budget must be nonnegative, got {max_iter}")
-    orbit = {origin}
-    fwd = bwd = origin
-    for _ in range(max_iter):
-        fwd = mapping(fwd)
-        bwd = mapping.inverse(bwd)
-        orbit.add(fwd)
-        orbit.add(bwd)
-    rows = sorted(space.index_of(p) for p in orbit)
+    cycle = mapping.orbit(origin)
+    if 2 * max_iter + 1 < len(cycle):
+        cycle = cycle[: max_iter + 1] + cycle[len(cycle) - max_iter:]
+    rows = sorted(space.index_of(p) for p in cycle)
     nearest = space.matrix[rows].min(axis=0)
     covered = int(np.count_nonzero(nearest <= epsilon))
     dense = covered == len(space)

@@ -4,7 +4,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Any, Callable, Iterable, Sequence
+from functools import cached_property
+from typing import Any, Callable, Iterable, NamedTuple
 
 import numpy as np
 
@@ -14,12 +15,57 @@ from .metric_core import FiniteMetricSpace
 Point = Any
 
 
+class _CycleTable(NamedTuple):
+    """The cycles of a permutation, each a tuple in map order, and for each
+    point the cycle through it with the point's position in that cycle."""
+
+    cycles: tuple[tuple, ...]
+    where: dict
+
+
+def _cycle_table(forward: dict, backward: dict) -> _CycleTable:
+    """Decompose ``forward`` into cycles, checking it permutes its keys and
+    that ``backward`` is its inverse."""
+    if len(backward) != len(forward):
+        raise UnsupportedMapError("the backward table is not the inverse of the forward one")
+    where: dict = {}
+    cycles = []
+    for start in forward:
+        if start in where:
+            continue
+        # None marks the points of the cycle being walked.
+        walk = [start]
+        where[start] = None
+        q = forward[start]
+        while q != start:
+            if q in where or q not in forward:
+                raise UnsupportedMapError("the forward table does not permute its keys")
+            walk.append(q)
+            where[q] = None
+            q = forward[q]
+        cycle = tuple(walk)
+        for pos, p in enumerate(cycle):
+            image = cycle[(pos + 1) % len(cycle)]
+            if image not in backward or backward[image] != p:
+                raise UnsupportedMapError(
+                    "the backward table is not the inverse of the forward one"
+                )
+            where[p] = (cycle, pos)
+        cycles.append(cycle)
+    return _CycleTable(cycles=tuple(cycles), where=where)
+
+
 @dataclass(frozen=True, eq=False)
 class SelfMap:
     """A bijection of a finite point set, stored as forward/backward tables.
 
     ``kind`` is a free-form tag (``permutation-table``, ``shift-map``,
     ``group-translation``) kept for reports.
+
+    Iterates, orbits and the order are read from a cycle table built on first
+    use and kept on the map, so neither table may be written to after the map
+    is first used.  Building it raises :class:`UnsupportedMapError` when
+    ``forward`` does not permute its keys or ``backward`` is not its inverse.
     """
 
     forward: dict
@@ -38,25 +84,24 @@ class SelfMap:
         except KeyError:
             raise InvalidInputError(f"point {p!r} is not in the map's range") from None
 
+    @cached_property
+    def _cycles(self) -> _CycleTable:
+        return _cycle_table(self.forward, self.backward)
+
+    def _locate(self, p: Point) -> tuple[tuple, int]:
+        try:
+            return self._cycles.where[p]
+        except KeyError:
+            raise InvalidInputError(f"point {p!r} is not in the map's domain") from None
+
     def orbit(self, p: Point) -> tuple:
         """The cycle through ``p``: (p, f(p), f(f(p)), ...) up to first return."""
-        out = [p]
-        q = self(p)
-        while q != p:
-            out.append(q)
-            q = self(q)
-        return tuple(out)
+        cycle, pos = self._locate(p)
+        return cycle[pos:] + cycle[:pos]
 
     def order(self) -> int:
         """Least n >= 1 with the n-th iterate equal to the identity."""
-        seen: set = set()
-        acc = 1
-        for p in self.forward:
-            if p not in seen:
-                cyc = self.orbit(p)
-                seen.update(cyc)
-                acc = math.lcm(acc, len(cyc))
-        return acc
+        return math.lcm(*(len(cycle) for cycle in self._cycles.cycles))
 
 
 def self_map_from_function(
@@ -72,16 +117,53 @@ def self_map_from_function(
 
 
 def iterate(mapping: SelfMap, n: int, x: Point) -> Point:
-    """n-th iterate (negative n walks the inverse); reduced along the cycle
-    through x so large |n| costs one orbit walk."""
-    orbit = mapping.orbit(x)
-    return orbit[n % len(orbit)]
+    """n-th iterate (negative n walks the inverse): one cycle-table lookup,
+    so any |n| costs O(1)."""
+    cycle, pos = mapping._locate(x)
+    return cycle[(pos + n) % len(cycle)]
+
+
+class IndexCycles(NamedTuple):
+    """A map's cycle table in a space's index order: ``slots`` lists the
+    space indices cycle after cycle, and ``start``/``length`` give, for each
+    slot, where its cycle begins and how long it is."""
+
+    slots: np.ndarray
+    start: np.ndarray
+    length: np.ndarray
+
+    def power(self, n: int) -> np.ndarray:
+        """Index array of the n-th iterate: entry i is the index of f^n(points[i])."""
+        offset = np.arange(len(self.slots)) - self.start
+        out = np.empty_like(self.slots)
+        out[self.slots] = self.slots[self.start + (offset + n) % self.length]
+        return out
+
+    def longest_pair_period(self) -> int:
+        """The largest lcm of two cycle lengths (a cycle paired with itself
+        included): every pair's joint orbit repeats within that many steps."""
+        lengths = set(self.length.tolist())
+        return max(math.lcm(a, b) for a in lengths for b in lengths)
+
+
+def index_cycles(space: FiniteMetricSpace, mapping: SelfMap) -> IndexCycles:
+    """The map's cycle table over the points of ``space``, which must be its domain."""
+    if set(mapping.forward.keys()) != set(space.points):
+        raise UnsupportedMapError("map domain does not match the space's points")
+    cycles = mapping._cycles.cycles
+    sizes = np.array([len(cycle) for cycle in cycles], dtype=np.intp)
+    slots = np.fromiter(
+        (space.index_of(p) for cycle in cycles for p in cycle), dtype=np.intp, count=len(space)
+    )
+    return IndexCycles(
+        slots=slots,
+        start=np.repeat(np.cumsum(sizes) - sizes, sizes),
+        length=np.repeat(sizes, sizes),
+    )
 
 
 def _permutation_indices(space: FiniteMetricSpace, mapping: SelfMap) -> np.ndarray:
-    if set(mapping.forward.keys()) != set(space.points):
-        raise UnsupportedMapError("map domain does not match the space's points")
-    return np.array([space.index_of(mapping(p)) for p in space.points])
+    return index_cycles(space, mapping).power(1)
 
 
 # ============================================================
@@ -159,16 +241,28 @@ def verify_isometry(
 def adapted_metric(space: FiniteMetricSpace, mapping: SelfMap) -> FiniteMetricSpace:
     """Largest distance along the joint orbit: sup_n d(f^n(x), f^n(y)).
 
-    The supremum is a maximum over one full period of the permutation, so the
+    The joint orbit of a pair repeats after the lcm of its two cycle lengths,
+    so the supremum is a maximum over the first ``period`` iterates, the
+    largest such lcm (at most N^2, however large the map's order).  The
     result dominates d, is again a metric, and makes ``mapping`` an exact
     isometry.
+
+    The maximum is taken by pointer doubling: ``out`` holds the maximum over
+    the first w iterates, and max(out, out[P^w, P^w]) the maximum over the
+    first 2w.  A last window shifted by P^(period - w), read from the cycle
+    table, covers the rest, so the work is about log2(period) <= 2 log2(N)
+    gathers of N^2 entries.  ``max`` is exact, so the values are those of a
+    step-by-step scan.
     """
-    idx = _permutation_indices(space, mapping)
+    table = index_cycles(space, mapping)
+    period = table.longest_pair_period()
     out = space.matrix.copy()
-    cur = idx
-    ident = np.arange(len(space))
-    while not np.array_equal(cur, ident):
-        out = np.maximum(out, space.matrix[np.ix_(cur, cur)])
-        cur = idx[cur]
+    step, width = table.power(1), 1
+    while 2 * width <= period:
+        out = np.maximum(out, out[np.ix_(step, step)])
+        step, width = step[step], 2 * width
+    if width < period:
+        rest = table.power(period - width)
+        out = np.maximum(out, out[np.ix_(rest, rest)])
     label = f"{space.label} (adapted)" if space.label else "adapted"
     return FiniteMetricSpace(points=space.points, matrix=out, label=label)

@@ -27,7 +27,7 @@ from typing import Any, Iterable, Sequence
 import numpy as np
 from scipy.sparse.csgraph import dijkstra, floyd_warshall
 
-from .dynamics import SelfMap, estimate_bilipschitz_constant, iterate
+from .dynamics import SelfMap, estimate_bilipschitz_constant, index_cycles, iterate
 from .errors import (
     InvalidInputError,
     InvariantError,
@@ -216,15 +216,8 @@ def representative_distance(p: TorusPoint, q: TorusPoint, ts: TorusSpace) -> flo
 
 
 def _perm_powers(ts: TorusSpace, lo: int, hi: int) -> dict[int, np.ndarray]:
-    space = ts.base_space
-    fwd = np.array([space.index_of(ts.monodromy(p)) for p in space.points])
-    bwd = np.argsort(fwd)
-    out = {0: np.arange(len(space))}
-    for m in range(1, hi + 1):
-        out[m] = fwd[out[m - 1]]
-    for m in range(-1, lo - 1, -1):
-        out[m] = bwd[out[m + 1]]
-    return out
+    table = index_cycles(ts.base_space, ts.monodromy)
+    return {m: table.power(m) for m in range(lo, hi + 1)}
 
 
 def _sample_arrays(ts: TorusSpace, points: Sequence[TorusPoint]) -> tuple[np.ndarray, np.ndarray]:

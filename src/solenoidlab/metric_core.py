@@ -29,7 +29,9 @@ DEFAULT_TOLERANCE = 1.0e-9
 class FiniteMetricSpace:
     """A finite point set with a total, precomputed distance matrix.
 
-    ``matrix[i, j]`` is the distance between ``points[i]`` and ``points[j]``.
+    ``matrix[i, j]`` is the distance between ``points[i]`` and ``points[j]``;
+    a NaN entry is refused, since every comparison with it is false and the
+    scans would pass it.
     When ``power_base`` is set, ``exponents`` holds one exponent per pair and
     ``power_base ** exponents`` reproduces ``matrix`` entry for entry; the
     diagonal uses ``inf`` so equal points get distance exactly 0.
@@ -54,6 +56,8 @@ class FiniteMetricSpace:
             raise InvalidInputError(
                 f"distance matrix shape {self.matrix.shape} does not match {n} points"
             )
+        if np.isnan(self.matrix).any():
+            raise InvalidInputError("distance matrix contains NaN")
         if self.power_base is not None:
             if not 0.0 < self.power_base < 1.0:
                 raise InvalidInputError(

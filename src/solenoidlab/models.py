@@ -64,14 +64,6 @@ def build_full_shift(
     return space, mapping, torus
 
 
-def _prime_valuation(n: int, p: int) -> int:
-    v = 0
-    while n % p == 0:
-        n //= p
-        v += 1
-    return v
-
-
 def build_padic_cycle(
     prime: int, digits: int
 ) -> tuple[FiniteMetricSpace, SelfMap, TorusSpace]:
@@ -87,11 +79,14 @@ def build_padic_cycle(
         raise InvalidInputError(f"need at least one digit, got {digits}")
     modulus = prime ** digits
     points = tuple(range(modulus))
-    exponents = np.full((modulus, modulus), np.inf)
-    for x in points:
-        for y in range(x + 1, modulus):
-            v = _prime_valuation(y - x, prime)
-            exponents[x, y] = exponents[y, x] = v
+    # valuation[k] is the multiplicity of ``prime`` in k, inf at k = 0.
+    diffs = np.arange(modulus)
+    valuation = np.zeros(modulus)
+    for e in range(1, digits):
+        valuation[diffs % prime ** e == 0] += 1.0
+    valuation[0] = np.inf
+    gaps = diffs[:, None] - diffs[None, :]
+    exponents = valuation[np.abs(gaps, out=gaps)]
     base = 1.0 / prime
     space = FiniteMetricSpace(
         points=points,

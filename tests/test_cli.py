@@ -6,6 +6,7 @@ import json
 import numpy as np
 import pytest
 
+from solenoidlab import metric_space_from_matrix, models
 from solenoidlab.cli import main
 
 
@@ -156,6 +157,25 @@ def test_incoherent_model_for_check(tmp_path, capsys):
     }
     assert main(["run", write_config(tmp_path, cfg)]) == 2
     assert "self-map" in capsys.readouterr().err
+
+
+def test_nan_distances_in_a_model_are_a_space_error(tmp_path, capsys, monkeypatch):
+    def nan_interval(grid_size, alpha):
+        matrix = np.ones((grid_size, grid_size)) - np.eye(grid_size)
+        matrix[0, 1] = matrix[1, 0] = np.nan
+        return metric_space_from_matrix(range(grid_size), matrix)
+
+    monkeypatch.setattr(models, "build_snowflake_interval", nan_interval)
+    cfg = {
+        "space": {
+            "kind": "snowflake-interval",
+            "parameters": {"grid_size": 3, "alpha": 0.5},
+        },
+        "checks": [{"name": "metric-axioms"}],
+    }
+    assert main(["run", write_config(tmp_path, cfg)]) == 2
+    err = capsys.readouterr().err
+    assert "$.space" in err and "NaN" in err
 
 
 def test_quotient_check_needs_isometry(tmp_path, capsys):

@@ -63,6 +63,14 @@ def test_space_construction_errors():
         )
 
 
+def test_nan_distances_are_refused():
+    matrix = np.array([[0.0, math.nan, 1.0], [math.nan, 0.0, 1.0], [1.0, 1.0, 0.0]])
+    with pytest.raises(InvalidInputError, match="NaN"):
+        metric_space_from_matrix((0, 1, 2), matrix)
+    with pytest.raises(InvalidInputError, match="NaN"):
+        FiniteMetricSpace(points=(0, 1, 2), matrix=matrix)
+
+
 def test_power_structure_exponents():
     space, _, _ = build_full_shift(2, 0.5, 4)
     zeros = space.points[0]
