@@ -107,6 +107,7 @@ CONFIG_SCHEMA = {
                 "times": {
                     "type": "array",
                     "minItems": 1,
+                    "uniqueItems": True,
                     "items": {"type": "number"},
                 },
             },
@@ -188,6 +189,13 @@ _KNOWN_PARAMS = {
     "measures": {"cylinders", "radii", "weights"},
     "dimension": {"scales"},
 }
+
+
+def _count(check: dict, index: int, key: str, default: int) -> int:
+    value = _param(check, index, key, "int", default=default)
+    if value < 0:
+        raise UsageError(f"$.checks[{index}].{key}: must be nonnegative")
+    return value
 
 
 def _reject_unknown_params(check: dict, index: int) -> None:
@@ -272,7 +280,7 @@ def _check_quotient_metric(model, check, index, tol, rng):
             "check 'quotient-metric' needs an isometric model "
             "(padic-cycle or two-fixed-points)"
         )
-    pairs = _param(check, index, "pairs", "int", default=1000)
+    pairs = _count(check, index, "pairs", 1000)
     points = ts.base_space.points
     violations = 0
     witness = None
@@ -317,7 +325,7 @@ def _draw_centered_times(rng):
 
 def _check_chain_sandwich(model, check, index, tol, rng):
     ts = _need_torus(model, "chain-sandwich")
-    pairs = _param(check, index, "pairs", "int", default=200)
+    pairs = _count(check, index, "pairs", 200)
     times = _param(check, index, "times", "floats", default=[0.0, 0.25, 0.5, 0.75])
     max_bases = _param(check, index, "max_bases", "int", default=16)
     if any(not 0.0 <= t < 1.0 for t in times):
@@ -366,7 +374,7 @@ def _check_chain_sandwich(model, check, index, tol, rng):
 
 def _check_flow_laws(model, check, index, tol, rng):
     ts = _need_torus(model, "flow-laws")
-    triples = _param(check, index, "triples", "int", default=1000)
+    triples = _count(check, index, "triples", 1000)
     points = ts.base_space.points
     violations = 0
     witness = None
@@ -436,14 +444,12 @@ def _band_payload(band):
 def _check_measures(model, check, index, tol, rng):
     cfg = _need_sequences(model, "measures")
     ts = _need_torus(model, "measures")
-    cylinders = _param(check, index, "cylinders", "int", default=100)
+    cylinders = _count(check, index, "cylinders", 100)
     radii = _param(
         check, index, "radii", "floats", default=[0.5 ** k for k in range(1, 6)]
     )
     if any(not 0.0 < r <= 0.5 for r in radii):
         raise UsageError(f"$.checks[{index}].radii: radii must lie in (0, 1/2]")
-    if cylinders < 0:
-        raise UsageError(f"$.checks[{index}].cylinders: must be nonnegative")
     raw_weights = _param(check, index, "weights", "weights")
     if raw_weights is None:
         w = WeightVector.uniform(cfg.alphabet)
@@ -618,7 +624,10 @@ def _export(cfg, args) -> str:
     if cfg.get("output", {}).get("format", "csv") != "csv":
         raise UsageError("$.output.format: matrix exports are CSV")
     model = _build(cfg)
-    labels, matrix = _export_matrix(cfg, model)
+    try:
+        labels, matrix = _export_matrix(cfg, model)
+    except InvalidInputError as e:
+        raise UsageError(f"$.export: {e}") from None
     out = io.StringIO()
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(labels)

@@ -1,0 +1,90 @@
+"""Reference torus distances: the scalar shift loop, per-point rows and
+per-row Dijkstra.
+
+The library computes the representative distance with one broadcasting
+kernel and every chain distance with one Floyd-Warshall solve.  This module
+keeps the plain versions they replaced, so property tests can hold the
+library to them.  Its checks raise rather than assert, so they hold under
+``python -O`` too.
+"""
+
+from __future__ import annotations
+
+import math
+
+import numpy as np
+from scipy.sparse.csgraph import dijkstra
+
+from dynamics_reference import perm_powers_by_steps
+from solenoidlab import TorusPoint, TorusSpace, iterate
+
+TIME_CAP = 0.75
+GAP_CAP = 0.5
+SHIFTS = (-2, -1, 0, 1, 2)
+CORE_SHIFTS = (-1, 0)
+
+
+def representative_distance_by_loop(p: TorusPoint, q: TorusPoint, ts: TorusSpace) -> float:
+    """Minimum of the product metric over admissible shift pairs, one pair
+    at a time, with the base points shifted by ``iterate``."""
+    best = math.inf
+    core_best = math.inf
+    for m in SHIFTS:
+        rp = p.time + m
+        if abs(rp) > TIME_CAP:
+            continue
+        xm = iterate(ts.monodromy, m, p.base)
+        for n in SHIFTS:
+            tp = q.time + n
+            if abs(tp) > TIME_CAP or abs(rp - tp) > GAP_CAP:
+                continue
+            yn = iterate(ts.monodromy, n, q.base)
+            rho = max(ts.base_space.dist(xm, yn), abs(rp - tp))
+            best = min(best, rho)
+            if m in CORE_SHIFTS and n in CORE_SHIFTS:
+                core_best = min(core_best, rho)
+    if not best < math.inf:
+        raise AssertionError("no admissible representative pair")
+    if core_best != best:
+        raise AssertionError("shifts beyond {-1, 0} improved the minimum")
+    return best
+
+
+def representative_matrix_by_loop(ts: TorusSpace, points) -> np.ndarray:
+    return np.array([
+        [representative_distance_by_loop(p, q, ts) for q in points] for p in points
+    ])
+
+
+def distance_rows(ts: TorusSpace, p: TorusPoint, points) -> np.ndarray:
+    """Representative distances from ``p`` to ``points``, vectorised over
+    the points with the shift powers built step by step."""
+    powers = perm_powers_by_steps(ts, min(SHIFTS), max(SHIFTS))
+    idx = np.array([ts.base_space.index_of(q.base) for q in points], dtype=np.intp)
+    times = np.array([q.time for q in points], dtype=float)
+    i = ts.base_space.index_of(p.base)
+    m_base = ts.base_space.matrix
+    best = np.full(len(idx), np.inf)
+    for m in SHIFTS:
+        rp = p.time + m
+        if abs(rp) > TIME_CAP:
+            continue
+        row = powers[m][i]
+        for n in SHIFTS:
+            tp = times + n
+            gap = np.abs(rp - tp)
+            ok = (np.abs(tp) <= TIME_CAP) & (gap <= GAP_CAP)
+            if not ok.any():
+                continue
+            rho = np.maximum(m_base[row, powers[n][idx]], gap)
+            best = np.minimum(best, np.where(ok, rho, np.inf))
+    if not np.all(np.isfinite(best)):
+        raise AssertionError("no admissible representative pair")
+    return best
+
+
+def chain_matrix_by_dijkstra(edges: np.ndarray) -> np.ndarray:
+    """All-pairs shortest paths, one single-source Dijkstra per row."""
+    return np.vstack([
+        dijkstra(edges, directed=False, indices=i) for i in range(len(edges))
+    ])

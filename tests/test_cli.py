@@ -6,7 +6,7 @@ import json
 import numpy as np
 import pytest
 
-from solenoidlab import metric_space_from_matrix, models
+from solenoidlab import mapping_torus, metric_space_from_matrix, models
 from solenoidlab.cli import main
 
 
@@ -178,6 +178,36 @@ def test_nan_distances_in_a_model_are_a_space_error(tmp_path, capsys, monkeypatc
     assert "$.space" in err and "NaN" in err
 
 
+@pytest.mark.parametrize("space, name, key", [
+    (PADIC, "quotient-metric", "pairs"),
+    (FULL_SHIFT, "chain-sandwich", "pairs"),
+    (FULL_SHIFT, "flow-laws", "triples"),
+    (FULL_SHIFT, "measures", "cylinders"),
+])
+def test_negative_counts_are_rejected(tmp_path, capsys, space, name, key):
+    cfg = {"space": space, "seed": 1, "checks": [{"name": name, key: -5}]}
+    assert main(["run", write_config(tmp_path, cfg)]) == 2
+    assert f"$.checks[0].{key}: must be nonnegative" in capsys.readouterr().err
+
+
+def test_chain_sandwich_above_the_old_dense_limit(tmp_path):
+    # 128 bases x 5 times = 640 chain points, past the 512 at which
+    # off-sample queries used to be refused.
+    cfg = {
+        "space": {"kind": "padic-cycle", "parameters": {"prime": 2, "digits": 8}},
+        "seed": 3,
+        "checks": [{
+            "name": "chain-sandwich", "pairs": 20, "max_bases": 128,
+            "times": [0.0, 0.2, 0.4, 0.6, 0.8],
+        }],
+    }
+    out = tmp_path / "report.json"
+    assert main(["run", write_config(tmp_path, cfg), "--out", str(out)]) == 0
+    result = json.loads(out.read_text())["results"][0]
+    assert result["sample_size"] == 640
+    assert result["status"] == "pass"
+
+
 def test_quotient_check_needs_isometry(tmp_path, capsys):
     cfg = {"space": FULL_SHIFT, "seed": 1, "checks": [{"name": "quotient-metric"}]}
     assert main(["run", write_config(tmp_path, cfg)]) == 2
@@ -264,6 +294,23 @@ def test_export_torus_metric_needs_times(tmp_path, capsys):
     cfg = {"space": PADIC, "export": {"metric": "chain"}}
     assert main(["export", write_config(tmp_path, cfg)]) == 2
     assert "times" in capsys.readouterr().err
+
+
+def test_export_times_must_be_unique(tmp_path, capsys):
+    shift2 = dict(FULL_SHIFT, parameters=dict(FULL_SHIFT["parameters"], max_period=2))
+    cfg = {"space": shift2, "export": {"metric": "chain", "times": [0.0, 0.0]}}
+    assert main(["export", write_config(tmp_path, cfg)]) == 2
+    err = capsys.readouterr().err
+    assert "$.export.times" in err and "non-unique" in err
+
+
+def test_export_over_the_chain_ceiling_is_a_usage_error(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(mapping_torus, "MAX_CHAIN_SAMPLE", 8)
+    cfg = {"space": FULL_SHIFT, "export": {"metric": "chain", "times": [0.0]}}
+    assert main(["export", write_config(tmp_path, cfg)]) == 2
+    assert "$.export: chain sample of 16 points exceeds the limit of 8" in (
+        capsys.readouterr().err
+    )
 
 
 def test_export_full_precision_round_trip(tmp_path):

@@ -31,7 +31,7 @@ from solenoidlab import (
     self_map_from_function,
     verify_isometry,
 )
-from solenoidlab.mapping_torus import _perm_powers
+from solenoidlab.dynamics import index_cycles
 
 SEQUENCES = tuple(enumerate_periodic_points(Alphabet(("0", "1")), 6))
 
@@ -101,11 +101,14 @@ def test_iterate_orbit_and_order_match_the_walks(drawn, data):
 def test_perm_powers_match_the_steps(drawn, lo, hi):
     space, mapping = drawn
     ts = TorusSpace(space, mapping, lipschitz_constant=1.0, diameter_bound=1.0)
-    got = _perm_powers(ts, lo, hi)
-    want = ref.perm_powers_by_steps(ts, lo, hi)
-    assert got.keys() == want.keys()
-    for m in want:
-        assert np.array_equal(got[m], want[m])
+    table = index_cycles(space, mapping)
+    for m, want in ref.perm_powers_by_steps(ts, lo, hi).items():
+        assert np.array_equal(table.power(m), want)
+    # The torus keeps the powers of its shift window, f^-2 to f^2.
+    window = ref.perm_powers_by_steps(ts, -2, 2)
+    assert ts._shift_powers.keys() == window.keys()
+    for m, want in window.items():
+        assert np.array_equal(ts._shift_powers[m], want)
 
 
 @settings(max_examples=150, deadline=None)

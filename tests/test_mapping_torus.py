@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from solenoidlab import mapping_torus
 from solenoidlab import (
     Alphabet,
     ChainMetricTable,
@@ -269,17 +270,19 @@ def test_distance_via_matches_extended_table(shift_torus):
     assert on_sample == table.distance(sample[0], sample[5])
 
 
-def test_sparse_mode_matches_dense(shift_torus):
+def test_chain_sample_ceiling_is_checked_first(shift_torus, monkeypatch):
     points = shift_torus.base_space.points
-    sample = [TorusPoint(b, t) for b in points for t in (0.0, 0.5)]
-    dense = ChainMetricTable(shift_torus, sample)
-    sparse = ChainMetricTable(shift_torus, sample, dense_limit=4)
-    assert np.allclose(dense.distance_matrix(), sparse.distance_matrix(), atol=1e-12)
-    p, q = sample[0], sample[17]
-    assert sparse.distance(p, q) == pytest.approx(dense.distance(p, q), abs=1e-12)
-    assert sparse.witness(p, q).total == pytest.approx(dense.distance(p, q), abs=1e-12)
-    with pytest.raises(UnsupportedModeError):
-        sparse.distance_via(TorusPoint(points[0], 0.1), TorusPoint(points[1], 0.2))
+    monkeypatch.setattr(mapping_torus, "MAX_CHAIN_SAMPLE", 3)
+    # The ceiling counts distinct points.
+    repeated = [TorusPoint(b, 0.0) for b in points[:3]] * 2
+    assert len(ChainMetricTable(shift_torus, repeated)) == 3
+
+    def never(*args):
+        raise AssertionError("the edge matrix was built")
+
+    monkeypatch.setattr(mapping_torus, "representative_distance_matrix", never)
+    with pytest.raises(InvalidInputError, match="limit of 3"):
+        ChainMetricTable(shift_torus, [TorusPoint(b, 0.0) for b in points[:4]])
 
 
 def test_chain_metric_one_off(shift_torus):
