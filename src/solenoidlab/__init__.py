@@ -44,6 +44,7 @@ from .mapping_torus import (
     quotient_metric,
     representative_distance,
     representative_distance_matrix,
+    representative_distance_pairs,
     torus_points_close,
 )
 from .measures import (

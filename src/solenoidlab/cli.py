@@ -28,12 +28,14 @@ from .mapping_torus import (
     TorusPoint,
     dist_to_integers,
     circle_distance,
+    distinct_chain_sample,
     flow,
     product_metric,
     project_to_circle,
     quotient_metric,
-    representative_distance,
+    representative_distance,  # unused here; bench/spans.py wraps cli's binding
     representative_distance_matrix,
+    representative_distance_pairs,
     torus_points_close,
 )
 from .measures import (
@@ -323,7 +325,8 @@ def _draw_centered_times(rng):
             return r, t
 
 
-def _check_chain_sandwich(model, check, index, tol, rng):
+def _chain_plan(model, check, index):
+    """The torus, pair count and chain sample of a ``chain-sandwich`` check."""
     ts = _need_torus(model, "chain-sandwich")
     pairs = _count(check, index, "pairs", 200)
     times = _param(check, index, "times", "floats", default=[0.0, 0.25, 0.5, 0.75])
@@ -335,39 +338,49 @@ def _check_chain_sandwich(model, check, index, tol, rng):
     points = ts.base_space.points
     step = max(1, math.ceil(len(points) / max_bases))
     chosen = points[::step][:max_bases]
-    sample = [TorusPoint(b, t) for b in chosen for t in times]
+    return ts, pairs, [TorusPoint(b, t) for b in chosen for t in times]
+
+
+def _check_chain_sandwich(model, check, index, tol, rng):
+    ts, pairs, sample = _chain_plan(model, check, index)
     table = ChainMetricTable(ts, sample)
     c = ts.lipschitz_constant
     stretch = max(c, 2.0 * ts.diameter_bound)
-    violations = 0
-    witness = None
+    # Draw every pair first, in the order the per-pair loop drew them, then
+    # answer them in bulk.
+    points = ts.base_space.points
+    ps, qs = [], []
     for _ in range(pairs):
         r, t = _draw_centered_times(rng)
-        p = TorusPoint(points[rng.randint(len(points))], r)
-        q = TorusPoint(points[rng.randint(len(points))], t)
-        delta = representative_distance(p, q, ts)
-        rho = product_metric(p.base, p.time, q.base, q.time, ts)
-        d0 = table.distance_via(p, q)
-        ok = (
-            min(rho / c, 0.5) <= d0 + tol
-            and d0 <= delta + tol
-            and delta <= rho + tol
-            and rho <= stretch * d0 + tol
-        )
-        if not ok:
-            violations += 1
-            if witness is None:
-                witness = {
-                    "pair": [point_label(p), point_label(q)],
-                    "chain": d0,
-                    "representative": delta,
-                    "product": rho,
-                }
+        ps.append(TorusPoint(points[rng.randint(len(points))], r))
+        qs.append(TorusPoint(points[rng.randint(len(points))], t))
+    delta = representative_distance_pairs(ts, ps, qs)
+    d0 = table.distances_via(ps, qs)
+    rho = np.array(
+        [product_metric(p.base, p.time, q.base, q.time, ts) for p, q in zip(ps, qs)],
+        dtype=float,
+    )
+    ok = (
+        (np.minimum(rho / c, 0.5) <= d0 + tol)
+        & (d0 <= delta + tol)
+        & (delta <= rho + tol)
+        & (rho <= stretch * d0 + tol)
+    )
+    bad = np.flatnonzero(~ok)
+    witness = None
+    if bad.size:
+        k = bad[0]
+        witness = {
+            "pair": [point_label(ps[k]), point_label(qs[k])],
+            "chain": float(d0[k]),
+            "representative": float(delta[k]),
+            "product": float(rho[k]),
+        }
     return {
-        "status": "pass" if violations == 0 else "fail",
+        "status": "pass" if bad.size == 0 else "fail",
         "pairs": pairs,
         "sample_size": len(table),
-        "violations": violations,
+        "violations": int(bad.size),
         "witness": witness,
     }
 
@@ -532,6 +545,19 @@ def _resolve_seed(cfg, args, checks):
     return seed
 
 
+def _refuse_bad_checks(model, checks) -> None:
+    """Refuse, before the first check runs, unknown parameters and a
+    ``chain-sandwich`` sample over the chain ceiling."""
+    for i, check in enumerate(checks):
+        _reject_unknown_params(check, i)
+        if check["name"] == "chain-sandwich":
+            ts, _, sample = _chain_plan(model, check, i)
+            try:
+                distinct_chain_sample(ts, sample)
+            except InvalidInputError as e:
+                raise UsageError(f"$.checks[{i}]: {e}") from None
+
+
 def _run(cfg, args) -> tuple[str, int]:
     checks = cfg.get("checks")
     if not checks:
@@ -542,10 +568,10 @@ def _run(cfg, args) -> tuple[str, int]:
     model = _build(cfg)
     seed = _resolve_seed(cfg, args, checks)
     tol = args.tol if args.tol is not None else cfg.get("tolerance", DEFAULT_TOLERANCE)
+    _refuse_bad_checks(model, checks)
     results = []
     started = time.perf_counter()
     for i, check in enumerate(checks):
-        _reject_unknown_params(check, i)
         rng = np.random.RandomState((seed if seed is not None else 0, i))
         try:
             payload = _CHECKS[check["name"]](model, check, i, tol, rng)
@@ -628,11 +654,37 @@ def _export(cfg, args) -> str:
         labels, matrix = _export_matrix(cfg, model)
     except InvalidInputError as e:
         raise UsageError(f"$.export: {e}") from None
+    return _csv_text(labels, matrix)
+
+
+#: Rows stop adding rendered floats to an export's cache once it holds this
+#: many (so it ends below this plus one row), and later new values are
+#: rendered at each occurrence: a matrix of all-distinct floats does not keep
+#: one string per cell.
+_REPR_CACHE_LIMIT = 1 << 14
+
+
+def _csv_text(labels, matrix) -> str:
+    """The label header (quoted as the csv module does), then one line of
+    ``repr`` floats per matrix row.
+
+    Each distinct float is rendered once per export, keyed by its bit
+    pattern so that ``-0.0`` and ``0.0`` stay apart.  No ``repr`` of a float
+    is empty or holds a comma, quote or newline, so the rows need no quoting
+    and a rendered cell is never falsy.
+    """
     out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(labels)
-    for row in matrix:
-        writer.writerow([repr(float(v)) for v in row])
+    csv.writer(out, lineterminator="\n").writerow(labels)
+    rendered: dict[int, str] = {}
+    for row in np.ascontiguousarray(matrix, dtype=np.float64):
+        keys = row.view(np.uint64).tolist()
+        cells = list(map(rendered.get, keys))
+        if None in cells:
+            cells = [c or repr(v) for c, v in zip(cells, row.tolist())]
+            if len(rendered) < _REPR_CACHE_LIMIT:
+                rendered.update(zip(keys, cells))
+        out.write(",".join(cells))
+        out.write("\n")
     return out.getvalue()
 
 

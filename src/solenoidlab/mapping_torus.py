@@ -13,12 +13,13 @@ canonical representative has time in [0, 1).  Four distances are provided:
   each other.  Symmetric and positive, but not a metric in general: the
   triangle inequality can genuinely fail when the glue map only satisfies a
   bilipschitz bound.  One broadcasting kernel computes it; the scalar call,
-  the all-pairs matrix and the rows of off-sample chain queries are views of
-  that kernel, so all three agree bit for bit.
+  the paired and all-pairs views and the rows of off-sample chain queries
+  are views of that kernel, so all of them agree bit for bit.
 * chain distance (:class:`ChainMetricTable`): shortest-path repair of the
   representative distance over a caller-supplied sample of at most
   :data:`MAX_CHAIN_SAMPLE` points, which restores the triangle inequality.
-  One dense Floyd-Warshall solve gives every chain distance.
+  One dense Floyd-Warshall solve gives every chain distance; queries with
+  endpoints off the sample are answered in batches.
 """
 
 from __future__ import annotations
@@ -29,7 +30,6 @@ from functools import cached_property
 from typing import Any, Iterable, Sequence
 
 import numpy as np
-from scipy.sparse.csgraph import floyd_warshall
 
 from .dynamics import SelfMap, estimate_bilipschitz_constant, index_cycles, iterate
 from .errors import (
@@ -38,7 +38,7 @@ from .errors import (
     UnsupportedMapError,
     UnsupportedModeError,
 )
-from .metric_core import DEFAULT_TOLERANCE, FiniteMetricSpace, truncate
+from .metric_core import DEFAULT_TOLERANCE, FiniteMetricSpace, shortest_paths, truncate
 
 Point = Any
 
@@ -259,6 +259,15 @@ def representative_distance(p: TorusPoint, q: TorusPoint, ts: TorusSpace) -> flo
     return float(_representative_kernel(ts, idx[:1], times[:1], idx[1:], times[1:])[0])
 
 
+def representative_distance_pairs(
+    ts: TorusSpace, ps: Sequence[TorusPoint], qs: Sequence[TorusPoint]
+) -> np.ndarray:
+    """:func:`representative_distance` of each pair ``(ps[k], qs[k])``."""
+    if len(ps) != len(qs):
+        raise InvalidInputError(f"{len(ps)} start points for {len(qs)} end points")
+    return _representative_kernel(ts, *_sample_arrays(ts, ps), *_sample_arrays(ts, qs))
+
+
 def representative_distance_matrix(
     ts: TorusSpace, points: Sequence[TorusPoint]
 ) -> np.ndarray:
@@ -289,6 +298,30 @@ _NO_PRED = -9999
 #: x86 host.
 MAX_CHAIN_SAMPLE = 2048
 
+#: Off-sample queries get their rows to the sample in chunks of at most this
+#: many cells (512 KiB of floats), whatever the number of queries.
+_ROW_BLOCK_CELLS = 1 << 16
+
+
+def distinct_chain_sample(
+    ts: TorusSpace, sample: Sequence[TorusPoint]
+) -> tuple[TorusPoint, ...]:
+    """``sample`` without repeats, in first-seen order.
+
+    Raises :class:`InvalidInputError` for a point that is not canonical or
+    when more than :data:`MAX_CHAIN_SAMPLE` distinct points remain.
+    """
+    seen: dict[TorusPoint, None] = {}
+    for p in sample:
+        _require_canonical(p, ts)
+        seen.setdefault(p)
+    if len(seen) > MAX_CHAIN_SAMPLE:
+        raise InvalidInputError(
+            f"chain sample of {len(seen)} points exceeds the limit of "
+            f"{MAX_CHAIN_SAMPLE}"
+        )
+    return tuple(seen)
+
 
 class ChainMetricTable:
     """All-pairs chain distances over a fixed sample of canonical points.
@@ -302,21 +335,12 @@ class ChainMetricTable:
     """
 
     def __init__(self, ts: TorusSpace, sample: Sequence[TorusPoint]):
-        seen: dict[TorusPoint, None] = {}
-        for p in sample:
-            _require_canonical(p, ts)
-            seen.setdefault(p)
-        if len(seen) > MAX_CHAIN_SAMPLE:
-            raise InvalidInputError(
-                f"chain sample of {len(seen)} points exceeds the limit of "
-                f"{MAX_CHAIN_SAMPLE}"
-            )
         self.ts = ts
-        self.sample = tuple(seen)
+        self.sample = distinct_chain_sample(ts, sample)
         self._index = {p: i for i, p in enumerate(self.sample)}
         self.edges = representative_distance_matrix(ts, self.sample)
         self._idx, self._times = _sample_arrays(ts, self.sample)
-        self._dist, self._pred = floyd_warshall(
+        self._dist, self._pred = shortest_paths(
             self.edges, directed=False, return_predecessors=True
         )
 
@@ -357,25 +381,72 @@ class ChainMetricTable:
         )
 
     def distance_via(self, p: TorusPoint, q: TorusPoint) -> float:
-        """Chain distance allowing ``p`` and ``q`` off the sample.
+        """Chain distance allowing ``p`` and ``q`` off the sample: the
+        one-pair view of :meth:`distances_via`."""
+        return float(self.distances_via((p,), (q,))[0])
 
-        Chains run through the sample plus the two endpoints; a shortest
-        chain never revisits an endpoint, so the value is the exact chain
-        distance over the extended sample.
+    def distances_via(
+        self, ps: Sequence[TorusPoint], qs: Sequence[TorusPoint]
+    ) -> np.ndarray:
+        """Chain distance of each pair ``(ps[k], qs[k])``, endpoints allowed
+        off the sample.
+
+        A pair on the sample reads the table.  Otherwise chains run through
+        the sample plus the two endpoints; a shortest chain never revisits an
+        endpoint, so the value is ``min(direct, (row_p[a] + D[a, b]) +
+        row_q[b])`` over the sample points a, b: the exact chain distance
+        over the extended sample, where ``direct`` is the representative
+        distance of the pair.
         """
-        if p in self._index and q in self._index:
-            return self.distance(p, q)
-        ends_idx, ends_times = _sample_arrays(self.ts, (p, q))
-        # Rows from p and from q to the sample, with q appended as a last
-        # column so that the block also holds the direct edge from p to q.
-        block = _representative_kernel(
-            self.ts, ends_idx[:, None], ends_times[:, None],
-            np.append(self._idx, ends_idx[1])[None, :],
-            np.append(self._times, ends_times[1])[None, :],
+        if len(ps) != len(qs):
+            raise InvalidInputError(f"{len(ps)} start points for {len(qs)} end points")
+        out = np.empty(len(ps))
+        off = []
+        for k, (p, q) in enumerate(zip(ps, qs)):
+            i, j = self._index.get(p), self._index.get(q)
+            if i is None or j is None:
+                off.append(k)
+            else:
+                out[k] = self._dist[i, j]
+        if not off:
+            return out
+        p_idx, p_times = _sample_arrays(self.ts, [ps[k] for k in off])
+        q_idx, q_times = _sample_arrays(self.ts, [qs[k] for k in off])
+        edge = _representative_kernel(self.ts, p_idx, p_times, q_idx, q_times)
+        chunk = max(1, _ROW_BLOCK_CELLS // len(self.sample))
+        for start in range(0, len(off), chunk):
+            part = slice(start, start + chunk)
+            rows_p = self._rows(p_idx[part], p_times[part])
+            rows_q = self._rows(q_idx[part], q_times[part])
+            for k, x, y, d in zip(off[part], rows_p, rows_q, edge[part]):
+                out[k] = self._through(x, y, float(d))
+        return out
+
+    def _rows(self, idx: np.ndarray, times: np.ndarray) -> np.ndarray:
+        """Representative distances from the points (``idx``, ``times``) to
+        the sample, one row per point."""
+        return _representative_kernel(
+            self.ts, idx[:, None], times[:, None],
+            self._idx[None, :], self._times[None, :],
         )
-        row_p, row_q = block[0, :-1], block[1, :-1]
-        through = float(np.min(row_p[:, None] + self._dist + row_q[None, :]))
-        return min(float(block[0, -1]), through)
+
+    def _through(self, row_p: np.ndarray, row_q: np.ndarray, direct: float) -> float:
+        """``min(direct, min over a, b of (row_p[a] + D[a, b]) + row_q[b])``.
+
+        Each candidate is a rounded sum of nonnegative terms, so it is at
+        least ``row_p[a]`` and at least ``row_q[b]``: rows and columns whose
+        entry is already ``>= direct`` cannot lower the result and are
+        skipped.  Rounding is monotone, so the minimum over a can be taken
+        before ``row_q[b]`` is added.  The result is bit for bit that of the
+        full S x S sum.
+        """
+        a = np.flatnonzero(row_p < direct)
+        b = np.flatnonzero(row_q < direct)
+        if a.size == 0 or b.size == 0:
+            return direct
+        block = self._dist.take(a, axis=0).take(b, axis=1)
+        block += row_p[a, None]
+        return min(direct, float((block.min(axis=0) + row_q[b]).min()))
 
 
 def chain_metric(

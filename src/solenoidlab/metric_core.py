@@ -15,6 +15,7 @@ from dataclasses import dataclass
 from typing import Any, Callable, Sequence
 
 import numpy as np
+from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import floyd_warshall
 
 from .errors import InvalidInputError
@@ -141,6 +142,30 @@ class MetricReport:
     diameter: float
     is_metric: bool
     is_ultrametric: bool | None
+
+
+def shortest_paths(weights: np.ndarray, directed: bool, return_predecessors: bool = False):
+    """scipy's ``floyd_warshall`` with every entry of a dense weight matrix
+    as an edge.
+
+    Handed a dense array, scipy reads zero entries as missing edges, and
+    also every entry within 1e-8 of zero (it masks with
+    ``np.ma.masked_values``).  Distinct points at a tiny or zero distance
+    would then be cut apart.  A sparse matrix that stores every entry keeps
+    them all.
+    """
+    n = len(weights)
+    graph = csr_matrix(
+        (
+            np.ascontiguousarray(weights, dtype=np.float64).ravel(),
+            np.tile(np.arange(n, dtype=np.int32), n),
+            np.arange(0, n * n + 1, n, dtype=np.int64),
+        ),
+        shape=(n, n),
+    )
+    return floyd_warshall(
+        graph, directed=directed, return_predecessors=return_predecessors
+    )
 
 
 def _basic_violations(space: FiniteMetricSpace, tol: float) -> list[AxiomViolation]:
@@ -296,7 +321,7 @@ def _metric_clear(space: FiniteMetricSpace, tol: float) -> bool:
     if _float_ultrametric_clear(space, tol):
         return True
     m = space.matrix
-    return bool(np.all(m <= floyd_warshall(m, directed=True) + tol))
+    return bool(np.all(m <= shortest_paths(m, directed=True) + tol))
 
 
 @_memoised

@@ -1,11 +1,11 @@
-"""Reference torus distances: the scalar shift loop, per-point rows and
-per-row Dijkstra.
+"""Reference torus distances: the scalar shift loop, per-point rows, one
+chain query at a time and per-row Dijkstra.
 
 The library computes the representative distance with one broadcasting
-kernel and every chain distance with one Floyd-Warshall solve.  This module
-keeps the plain versions they replaced, so property tests can hold the
-library to them.  Its checks raise rather than assert, so they hold under
-``python -O`` too.
+kernel, every chain distance with one Floyd-Warshall solve and off-sample
+chain queries in pruned batches.  This module keeps the plain versions they
+replaced, so property tests can hold the library to them.  Its checks raise
+rather than assert, so they hold under ``python -O`` too.
 """
 
 from __future__ import annotations
@@ -13,6 +13,7 @@ from __future__ import annotations
 import math
 
 import numpy as np
+from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import dijkstra
 
 from dynamics_reference import perm_powers_by_steps
@@ -83,8 +84,30 @@ def distance_rows(ts: TorusSpace, p: TorusPoint, points) -> np.ndarray:
     return best
 
 
+def distance_via_by_block(table, p: TorusPoint, q: TorusPoint) -> float:
+    """One chain query at a time, as ``ChainMetricTable.distance_via`` was:
+    on the sample, the table entry; otherwise both rows to the sample, the
+    full S x S sum ``row_p[:, None] + D + row_q[None, :]`` and the direct
+    edge."""
+    if p in table.sample and q in table.sample:
+        return table.distance(p, q)
+    row_p = distance_rows(table.ts, p, table.sample)
+    row_q = distance_rows(table.ts, q, table.sample)
+    through = float(np.min(row_p[:, None] + table.distance_matrix() + row_q[None, :]))
+    return min(representative_distance_by_loop(p, q, table.ts), through)
+
+
 def chain_matrix_by_dijkstra(edges: np.ndarray) -> np.ndarray:
-    """All-pairs shortest paths, one single-source Dijkstra per row."""
+    """All-pairs shortest paths, one single-source Dijkstra per row.
+
+    The graph stores every entry, since scipy reads zero (and, in a dense
+    array, near-zero) entries as missing edges.
+    """
+    n = len(edges)
+    graph = csr_matrix(
+        (edges.ravel(), np.tile(np.arange(n), n), np.arange(0, n * n + 1, n)),
+        shape=(n, n),
+    )
     return np.vstack([
-        dijkstra(edges, directed=False, indices=i) for i in range(len(edges))
+        dijkstra(graph, directed=False, indices=i) for i in range(n)
     ])

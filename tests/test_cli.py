@@ -1,12 +1,14 @@
 """End-to-end runs of the command line driver through its Python entry point."""
 
 import csv
+import io
 import json
 
 import numpy as np
 import pytest
 
-from solenoidlab import mapping_torus, metric_space_from_matrix, models
+from cli_reference import check_chain_sandwich_by_pair
+from solenoidlab import cli, mapping_torus, metric_space_from_matrix, models
 from solenoidlab.cli import main
 
 
@@ -327,3 +329,121 @@ def test_export_full_precision_round_trip(tmp_path):
     assert labels == ["0.0", "0.25", "0.5", "0.75", "1.0"]
     assert matrix[0, 1] == 0.5
     assert matrix[0, 2] == 0.5 ** 0.5  # repr round-trips exactly
+
+
+THREE_SYMBOL_SHIFT = {
+    "kind": "full-shift",
+    "parameters": {"alphabet_size": 3, "ratio": 0.5, "max_period": 3},
+}
+PADIC_64 = {"kind": "padic-cycle", "parameters": {"prime": 2, "digits": 6}}
+TWO_FIXED_POINTS = {"kind": "two-fixed-points", "parameters": {}}
+
+
+@pytest.mark.parametrize("space, check, tol", [
+    (PADIC_64, {"name": "chain-sandwich", "pairs": 150}, 1e-9),
+    (PADIC_64, {"name": "chain-sandwich", "pairs": 60, "times": [0.1, 0.6, 0.1]}, 1e-9),
+    (THREE_SYMBOL_SHIFT, {"name": "chain-sandwich", "pairs": 150, "max_bases": 9}, 1e-9),
+    (TWO_FIXED_POINTS, {"name": "chain-sandwich", "pairs": 150}, 1e-9),
+    (THREE_SYMBOL_SHIFT, {"name": "chain-sandwich", "pairs": 80}, -1e-3),
+    (TWO_FIXED_POINTS, {"name": "chain-sandwich", "pairs": 0}, 1e-9),
+])
+@pytest.mark.parametrize("seed", [1, 7, 401])
+def test_chain_sandwich_matches_the_per_pair_loop(space, check, tol, seed):
+    model = cli._build({"space": space})
+    got = cli._check_chain_sandwich(model, check, 2, tol, np.random.RandomState((seed, 2)))
+    want = check_chain_sandwich_by_pair(
+        model, check, 2, tol, np.random.RandomState((seed, 2))
+    )
+    assert json.dumps(got, sort_keys=True) == json.dumps(want, sort_keys=True)
+    assert (got["status"] == "fail") == (tol < 0)
+    if tol < 0:
+        assert got["witness"] is not None and got["violations"] > 0
+
+
+def _never(*args):
+    raise AssertionError("an earlier check ran before the configs were checked")
+
+
+def test_unknown_parameter_of_a_later_check_is_refused_first(tmp_path, capsys, monkeypatch):
+    monkeypatch.setitem(cli._CHECKS, "quotient-metric", _never)
+    cfg = {
+        "space": PADIC,
+        "seed": 1,
+        "checks": [
+            {"name": "quotient-metric", "pairs": 10},
+            {"name": "chain-sandwich", "pears": 3},
+        ],
+    }
+    assert main(["run", write_config(tmp_path, cfg)]) == 2
+    assert "$.checks[1]: unknown parameter 'pears'" in capsys.readouterr().err
+
+
+def test_chain_sample_over_the_ceiling_is_refused_first(tmp_path, capsys, monkeypatch):
+    monkeypatch.setitem(cli._CHECKS, "quotient-metric", _never)
+    monkeypatch.setattr(mapping_torus, "MAX_CHAIN_SAMPLE", 8)
+    cfg = {
+        "space": PADIC,
+        "seed": 1,
+        "checks": [
+            {"name": "quotient-metric", "pairs": 10},
+            {"name": "chain-sandwich", "pairs": 5},
+        ],
+    }
+    assert main(["run", write_config(tmp_path, cfg)]) == 2
+    assert "$.checks[1]: chain sample of 32 points exceeds the limit of 8" in (
+        capsys.readouterr().err
+    )
+
+
+def test_chain_sample_times_are_checked_first(tmp_path, capsys, monkeypatch):
+    monkeypatch.setitem(cli._CHECKS, "quotient-metric", _never)
+    cfg = {
+        "space": PADIC,
+        "seed": 1,
+        "checks": [
+            {"name": "quotient-metric", "pairs": 10},
+            {"name": "chain-sandwich", "times": [0.5, 1.0]},
+        ],
+    }
+    assert main(["run", write_config(tmp_path, cfg)]) == 2
+    assert "$.checks[1].times: sample times must lie in [0, 1)" in capsys.readouterr().err
+
+
+def test_chain_ceiling_counts_distinct_sample_points(tmp_path, monkeypatch):
+    # 8 bases x 2 distinct times = 16 points at a ceiling of 16, although
+    # the times list names three.
+    monkeypatch.setattr(mapping_torus, "MAX_CHAIN_SAMPLE", 16)
+    cfg = {
+        "space": PADIC,
+        "seed": 1,
+        "checks": [{"name": "chain-sandwich", "pairs": 5, "times": [0.0, 0.5, 0.0]}],
+    }
+    out = tmp_path / "report.json"
+    assert main(["run", write_config(tmp_path, cfg), "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["results"][0]["sample_size"] == 16
+
+
+@pytest.mark.parametrize("cache_limit", [cli._REPR_CACHE_LIMIT, 2])
+def test_export_bytes_match_the_csv_writer(tmp_path, monkeypatch, cache_limit):
+    labels = ["a,b", 'say "hi"', "c"]
+    # -0.0 first shows up in a row after 0.0 was rendered: the two are equal
+    # as floats, so only a bit-pattern key keeps them apart.
+    matrix = np.array([
+        [0.0, 1e-05, np.inf],
+        [-0.0, np.nan, 1e16],
+        [0.1 + 0.2, 5e-324, -0.0],
+    ])
+    monkeypatch.setattr(cli, "_export_matrix", lambda cfg, model: (labels, matrix))
+    monkeypatch.setattr(cli, "_REPR_CACHE_LIMIT", cache_limit)
+    out = tmp_path / "m.csv"
+    cfg = {"space": PADIC, "export": {"metric": "base"}}
+    assert main(["export", write_config(tmp_path, cfg), "--out", str(out)]) == 0
+    want = io.StringIO()
+    writer = csv.writer(want, lineterminator="\n")
+    writer.writerow(labels)
+    for row in matrix:
+        writer.writerow([repr(float(v)) for v in row])
+    assert out.read_bytes() == want.getvalue().encode("utf-8")
+    assert out.read_text().splitlines()[1:] == [
+        "0.0,1e-05,inf", "-0.0,nan,1e+16", "0.30000000000000004,5e-324,-0.0",
+    ]

@@ -285,6 +285,24 @@ def test_chain_sample_ceiling_is_checked_first(shift_torus, monkeypatch):
         ChainMetricTable(shift_torus, [TorusPoint(b, 0.0) for b in points[:4]])
 
 
+def test_chain_table_keeps_zero_and_tiny_edges():
+    # On a fixed point of the shift, times 1/4 and its float neighbour are at
+    # representative distance exactly 0 (both shift to -3/4), and times 0
+    # and 1 - 2**-53 at 2**-53.  Scipy reads zero and near-zero entries of a
+    # dense array as missing edges; the table must not.
+    _, _, ts = build_full_shift(2, 0.5, 1)
+    x = ts.base_space.points[0]
+    quarter = TorusPoint(x, 0.25)
+    below = TorusPoint(x, math.nextafter(0.25, 0.0))
+    start, end = TorusPoint(x, 0.0), TorusPoint(x, math.nextafter(1.0, 0.0))
+    table = ChainMetricTable(ts, [start, quarter, below, end])
+    assert representative_distance(quarter, below, ts) == 0.0
+    assert table.distance(quarter, below) == 0.0
+    assert table.distance(start, end) == representative_distance(start, end, ts) > 0.0
+    assert table.witness(start, end).points == (start, end)
+    assert table.witness(quarter, below).total == 0.0
+
+
 def test_chain_metric_one_off(shift_torus):
     points = shift_torus.base_space.points
     sample = [TorusPoint(b, t) for b in points for t in (0.25, 0.75)]

@@ -133,6 +133,18 @@ def test_triangle_violation_reported_with_slack():
     assert tri[0].slack == pytest.approx(3.0)
 
 
+def test_triangle_violation_through_a_tiny_distance():
+    # d(0, 1) = 1e-9 is within 1e-8 of zero, which scipy's Floyd-Warshall
+    # reads as a missing edge in a dense array; the shortest-path verdict
+    # must still see the path 0-1-2.
+    bad = metric_space_from_matrix(
+        (0, 1, 2), [[0, 1e-9, 1.5], [1e-9, 0, 1.0], [1.5, 1.0, 0]]
+    )
+    report = verify_metric_axioms(bad, tol=1e-12)
+    assert not report.is_metric
+    assert [v.points for v in report.axiom_violations] == [(0, 2, 1)]
+
+
 def test_tolerance_suppresses_small_defects():
     near = metric_space_from_matrix(
         (0, 1), [[0.0, 1.0], [1.0 + 5e-10, 0.0]]

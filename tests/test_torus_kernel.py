@@ -1,15 +1,18 @@
-"""The representative-distance kernel and the dense chain solver, checked
-against the scalar loop, per-point rows and per-row Dijkstra.
+"""The representative-distance kernel, the dense chain solver and the batched
+chain queries, checked against the scalar loop, per-point rows, per-row
+Dijkstra and one-at-a-time chain queries.
 
 ``mapping_torus_reference`` keeps the plain versions.  The kernel must agree
-with them bit for bit in all three of its shapes: the 1x1 scalar view, the
-two rows of an off-sample chain query and the all-pairs matrix.
+with them bit for bit in all of its shapes: the 1x1 scalar view, the paired
+view, the rows of off-sample chain queries and the all-pairs matrix; so must
+every batched chain query.
 """
 
 import functools
 import math
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -19,8 +22,13 @@ from solenoidlab import (
     TorusPoint,
     build_full_shift,
     build_padic_cycle,
+    make_torus_space,
+    mapping_torus,
+    metric_space_from_matrix,
     representative_distance,
     representative_distance_matrix,
+    representative_distance_pairs,
+    self_map_from_function,
 )
 from solenoidlab.mapping_torus import _representative_kernel, _sample_arrays
 
@@ -119,12 +127,84 @@ def test_row_block_matches_distance_rows(data):
     assert _bits(block[0, -1]) == _bits(ref.representative_distance_by_loop(p, q, ts))
 
     table = ChainMetricTable(ts, sample)
-    if p in table._index and q in table._index:
-        return
-    row_p, row_q = ref.distance_rows(ts, p, sample), ref.distance_rows(ts, q, sample)
-    through = float(np.min(row_p[:, None] + table.distance_matrix() + row_q[None, :]))
-    want = min(ref.representative_distance_by_loop(p, q, ts), through)
-    assert _bits(table.distance_via(p, q)) == _bits(want)
+    assert _bits(table.distance_via(p, q)) == _bits(ref.distance_via_by_block(table, p, q))
+
+
+@st.composite
+def chain_queries(draw, ts, sample):
+    """Query pairs whose endpoints are sample points or fresh points, some
+    with ``p == q``."""
+    def end():
+        if draw(st.booleans()):
+            return draw(st.sampled_from(sample))
+        return draw(point_pairs(ts))[0]
+
+    pairs = []
+    for _ in range(draw(st.integers(1, 12))):
+        p = end()
+        pairs.append((p, p if draw(st.integers(0, 5)) == 0 else end()))
+    return [p for p, _ in pairs], [q for _, q in pairs]
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_batched_queries_match_one_at_a_time(data):
+    ts = data.draw(tori())
+    drawn = data.draw(samples(ts))
+    # Repeats in the sample are dropped by the table.
+    sample = drawn + data.draw(st.lists(st.sampled_from(drawn), max_size=4))
+    table = ChainMetricTable(ts, sample)
+    ps, qs = data.draw(chain_queries(ts, sample))
+    want = np.array([ref.distance_via_by_block(table, p, q) for p, q in zip(ps, qs)])
+    paired = representative_distance_pairs(ts, ps, qs)
+    assert paired.tobytes() == np.array([
+        ref.representative_distance_by_loop(p, q, ts) for p, q in zip(ps, qs)
+    ]).tobytes()
+    assert table.distances_via(ps, qs).tobytes() == want.tobytes()
+    for p, q, w in zip(ps, qs, want):
+        got = table.distance_via(p, q)
+        assert type(got) is float and _bits(got) == _bits(w)
+
+
+@functools.lru_cache(maxsize=None)
+def _shortcut_torus():
+    """Identity glue over 16 points at random distances in [0.2, 1), which
+    break the triangle inequality often, so that chains of two sample points
+    beat many direct edges."""
+    rng = np.random.RandomState(2)
+    m = np.triu(rng.uniform(0.2, 1.0, (16, 16)), 1)
+    space = metric_space_from_matrix(range(16), m + m.T)
+    return make_torus_space(space, self_map_from_function(space.points, lambda x: x))
+
+
+@pytest.mark.parametrize("cells", [None, 1, 5 * 48])
+def test_batched_queries_keep_the_float_order(monkeypatch, cells):
+    if cells is not None:
+        # Chunks of one and of five queries.
+        monkeypatch.setattr(mapping_torus, "_ROW_BLOCK_CELLS", cells)
+    ts = _shortcut_torus()
+    rng = np.random.RandomState(7)
+    points = ts.base_space.points
+    sample = [TorusPoint(b, t) for b in points for t in (0.0, 0.3, 0.6)]
+    table = ChainMetricTable(ts, sample)
+    ps = [TorusPoint(points[rng.randint(16)], float(rng.rand())) for _ in range(300)]
+    qs = [TorusPoint(points[rng.randint(16)], float(rng.rand())) for _ in range(300)]
+    direct = representative_distance_pairs(ts, ps, qs)
+    got = table.distances_via(ps, qs)
+    assert np.count_nonzero(got < direct) >= 100
+    want = np.array([ref.distance_via_by_block(table, p, q) for p, q in zip(ps, qs)])
+    assert got.tobytes() == want.tobytes()
+    # The data tell the float orders apart: adding the rows the other way
+    # round, (row_p[a] + (D[a, b] + row_q[b])), changes some results.
+    dist = table.distance_matrix()
+    other = np.array([
+        min(d, float(np.min(
+            ref.distance_rows(ts, p, table.sample)[:, None]
+            + (dist + ref.distance_rows(ts, q, table.sample)[None, :])
+        )))
+        for p, q, d in zip(ps, qs, direct)
+    ])
+    assert other.tobytes() != want.tobytes()
 
 
 @settings(max_examples=150, deadline=None)
