@@ -41,6 +41,8 @@ from .mapping_torus import (
     make_torus_space,
     product_metric,
     project_to_circle,
+    quotient_distance_matrix,
+    quotient_distance_pairs,
     quotient_metric,
     representative_distance,
     representative_distance_matrix,

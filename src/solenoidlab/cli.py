@@ -32,7 +32,9 @@ from .mapping_torus import (
     flow,
     product_metric,
     project_to_circle,
-    quotient_metric,
+    quotient_distance_matrix,
+    quotient_distance_pairs,
+    quotient_metric,  # unused here; bench/spans.py wraps cli's binding
     representative_distance,  # unused here; bench/spans.py wraps cli's binding
     representative_distance_matrix,
     representative_distance_pairs,
@@ -283,36 +285,41 @@ def _check_quotient_metric(model, check, index, tol, rng):
             "(padic-cycle or two-fixed-points)"
         )
     pairs = _count(check, index, "pairs", 1000)
+    # Draw every pair first, in the order the per-pair loop drew them, then
+    # answer them in bulk.
     points = ts.base_space.points
-    violations = 0
-    witness = None
-    equality_pairs = 0
-    max_equality_error = 0.0
+    ps, qs = [], []
     for _ in range(pairs):
-        p = TorusPoint(points[rng.randint(len(points))], float(rng.rand()))
-        q = TorusPoint(points[rng.randint(len(points))], float(rng.rand()))
-        d = quotient_metric(p, q, ts)
-        rho = product_metric(p.base, p.time, q.base, q.time, ts)
-        bad = d > rho + tol or d < dist_to_integers(p.time - q.time) - tol
-        if ts.base_space.dist(p.base, q.base) <= 0.5 and abs(p.time - q.time) <= 0.5:
-            equality_pairs += 1
-            err = abs(d - rho)
-            max_equality_error = max(max_equality_error, err)
-            bad = bad or err > tol
-        if bad:
-            violations += 1
-            if witness is None:
-                witness = {
-                    "pair": [point_label(p), point_label(q)],
-                    "quotient": d,
-                    "product": rho,
-                }
+        ps.append(TorusPoint(points[rng.randint(len(points))], float(rng.rand())))
+        qs.append(TorusPoint(points[rng.randint(len(points))], float(rng.rand())))
+    d = quotient_distance_pairs(ts, ps, qs)
+    rho = np.array(
+        [product_metric(p.base, p.time, q.base, q.time, ts) for p, q in zip(ps, qs)],
+        dtype=float,
+    )
+    circle = np.array(
+        [dist_to_integers(p.time - q.time) for p, q in zip(ps, qs)], dtype=float
+    )
+    # rho <= 1/2 exactly when both the base distance and the time gap are.
+    equality = rho <= 0.5
+    err = np.abs(d - rho)
+    bad = np.flatnonzero(
+        (d > rho + tol) | (d < circle - tol) | (equality & (err > tol))
+    )
+    witness = None
+    if bad.size:
+        k = bad[0]
+        witness = {
+            "pair": [point_label(ps[k]), point_label(qs[k])],
+            "quotient": float(d[k]),
+            "product": float(rho[k]),
+        }
     return {
-        "status": "pass" if violations == 0 else "fail",
+        "status": "pass" if bad.size == 0 else "fail",
         "pairs": pairs,
-        "equality_pairs": equality_pairs,
-        "max_equality_error": max_equality_error,
-        "violations": violations,
+        "equality_pairs": int(np.count_nonzero(equality)),
+        "max_equality_error": float(err[equality].max(initial=0.0)),
+        "violations": int(bad.size),
         "witness": witness,
     }
 
@@ -366,6 +373,10 @@ def _check_chain_sandwich(model, check, index, tol, rng):
         & (delta <= rho + tol)
         & (rho <= stretch * d0 + tol)
     )
+    if c == 1.0:
+        # Isometric glue: the quotient metric is a metric below every
+        # representative term, so it is also below the chain distance.
+        ok &= quotient_distance_pairs(ts, ps, qs) <= d0 + tol
     bad = np.flatnonzero(~ok)
     witness = None
     if bad.size:
@@ -634,11 +645,7 @@ def _export_matrix(cfg, model):
                 "export metric 'quotient' needs an isometric model "
                 "(padic-cycle or two-fixed-points)"
             )
-        n = len(sample)
-        matrix = np.zeros((n, n))
-        for i, p in enumerate(sample):
-            for j in range(i + 1, n):
-                matrix[i, j] = matrix[j, i] = quotient_metric(p, sample[j], ts)
+        matrix = quotient_distance_matrix(ts, sample)
     elif metric == "representative":
         matrix = representative_distance_matrix(ts, sample)
     else:
@@ -657,34 +664,30 @@ def _export(cfg, args) -> str:
     return _csv_text(labels, matrix)
 
 
-#: Rows stop adding rendered floats to an export's cache once it holds this
-#: many (so it ends below this plus one row), and later new values are
-#: rendered at each occurrence: a matrix of all-distinct floats does not keep
-#: one string per cell.
-_REPR_CACHE_LIMIT = 1 << 14
+#: Rows are rendered in blocks of at most this many cells, so the
+#: temporaries of a block stay the same size however large the matrix.
+_CSV_BLOCK_CELLS = 1 << 14
 
 
 def _csv_text(labels, matrix) -> str:
     """The label header (quoted as the csv module does), then one line of
     ``repr`` floats per matrix row.
 
-    Each distinct float is rendered once per export, keyed by its bit
-    pattern so that ``-0.0`` and ``0.0`` stay apart.  No ``repr`` of a float
-    is empty or holds a comma, quote or newline, so the rows need no quoting
-    and a rendered cell is never falsy.
+    Each distinct float of a block of rows is rendered once, keyed by its
+    bit pattern so that ``-0.0`` and ``0.0`` stay apart.  No ``repr`` of a
+    float holds a comma, quote or newline, so the rows need no quoting.
     """
     out = io.StringIO()
     csv.writer(out, lineterminator="\n").writerow(labels)
-    rendered: dict[int, str] = {}
-    for row in np.ascontiguousarray(matrix, dtype=np.float64):
-        keys = row.view(np.uint64).tolist()
-        cells = list(map(rendered.get, keys))
-        if None in cells:
-            cells = [c or repr(v) for c, v in zip(cells, row.tolist())]
-            if len(rendered) < _REPR_CACHE_LIMIT:
-                rendered.update(zip(keys, cells))
-        out.write(",".join(cells))
-        out.write("\n")
+    matrix = np.ascontiguousarray(matrix, dtype=np.float64)
+    step = max(1, _CSV_BLOCK_CELLS // max(1, matrix.shape[1]))
+    for start in range(0, len(matrix), step):
+        block = matrix[start:start + step]
+        keys, where = np.unique(block.view(np.uint64).ravel(), return_inverse=True)
+        rendered = np.array([repr(v) for v in keys.view(np.float64).tolist()], dtype=object)
+        for cells in rendered[where.reshape(block.shape)].tolist():
+            out.write(",".join(cells))
+            out.write("\n")
     return out.getvalue()
 
 

@@ -7,7 +7,8 @@ canonical representative has time in [0, 1).  Four distances are provided:
 * ``quotient_metric``: infimum of the product metric over representative
   shifts.  Only valid when the glue map is an isometry; the infimum is a
   minimum over an explicit finite window, and the window bound is checked
-  rather than assumed.
+  rather than assumed.  One broadcasting kernel computes it; the scalar
+  call, the paired view and the quotient export are views of that kernel.
 * ``representative_distance``: minimum of the product metric over
   representatives constrained to times within 3/4 of zero and within 1/2 of
   each other.  Symmetric and positive, but not a metric in general: the
@@ -31,7 +32,13 @@ from typing import Any, Iterable, Sequence
 
 import numpy as np
 
-from .dynamics import SelfMap, estimate_bilipschitz_constant, index_cycles, iterate
+from .dynamics import (
+    IndexCycles,
+    SelfMap,
+    estimate_bilipschitz_constant,
+    index_cycles,
+    iterate,
+)
 from .errors import (
     InvalidInputError,
     InvariantError,
@@ -49,6 +56,11 @@ _TIME_CAP = 0.75
 _GAP_CAP = 0.5
 _SHIFTS = (-2, -1, 0, 1, 2)
 _CORE_SHIFTS = (-1, 0)
+
+#: Bulk views hand the kernels at most this many cells (512 KiB of floats)
+#: at a time: the pairs of the quotient matrix and the rows of off-sample
+#: chain queries, whatever the number of points or queries.
+_ROW_BLOCK_CELLS = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -72,11 +84,16 @@ class TorusSpace:
     diameter_bound: float
 
     @cached_property
+    def _cycles(self) -> IndexCycles:
+        """The monodromy's cycle table in the base space's index order,
+        built on first use and kept on the torus."""
+        return index_cycles(self.base_space, self.monodromy)
+
+    @cached_property
     def _shift_powers(self) -> dict[int, np.ndarray]:
         """Index arrays of f^m over the base space for each shift m in the
-        window, built on first use and kept on the torus."""
-        table = index_cycles(self.base_space, self.monodromy)
-        return {m: table.power(m) for m in _SHIFTS}
+        representative window, built on first use and kept on the torus."""
+        return {m: self._cycles.power(m) for m in _SHIFTS}
 
 
 def make_torus_space(
@@ -153,36 +170,87 @@ def product_metric(x: Point, r: float, y: Point, t: float, ts: TorusSpace) -> fl
 # Quotient metric (isometric glue)
 # ============================================================
 
-def quotient_metric(p: TorusPoint, q: TorusPoint, ts: TorusSpace) -> float:
-    """Distance in the glued space: the product metric minimised over
-    representative shifts of ``p``.
-
-    Defined only when the monodromy is an isometry (lipschitz constant 1);
-    otherwise the chain distance is the right tool and this raises.
-    """
-    _require_canonical(p, ts)
-    _require_canonical(q, ts)
+def _require_isometric(ts: TorusSpace) -> None:
     if ts.lipschitz_constant != 1.0:
         raise UnsupportedModeError(
             "quotient metric needs an isometric monodromy; "
             "use a ChainMetricTable for bilipschitz glue"
         )
-    r, t = p.time, q.time
+
+
+def _quotient_kernel(
+    ts: TorusSpace, i: np.ndarray, r: np.ndarray, j: np.ndarray, t: np.ndarray
+) -> np.ndarray:
+    """:func:`quotient_metric` from the points (``i``, ``r``) to the points
+    (``j``, ``t``).
+
+    ``i``/``j`` are base indices and ``r``/``t`` canonical times that
+    broadcast against each other, paired as (K,) with (K,) or all pairs as
+    (A, 1) against (1, B).  Each pair has its own shift window ``[lo, hi]``;
+    one loop runs over the union of the windows and masks the shifts outside
+    a pair's own.  ``min`` and ``max`` are exact and ``|(r + n) - t|`` is
+    rounded as in a loop over one pair, so every view agrees bit for bit.
+    """
+    _require_isometric(ts)
     reach = ts.diameter_bound + 1.0
-    lo = math.ceil(t - r - reach)
-    hi = math.floor(t - r + reach)
-    best = math.inf
-    for n in range(lo, hi + 1):
-        rho = max(
-            ts.base_space.dist(iterate(ts.monodromy, n, p.base), q.base),
-            abs(r + n - t),
-        )
-        best = min(best, rho)
+    gap = t - r
+    lo = np.ceil(gap - reach)
+    hi = np.floor(gap + reach)
+    best = np.full(np.broadcast(i, r, j, t).shape, np.inf)
+    if best.size == 0:
+        return best
+    m_base = ts.base_space.matrix
+    for n in range(int(lo.min()), int(hi.max()) + 1):
+        rho = m_base[ts._cycles.power(n)[i], j]
+        np.maximum(rho, np.abs((r + n) - t), out=rho)
+        np.minimum(best, rho, out=best, where=(lo <= n) & (n <= hi))
     # Shifts outside the window satisfy rho >= |r+n-t| > reach, and the
     # identity shift already gives at most max(diameter_bound, 1) < reach.
-    if not best <= max(ts.diameter_bound, 1.0):
+    if not np.all(best <= max(ts.diameter_bound, 1.0)):
         raise InvariantError("window bound violated")
     return best
+
+
+def quotient_metric(p: TorusPoint, q: TorusPoint, ts: TorusSpace) -> float:
+    """Distance in the glued space: the product metric minimised over
+    representative shifts of ``p``.
+
+    Defined only when the monodromy is an isometry (lipschitz constant 1);
+    otherwise the chain distance is the right tool and this raises.  This is
+    the 1x1 view of the kernel that also gives the paired view and the
+    quotient export.
+    """
+    idx, times = _sample_arrays(ts, (p, q))
+    return float(_quotient_kernel(ts, idx[:1], times[:1], idx[1:], times[1:])[0])
+
+
+def quotient_distance_pairs(
+    ts: TorusSpace, ps: Sequence[TorusPoint], qs: Sequence[TorusPoint]
+) -> np.ndarray:
+    """:func:`quotient_metric` of each pair ``(ps[k], qs[k])``."""
+    if len(ps) != len(qs):
+        raise InvalidInputError(f"{len(ps)} start points for {len(qs)} end points")
+    return _quotient_kernel(ts, *_sample_arrays(ts, ps), *_sample_arrays(ts, qs))
+
+
+def quotient_distance_matrix(ts: TorusSpace, points: Sequence[TorusPoint]) -> np.ndarray:
+    """:func:`quotient_metric` over all pairs of ``points``, zero on the
+    diagonal.
+
+    Each pair a < b is computed once, from ``points[a]`` to ``points[b]``,
+    and mirrored: the two orientations can round ``|(r + n) - t|``
+    differently.  The pairs go to the kernel in chunks of at most
+    :data:`_ROW_BLOCK_CELLS`, so its temporaries do not grow with the matrix.
+    """
+    idx, times = _sample_arrays(ts, points)
+    _require_isometric(ts)
+    rows, cols = np.triu_indices(len(points), k=1)
+    out = np.zeros((len(points), len(points)))
+    for start in range(0, len(rows), _ROW_BLOCK_CELLS):
+        a = rows[start:start + _ROW_BLOCK_CELLS]
+        b = cols[start:start + _ROW_BLOCK_CELLS]
+        out[a, b] = out[b, a] = _quotient_kernel(ts, idx[a], times[a], idx[b], times[b])
+    return out
 
 
 # ============================================================
@@ -297,10 +365,6 @@ _NO_PRED = -9999
 #: cubic: a table takes about 1.4 s at 1024 points and 11 s at 2048 on a 2-core
 #: x86 host.
 MAX_CHAIN_SAMPLE = 2048
-
-#: Off-sample queries get their rows to the sample in chunks of at most this
-#: many cells (512 KiB of floats), whatever the number of queries.
-_ROW_BLOCK_CELLS = 1 << 16
 
 
 def distinct_chain_sample(

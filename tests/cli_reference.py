@@ -1,18 +1,67 @@
-"""Reference CLI check: ``chain-sandwich`` one pair at a time.
+"""Reference CLI code: the ``quotient-metric`` and ``chain-sandwich`` checks
+one pair at a time, and the CSV writer one row at a time.
 
-The command line draws every pair first and answers them in bulk.  This is
-the loop it replaced, which draws, queries and judges each pair in turn, so
-tests can hold the bulk check to the same payload for the same seed.  Its
-chain queries come from ``mapping_torus_reference``.
+The command line draws every pair first and answers them in bulk, and
+renders CSV rows a block at a time.  These are the loops they replaced, which
+draw, query and judge each pair in turn, so tests can hold the bulk checks to
+the same payload for the same seed and the writer to the same bytes.  Their
+torus distances come from ``mapping_torus_reference``.
 """
 
 from __future__ import annotations
 
+import csv
+import io
 import math
 
+import numpy as np
+
 import mapping_torus_reference as ref
-from solenoidlab import ChainMetricTable, TorusPoint, point_label, product_metric
+from solenoidlab import (
+    ChainMetricTable,
+    TorusPoint,
+    dist_to_integers,
+    point_label,
+    product_metric,
+)
 from solenoidlab.cli import _count, _draw_centered_times, _need_torus, _param
+
+
+def check_quotient_metric_by_pair(model, check, index, tol, rng):
+    ts = _need_torus(model, "quotient-metric")
+    pairs = _count(check, index, "pairs", 1000)
+    points = ts.base_space.points
+    violations = 0
+    witness = None
+    equality_pairs = 0
+    max_equality_error = 0.0
+    for _ in range(pairs):
+        p = TorusPoint(points[rng.randint(len(points))], float(rng.rand()))
+        q = TorusPoint(points[rng.randint(len(points))], float(rng.rand()))
+        d = ref.quotient_metric_by_loop(p, q, ts)
+        rho = product_metric(p.base, p.time, q.base, q.time, ts)
+        bad = d > rho + tol or d < dist_to_integers(p.time - q.time) - tol
+        if ts.base_space.dist(p.base, q.base) <= 0.5 and abs(p.time - q.time) <= 0.5:
+            equality_pairs += 1
+            err = abs(d - rho)
+            max_equality_error = max(max_equality_error, err)
+            bad = bad or err > tol
+        if bad:
+            violations += 1
+            if witness is None:
+                witness = {
+                    "pair": [point_label(p), point_label(q)],
+                    "quotient": d,
+                    "product": rho,
+                }
+    return {
+        "status": "pass" if violations == 0 else "fail",
+        "pairs": pairs,
+        "equality_pairs": equality_pairs,
+        "max_equality_error": max_equality_error,
+        "violations": violations,
+        "witness": witness,
+    }
 
 
 def check_chain_sandwich_by_pair(model, check, index, tol, rng):
@@ -41,6 +90,7 @@ def check_chain_sandwich_by_pair(model, check, index, tol, rng):
             and d0 <= delta + tol
             and delta <= rho + tol
             and rho <= stretch * d0 + tol
+            and (c != 1.0 or ref.quotient_metric_by_loop(p, q, ts) <= d0 + tol)
         )
         if not ok:
             violations += 1
@@ -58,3 +108,27 @@ def check_chain_sandwich_by_pair(model, check, index, tol, rng):
         "violations": violations,
         "witness": witness,
     }
+
+
+#: Rows stop adding rendered floats to an export's cache once it holds this
+#: many, and later new values are rendered at each occurrence.
+REPR_CACHE_LIMIT = 1 << 14
+
+
+def csv_text_by_row(labels, matrix) -> str:
+    """The label header, then one line of ``repr`` floats per matrix row,
+    each distinct float rendered once per export (up to
+    :data:`REPR_CACHE_LIMIT` of them), keyed by its bit pattern."""
+    out = io.StringIO()
+    csv.writer(out, lineterminator="\n").writerow(labels)
+    rendered: dict[int, str] = {}
+    for row in np.ascontiguousarray(matrix, dtype=np.float64):
+        keys = row.view(np.uint64).tolist()
+        cells = list(map(rendered.get, keys))
+        if None in cells:
+            cells = [c or repr(v) for c, v in zip(cells, row.tolist())]
+            if len(rendered) < REPR_CACHE_LIMIT:
+                rendered.update(zip(keys, cells))
+        out.write(",".join(cells))
+        out.write("\n")
+    return out.getvalue()

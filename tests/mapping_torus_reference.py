@@ -1,11 +1,11 @@
-"""Reference torus distances: the scalar shift loop, per-point rows, one
+"""Reference torus distances: the scalar shift loops, per-point rows, one
 chain query at a time and per-row Dijkstra.
 
-The library computes the representative distance with one broadcasting
-kernel, every chain distance with one Floyd-Warshall solve and off-sample
-chain queries in pruned batches.  This module keeps the plain versions they
-replaced, so property tests can hold the library to them.  Its checks raise
-rather than assert, so they hold under ``python -O`` too.
+The library computes the quotient and representative distances with one
+broadcasting kernel each, every chain distance with one Floyd-Warshall solve
+and off-sample chain queries in pruned batches.  This module keeps the plain
+versions they replaced, so property tests can hold the library to them.  Its
+checks raise rather than assert, so they hold under ``python -O`` too.
 """
 
 from __future__ import annotations
@@ -17,12 +17,43 @@ from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import dijkstra
 
 from dynamics_reference import perm_powers_by_steps
-from solenoidlab import TorusPoint, TorusSpace, iterate
+from solenoidlab import (
+    InvariantError,
+    TorusPoint,
+    TorusSpace,
+    UnsupportedModeError,
+    iterate,
+)
+from solenoidlab.mapping_torus import _require_canonical
 
 TIME_CAP = 0.75
 GAP_CAP = 0.5
 SHIFTS = (-2, -1, 0, 1, 2)
 CORE_SHIFTS = (-1, 0)
+
+
+def quotient_metric_by_loop(p: TorusPoint, q: TorusPoint, ts: TorusSpace) -> float:
+    """The product metric minimised over the shifts n of ``p`` in the window
+    ``[ceil(t - r - reach), floor(t - r + reach)]``, one shift at a time,
+    with the base point shifted by ``iterate``."""
+    _require_canonical(p, ts)
+    _require_canonical(q, ts)
+    if ts.lipschitz_constant != 1.0:
+        raise UnsupportedModeError("quotient metric needs an isometric monodromy")
+    r, t = p.time, q.time
+    reach = ts.diameter_bound + 1.0
+    lo = math.ceil(t - r - reach)
+    hi = math.floor(t - r + reach)
+    best = math.inf
+    for n in range(lo, hi + 1):
+        rho = max(
+            ts.base_space.dist(iterate(ts.monodromy, n, p.base), q.base),
+            abs(r + n - t),
+        )
+        best = min(best, rho)
+    if not best <= max(ts.diameter_bound, 1.0):
+        raise InvariantError("window bound violated")
+    return best
 
 
 def representative_distance_by_loop(p: TorusPoint, q: TorusPoint, ts: TorusSpace) -> float:

@@ -7,7 +7,11 @@ import json
 import numpy as np
 import pytest
 
-from cli_reference import check_chain_sandwich_by_pair
+from cli_reference import (
+    check_chain_sandwich_by_pair,
+    check_quotient_metric_by_pair,
+    csv_text_by_row,
+)
 from solenoidlab import cli, mapping_torus, metric_space_from_matrix, models
 from solenoidlab.cli import main
 
@@ -360,6 +364,41 @@ def test_chain_sandwich_matches_the_per_pair_loop(space, check, tol, seed):
         assert got["witness"] is not None and got["violations"] > 0
 
 
+@pytest.mark.parametrize("space, check, tol", [
+    (PADIC_64, {"name": "quotient-metric", "pairs": 400}, 1e-9),
+    (TWO_FIXED_POINTS, {"name": "quotient-metric", "pairs": 200}, 1e-9),
+    (PADIC_64, {"name": "quotient-metric", "pairs": 200}, -1e-3),
+    (TWO_FIXED_POINTS, {"name": "quotient-metric", "pairs": 100}, -1e-3),
+    (PADIC_64, {"name": "quotient-metric", "pairs": 0}, 1e-9),
+])
+@pytest.mark.parametrize("seed", [1, 7, 401])
+def test_quotient_check_matches_the_per_pair_loop(space, check, tol, seed):
+    model = cli._build({"space": space})
+    got = cli._check_quotient_metric(model, check, 0, tol, np.random.RandomState((seed, 0)))
+    want = check_quotient_metric_by_pair(
+        model, check, 0, tol, np.random.RandomState((seed, 0))
+    )
+    assert json.dumps(got, sort_keys=True) == json.dumps(want, sort_keys=True)
+    assert (got["status"] == "fail") == (tol < 0)
+    if tol < 0:
+        assert got["witness"] is not None and got["violations"] > 0
+
+
+@pytest.mark.parametrize("space, isometric", [
+    (PADIC_64, True), (TWO_FIXED_POINTS, True), (THREE_SYMBOL_SHIFT, False),
+])
+def test_chain_sandwich_holds_the_quotient_below_the_chain(monkeypatch, space, isometric):
+    # A quotient metric above every chain distance breaks only the lower
+    # bound, which is checked on isometric glue alone.
+    monkeypatch.setattr(
+        cli, "quotient_distance_pairs", lambda ts, ps, qs: np.full(len(ps), 2.0)
+    )
+    model = cli._build({"space": space})
+    check = {"name": "chain-sandwich", "pairs": 30}
+    got = cli._check_chain_sandwich(model, check, 0, 1e-9, np.random.RandomState(5))
+    assert got["violations"] == (30 if isometric else 0)
+
+
 def _never(*args):
     raise AssertionError("an earlier check ran before the configs were checked")
 
@@ -423,8 +462,10 @@ def test_chain_ceiling_counts_distinct_sample_points(tmp_path, monkeypatch):
     assert json.loads(out.read_text())["results"][0]["sample_size"] == 16
 
 
-@pytest.mark.parametrize("cache_limit", [cli._REPR_CACHE_LIMIT, 2])
-def test_export_bytes_match_the_csv_writer(tmp_path, monkeypatch, cache_limit):
+@pytest.mark.parametrize(
+    "block_cells", [cli._CSV_BLOCK_CELLS, 3], ids=["whole-block", "one-row"]
+)
+def test_export_bytes_match_the_csv_writer(tmp_path, monkeypatch, block_cells):
     labels = ["a,b", 'say "hi"', "c"]
     # -0.0 first shows up in a row after 0.0 was rendered: the two are equal
     # as floats, so only a bit-pattern key keeps them apart.
@@ -434,7 +475,7 @@ def test_export_bytes_match_the_csv_writer(tmp_path, monkeypatch, cache_limit):
         [0.1 + 0.2, 5e-324, -0.0],
     ])
     monkeypatch.setattr(cli, "_export_matrix", lambda cfg, model: (labels, matrix))
-    monkeypatch.setattr(cli, "_REPR_CACHE_LIMIT", cache_limit)
+    monkeypatch.setattr(cli, "_CSV_BLOCK_CELLS", block_cells)
     out = tmp_path / "m.csv"
     cfg = {"space": PADIC, "export": {"metric": "base"}}
     assert main(["export", write_config(tmp_path, cfg), "--out", str(out)]) == 0
@@ -447,3 +488,38 @@ def test_export_bytes_match_the_csv_writer(tmp_path, monkeypatch, cache_limit):
     assert out.read_text().splitlines()[1:] == [
         "0.0,1e-05,inf", "-0.0,nan,1e+16", "0.30000000000000004,5e-324,-0.0",
     ]
+
+
+def _special_matrix(rows, cols, seed):
+    """Repeats, distinct values and the floats whose ``repr`` is unusual,
+    with 0.0 and -0.0 kept out of the first row."""
+    rng = np.random.RandomState(seed)
+    pool = np.array([
+        np.inf, np.nan, 5e-324, 1e16, 0.1 + 0.2, 1e-05, 0.5 ** 0.5, 1.0, 0.25,
+    ])
+    shape = (rows, cols)
+    m = np.where(rng.rand(*shape) < 0.5, rng.choice(pool, shape), rng.rand(*shape))
+    if rows > 1:
+        m[-1, 0], m[-1, -1] = -0.0, 0.0
+        m[rows // 2, cols // 2] = -0.0
+    return m
+
+
+@pytest.mark.parametrize("rows, cols, block_cells", [
+    # The library's block size: one block, exactly eight, and eight plus a row.
+    (3, 3, None), (512, 256, None), (513, 256, None),
+    # Blocks of one row; of two rows, from a size between two and three rows
+    # and from exactly two; of one row, from a size below one row.
+    (9, 7, 7), (10, 7, 20), (10, 7, 14), (1, 7, 3),
+])
+def test_csv_writer_matches_the_row_writer(monkeypatch, rows, cols, block_cells):
+    if block_cells is not None:
+        monkeypatch.setattr(cli, "_CSV_BLOCK_CELLS", block_cells)
+    labels = [f"p{k}" for k in range(cols)]
+    for seed in range(3):
+        m = _special_matrix(rows, cols, seed)
+        assert cli._csv_text(labels, m) == csv_text_by_row(labels, m)
+    distinct = np.random.RandomState(rows).rand(rows, cols)
+    assert cli._csv_text(labels, distinct) == csv_text_by_row(labels, distinct)
+    repeats = np.full((rows, cols), 0.1 + 0.2)
+    assert cli._csv_text(labels, repeats) == csv_text_by_row(labels, repeats)

@@ -1,30 +1,38 @@
-"""The representative-distance kernel, the dense chain solver and the batched
-chain queries, checked against the scalar loop, per-point rows, per-row
-Dijkstra and one-at-a-time chain queries.
+"""The quotient and representative-distance kernels, the dense chain solver
+and the batched chain queries, checked against the scalar loops, per-point
+rows, per-row Dijkstra and one-at-a-time chain queries.
 
-``mapping_torus_reference`` keeps the plain versions.  The kernel must agree
+``mapping_torus_reference`` keeps the plain versions.  Each kernel must agree
 with them bit for bit in all of its shapes: the 1x1 scalar view, the paired
-view, the rows of off-sample chain queries and the all-pairs matrix; so must
+view, the rows of off-sample chain queries and the matrix views; so must
 every batched chain query.
 """
 
+import dataclasses
 import functools
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import mapping_torus_reference as ref
 from solenoidlab import (
     ChainMetricTable,
+    InvariantError,
     TorusPoint,
+    UnsupportedModeError,
     build_full_shift,
     build_padic_cycle,
+    build_two_fixed_points,
     make_torus_space,
     mapping_torus,
     metric_space_from_matrix,
+    quotient_distance_matrix,
+    quotient_distance_pairs,
+    quotient_metric,
     representative_distance,
     representative_distance_matrix,
     representative_distance_pairs,
@@ -219,3 +227,123 @@ def test_dense_solver_matches_dijkstra_rows(data):
     for p in sample[:3]:
         for q in sample[-3:]:
             assert abs(table.witness(p, q).total - table.distance(p, q)) <= 1e-12
+
+
+# ============================================================
+# Quotient kernel
+# ============================================================
+
+#: Isometric tori with at most 32 points.
+ISOMETRIC = (
+    [(build_padic_cycle, (2, k)) for k in range(1, 6)]
+    + [(build_padic_cycle, (3, k)) for k in range(1, 4)]
+    + [(build_padic_cycle, (5, 2)), (build_padic_cycle, (7, 1))]
+    + [(build_two_fixed_points, ())]
+)
+#: Diameter bounds whose window reach ``bound + 1`` has every quarter as its
+#: fractional part, so that ``t - r`` on a quarter grid hits the window edges.
+BOUNDS = (1.0, 1.25, 1.5, 2.0, 2.5, 3.75)
+
+
+@functools.lru_cache(maxsize=None)
+def _isometric_torus(k, bound):
+    build, args = ISOMETRIC[k]
+    space, mapping, _ = build(*args)
+    return make_torus_space(space, mapping, lipschitz_constant=1.0, diameter_bound=bound)
+
+
+@st.composite
+def isometric_tori(draw):
+    return _isometric_torus(
+        draw(st.integers(0, len(ISOMETRIC) - 1)), draw(st.sampled_from(BOUNDS))
+    )
+
+
+QUARTERS = tuple(k / 16 for k in range(16))
+QUOTIENT_TIMES = st.one_of(
+    st.sampled_from((0.0, 0.5, math.nextafter(1.0, 0.0), math.nextafter(0.5, 0.0))),
+    st.sampled_from(QUARTERS),
+    st.floats(0.0, 1.0, exclude_max=True),
+)
+
+
+@st.composite
+def quotient_pairs(draw, ts):
+    """Two canonical points: times drawn freely, exactly 1/2 apart, or with
+    ``t - r`` on an integer edge of the shift window."""
+    points = ts.base_space.points
+    x, y = (points[draw(st.integers(0, len(points) - 1))] for _ in range(2))
+    how = draw(st.integers(0, 2))
+    r = draw(QUOTIENT_TIMES if how < 2 else st.sampled_from(QUARTERS))
+    t = draw(QUOTIENT_TIMES)
+    if how > 0:
+        frac = 0.5 if how == 1 else (ts.diameter_bound + 1.0) % 1.0
+        times = [
+            r + g for m in (-1, 0, 1) for g in (m - frac, m + frac)
+            if 0.0 <= r + g < 1.0
+        ]
+        assume(times)
+        t = draw(st.sampled_from(times))
+    return TorusPoint(x, r), TorusPoint(y, t)
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_quotient_scalar_and_paired_views_match_the_loop(data):
+    ts = data.draw(isometric_tori())
+    pairs = data.draw(st.lists(quotient_pairs(ts), max_size=12))
+    want = [ref.quotient_metric_by_loop(p, q, ts) for p, q in pairs]
+    for (p, q), w in zip(pairs, want):
+        got = quotient_metric(p, q, ts)
+        assert type(got) is float and _bits(got) == _bits(w)
+    paired = quotient_distance_pairs(ts, [p for p, _ in pairs], [q for _, q in pairs])
+    assert paired.tobytes() == np.array(want, dtype=float).tobytes()
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_quotient_matrix_view_matches_the_loop(data):
+    ts = data.draw(isometric_tori())
+    pairs = data.draw(st.lists(quotient_pairs(ts), min_size=1, max_size=12))
+    sample = list(dict.fromkeys(p for pair in pairs for p in pair))
+    want = np.zeros((len(sample), len(sample)))
+    for a, p in enumerate(sample):
+        for b in range(a + 1, len(sample)):
+            want[a, b] = want[b, a] = ref.quotient_metric_by_loop(p, sample[b], ts)
+    # Chunks of one pair, of a few pairs, and the library's.
+    cells = data.draw(st.sampled_from([1, 5, mapping_torus._ROW_BLOCK_CELLS]))
+    with mock.patch.object(mapping_torus, "_ROW_BLOCK_CELLS", cells):
+        got = quotient_distance_matrix(ts, sample)
+    assert got.tobytes() == want.tobytes()
+
+
+def test_quotient_views_need_isometric_glue():
+    ts = _torus(2)  # full shift: bilipschitz glue
+    p, q = (TorusPoint(x, 0.25) for x in ts.base_space.points[:2])
+    for call in (
+        lambda: quotient_metric(p, q, ts),
+        lambda: quotient_distance_pairs(ts, [], []),
+        lambda: quotient_distance_matrix(ts, [p]),
+    ):
+        with pytest.raises(UnsupportedModeError):
+            call()
+
+
+def test_quotient_window_bound_is_checked():
+    # Identity glue over two points at distance 5, declared with a diameter
+    # bound of 1/2: no shift brings them closer than 5 > max(1/2, 1).
+    space = metric_space_from_matrix(range(2), np.array([[0.0, 5.0], [5.0, 0.0]]))
+    honest = make_torus_space(
+        space, self_map_from_function(space.points, lambda x: x), lipschitz_constant=1.0
+    )
+    ts = dataclasses.replace(honest, diameter_bound=0.5)
+    p, q = TorusPoint(0, 0.0), TorusPoint(1, 0.25)
+    assert quotient_metric(p, q, honest) == ref.quotient_metric_by_loop(p, q, honest) == 5.0
+    for call in (
+        lambda: ref.quotient_metric_by_loop(p, q, ts),
+        lambda: quotient_metric(p, q, ts),
+        lambda: quotient_distance_pairs(ts, [p, p], [p, q]),
+        lambda: quotient_distance_matrix(ts, [p, q]),
+    ):
+        with pytest.raises(InvariantError, match="window bound"):
+            call()

@@ -1,0 +1,52 @@
+"""The benchmark's span tracer against the package's current names.
+
+``bench/spans.py`` wraps functions under the names the calling modules bind
+(``cli.quotient_metric``, ``mapping_torus.iterate``, ...) and reads each
+with ``vars(owner)[attr]``, so a renamed or dropped binding would break a
+traced benchmark run with a ``KeyError``.  This installs the tracer, runs
+one small traced operation of each kind and restores the originals.
+"""
+
+import io
+import json
+from contextlib import redirect_stdout
+from pathlib import Path
+
+from solenoidlab import cli, connectedness, mapping_torus, measures, models
+
+BENCH = Path(__file__).resolve().parents[1] / "bench"
+OWNERS = (cli, connectedness, mapping_torus, measures, models,
+          measures.WeightVector, measures.CylinderSet)
+
+
+def test_tracer_installs_runs_and_restores(tmp_path, monkeypatch):
+    monkeypatch.syspath_prepend(str(BENCH))
+    import spans
+
+    before = [dict(vars(owner)) for owner in OWNERS]
+    tracer = spans.Tracer()
+    try:
+        tracer.install()
+        assert cli.quotient_metric is not mapping_torus.quotient_metric
+        tracer.begin_pass()
+        space = {"kind": "padic-cycle", "parameters": {"prime": 2, "digits": 3}}
+        configs = [
+            ("run", {"space": space, "seed": 1, "checks": [
+                {"name": "quotient-metric", "pairs": 20},
+                {"name": "chain-sandwich", "pairs": 10},
+                {"name": "flow-laws", "triples": 10},
+            ]}),
+            ("export", {"space": space, "export": {"metric": "quotient", "times": [0.0, 0.5]}}),
+            ("export", {"space": space, "export": {"metric": "chain", "times": [0.0, 0.5]}}),
+        ]
+        for k, (command, cfg) in enumerate(configs):
+            path = tmp_path / f"{k}.json"
+            path.write_text(json.dumps(cfg))
+            with redirect_stdout(io.StringIO()):
+                assert cli.main([command, str(path)]) == 0
+    finally:
+        tracer.restore()
+    assert [dict(vars(owner)) for owner in OWNERS] == before
+    (totals,) = tracer.pass_totals()
+    assert totals["models.build_calls"] == len(configs)
+    assert not [k for k, v in totals.items() if k.endswith(".errors") and v]
