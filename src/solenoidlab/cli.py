@@ -458,11 +458,35 @@ def _check_dense_orbit(model, check, index, tol, rng):
 
 
 def _band_payload(band):
+    # Fewer than two distinct radii leave the slope NaN, which is not JSON.
+    slope = band.fitted_exponent
     return {
         "c_low": band.c_low,
         "c_high": band.c_high,
-        "fitted_exponent": band.fitted_exponent,
+        "fitted_exponent": None if math.isnan(slope) else slope,
     }
+
+
+#: Indices a drawn cylinder may pin.
+_CYLINDER_POOL = np.arange(-6, 7)
+
+
+def _draw_cylinders(alphabet, count, rng):
+    """``count`` cylinders, each pinning 1 to 4 distinct indices of
+    ``_CYLINDER_POOL`` to uniform symbols.  The indices are a prefix of
+    ``rng.permutation``, which is what ``rng.choice(..., replace=False)``
+    draws, so the stream is that of the choice call."""
+    symbols = alphabet.symbols
+    drawn = []
+    for _ in range(count):
+        size = rng.randint(1, 5)
+        idx = _CYLINDER_POOL[rng.permutation(len(_CYLINDER_POOL))[:size]].tolist()
+        drawn.append(
+            CylinderSet.from_dict(
+                alphabet, {j: symbols[rng.randint(len(symbols))] for j in idx}
+            )
+        )
+    return drawn
 
 
 def _check_measures(model, check, index, tol, rng):
@@ -480,16 +504,7 @@ def _check_measures(model, check, index, tol, rng):
     else:
         w = WeightVector.from_dict(cfg.alphabet, raw_weights)
     symbols = cfg.alphabet.symbols
-    drawn = []
-    for _ in range(cylinders):
-        size = int(rng.randint(1, 5))
-        idx = rng.choice(np.arange(-6, 7), size=size, replace=False)
-        drawn.append(
-            CylinderSet.from_dict(
-                cfg.alphabet,
-                {int(j): symbols[rng.randint(len(symbols))] for j in idx},
-            )
-        )
+    drawn = _draw_cylinders(cfg.alphabet, cylinders, rng)
     discrepancy = shift_invariance_check(w, drawn) if drawn else 0.0
     base_dim = 2.0 * math.log(len(symbols)) / math.log(1.0 / cfg.ratio)
     bases = ts.base_space.points[:8]

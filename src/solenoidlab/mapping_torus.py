@@ -404,9 +404,8 @@ class ChainMetricTable:
         self._index = {p: i for i, p in enumerate(self.sample)}
         self.edges = representative_distance_matrix(ts, self.sample)
         self._idx, self._times = _sample_arrays(ts, self.sample)
-        self._dist, self._pred = shortest_paths(
-            self.edges, directed=False, return_predecessors=True
-        )
+        self._dist = shortest_paths(self.edges, directed=False)
+        self._pred: np.ndarray | None = None
 
     def __len__(self) -> int:
         return len(self.sample)
@@ -425,6 +424,12 @@ class ChainMetricTable:
 
     def witness(self, p: TorusPoint, q: TorusPoint) -> ChainWitness:
         i, j = self.index_of(p), self.index_of(q)
+        if self._pred is None:
+            # The solve without predecessors gives the same distances bit
+            # for bit, so tables that never show a chain skip this one.
+            _, self._pred = shortest_paths(
+                self.edges, directed=False, return_predecessors=True
+            )
         pred = self._pred[i]
         if i == j:
             return ChainWitness(points=(p,), edge_values=(), total=0.0)
@@ -518,8 +523,9 @@ def chain_metric(
 ) -> tuple[float, ChainWitness]:
     """One-off chain distance with its witness chain.
 
-    Both endpoints must belong to ``sample``.  Builds the full table; use
-    :class:`ChainMetricTable` directly when querying many pairs.
+    Both endpoints must belong to ``sample``.  Builds the full table and,
+    for the witness, its predecessor solve; use :class:`ChainMetricTable`
+    directly when querying many pairs.
     """
     table = ChainMetricTable(ts, sample)
     value = table.distance(p, q)

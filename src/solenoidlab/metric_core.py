@@ -168,20 +168,64 @@ def shortest_paths(weights: np.ndarray, directed: bool, return_predecessors: boo
     )
 
 
+#: Side of the square tiles in which :func:`_with_transpose` pairs a matrix
+#: with its transpose.
+_TILE = 64
+
+
+def _with_transpose(op: np.ufunc, m: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """``op(m, m.T)``, one tile at a time.
+
+    A whole ``m.T`` operand reads one element per row of ``m``; on large
+    matrices those strided reads cost several times the arithmetic.  A
+    64 x 64 tile of the transpose touches few enough pages to stay cached.
+    """
+    if out is None:
+        out = np.empty_like(m)
+    n = len(m)
+    for i in range(0, n, _TILE):
+        for j in range(0, n, _TILE):
+            op(
+                m[i : i + _TILE, j : j + _TILE],
+                m[j : j + _TILE, i : i + _TILE].T,
+                out=out[i : i + _TILE, j : j + _TILE],
+            )
+    return out
+
+
 def _basic_violations(space: FiniteMetricSpace, tol: float) -> list[AxiomViolation]:
+    """Identity, symmetry and separation failures, each kind in row-major
+    order of its pairs ``(i, j)`` with ``i < j``.
+
+    A symmetry failure is ``|m[i, j] - m[j, i]| > tol`` above the diagonal
+    and ``0 > tol`` on and below it, so a negative ``tol`` flags every pair
+    there.  Each kind is counted with array passes; pairs are listed only
+    when the count is nonzero.
+    """
     m = space.matrix
     pts = space.points
     out: list[AxiomViolation] = []
     for i in np.flatnonzero(np.abs(np.diag(m)) > tol):
         out.append(AxiomViolation("identity", (pts[i],), float(abs(m[i, i]))))
-    asym = np.abs(m - m.T)
-    for i, j in np.argwhere(np.triu(asym, k=1) > tol):
-        out.append(AxiomViolation("symmetry", (pts[i], pts[j]), float(asym[i, j])))
-    off = np.triu(np.ones_like(m, dtype=bool), k=1)
-    for i, j in np.argwhere(off & (m <= tol)):
-        out.append(
-            AxiomViolation("separation", (pts[i], pts[j]), float(tol - m[i, j]))
-        )
+    asym = _with_transpose(np.subtract, m)
+    np.abs(asym, out=asym)
+    flagged = asym > tol
+    if tol < 0:
+        rows = np.arange(len(m))[:, None]
+        flagged |= rows >= rows.T
+    if flagged.any():
+        pairs = np.argwhere(flagged)
+        if tol >= 0:
+            pairs = pairs[pairs[:, 0] < pairs[:, 1]]
+        for i, j in pairs:
+            out.append(AxiomViolation("symmetry", (pts[i], pts[j]), float(asym[i, j])))
+    close = m <= tol
+    if np.count_nonzero(close) > np.count_nonzero(np.diag(close)):
+        pairs = np.argwhere(close)
+        for i, j in pairs[pairs[:, 0] < pairs[:, 1]]:
+            out.append(
+                AxiomViolation("separation", (pts[i], pts[j]), float(tol - m[i, j]))
+            )
     return out
 
 
@@ -237,39 +281,38 @@ def _within_subdominant(key: np.ndarray, tol: float) -> bool:
     """Whether ``key[i, j] <= sub[i, j] + tol`` for every ``i != j``.
 
     ``sub`` is the subdominant ultrametric of the edge weights
-    ``min(key[i, j], key[j, i])``: the largest weight on the minimum spanning
-    tree path from ``i`` to ``j`` (Gower & Ross 1969).  It is built by a
-    dense Prim pass in O(N^2): when ``v`` joins the tree through ``parent``
-    with weight ``w``, its row over the earlier vertices is
-    ``max(sub[parent], w)``, and each pair is compared as its row is filled.
-    Since ``sub[i, j] <= max(key[i, k], key[k, j])`` for every ``k``, a
-    ``True`` answer rules out a strong-triangle violation at ``tol``.
-    Off-diagonal keys must be finite.
+    ``w = min(key, key.T)``: the largest weight on the minimum spanning tree
+    path from ``i`` to ``j``, which is the single-linkage cophenetic
+    distance (Gower & Ross 1969).  Since ``sub[i, j] <= max(key[i, k],
+    key[k, j])`` for every ``k``, a ``True`` answer rules out a
+    strong-triangle violation at ``tol``.  Off-diagonal keys must be finite.
+
+    A dense Prim pass over ``w`` records the visiting order and the key
+    ``h[t]`` by which the ``t``-th vertex joined.  Single-linkage clusters
+    are contiguous in that order, so ``sub[order[a], order[b]]`` is
+    ``max(h[a+1 .. b])`` for ``a < b``: a running maximum along each row of
+    ``max(key, key.T)`` gathered in Prim order.  Both passes are O(N^2) in
+    O(N) array calls per vertex, with ``w`` the only N x N temporary.
     """
     n = len(key)
-    sub = np.empty((n, n))
+    w = _with_transpose(np.minimum, key)
     order = np.empty(n, dtype=np.intp)
-    in_tree = np.zeros(n, dtype=bool)
+    h = np.empty(n)
+    taken = np.zeros(n, dtype=bool)
     best = np.full(n, np.inf)
-    parent = np.zeros(n, dtype=np.intp)
     v = 0
     for t in range(n):
-        done = order[:t]
-        if t:
-            row = np.maximum(sub[parent[v], done], best[v])
-            bound = row + tol
-            if not (np.all(key[v, done] <= bound) and np.all(key[done, v] <= bound)):
-                return False
-            sub[v, done] = row
-            sub[done, v] = row
-        sub[v, v] = -np.inf
         order[t] = v
-        in_tree[v] = True
-        weight = np.minimum(key[v], key[:, v])
-        closer = weight < best
-        best[closer] = weight[closer]
-        parent[closer] = v
-        v = int(np.argmin(np.where(in_tree, np.inf, best)))
+        h[t] = best[v]
+        taken[v] = True
+        np.minimum(best, w[v], out=best)
+        np.putmask(best, taken, np.inf)
+        v = int(np.argmin(best))
+    peak = _with_transpose(np.maximum, key, out=w)
+    for a in range(n - 1):
+        bound = np.maximum.accumulate(h[a + 1 :]) + tol
+        if not np.all(peak[order[a]][order[a + 1 :]] <= bound):
+            return False
     return True
 
 

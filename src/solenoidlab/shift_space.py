@@ -228,11 +228,27 @@ def enumerate_periodic_points(
     return out
 
 
+#: Cells per row block of the depth table, which bounds the block's XOR and
+#: exponent temporaries.
+_ROW_BLOCK_CELLS = 1 << 20
+
+
 def pairwise_depth_matrix(seqs: Sequence[PeriodicSequence]) -> np.ndarray:
     """Agreement depths for every pair, ``inf`` on equal pairs.
 
-    Vectorised over one combined period of the whole family; used to build
-    metric spaces over large samples without the quadratic Python loop.
+    Read the cells in the interleaved order 1, 0, 2, -1, 3, -2, ...: two
+    sequences agree on the window -n+1 .. n exactly when they agree on the
+    first 2n cells of that order, so the depth is the position of the first
+    differing cell, halved and rounded down.  Over one combined period
+    (``span``, the lcm of the periods) that is 2 * span cells per sequence.
+    They are packed ``52 // bits`` to an int64 word, first cell in the
+    highest bits, where ``bits`` holds one symbol index.  The highest set
+    bit of the XOR of two words marks their first differing cell;
+    ``np.frexp`` reads it exactly, since the words stay below 2**52.  Each
+    word then takes one XOR, one ``frexp`` and one table lookup over all
+    pairs, a block of rows at a time, and a later word only lowers depths
+    that an earlier one left at ``inf``.  Any span works; the cost is
+    O(N^2 * span / (52 // bits)) in array passes.
     """
     if not seqs:
         raise InvalidInputError("no sequences given")
@@ -240,18 +256,37 @@ def pairwise_depth_matrix(seqs: Sequence[PeriodicSequence]) -> np.ndarray:
     for s in seqs[1:]:
         if s.alphabet != alphabet:
             raise InvalidInputError("sequences use different alphabets")
+    n = len(seqs)
     span = math.lcm(*(s.period for s in seqs))
     table = np.array(
         [[alphabet.index(c) for c in s.expand(span)] for s in seqs], dtype=np.int64
     )
-    f = np.full((len(seqs), len(seqs)), np.inf)
-    for j in range(span, 0, -1):
-        col = table[:, j % span]
-        neq = col[:, None] != col[None, :]
-        f[neq] = j
-    g = np.full((len(seqs), len(seqs)), np.inf)
-    for m in range(span - 1, -1, -1):
-        col = table[:, (-m) % span]
-        neq = col[:, None] != col[None, :]
-        g[neq] = m
-    return np.minimum(f - 1, g)
+    bits = (len(alphabet) - 1).bit_length()
+    per_word = 52 // bits
+    order = np.empty(2 * span, dtype=np.intp)
+    order[0::2] = np.arange(1, span + 1) % span
+    order[1::2] = -np.arange(span) % span
+    starts = range(0, 2 * span, per_word)
+    shifts = bits * np.arange(per_word - 1, -1, -1, dtype=np.int64)
+    words = np.empty((len(starts), n), dtype=np.int64)
+    # depth_at[k][e]: the depth when word k first differs and frexp of the
+    # XOR gives exponent e, so its highest set bit is e - 1; e = 0 (equal
+    # words) leaves the depth open.
+    depth_at = np.empty((len(starts), bits * per_word + 1))
+    depth_at[:, 0] = np.inf
+    high_cell = (np.arange(bits * per_word) // bits)[::-1]
+    for k, start in enumerate(starts):
+        cols = order[start : start + per_word]
+        words[k] = (table[:, cols] << shifts[: len(cols)]).sum(axis=1)
+        depth_at[k, 1:] = (start + high_cell) // 2
+    out = np.empty((n, n))
+    rows = max(1, _ROW_BLOCK_CELLS // n)
+    for lo in range(0, n, rows):
+        block = out[lo : lo + rows]
+        for k, word in enumerate(words):
+            _, e = np.frexp(word[lo : lo + rows, None] ^ word)
+            if k:
+                np.minimum(block, depth_at[k][e], out=block)
+            else:
+                np.take(depth_at[k], e, out=block)
+    return out

@@ -1,5 +1,6 @@
 """Reference CLI code: the ``quotient-metric`` and ``chain-sandwich`` checks
-one pair at a time, and the CSV writer one row at a time.
+one pair at a time, the CSV writer one row at a time, and the ``measures``
+cylinder draws with ``rng.choice``.
 
 The command line draws every pair first and answers them in bulk, and
 renders CSV rows a block at a time.  These are the loops they replaced, which
@@ -19,6 +20,7 @@ import numpy as np
 import mapping_torus_reference as ref
 from solenoidlab import (
     ChainMetricTable,
+    CylinderSet,
     TorusPoint,
     dist_to_integers,
     point_label,
@@ -132,3 +134,21 @@ def csv_text_by_row(labels, matrix) -> str:
         out.write(",".join(cells))
         out.write("\n")
     return out.getvalue()
+
+
+def draw_cylinders_by_choice(alphabet, count, rng):
+    """The ``measures`` cylinders as first drawn: ``rng.choice`` without
+    replacement for the pinned indices, then one scalar ``randint`` per
+    index for its symbol."""
+    symbols = alphabet.symbols
+    drawn = []
+    for _ in range(count):
+        size = int(rng.randint(1, 5))
+        idx = rng.choice(np.arange(-6, 7), size=size, replace=False)
+        drawn.append(
+            CylinderSet.from_dict(
+                alphabet,
+                {int(j): symbols[rng.randint(len(symbols))] for j in idx},
+            )
+        )
+    return drawn

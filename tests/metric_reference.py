@@ -3,7 +3,9 @@
 ``metric_core`` decides passing spaces without enumerating triples and falls
 back to the same enumeration for failing ones.  This module is the plain
 O(N^3) scan on its own, so property tests can hold the library's reports,
-violations and their order included, against it.
+violations and their order included, against it.  It also keeps the
+subdominant-ultrametric verdict as a Prim pass that fills the whole
+ultrametric row by row, the oracle for the library's range-maximum verdict.
 """
 
 from __future__ import annotations
@@ -88,3 +90,38 @@ def scan(space: FiniteMetricSpace, tol: float, with_ultra: bool) -> MetricReport
         is_metric=not axioms,
         is_ultrametric=(not axioms and not ultra) if with_ultra else None,
     )
+
+
+def within_subdominant(key: np.ndarray, tol: float) -> bool:
+    """Whether ``key[i, j] <= sub[i, j] + tol`` for every ``i != j``, with
+    ``sub`` the subdominant ultrametric of ``min(key, key.T)``.
+
+    A dense Prim pass: when ``v`` joins the tree through ``parent`` with
+    weight ``w``, its row of ``sub`` over the earlier vertices is
+    ``max(sub[parent], w)``, and each pair is compared as its row is filled.
+    """
+    n = len(key)
+    sub = np.empty((n, n))
+    order = np.empty(n, dtype=np.intp)
+    in_tree = np.zeros(n, dtype=bool)
+    best = np.full(n, np.inf)
+    parent = np.zeros(n, dtype=np.intp)
+    v = 0
+    for t in range(n):
+        done = order[:t]
+        if t:
+            row = np.maximum(sub[parent[v], done], best[v])
+            bound = row + tol
+            if not (np.all(key[v, done] <= bound) and np.all(key[done, v] <= bound)):
+                return False
+            sub[v, done] = row
+            sub[done, v] = row
+        sub[v, v] = -np.inf
+        order[t] = v
+        in_tree[v] = True
+        weight = np.minimum(key[v], key[:, v])
+        closer = weight < best
+        best[closer] = weight[closer]
+        parent[closer] = v
+        v = int(np.argmin(np.where(in_tree, np.inf, best)))
+    return True

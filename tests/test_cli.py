@@ -6,13 +6,16 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cli_reference import (
     check_chain_sandwich_by_pair,
     check_quotient_metric_by_pair,
     csv_text_by_row,
+    draw_cylinders_by_choice,
 )
-from solenoidlab import cli, mapping_torus, metric_space_from_matrix, models
+from solenoidlab import Alphabet, cli, mapping_torus, metric_space_from_matrix, models
 from solenoidlab.cli import main
 
 
@@ -523,3 +526,37 @@ def test_csv_writer_matches_the_row_writer(monkeypatch, rows, cols, block_cells)
     assert cli._csv_text(labels, distinct) == csv_text_by_row(labels, distinct)
     repeats = np.full((rows, cols), 0.1 + 0.2)
     assert cli._csv_text(labels, repeats) == csv_text_by_row(labels, repeats)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    size=st.integers(2, 36),
+    count=st.integers(0, 60),
+)
+def test_cylinder_draws_match_the_choice_loop(seed, size, count):
+    alphabet = Alphabet(tuple(f"s{k}" for k in range(size)))
+    rng, ref_rng = np.random.RandomState(seed), np.random.RandomState(seed)
+    assert cli._draw_cylinders(alphabet, count, rng) == draw_cylinders_by_choice(
+        alphabet, count, ref_rng
+    )
+    # The generator ends in the same state, so later draws are unchanged.
+    assert rng.randint(2**31, size=4).tolist() == ref_rng.randint(2**31, size=4).tolist()
+
+
+def refuse_constant(name):
+    raise ValueError(f"{name} is not valid JSON")
+
+
+def test_measures_with_one_radius_reports_a_null_slope(tmp_path, capsys):
+    cfg = {
+        "space": FULL_SHIFT,
+        "seed": 3,
+        "checks": [{"name": "measures", "cylinders": 10, "radii": [0.5, 0.5]}],
+    }
+    assert main(["run", write_config(tmp_path, cfg)]) == 0
+    report = json.loads(capsys.readouterr().out, parse_constant=refuse_constant)
+    (result,) = report["results"]
+    assert result["base_band"]["fitted_exponent"] is None
+    assert result["torus_band"]["fitted_exponent"] is None
+    assert result["base_band"]["c_low"] > 0

@@ -241,6 +241,27 @@ def test_chain_table_triangle_inequality(shift_torus):
         assert np.all(d0 <= through + 1e-9)
 
 
+def test_chain_table_solves_for_predecessors_on_the_first_witness(shift_torus, monkeypatch):
+    points = shift_torus.base_space.points
+    sample = [TorusPoint(b, t) for b in points for t in (0.0, 0.25, 0.74, 0.76)]
+    solves = []
+    solve = mapping_torus.shortest_paths
+
+    def counting(weights, directed, return_predecessors=False):
+        solves.append(return_predecessors)
+        return solve(weights, directed, return_predecessors)
+
+    monkeypatch.setattr(mapping_torus, "shortest_paths", counting)
+    table = ChainMetricTable(shift_torus, sample)
+    assert solves == [False]
+    with_pred, _ = solve(table.edges, directed=False, return_predecessors=True)
+    assert table.distance_matrix().tobytes() == with_pred.tobytes()
+    p, q = sample[3], sample[7]
+    table.witness(p, q)
+    table.witness(q, p)
+    assert solves == [False, True]
+
+
 def test_chain_table_dedupes_and_validates(shift_torus):
     p = TorusPoint(shift_torus.base_space.points[0], 0.0)
     table = ChainMetricTable(shift_torus, [p, p])

@@ -22,6 +22,7 @@ from solenoidlab import (
     shift_invariance_check,
     torus_ball_measure,
 )
+from solenoidlab import measures
 
 BITS = Alphabet(("0", "1"))
 UNIFORM = WeightVector.uniform(BITS)
@@ -87,6 +88,30 @@ def test_shift_invariance_exactly_zero():
     assert shift_invariance_check(UNIFORM, cylinders) == 0.0
     skew = WeightVector.from_dict(BITS, {"0": 0.6, "1": 0.4})
     assert shift_invariance_check(skew, cylinders) == 0.0
+
+
+def test_cylinder_measures_equal_the_scalar_products():
+    # Long cylinders over many symbols with uneven weights: a different
+    # product order would round differently somewhere among these.
+    rng = np.random.RandomState(5)
+    symbols = tuple(f"s{k}" for k in range(7))
+    alphabet = Alphabet(symbols)
+    raw = rng.rand(7)
+    w = WeightVector(alphabet, tuple(raw / raw.sum()))
+    cylinders = [CylinderSet(alphabet, ())]
+    for _ in range(300):
+        idx = rng.choice(np.arange(-20, 21), size=rng.randint(1, 30), replace=False)
+        cylinders.append(
+            CylinderSet.from_dict(
+                alphabet, {int(j): symbols[rng.randint(7)] for j in idx}
+            )
+        )
+    want = np.array([cylinder_measure(c, w) for c in cylinders])
+    assert measures._cylinder_measures(cylinders, w).tobytes() == want.tobytes()
+    assert shift_invariance_check(w, cylinders) == 0.0
+    assert shift_invariance_check(w, []) == 0.0
+    with pytest.raises(InvalidInputError):
+        shift_invariance_check(UNIFORM, cylinders)
 
 
 def test_base_ball_measure_dyadic_radii():

@@ -150,3 +150,48 @@ def test_full_shift_of_1024_points_passes(verify):
     assert report.is_metric
     assert report.is_ultrametric in (True, None)
     assert report.axiom_violations == report.ultrametric_violations == ()
+
+
+#: Tolerances of the direct verdict and basic-violation tests: the scans'
+#: two, and a negative one, which every comparison must also honour.
+DIRECT_TOLERANCES = TOLERANCES + (-1.0e-9,)
+
+
+@settings(max_examples=300, deadline=None)
+@given(space=spaces(), tol=st.sampled_from(DIRECT_TOLERANCES))
+def test_subdominant_verdict_equals_the_prim_reference(space, tol):
+    # Keys as the scans pass them: the matrix, and the negated exponents
+    # (-inf on the diagonal unless a diagonal within tolerance was drawn).
+    # Hierarchies and two- or four-level tables put many keys on ties.
+    keys = [space.matrix]
+    if space.exponents is not None:
+        keys.append(-space.exponents)
+    for key in keys:
+        assert metric_core._within_subdominant(key, tol) == (
+            metric_reference.within_subdominant(key, tol)
+        )
+
+
+@settings(max_examples=200, deadline=None)
+@given(space=spaces(), tol=st.sampled_from(DIRECT_TOLERANCES))
+def test_basic_violations_equal_the_reference(space, tol):
+    assert metric_core._basic_violations(space, tol) == (
+        metric_reference.basic_violations(space, tol)
+    )
+
+
+def test_subdominant_verdict_on_a_tie_hierarchy():
+    # Two tight pairs two apart: Prim leaves the first pair on a tie.
+    key = np.array([
+        [0.0, 1.0, 2.0, 2.0],
+        [1.0, 0.0, 2.0, 2.0],
+        [2.0, 2.0, 0.0, 1.0],
+        [2.0, 2.0, 1.0, 0.0],
+    ])
+    assert metric_core._within_subdominant(key, 0.0)
+    # One direction of a cross pair just above its subdominant value 2.
+    raised = key.copy()
+    raised[0, 2] = 2.0 + 1.0e-12
+    assert not metric_core._within_subdominant(raised, 0.0)
+    assert metric_core._within_subdominant(raised, 1.0e-9)
+    assert not metric_core._within_subdominant(key, -1.0e-9)

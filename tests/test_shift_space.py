@@ -4,7 +4,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import shift_space_reference
 from solenoidlab import (
     Alphabet,
     InvalidInputError,
@@ -209,3 +212,57 @@ def test_mixed_alphabets_rejected():
         shift_metric(ZEROS, foreign, CFG)
     with pytest.raises(InvalidInputError):
         pairwise_depth_matrix([ZEROS, foreign])
+
+
+SINGLE_CHAR_SYMBOLS = "0123456789abcdefghijklmnopqrstuvwxyz"
+
+
+@st.composite
+def families(draw):
+    """Sequences over 2 to 36 symbols, single- or multi-character, with
+    mixed periods.  Some are one-cell mutants of a tiled earlier sequence,
+    so pairs agree over long windows and words deep into the packed table
+    decide them; duplicates give equal pairs."""
+    size = draw(st.integers(2, 36))
+    if draw(st.booleans()):
+        symbols = tuple(f"s{k}" for k in range(size))
+    else:
+        symbols = tuple(SINGLE_CHAR_SYMBOLS[:size])
+    alphabet = Alphabet(symbols)
+    cell = st.integers(0, size - 1).map(lambda k: symbols[k])
+    family = []
+    for _ in range(draw(st.integers(1, 10))):
+        if family and draw(st.booleans()):
+            base = draw(st.sampled_from(family))
+            cells = list(base.expand(base.period * draw(st.integers(1, 40 // base.period))))
+            cells[draw(st.integers(0, len(cells) - 1))] = draw(cell)
+        else:
+            cells = draw(st.lists(cell, min_size=1, max_size=9))
+        family.append(PeriodicSequence.from_cells(alphabet, cells))
+    return family
+
+
+@settings(max_examples=200, deadline=None)
+@given(family=families())
+def test_pairwise_depth_matrix_equals_the_cell_loop(family):
+    table = pairwise_depth_matrix(family)
+    want = shift_space_reference.pairwise_depth_matrix(family)
+    assert table.dtype == want.dtype
+    assert table.tobytes() == want.tobytes()
+
+
+def test_pairwise_depth_matrix_across_word_boundaries():
+    # Binary cells pack 52 to a word; a span of 120 gives five words.  A
+    # zero sequence with index j changed first differs at forward cell j
+    # (interleaved position 2j - 2) for j <= 60, and at backward cell
+    # 120 - j (position 2(120 - j) + 1) above that.
+    zeros = ZEROS.expand(120)
+    family = [ZEROS]
+    for j in (1, 26, 27, 53, 60, 95, 94):
+        cells = list(zeros)
+        cells[j] = "1"
+        family.append(PeriodicSequence.from_cells(BITS, cells))
+    table = pairwise_depth_matrix(family)
+    assert table[0, 1:].tolist() == [0.0, 25.0, 26.0, 52.0, 59.0, 25.0, 26.0]
+    assert table.tobytes() == shift_space_reference.pairwise_depth_matrix(family).tobytes()
+    assert pairwise_depth_matrix([PARITY]).tolist() == [[math.inf]]
