@@ -17,7 +17,6 @@ import sys
 import time
 
 import numpy as np
-import jsonschema
 
 from . import __version__
 from .connectedness import dense_orbit_check, invariant_components
@@ -53,20 +52,51 @@ from .metric_core import (
     verify_metric_axioms,
     verify_ultrametric,
 )
-from .models import MODEL_KINDS, ModelSpec, build_model, point_label
+from .models import SPACE_SCHEMA, ModelSpec, build_model, point_label, validate
 
-CHECK_NAMES = (
-    "metric-axioms",
-    "ultrametric",
-    "bilipschitz",
-    "quotient-metric",
-    "chain-sandwich",
-    "flow-laws",
-    "connectedness",
-    "dense-orbit",
-    "measures",
-    "dimension",
-)
+_COUNT = {"type": "integer", "minimum": 0}
+_TIMES = {
+    "type": "array",
+    "minItems": 1,
+    "items": {"type": "number", "minimum": 0, "exclusiveMaximum": 1},
+}
+_NUMBERS = {"type": "array", "minItems": 1, "items": {"type": "number"}}
+
+#: Every check's parameters as JSON Schema: type, range and ``default``.  A
+#: ``description`` names a default that depends on the model; a parameter
+#: with neither is required.
+CHECK_PARAMETERS = {
+    "metric-axioms": {},
+    "ultrametric": {},
+    "bilipschitz": {},
+    "quotient-metric": {"pairs": {**_COUNT, "default": 1000}},
+    "chain-sandwich": {
+        "pairs": {**_COUNT, "default": 200},
+        "times": {**_TIMES, "default": [0.0, 0.25, 0.5, 0.75]},
+        "max_bases": {"type": "integer", "minimum": 1, "default": 16},
+    },
+    "flow-laws": {"triples": {**_COUNT, "default": 1000}},
+    "connectedness": {"epsilon": {"type": "number"}},
+    "dense-orbit": {
+        "epsilon": {"type": "number"},
+        "origin_index": {"type": "integer", "default": 0},
+        "max_iter": {"type": "integer", "description": "default: the number of points"},
+    },
+    "measures": {
+        "cylinders": {**_COUNT, "default": 100},
+        "radii": {
+            **_NUMBERS,
+            "items": {"type": "number", "exclusiveMinimum": 0, "maximum": 0.5},
+            "default": [0.5 ** k for k in range(1, 6)],
+        },
+        "weights": {
+            "type": "object",
+            "additionalProperties": {"type": "number"},
+            "description": "weight of each symbol; default: uniform",
+        },
+    },
+    "dimension": {"scales": _NUMBERS},
+}
 
 #: Checks that draw random samples and therefore need a seed.
 SAMPLING_CHECKS = frozenset(
@@ -82,16 +112,8 @@ CONFIG_SCHEMA = {
     "required": ["space"],
     "additionalProperties": False,
     "properties": {
-        "space": {
-            "type": "object",
-            "required": ["kind", "parameters"],
-            "additionalProperties": False,
-            "properties": {
-                "kind": {"enum": list(MODEL_KINDS)},
-                "parameters": {"type": "object"},
-            },
-        },
-        "seed": {"type": "integer", "minimum": 0},
+        "space": SPACE_SCHEMA,
+        "seed": {"type": "integer", "minimum": 0, "maximum": 2**32 - 1},  # numpy's seed range
         "tolerance": {"type": "number", "minimum": 0},
         "checks": {
             "type": "array",
@@ -99,7 +121,21 @@ CONFIG_SCHEMA = {
             "items": {
                 "type": "object",
                 "required": ["name"],
-                "properties": {"name": {"enum": list(CHECK_NAMES)}},
+                "properties": {"name": {"enum": list(CHECK_PARAMETERS)}},
+                "allOf": [
+                    {
+                        "if": {"required": ["name"], "properties": {"name": {"const": name}}},
+                        "then": {
+                            "required": [
+                                key for key, sub in params.items()
+                                if "default" not in sub and "description" not in sub
+                            ],
+                            "additionalProperties": False,
+                            "properties": {"name": {}, **params},
+                        },
+                    }
+                    for name, params in CHECK_PARAMETERS.items()
+                ],
             },
         },
         "export": {
@@ -108,12 +144,7 @@ CONFIG_SCHEMA = {
             "additionalProperties": False,
             "properties": {
                 "metric": {"enum": list(METRIC_NAMES)},
-                "times": {
-                    "type": "array",
-                    "minItems": 1,
-                    "uniqueItems": True,
-                    "items": {"type": "number"},
-                },
+                "times": {**_TIMES, "uniqueItems": True},
             },
         },
         "output": {
@@ -128,7 +159,6 @@ CONFIG_SCHEMA = {
     },
 }
 
-
 class UsageError(Exception):
     """Bad config or bad flags; maps to exit code 2."""
 
@@ -137,78 +167,29 @@ class UsageError(Exception):
 # Config plumbing
 # ============================================================
 
-def _load_config(path: str) -> dict:
-    try:
-        with open(path, encoding="utf-8") as fh:
-            cfg = json.load(fh)
-    except OSError as e:
-        raise UsageError(f"cannot read config: {e}") from None
-    except json.JSONDecodeError as e:
-        raise UsageError(f"config is not valid JSON: {e}") from None
-    validator = jsonschema.Draft7Validator(CONFIG_SCHEMA)
-    errors = sorted(validator.iter_errors(cfg), key=lambda e: list(e.absolute_path))
-    if errors:
-        first = errors[0]
-        raise UsageError(f"{first.json_path}: {first.message}")
-    return cfg
-
-
-def _param(check: dict, index: int, key: str, kind: str, default=None, required=False):
-    where = f"$.checks[{index}]"
-    if key not in check:
-        if required:
-            raise UsageError(f"{where}: check {check['name']!r} needs parameter {key!r}")
-        return default
-    value = check[key]
-    if kind == "int":
-        if isinstance(value, bool) or not isinstance(value, int):
-            raise UsageError(f"{where}.{key}: expected an integer")
-        return value
-    if kind == "float":
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise UsageError(f"{where}.{key}: expected a number")
-        return float(value)
-    if kind == "floats":
-        if not isinstance(value, list) or not value or any(
-            isinstance(v, bool) or not isinstance(v, (int, float)) for v in value
-        ):
-            raise UsageError(f"{where}.{key}: expected a nonempty list of numbers")
-        return [float(v) for v in value]
-    if kind == "weights":
-        if not isinstance(value, dict):
-            raise UsageError(f"{where}.{key}: expected an object of symbol weights")
-        return value
-    raise AssertionError(kind)
-
-
-_KNOWN_PARAMS = {
-    "metric-axioms": set(),
-    "ultrametric": set(),
-    "bilipschitz": set(),
-    "quotient-metric": {"pairs"},
-    "chain-sandwich": {"pairs", "times", "max_bases"},
-    "flow-laws": {"triples"},
-    "connectedness": {"epsilon"},
-    "dense-orbit": {"epsilon", "origin_index", "max_iter"},
-    "measures": {"cylinders", "radii", "weights"},
-    "dimension": {"scales"},
-}
-
-
-def _count(check: dict, index: int, key: str, default: int) -> int:
-    value = _param(check, index, key, "int", default=default)
-    if value < 0:
-        raise UsageError(f"$.checks[{index}].{key}: must be nonnegative")
+def _finite(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"non-finite number {text}")
     return value
 
 
-def _reject_unknown_params(check: dict, index: int) -> None:
-    extra = set(check) - {"name"} - _KNOWN_PARAMS[check["name"]]
-    if extra:
-        raise UsageError(
-            f"$.checks[{index}]: unknown parameter {sorted(extra)[0]!r} "
-            f"for check {check['name']!r}"
-        )
+def _load_config(path: str) -> dict:
+    """The config at ``path``, checked against :data:`CONFIG_SCHEMA`."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            cfg = json.load(fh, parse_float=_finite, parse_constant=_finite)
+    except OSError as e:
+        raise UsageError(f"cannot read config: {e}") from None
+    except ValueError as e:
+        raise UsageError(f"config is not valid JSON: {e}") from None
+    validate(CONFIG_SCHEMA, cfg)
+    return cfg
+
+
+def _arg(check: dict, key: str):
+    """The check's ``key`` parameter, or its schema default."""
+    return check.get(key, CHECK_PARAMETERS[check["name"]][key]["default"])
 
 
 def _need_mapping(model, name):
@@ -277,6 +258,22 @@ def _check_bilipschitz(model, check, index, tol, rng):
     }
 
 
+def _product_pairs(ts, ps, qs):
+    return np.array(
+        [product_metric(p.base, p.time, q.base, q.time, ts) for p, q in zip(ps, qs)],
+        dtype=float,
+    )
+
+
+def _pair_witness(bad, ps, qs, **distances):
+    """The labels and distances of the first bad pair, or None."""
+    if not bad.size:
+        return None
+    k = bad[0]
+    pair = [point_label(ps[k]), point_label(qs[k])]
+    return {"pair": pair, **{name: float(d[k]) for name, d in distances.items()}}
+
+
 def _check_quotient_metric(model, check, index, tol, rng):
     ts = _need_torus(model, "quotient-metric")
     if ts.lipschitz_constant != 1.0:
@@ -284,7 +281,7 @@ def _check_quotient_metric(model, check, index, tol, rng):
             "check 'quotient-metric' needs an isometric model "
             "(padic-cycle or two-fixed-points)"
         )
-    pairs = _count(check, index, "pairs", 1000)
+    pairs = _arg(check, "pairs")
     # Draw every pair first, in the order the per-pair loop drew them, then
     # answer them in bulk.
     points = ts.base_space.points
@@ -293,10 +290,7 @@ def _check_quotient_metric(model, check, index, tol, rng):
         ps.append(TorusPoint(points[rng.randint(len(points))], float(rng.rand())))
         qs.append(TorusPoint(points[rng.randint(len(points))], float(rng.rand())))
     d = quotient_distance_pairs(ts, ps, qs)
-    rho = np.array(
-        [product_metric(p.base, p.time, q.base, q.time, ts) for p, q in zip(ps, qs)],
-        dtype=float,
-    )
+    rho = _product_pairs(ts, ps, qs)
     circle = np.array(
         [dist_to_integers(p.time - q.time) for p, q in zip(ps, qs)], dtype=float
     )
@@ -306,21 +300,13 @@ def _check_quotient_metric(model, check, index, tol, rng):
     bad = np.flatnonzero(
         (d > rho + tol) | (d < circle - tol) | (equality & (err > tol))
     )
-    witness = None
-    if bad.size:
-        k = bad[0]
-        witness = {
-            "pair": [point_label(ps[k]), point_label(qs[k])],
-            "quotient": float(d[k]),
-            "product": float(rho[k]),
-        }
     return {
         "status": "pass" if bad.size == 0 else "fail",
         "pairs": pairs,
         "equality_pairs": int(np.count_nonzero(equality)),
         "max_equality_error": float(err[equality].max(initial=0.0)),
         "violations": int(bad.size),
-        "witness": witness,
+        "witness": _pair_witness(bad, ps, qs, quotient=d, product=rho),
     }
 
 
@@ -332,16 +318,12 @@ def _draw_centered_times(rng):
             return r, t
 
 
-def _chain_plan(model, check, index):
+def _chain_plan(model, check):
     """The torus, pair count and chain sample of a ``chain-sandwich`` check."""
     ts = _need_torus(model, "chain-sandwich")
-    pairs = _count(check, index, "pairs", 200)
-    times = _param(check, index, "times", "floats", default=[0.0, 0.25, 0.5, 0.75])
-    max_bases = _param(check, index, "max_bases", "int", default=16)
-    if any(not 0.0 <= t < 1.0 for t in times):
-        raise UsageError(f"$.checks[{index}].times: sample times must lie in [0, 1)")
-    if max_bases < 1:
-        raise UsageError(f"$.checks[{index}].max_bases: need at least one base point")
+    pairs = _arg(check, "pairs")
+    times = [float(t) for t in _arg(check, "times")]
+    max_bases = _arg(check, "max_bases")
     points = ts.base_space.points
     step = max(1, math.ceil(len(points) / max_bases))
     chosen = points[::step][:max_bases]
@@ -349,7 +331,7 @@ def _chain_plan(model, check, index):
 
 
 def _check_chain_sandwich(model, check, index, tol, rng):
-    ts, pairs, sample = _chain_plan(model, check, index)
+    ts, pairs, sample = _chain_plan(model, check)
     table = ChainMetricTable(ts, sample)
     c = ts.lipschitz_constant
     stretch = max(c, 2.0 * ts.diameter_bound)
@@ -363,10 +345,7 @@ def _check_chain_sandwich(model, check, index, tol, rng):
         qs.append(TorusPoint(points[rng.randint(len(points))], t))
     delta = representative_distance_pairs(ts, ps, qs)
     d0 = table.distances_via(ps, qs)
-    rho = np.array(
-        [product_metric(p.base, p.time, q.base, q.time, ts) for p, q in zip(ps, qs)],
-        dtype=float,
-    )
+    rho = _product_pairs(ts, ps, qs)
     ok = (
         (np.minimum(rho / c, 0.5) <= d0 + tol)
         & (d0 <= delta + tol)
@@ -378,27 +357,20 @@ def _check_chain_sandwich(model, check, index, tol, rng):
         # representative term, so it is also below the chain distance.
         ok &= quotient_distance_pairs(ts, ps, qs) <= d0 + tol
     bad = np.flatnonzero(~ok)
-    witness = None
-    if bad.size:
-        k = bad[0]
-        witness = {
-            "pair": [point_label(ps[k]), point_label(qs[k])],
-            "chain": float(d0[k]),
-            "representative": float(delta[k]),
-            "product": float(rho[k]),
-        }
     return {
         "status": "pass" if bad.size == 0 else "fail",
         "pairs": pairs,
         "sample_size": len(table),
         "violations": int(bad.size),
-        "witness": witness,
+        "witness": _pair_witness(
+            bad, ps, qs, chain=d0, representative=delta, product=rho
+        ),
     }
 
 
 def _check_flow_laws(model, check, index, tol, rng):
     ts = _need_torus(model, "flow-laws")
-    triples = _count(check, index, "triples", 1000)
+    triples = _arg(check, "triples")
     points = ts.base_space.points
     violations = 0
     witness = None
@@ -424,7 +396,7 @@ def _check_flow_laws(model, check, index, tol, rng):
 
 
 def _check_connectedness(model, check, index, tol, rng):
-    epsilon = _param(check, index, "epsilon", "float", required=True)
+    epsilon = float(check["epsilon"])
     parts = invariant_components(
         model.space, _need_mapping(model, "connectedness"), epsilon
     )
@@ -438,9 +410,9 @@ def _check_connectedness(model, check, index, tol, rng):
 
 
 def _check_dense_orbit(model, check, index, tol, rng):
-    epsilon = _param(check, index, "epsilon", "float", required=True)
-    origin_index = _param(check, index, "origin_index", "int", default=0)
-    max_iter = _param(check, index, "max_iter", "int", default=len(model.space))
+    epsilon = float(check["epsilon"])
+    origin_index = _arg(check, "origin_index")
+    max_iter = check.get("max_iter", len(model.space))
     if not 0 <= origin_index < len(model.space):
         raise UsageError(f"$.checks[{index}].origin_index: out of range")
     origin = model.space.points[origin_index]
@@ -492,17 +464,12 @@ def _draw_cylinders(alphabet, count, rng):
 def _check_measures(model, check, index, tol, rng):
     cfg = _need_sequences(model, "measures")
     ts = _need_torus(model, "measures")
-    cylinders = _count(check, index, "cylinders", 100)
-    radii = _param(
-        check, index, "radii", "floats", default=[0.5 ** k for k in range(1, 6)]
-    )
-    if any(not 0.0 < r <= 0.5 for r in radii):
-        raise UsageError(f"$.checks[{index}].radii: radii must lie in (0, 1/2]")
-    raw_weights = _param(check, index, "weights", "weights")
-    if raw_weights is None:
-        w = WeightVector.uniform(cfg.alphabet)
+    cylinders = _arg(check, "cylinders")
+    radii = _arg(check, "radii")
+    if "weights" in check:
+        w = WeightVector.from_dict(cfg.alphabet, check["weights"])
     else:
-        w = WeightVector.from_dict(cfg.alphabet, raw_weights)
+        w = WeightVector.uniform(cfg.alphabet)
     symbols = cfg.alphabet.symbols
     drawn = _draw_cylinders(cfg.alphabet, cylinders, rng)
     discrepancy = shift_invariance_check(w, drawn) if drawn else 0.0
@@ -525,7 +492,7 @@ def _check_measures(model, check, index, tol, rng):
 
 
 def _check_dimension(model, check, index, tol, rng):
-    scales = _param(check, index, "scales", "floats", required=True)
+    scales = [float(v) for v in check["scales"]]
     fit = box_counting_dimension(model.space, scales)
     return {
         "status": "report",
@@ -562,6 +529,8 @@ def _build(cfg) -> "BuiltModel":
 
 
 def _resolve_seed(cfg, args, checks):
+    if args.seed is not None:
+        validate(CONFIG_SCHEMA["properties"]["seed"], args.seed, root="--seed")
     seed = args.seed if args.seed is not None else cfg.get("seed")
     if seed is None and any(c["name"] in SAMPLING_CHECKS for c in checks):
         raise UsageError(
@@ -572,12 +541,11 @@ def _resolve_seed(cfg, args, checks):
 
 
 def _refuse_bad_checks(model, checks) -> None:
-    """Refuse, before the first check runs, unknown parameters and a
-    ``chain-sandwich`` sample over the chain ceiling."""
+    """Refuse, before the first check runs, a ``chain-sandwich`` sample over
+    the chain ceiling."""
     for i, check in enumerate(checks):
-        _reject_unknown_params(check, i)
         if check["name"] == "chain-sandwich":
-            ts, _, sample = _chain_plan(model, check, i)
+            ts, _, sample = _chain_plan(model, check)
             try:
                 distinct_chain_sample(ts, sample)
             except InvalidInputError as e:
@@ -593,6 +561,8 @@ def _run(cfg, args) -> tuple[str, int]:
         raise UsageError("$.output.format: run reports are JSON")
     model = _build(cfg)
     seed = _resolve_seed(cfg, args, checks)
+    if args.tol is not None and not math.isfinite(args.tol):
+        raise UsageError(f"--tol: {args.tol} is not a finite number")
     tol = args.tol if args.tol is not None else cfg.get("tolerance", DEFAULT_TOLERANCE)
     _refuse_bad_checks(model, checks)
     results = []
@@ -624,10 +594,6 @@ def _run(cfg, args) -> tuple[str, int]:
     return text, (0 if failed == 0 else 1)
 
 
-def _torus_sample(ts, times):
-    return [TorusPoint(b, t) for b in ts.base_space.points for t in times]
-
-
 def _export_matrix(cfg, model):
     exp = cfg.get("export")
     if not exp:
@@ -645,9 +611,7 @@ def _export_matrix(cfg, model):
     times = exp.get("times")
     if not times:
         raise UsageError(f"$.export.times: required for metric {metric!r}")
-    if any(not 0.0 <= t < 1.0 for t in times):
-        raise UsageError("$.export.times: sample times must lie in [0, 1)")
-    sample = _torus_sample(ts, [float(t) for t in times])
+    sample = [TorusPoint(b, float(t)) for b in ts.base_space.points for t in times]
     labels = _labels(sample)
     if metric == "product":
         idx = [ts.base_space.index_of(p.base) for p in sample]
@@ -747,7 +711,7 @@ def main(argv=None) -> int:
         text = _export(cfg, args)
         _write(text, out_path)
         return 0
-    except UsageError as e:
+    except (UsageError, InvalidInputError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
 

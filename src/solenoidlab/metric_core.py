@@ -193,39 +193,45 @@ def _with_transpose(op: np.ufunc, m: np.ndarray, out: np.ndarray | None = None) 
     return out
 
 
-def _basic_violations(space: FiniteMetricSpace, tol: float) -> list[AxiomViolation]:
-    """Identity, symmetry and separation failures, each kind in row-major
-    order of its pairs ``(i, j)`` with ``i < j``.
+def _basic_failures(space: FiniteMetricSpace, tol: float):
+    """The identity indices, the symmetry and separation pairs ``(i, j)``
+    in row-major order, and ``|m - m.T|``: what :func:`_basic_violations`
+    lists, found with array passes.
 
     A symmetry failure is ``|m[i, j] - m[j, i]| > tol`` above the diagonal
     and ``0 > tol`` on and below it, so a negative ``tol`` flags every pair
-    there.  Each kind is counted with array passes; pairs are listed only
-    when the count is nonzero.
+    there.  A separation failure is ``m[i, j] <= tol`` with ``i < j``.
     """
     m = space.matrix
-    pts = space.points
-    out: list[AxiomViolation] = []
-    for i in np.flatnonzero(np.abs(np.diag(m)) > tol):
-        out.append(AxiomViolation("identity", (pts[i],), float(abs(m[i, i]))))
     asym = _with_transpose(np.subtract, m)
     np.abs(asym, out=asym)
     flagged = asym > tol
     if tol < 0:
         rows = np.arange(len(m))[:, None]
         flagged |= rows >= rows.T
-    if flagged.any():
-        pairs = np.argwhere(flagged)
-        if tol >= 0:
-            pairs = pairs[pairs[:, 0] < pairs[:, 1]]
-        for i, j in pairs:
-            out.append(AxiomViolation("symmetry", (pts[i], pts[j]), float(asym[i, j])))
+    elif flagged.any():
+        flagged = np.triu(flagged, 1)
     close = m <= tol
-    if np.count_nonzero(close) > np.count_nonzero(np.diag(close)):
-        pairs = np.argwhere(close)
-        for i, j in pairs[pairs[:, 0] < pairs[:, 1]]:
-            out.append(
-                AxiomViolation("separation", (pts[i], pts[j]), float(tol - m[i, j]))
-            )
+    off_diagonal = np.count_nonzero(close) > np.count_nonzero(np.diag(close))
+    return (
+        np.flatnonzero(np.abs(np.diag(m)) > tol),
+        np.argwhere(flagged),
+        np.argwhere(np.triu(close, 1)) if off_diagonal else np.empty((0, 2), np.intp),
+        asym,
+    )
+
+
+def _basic_violations(space: FiniteMetricSpace, tol: float) -> list[AxiomViolation]:
+    """Identity, symmetry and separation failures, each kind in row-major
+    order of its pairs, as :func:`_basic_failures` finds them."""
+    m = space.matrix
+    pts = space.points
+    identity, symmetry, separation, asym = _basic_failures(space, tol)
+    out = [AxiomViolation("identity", (pts[i],), float(abs(m[i, i]))) for i in identity]
+    for i, j in symmetry:
+        out.append(AxiomViolation("symmetry", (pts[i], pts[j]), float(asym[i, j])))
+    for i, j in separation:
+        out.append(AxiomViolation("separation", (pts[i], pts[j]), float(tol - m[i, j])))
     return out
 
 
@@ -340,8 +346,9 @@ def _basic_clear(space: FiniteMetricSpace, tol: float) -> bool:
     ``tol`` shifts the triple scan's ``k = i`` and ``k = j`` sums, which
     neither bound covers."""
     m = space.matrix
+    identity, symmetry, separation, _ = _basic_failures(space, tol)
     return (
-        not _basic_violations(space, tol)
+        not (len(identity) or len(symmetry) or len(separation))
         and not np.diag(m).any()
         and bool(np.isfinite(m).all())
     )

@@ -11,6 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Mapping
 
+import jsonschema
 import numpy as np
 
 from .dynamics import SelfMap, self_map_from_function
@@ -145,13 +146,55 @@ def build_snowflake_interval(grid_size: int, alpha: float) -> FiniteMetricSpace:
 # Declarative specs
 # ============================================================
 
-MODEL_KINDS = ("full-shift", "padic-cycle", "two-fixed-points", "snowflake-interval")
+#: Draft 7 with ``integer`` meaning a JSON integer literal.  Draft 7 itself
+#: counts any number with a zero fractional part, so ``5.0`` would pass.
+ConfigValidator = jsonschema.validators.extend(
+    jsonschema.Draft7Validator,
+    type_checker=jsonschema.Draft7Validator.TYPE_CHECKER.redefine(
+        "integer", lambda checker, x: isinstance(x, int) and not isinstance(x, bool)
+    ),
+)
 
-_PARAMETERS: dict[str, dict[str, type]] = {
-    "full-shift": {"alphabet_size": int, "ratio": float, "max_period": int},
-    "padic-cycle": {"prime": int, "digits": int},
+
+def validate(schema: dict, instance, root: str = "$") -> None:
+    """Raise :class:`InvalidInputError` with ``"<json path>: <message>"`` of
+    the first error in path order, if any, the path's ``$`` spelled ``root``."""
+    errors = ConfigValidator(schema).iter_errors(instance)
+    first = min(errors, key=lambda e: list(e.absolute_path), default=None)
+    if first is not None:
+        raise InvalidInputError(f"{root}{first.json_path[1:]}: {first.message}")
+
+
+#: The JSON Schema type of each parameter of each model kind.  The builders
+#: check the ranges.
+_PARAMETER_TYPES = {
+    "full-shift": {"alphabet_size": "integer", "ratio": "number", "max_period": "integer"},
+    "padic-cycle": {"prime": "integer", "digits": "integer"},
     "two-fixed-points": {},
-    "snowflake-interval": {"grid_size": int, "alpha": float},
+    "snowflake-interval": {"grid_size": "integer", "alpha": "number"},
+}
+
+MODEL_KINDS = tuple(_PARAMETER_TYPES)
+
+SPACE_SCHEMA = {
+    "type": "object",
+    "required": ["kind", "parameters"],
+    "additionalProperties": False,
+    "properties": {
+        "kind": {"enum": list(MODEL_KINDS)},
+        "parameters": {"type": "object"},
+    },
+    "allOf": [
+        {
+            "if": {"required": ["kind"], "properties": {"kind": {"const": kind}}},
+            "then": {"properties": {"parameters": {
+                "required": list(types),
+                "additionalProperties": False,
+                "properties": {name: {"type": t} for name, t in types.items()},
+            }}},
+        }
+        for kind, types in _PARAMETER_TYPES.items()
+    ],
 }
 
 
@@ -164,28 +207,14 @@ class ModelSpec:
 
     @classmethod
     def from_dict(cls, raw: Mapping[str, Any]) -> "ModelSpec":
-        kind = raw.get("kind")
-        if kind not in MODEL_KINDS:
-            raise InvalidInputError(
-                f"unknown model kind {kind!r}; choose one of {MODEL_KINDS}"
-            )
-        wanted = _PARAMETERS[kind]
-        params = dict(raw.get("parameters", {}))
-        missing = sorted(set(wanted) - set(params))
-        extra = sorted(set(params) - set(wanted))
-        if missing:
-            raise InvalidInputError(f"model {kind!r} is missing parameters {missing}")
-        if extra:
-            raise InvalidInputError(f"model {kind!r} got unknown parameters {extra}")
-        for name, typ in wanted.items():
-            value = params[name]
-            if typ is int and not (isinstance(value, int) and not isinstance(value, bool)):
-                raise InvalidInputError(f"parameter {name!r} must be an integer")
-            if typ is float:
-                if not isinstance(value, (int, float)) or isinstance(value, bool):
-                    raise InvalidInputError(f"parameter {name!r} must be a number")
-                params[name] = float(value)
-        return cls(kind=kind, parameters=params)
+        """Validate ``raw`` against :data:`SPACE_SCHEMA`; number parameters
+        given as integers become floats."""
+        validate(SPACE_SCHEMA, raw)
+        params = dict(raw["parameters"])
+        for name, t in _PARAMETER_TYPES[raw["kind"]].items():
+            if t == "number":
+                params[name] = float(params[name])
+        return cls(kind=raw["kind"], parameters=params)
 
 
 @dataclass(frozen=True, eq=False)

@@ -26,12 +26,12 @@ from solenoidlab import (
     point_label,
     product_metric,
 )
-from solenoidlab.cli import _count, _draw_centered_times, _need_torus, _param
+from solenoidlab.cli import _arg, _draw_centered_times, _need_torus
 
 
 def check_quotient_metric_by_pair(model, check, index, tol, rng):
     ts = _need_torus(model, "quotient-metric")
-    pairs = _count(check, index, "pairs", 1000)
+    pairs = _arg(check, "pairs")
     points = ts.base_space.points
     violations = 0
     witness = None
@@ -68,9 +68,9 @@ def check_quotient_metric_by_pair(model, check, index, tol, rng):
 
 def check_chain_sandwich_by_pair(model, check, index, tol, rng):
     ts = _need_torus(model, "chain-sandwich")
-    pairs = _count(check, index, "pairs", 200)
-    times = _param(check, index, "times", "floats", default=[0.0, 0.25, 0.5, 0.75])
-    max_bases = _param(check, index, "max_bases", "int", default=16)
+    pairs = _arg(check, "pairs")
+    times = [float(t) for t in _arg(check, "times")]
+    max_bases = _arg(check, "max_bases")
     points = ts.base_space.points
     step = max(1, math.ceil(len(points) / max_bases))
     chosen = points[::step][:max_bases]

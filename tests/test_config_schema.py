@@ -1,0 +1,273 @@
+"""The config schema is the one validator: what it states, what it refuses,
+and that its defaults are the ones the checks use."""
+
+import json
+
+import jsonschema
+import pytest
+
+from solenoidlab import cli
+from solenoidlab.cli import CHECK_PARAMETERS, CONFIG_SCHEMA, main
+from solenoidlab.models import _PARAMETER_TYPES
+
+FULL_SHIFT = {
+    "kind": "full-shift",
+    "parameters": {"alphabet_size": 2, "ratio": 0.5, "max_period": 4},
+}
+PADIC = {"kind": "padic-cycle", "parameters": {"prime": 2, "digits": 3}}
+
+#: A model each check runs on, and the parameters it cannot run without.
+CHECK_SETUPS = {
+    "metric-axioms": (FULL_SHIFT, {}),
+    "ultrametric": (FULL_SHIFT, {}),
+    "bilipschitz": (FULL_SHIFT, {}),
+    "quotient-metric": (PADIC, {}),
+    "chain-sandwich": (PADIC, {}),
+    "flow-laws": (FULL_SHIFT, {}),
+    "connectedness": (FULL_SHIFT, {"epsilon": 0.5}),
+    "dense-orbit": (FULL_SHIFT, {"epsilon": 0.5}),
+    "measures": (FULL_SHIFT, {}),
+    "dimension": (FULL_SHIFT, {"scales": [0.5, 0.25, 0.125]}),
+}
+
+#: Defaults that depend on the model, spelled out for the models above.
+MODEL_DEFAULTS = {
+    ("dense-orbit", "max_iter"): 16,
+    ("measures", "weights"): {"0": 0.5, "1": 0.5},
+}
+
+
+def write_config(tmp_path, cfg, name="config.json"):
+    path = tmp_path / name
+    path.write_text(json.dumps(cfg))
+    return str(path)
+
+
+def _never(*args):
+    raise AssertionError("a check ran although the config was refused")
+
+
+@pytest.fixture
+def no_check_runs(monkeypatch):
+    for name in cli._CHECKS:
+        monkeypatch.setitem(cli._CHECKS, name, _never)
+
+
+def test_every_check_has_a_setup():
+    assert set(CHECK_SETUPS) == set(CHECK_PARAMETERS) == set(cli._CHECKS)
+
+
+def test_the_schema_is_a_valid_draft7_schema(capsys):
+    jsonschema.Draft7Validator.check_schema(CONFIG_SCHEMA)
+    assert main(["schema"]) == 0
+    printed = json.loads(capsys.readouterr().out)
+    jsonschema.Draft7Validator.check_schema(printed)
+    assert printed == json.loads(json.dumps(CONFIG_SCHEMA))
+
+
+def test_the_printed_schema_states_every_parameter(capsys):
+    assert main(["schema"]) == 0
+    printed = json.loads(capsys.readouterr().out)
+    clauses = printed["properties"]["checks"]["items"]["allOf"]
+    by_name = {c["if"]["properties"]["name"]["const"]: c["then"] for c in clauses}
+    for name, params in CHECK_PARAMETERS.items():
+        then = by_name[name]
+        assert set(then["properties"]) == {"name", *params}
+        for key, sub in params.items():
+            assert "type" in then["properties"][key]
+            stated = "default" in sub or "description" in sub
+            assert (key in then["required"]) == (not stated)
+    space = printed["properties"]["space"]["allOf"]
+    by_kind = {c["if"]["properties"]["kind"]["const"]: c["then"] for c in space}
+    for kind, types in _PARAMETER_TYPES.items():
+        params = by_kind[kind]["properties"]["parameters"]
+        assert {k: v["type"] for k, v in params["properties"].items()} == types
+        assert params["required"] == list(types)
+
+
+def _defaulted():
+    for name, params in CHECK_PARAMETERS.items():
+        for key, sub in params.items():
+            if "default" in sub:
+                yield name, key, sub["default"]
+    for (name, key), value in MODEL_DEFAULTS.items():
+        yield name, key, value
+
+
+def _results(tmp_path, capsys, space, check):
+    cfg = {"space": space, "seed": 3, "checks": [check]}
+    assert main(["run", write_config(tmp_path, cfg)]) == 0
+    return json.loads(capsys.readouterr().out)["results"]
+
+
+@pytest.mark.parametrize("name, key, default", list(_defaulted()))
+def test_a_left_out_parameter_takes_its_default(tmp_path, capsys, name, key, default):
+    space, required = CHECK_SETUPS[name]
+    check = {"name": name, **required}
+    left_out = _results(tmp_path, capsys, space, check)
+    given = _results(tmp_path, capsys, space, {**check, key: default})
+    assert left_out == given
+
+
+def _type_cases():
+    """(space, check, message): every check and model parameter given a
+    string, ``true`` and, for an integer, ``5.0``."""
+    for name, params in CHECK_PARAMETERS.items():
+        space, required = CHECK_SETUPS[name]
+        for key, sub in params.items():
+            wrong = ["x", True] + ([5.0] if sub["type"] == "integer" else [])
+            for value in wrong:
+                check = {"name": name, **required, key: value}
+                message = f"{value!r} is not of type {sub['type']!r}"
+                yield space, check, f"$.checks[1].{key}: {message}"
+    for kind, types in _PARAMETER_TYPES.items():
+        for key, t in types.items():
+            for value in ["x", True] + ([5.0] if t == "integer" else []):
+                space = {"kind": kind, "parameters": {
+                    **{k: 2 for k in types}, key: value,
+                }}
+                message = f"{value!r} is not of type {t!r}"
+                yield space, {"name": "metric-axioms"}, (
+                    f"$.space.parameters.{key}: {message}"
+                )
+
+
+def _range_cases():
+    shift, pad = FULL_SHIFT, PADIC
+    return [
+        (pad, {"name": "quotient-metric", "pairs": -1},
+         "$.checks[1].pairs: -1 is less than the minimum of 0"),
+        (pad, {"name": "chain-sandwich", "pairs": -1},
+         "$.checks[1].pairs: -1 is less than the minimum of 0"),
+        (pad, {"name": "chain-sandwich", "times": [0.0, -0.25]},
+         "$.checks[1].times[1]: -0.25 is less than the minimum of 0"),
+        (pad, {"name": "chain-sandwich", "times": [0.5, 1]},
+         "$.checks[1].times[1]: 1 is greater than or equal to the maximum of 1"),
+        (pad, {"name": "chain-sandwich", "times": []},
+         "$.checks[1].times: [] should be non-empty"),
+        (pad, {"name": "chain-sandwich", "times": [0.5, "x"]},
+         "$.checks[1].times[1]: 'x' is not of type 'number'"),
+        (pad, {"name": "chain-sandwich", "max_bases": 0},
+         "$.checks[1].max_bases: 0 is less than the minimum of 1"),
+        (shift, {"name": "flow-laws", "triples": -1},
+         "$.checks[1].triples: -1 is less than the minimum of 0"),
+        (shift, {"name": "measures", "cylinders": -1},
+         "$.checks[1].cylinders: -1 is less than the minimum of 0"),
+        (shift, {"name": "measures", "radii": [0.5, 0.0]},
+         "$.checks[1].radii[1]: 0.0 is less than or equal to the minimum of 0"),
+        (shift, {"name": "measures", "radii": [0.75]},
+         "$.checks[1].radii[0]: 0.75 is greater than the maximum of 0.5"),
+        (shift, {"name": "measures", "radii": []},
+         "$.checks[1].radii: [] should be non-empty"),
+        (shift, {"name": "measures", "weights": {"0": "a", "1": 0.5}},
+         "$.checks[1].weights['0']: 'a' is not of type 'number'"),
+        (shift, {"name": "dimension", "scales": []},
+         "$.checks[1].scales: [] should be non-empty"),
+        (shift, {"name": "dimension", "scales": [0.5, True]},
+         "$.checks[1].scales[1]: True is not of type 'number'"),
+        (shift, {"name": "connectedness"},
+         "$.checks[1]: 'epsilon' is a required property"),
+        (shift, {"name": "dimension"},
+         "$.checks[1]: 'scales' is a required property"),
+    ]
+
+
+def _unknown_key_cases():
+    for name in CHECK_PARAMETERS:
+        space, required = CHECK_SETUPS[name]
+        yield space, {"name": name, **required, "bogus": 1}, (
+            "$.checks[1]: Additional properties are not allowed ('bogus' was unexpected)"
+        )
+    for kind, types in _PARAMETER_TYPES.items():
+        space = {"kind": kind, "parameters": {**{k: 2 for k in types}, "bogus": 1}}
+        yield space, {"name": "metric-axioms"}, (
+            "$.space.parameters: Additional properties are not allowed "
+            "('bogus' was unexpected)"
+        )
+
+
+@pytest.mark.parametrize(
+    "space, check, message",
+    [*_type_cases(), *_range_cases(), *_unknown_key_cases()],
+)
+def test_the_schema_refuses_before_any_check_runs(
+    tmp_path, capsys, no_check_runs, space, check, message
+):
+    cfg = {"space": space, "seed": 1, "checks": [{"name": "metric-axioms"}, check]}
+    assert main(["run", write_config(tmp_path, cfg)]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("text", ["NaN", "Infinity", "-Infinity", "1e400"])
+@pytest.mark.parametrize("command, cfg", [
+    ("run", {"space": PADIC, "tolerance": "@", "checks": [{"name": "ultrametric"}]}),
+    ("run", {"space": PADIC, "checks": [{"name": "connectedness", "epsilon": "@"}]}),
+    ("run", {"space": PADIC, "checks": [{"name": "dimension", "scales": [0.5, "@"]}]}),
+    ("export", {"space": PADIC, "export": {"metric": "chain", "times": [0.0, "@"]}}),
+])
+def test_non_finite_numbers_are_refused(tmp_path, capsys, no_check_runs, text, command, cfg):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(cfg).replace('"@"', text))
+    assert main([command, str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: config is not valid JSON: non-finite number {text}\n"
+
+
+SNOWFLAKE = {"kind": "snowflake-interval", "parameters": {"grid_size": 8, "alpha": 1}}
+
+
+@pytest.mark.parametrize("flag", ["nan", "inf", "-inf"])
+def test_a_non_finite_tol_flag_is_refused(tmp_path, capsys, no_check_runs, flag):
+    # This space fails the ultrametric check at every finite tolerance.
+    cfg = {"space": SNOWFLAKE, "checks": [{"name": "ultrametric"}]}
+    assert main(["run", write_config(tmp_path, cfg), f"--tol={flag}"]) == 2
+    assert capsys.readouterr().err == f"error: --tol: {float(flag)} is not a finite number\n"
+
+
+@pytest.mark.parametrize("seed, message", [
+    (2**32, "$.seed: 4294967296 is greater than the maximum of 4294967295"),
+    (-1, "$.seed: -1 is less than the minimum of 0"),
+    (5.0, "$.seed: 5.0 is not of type 'integer'"),
+    (True, "$.seed: True is not of type 'integer'"),
+])
+def test_config_seeds_outside_numpys_range_are_refused(
+    tmp_path, capsys, no_check_runs, seed, message
+):
+    cfg = {"space": PADIC, "seed": seed, "checks": [{"name": "flow-laws"}]}
+    assert main(["run", write_config(tmp_path, cfg)]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("seed, message", [
+    ("-1", "--seed: -1 is less than the minimum of 0"),
+    ("4294967296", "--seed: 4294967296 is greater than the maximum of 4294967295"),
+])
+def test_seed_flags_outside_numpys_range_are_refused(
+    tmp_path, capsys, no_check_runs, seed, message
+):
+    cfg = {"space": PADIC, "checks": [{"name": "flow-laws"}]}
+    assert main(["run", write_config(tmp_path, cfg), "--seed", seed]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_the_largest_seed_runs(tmp_path, capsys):
+    cfg = {"space": PADIC, "seed": 2**32 - 1, "checks": [{"name": "flow-laws", "triples": 5}]}
+    path = write_config(tmp_path, cfg)
+    assert main(["run", path]) == 0
+    from_config = json.loads(capsys.readouterr().out)
+    assert main(["run", path, "--seed", str(2**32 - 1)]) == 0
+    assert json.loads(capsys.readouterr().out) == from_config
+
+
+def test_integer_literals_of_numbers_read_as_floats(tmp_path, capsys):
+    cfg = {"space": PADIC, "checks": [
+        {"name": "connectedness", "epsilon": 1},
+        {"name": "dense-orbit", "epsilon": 1},
+    ]}
+    assert main(["run", write_config(tmp_path, cfg)]) == 0
+    results = json.loads(capsys.readouterr().out)["results"]
+    assert [repr(r["epsilon"]) for r in results] == ["1.0", "1.0"]
+    cfg = {"space": PADIC, "export": {"metric": "product", "times": [0, 0.5]}}
+    assert main(["export", write_config(tmp_path, cfg)]) == 0
+    assert capsys.readouterr().out.startswith("0@0.0,0@0.5,")

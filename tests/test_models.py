@@ -166,6 +166,22 @@ def test_build_model_all_kinds():
     assert cycle.torus is not None
 
 
+@pytest.mark.parametrize("parameters, message", [
+    (
+        {"alphabet_size": 2.0, "ratio": 0.5, "max_period": 3},
+        "$.parameters.alphabet_size: 2.0 is not of type 'integer'",
+    ),
+    (
+        {"alphabet_size": 2, "ratio": 0.5},
+        "$.parameters: 'max_period' is a required property",
+    ),
+])
+def test_model_spec_errors_name_the_parameter(parameters, message):
+    with pytest.raises(InvalidInputError) as caught:
+        ModelSpec.from_dict({"kind": "full-shift", "parameters": parameters})
+    assert str(caught.value) == message
+
+
 def test_integer_ratio_accepted_as_float():
     # JSON configs may carry 1 where 1.0 is meant; ints coerce into floats
     spec = ModelSpec.from_dict(
