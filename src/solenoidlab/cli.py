@@ -49,6 +49,7 @@ from .measures import (
 from .metric_core import (
     DEFAULT_TOLERANCE,
     box_counting_dimension,
+    fit_scales,
     verify_metric_axioms,
     verify_ultrametric,
 )
@@ -61,10 +62,12 @@ _TIMES = {
     "items": {"type": "number", "minimum": 0, "exclusiveMaximum": 1},
 }
 _NUMBERS = {"type": "array", "minItems": 1, "items": {"type": "number"}}
+_RESOLUTION = {"type": "number", "exclusiveMinimum": 0}
 
 #: Every check's parameters as JSON Schema: type, range and ``default``.  A
 #: ``description`` names a default that depends on the model; a parameter
-#: with neither is required.
+#: with neither is required.  Ranges that depend on the model are checked by
+#: :func:`_refuse_bad_checks`.
 CHECK_PARAMETERS = {
     "metric-axioms": {},
     "ultrametric": {},
@@ -76,11 +79,11 @@ CHECK_PARAMETERS = {
         "max_bases": {"type": "integer", "minimum": 1, "default": 16},
     },
     "flow-laws": {"triples": {**_COUNT, "default": 1000}},
-    "connectedness": {"epsilon": {"type": "number"}},
+    "connectedness": {"epsilon": _RESOLUTION},
     "dense-orbit": {
-        "epsilon": {"type": "number"},
+        "epsilon": _RESOLUTION,
         "origin_index": {"type": "integer", "default": 0},
-        "max_iter": {"type": "integer", "description": "default: the number of points"},
+        "max_iter": {**_COUNT, "description": "default: the number of points"},
     },
     "measures": {
         "cylinders": {**_COUNT, "default": 100},
@@ -95,7 +98,13 @@ CHECK_PARAMETERS = {
             "description": "weight of each symbol; default: uniform",
         },
     },
-    "dimension": {"scales": _NUMBERS},
+    "dimension": {
+        "scales": {
+            "type": "array",
+            "minItems": 3,
+            "items": {"type": "number", "exclusiveMinimum": 0},
+        },
+    },
 }
 
 #: Checks that draw random samples and therefore need a seed.
@@ -413,8 +422,6 @@ def _check_dense_orbit(model, check, index, tol, rng):
     epsilon = float(check["epsilon"])
     origin_index = _arg(check, "origin_index")
     max_iter = check.get("max_iter", len(model.space))
-    if not 0 <= origin_index < len(model.space):
-        raise UsageError(f"$.checks[{index}].origin_index: out of range")
     origin = model.space.points[origin_index]
     report = dense_orbit_check(
         model.space, _need_mapping(model, "dense-orbit"), origin, epsilon, max_iter
@@ -541,15 +548,22 @@ def _resolve_seed(cfg, args, checks):
 
 
 def _refuse_bad_checks(model, checks) -> None:
-    """Refuse, before the first check runs, a ``chain-sandwich`` sample over
-    the chain ceiling."""
+    """Refuse, before the first check runs, the parameters whose range
+    depends on the model: a ``chain-sandwich`` sample over the chain
+    ceiling, a ``dense-orbit`` origin that is not a point and ``dimension``
+    scales not below the diameter."""
     for i, check in enumerate(checks):
-        if check["name"] == "chain-sandwich":
-            ts, _, sample = _chain_plan(model, check)
-            try:
+        name = check["name"]
+        try:
+            if name == "chain-sandwich":
+                ts, _, sample = _chain_plan(model, check)
                 distinct_chain_sample(ts, sample)
-            except InvalidInputError as e:
-                raise UsageError(f"$.checks[{i}]: {e}") from None
+            elif name == "dimension":
+                fit_scales(model.space, check["scales"])
+        except InvalidInputError as e:
+            raise UsageError(f"$.checks[{i}]: {e}") from None
+        if name == "dense-orbit" and not 0 <= _arg(check, "origin_index") < len(model.space):
+            raise UsageError(f"$.checks[{i}].origin_index: out of range")
 
 
 def _run(cfg, args) -> tuple[str, int]:
@@ -602,12 +616,13 @@ def _export_matrix(cfg, model):
     if metric == "base":
         return _labels(model.space.points), model.space.matrix
     if metric == "adapted":
-        mapping = _need_mapping(model, "adapted")
-        tilde = adapted_metric(model.space, mapping)
+        if model.mapping is None:
+            raise UsageError("$.export.metric: 'adapted' needs a model with a self-map")
+        tilde = adapted_metric(model.space, model.mapping)
         return _labels(tilde.points), tilde.matrix
     ts = model.torus
     if ts is None:
-        raise UsageError(f"export metric {metric!r} needs a model with a glued torus")
+        raise UsageError(f"$.export.metric: {metric!r} needs a model with a glued torus")
     times = exp.get("times")
     if not times:
         raise UsageError(f"$.export.times: required for metric {metric!r}")
@@ -621,7 +636,7 @@ def _export_matrix(cfg, model):
     elif metric == "quotient":
         if ts.lipschitz_constant != 1.0:
             raise UsageError(
-                "export metric 'quotient' needs an isometric model "
+                "$.export.metric: 'quotient' needs an isometric model "
                 "(padic-cycle or two-fixed-points)"
             )
         matrix = quotient_distance_matrix(ts, sample)

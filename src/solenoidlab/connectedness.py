@@ -19,7 +19,7 @@ from scipy.sparse.csgraph import connected_components
 
 from .dynamics import SelfMap, index_cycles
 from .errors import InvalidInputError, InvariantError
-from .metric_core import FiniteMetricSpace
+from .metric_core import FiniteMetricSpace, row_blocks, upper_blocks
 
 Point = Any
 
@@ -41,15 +41,32 @@ def invariant_components(
     if epsilon <= 0:
         raise InvalidInputError(f"resolution must be positive, got {epsilon}")
     n = len(space)
-    image = index_cycles(space, mapping).power(1)
-    close_i, close_j = np.nonzero(np.triu(space.matrix <= epsilon, k=1))
-    rows = np.concatenate([close_i, np.arange(n)])
-    cols = np.concatenate([close_j, image])
-    graph = coo_matrix((np.ones(len(rows), dtype=np.int8), (rows, cols)), shape=(n, n))
-    _, labels = connected_components(graph, directed=False)
+    table = index_cycles(space, mapping)
+    image = table.power(1)
+    # labels[i] names the component of i among the edges seen so far.  The
+    # map's cycles come first; each row block of close pairs then merges
+    # components by one scipy call on the graph of their labels, so no pass
+    # holds more than one block of pairs.
+    labels = np.empty(n, dtype=np.intp)
+    labels[table.slots] = table.start
+    m = space.matrix
+    for rows, cols, upper in upper_blocks(n):
+        if not labels.any():
+            break  # a single component: nothing left to merge
+        close_i, close_j = np.nonzero((m[rows, cols] <= epsilon) & upper)
+        if close_i.size:
+            count = int(labels.max()) + 1
+            graph = coo_matrix(
+                (
+                    np.ones(close_i.size, dtype=np.int8),
+                    (labels[rows.start + close_i], labels[cols.start + close_j]),
+                ),
+                shape=(count, count),
+            )
+            labels = connected_components(graph, directed=False)[1][labels]
     # Blocks ordered by their smallest index, members in index order.
-    _, first = np.unique(labels, return_index=True)
-    root = first[labels]
+    _, first, which = np.unique(labels, return_index=True, return_inverse=True)
+    root = first[which]
     members = np.argsort(root, kind="stable")
     bounds = np.flatnonzero(np.diff(root[members])) + 1
     blocks = tuple(
@@ -92,8 +109,10 @@ def dense_orbit_check(
     cycle = mapping.orbit(origin)
     if 2 * max_iter + 1 < len(cycle):
         cycle = cycle[: max_iter + 1] + cycle[len(cycle) - max_iter:]
-    rows = sorted(space.index_of(p) for p in cycle)
-    nearest = space.matrix[rows].min(axis=0)
+    rows = np.array(sorted(space.index_of(p) for p in cycle), dtype=np.intp)
+    nearest = np.full(len(space), np.inf)
+    for part in row_blocks(len(rows), len(space)):
+        np.minimum(nearest, space.matrix[rows[part]].min(axis=0), out=nearest)
     covered = int(np.count_nonzero(nearest <= epsilon))
     dense = covered == len(space)
     if dense:

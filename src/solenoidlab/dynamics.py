@@ -10,7 +10,7 @@ from typing import Any, Callable, Iterable, NamedTuple
 import numpy as np
 
 from .errors import InvalidInputError, UnsupportedMapError
-from .metric_core import FiniteMetricSpace
+from .metric_core import FiniteMetricSpace, upper_blocks
 
 Point = Any
 
@@ -182,32 +182,66 @@ class BilipschitzEstimate:
     contracting_pair: tuple | None
 
 
+def _worst_pairs(
+    space: FiniteMetricSpace,
+    mapping: SelfMap,
+    score: Callable[[np.ndarray, np.ndarray, np.ndarray], tuple[np.ndarray, ...]],
+) -> list[tuple[float, tuple[int, int]]]:
+    """One scan of the pairs i < j, a row block at a time.
+
+    ``score(base, image, upper)`` maps a block of d(x_i, x_j) and
+    d(f(x_i), f(x_j)), with the mask of its cells i < j, to value arrays that
+    hold ``-inf`` off the mask.  For each value array this returns the
+    maximum over all pairs and the first pair (i, j) attaining it in
+    row-major order: what ``np.argmax`` over the values of every pair in
+    ``np.triu_indices`` order gives, NaN included, since each block's and
+    the blocks' first maxima are taken by ``np.argmax`` too.
+    """
+    m = space.matrix
+    idx = _permutation_indices(space, mapping)
+    hits = []
+    for rows, cols, upper in upper_blocks(len(space)):
+        found = []
+        for values in score(m[rows, cols], m[idx[rows, None], idx[cols]], upper):
+            k = int(np.argmax(values))
+            r, c = divmod(k, values.shape[1])
+            found.append((values.flat[k], (rows.start + r, cols.start + c)))
+        hits.append(found)
+    out = []
+    for per_block in zip(*hits):
+        value, pair = per_block[int(np.argmax([v for v, _ in per_block]))]
+        out.append((float(value), pair))
+    return out
+
+
+def _ratios(base: np.ndarray, image: np.ndarray, upper: np.ndarray):
+    if ((base == 0) & upper).any() or ((image == 0) & upper).any():
+        raise InvalidInputError("zero distance between distinct points")
+    up = np.divide(image, base, out=np.full(base.shape, -np.inf), where=upper)
+    down = np.divide(base, image, out=np.full(base.shape, -np.inf), where=upper)
+    return up, down
+
+
+def _deviation(base: np.ndarray, image: np.ndarray, upper: np.ndarray):
+    dev = np.full(base.shape, -np.inf)
+    np.subtract(image, base, out=dev, where=upper)
+    return (np.abs(dev, out=dev, where=upper),)
+
+
 def estimate_bilipschitz_constant(
     space: FiniteMetricSpace, mapping: SelfMap
 ) -> BilipschitzEstimate:
-    n = len(space)
-    if n < 2:
+    """Exhaustive over all pairs, with each bound's first pair in index
+    order; the scan holds one row block of temporaries at a time."""
+    if len(space) < 2:
         return BilipschitzEstimate(1.0, 1.0, 1.0, None, None)
-    idx = _permutation_indices(space, mapping)
-    m = space.matrix
-    m2 = m[np.ix_(idx, idx)]
-    iu, ju = np.triu_indices(n, k=1)
-    base = m[iu, ju]
-    image = m2[iu, ju]
-    if np.any(base == 0) or np.any(image == 0):
-        raise InvalidInputError("zero distance between distinct points")
-    up = image / base
-    down = base / image
-    ei = int(np.argmax(up))
-    ci = int(np.argmax(down))
-    c_upper = float(up[ei])
-    c_lower = float(down[ci])
+    (c_upper, (ei, ej)), (c_lower, (ci, cj)) = _worst_pairs(space, mapping, _ratios)
     return BilipschitzEstimate(
         constant=max(c_upper, c_lower),
         c_upper=c_upper,
         c_lower=c_lower,
-        expanding_pair=(space.points[iu[ei]], space.points[ju[ei]]),
-        contracting_pair=(space.points[iu[ci]], space.points[ju[ci]]),
+        expanding_pair=(space.points[ei], space.points[ej]),
+        contracting_pair=(space.points[ci], space.points[cj]),
     )
 
 
@@ -223,18 +257,13 @@ def verify_isometry(
 ) -> IsometryReport:
     """Check |d(f(x),f(y)) - d(x,y)| <= tol over all pairs; the worst pair is
     the first attaining the maximum deviation in index order."""
-    n = len(space)
-    if n < 2:
+    if len(space) < 2:
         return IsometryReport(True, 0.0, None)
-    idx = _permutation_indices(space, mapping)
-    dev = np.abs(space.matrix[np.ix_(idx, idx)] - space.matrix)
-    iu, ju = np.triu_indices(n, k=1)
-    flat = dev[iu, ju]
-    worst = int(np.argmax(flat))
+    [(worst, (i, j))] = _worst_pairs(space, mapping, _deviation)
     return IsometryReport(
-        is_isometry=bool(flat[worst] <= tol),
-        max_deviation=float(flat[worst]),
-        worst_pair=(space.points[iu[worst]], space.points[ju[worst]]),
+        is_isometry=worst <= tol,
+        max_deviation=worst,
+        worst_pair=(space.points[i], space.points[j]),
     )
 
 

@@ -45,7 +45,14 @@ from .errors import (
     UnsupportedMapError,
     UnsupportedModeError,
 )
-from .metric_core import DEFAULT_TOLERANCE, FiniteMetricSpace, shortest_paths, truncate
+from .metric_core import (
+    DEFAULT_TOLERANCE,
+    FiniteMetricSpace,
+    row_blocks,
+    shortest_paths,
+    truncate,
+    upper_blocks,
+)
 
 Point = Any
 
@@ -56,11 +63,6 @@ _TIME_CAP = 0.75
 _GAP_CAP = 0.5
 _SHIFTS = (-2, -1, 0, 1, 2)
 _CORE_SHIFTS = (-1, 0)
-
-#: Bulk views hand the kernels at most this many cells (512 KiB of floats)
-#: at a time: the pairs of the quotient matrix and the rows of off-sample
-#: chain queries, whatever the number of points or queries.
-_ROW_BLOCK_CELLS = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -239,16 +241,17 @@ def quotient_distance_matrix(ts: TorusSpace, points: Sequence[TorusPoint]) -> np
 
     Each pair a < b is computed once, from ``points[a]`` to ``points[b]``,
     and mirrored: the two orientations can round ``|(r + n) - t|``
-    differently.  The pairs go to the kernel in chunks of at most
-    :data:`_ROW_BLOCK_CELLS`, so its temporaries do not grow with the matrix.
+    differently.  The kernel takes the pairs a row block at a time
+    (:func:`~solenoidlab.metric_core.upper_blocks`), so its temporaries do
+    not grow with the matrix.
     """
     idx, times = _sample_arrays(ts, points)
     _require_isometric(ts)
-    rows, cols = np.triu_indices(len(points), k=1)
     out = np.zeros((len(points), len(points)))
-    for start in range(0, len(rows), _ROW_BLOCK_CELLS):
-        a = rows[start:start + _ROW_BLOCK_CELLS]
-        b = cols[start:start + _ROW_BLOCK_CELLS]
+    for rows, cols, upper in upper_blocks(len(points)):
+        a, b = np.nonzero(upper)
+        a += rows.start
+        b += cols.start
         out[a, b] = out[b, a] = _quotient_kernel(ts, idx[a], times[a], idx[b], times[b])
     return out
 
@@ -339,11 +342,15 @@ def representative_distance_pairs(
 def representative_distance_matrix(
     ts: TorusSpace, points: Sequence[TorusPoint]
 ) -> np.ndarray:
-    """:func:`representative_distance` over all pairs of ``points``."""
+    """:func:`representative_distance` over all pairs of ``points``, a row
+    block at a time."""
     idx, times = _sample_arrays(ts, points)
-    return _representative_kernel(
-        ts, idx[:, None], times[:, None], idx[None, :], times[None, :]
-    )
+    out = np.empty((len(points), len(points)))
+    for rows in row_blocks(len(points), len(points)):
+        out[rows] = _representative_kernel(
+            ts, idx[rows, None], times[rows, None], idx[None, :], times[None, :]
+        )
+    return out
 
 
 # ============================================================
@@ -482,9 +489,7 @@ class ChainMetricTable:
         p_idx, p_times = _sample_arrays(self.ts, [ps[k] for k in off])
         q_idx, q_times = _sample_arrays(self.ts, [qs[k] for k in off])
         edge = _representative_kernel(self.ts, p_idx, p_times, q_idx, q_times)
-        chunk = max(1, _ROW_BLOCK_CELLS // len(self.sample))
-        for start in range(0, len(off), chunk):
-            part = slice(start, start + chunk)
+        for part in row_blocks(len(off), len(self.sample)):
             rows_p = self._rows(p_idx[part], p_times[part])
             rows_q = self._rows(q_idx[part], q_times[part])
             for k, x, y, d in zip(off[part], rows_p, rows_q, edge[part]):

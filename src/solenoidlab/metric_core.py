@@ -6,13 +6,19 @@ residue-ring models) additionally carry that base together with the integer
 exponent of every entry; comparisons that would be noisy in floating point
 (ultrametric triples, snowflake identities) are then done on the exponents
 exactly.
+
+Passes over all pairs walk the matrix in row blocks of at most
+:data:`ROW_BLOCK_CELLS` cells (:func:`row_blocks`, :func:`upper_blocks`).
+Apart from its inputs, such a pass holds at most one N x N result plus
+temporaries the size of one block, so the dense ceiling is set by the arrays
+a model keeps, not by the passes run on it.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Any, Callable, Sequence
+from typing import Any, Callable, Iterator, Sequence
 
 import numpy as np
 from scipy.sparse import csr_matrix
@@ -24,6 +30,29 @@ Point = Any
 
 #: Default slack for floating-point comparisons in verification scans.
 DEFAULT_TOLERANCE = 1.0e-9
+
+#: Cells per row block of an N^2 pass (512 KiB of float64).  Read when a
+#: pass starts, so a test can shrink it to put block edges anywhere.
+ROW_BLOCK_CELLS = 1 << 16
+
+
+def row_blocks(count: int, width: int) -> Iterator[slice]:
+    """Slices covering ``range(count)`` in order, each of as many rows of
+    ``width`` cells as fit in :data:`ROW_BLOCK_CELLS`, and at least one."""
+    step = max(1, ROW_BLOCK_CELLS // max(1, width))
+    for lo in range(0, count, step):
+        yield slice(lo, min(lo + step, count))
+
+
+def upper_blocks(n: int) -> Iterator[tuple[slice, slice, np.ndarray]]:
+    """The pairs ``i < j`` of ``n`` points, a row block at a time: the rows,
+    the columns from the block's first row plus one on, and the mask of the
+    cells with ``j > i``.  Row-major order over the blocks' masked cells is
+    the order of ``np.triu_indices(n, k=1)``."""
+    for rows in row_blocks(n - 1, n):
+        cols = slice(rows.start + 1, n)
+        upper = np.arange(rows.start, rows.stop)[:, None] < np.arange(cols.start, n)
+        yield rows, cols, upper
 
 
 @dataclass(frozen=True, eq=False)
@@ -57,7 +86,8 @@ class FiniteMetricSpace:
             raise InvalidInputError(
                 f"distance matrix shape {self.matrix.shape} does not match {n} points"
             )
-        if np.isnan(self.matrix).any():
+        # min propagates NaN, so this needs no N x N temporary.
+        if np.isnan(self.matrix.min()):
             raise InvalidInputError("distance matrix contains NaN")
         if self.power_base is not None:
             if not 0.0 < self.power_base < 1.0:
@@ -66,8 +96,11 @@ class FiniteMetricSpace:
                 )
             if self.exponents is None or self.exponents.shape != (n, n):
                 raise InvalidInputError("exponent table missing or mis-shaped")
-            if not np.array_equal(self.power_base ** self.exponents, self.matrix):
-                raise InvalidInputError("exponent table does not reproduce the matrix")
+            for rows in row_blocks(n, n):
+                if not np.array_equal(
+                    self.power_base ** self.exponents[rows], self.matrix[rows]
+                ):
+                    raise InvalidInputError("exponent table does not reproduce the matrix")
         object.__setattr__(self, "_index", {p: i for i, p in enumerate(self.points)})
         object.__setattr__(self, "_verdicts", {})
 
@@ -503,14 +536,10 @@ def covering_number(space: FiniteMetricSpace, scale: float) -> int:
     return count
 
 
-def box_counting_dimension(
-    space: FiniteMetricSpace, scales: Sequence[float]
-) -> DimensionFit:
-    """Least-squares slope of log(covering count) against log(1/scale).
-
-    Needs at least three strictly decreasing positive scales, each below the
-    diameter (no constraint for a degenerate single-point space).
-    """
+def fit_scales(space: FiniteMetricSpace, scales: Sequence[float]) -> tuple[float, ...]:
+    """``scales`` as floats, once checked fit for a dimension fit: at least
+    three, positive, strictly decreasing and each below the diameter (no
+    constraint for a degenerate single-point space)."""
     scales = tuple(float(s) for s in scales)
     if len(scales) < 3:
         raise InvalidInputError("need at least three scales for a dimension fit")
@@ -523,6 +552,15 @@ def box_counting_dimension(
         raise InvalidInputError(
             f"every scale must be below the diameter {diam:g}"
         )
+    return scales
+
+
+def box_counting_dimension(
+    space: FiniteMetricSpace, scales: Sequence[float]
+) -> DimensionFit:
+    """Least-squares slope of log(covering count) against log(1/scale),
+    over scales that :func:`fit_scales` accepts."""
+    scales = fit_scales(space, scales)
     counts = tuple(covering_number(space, s) for s in scales)
     if any(c2 < c1 for c1, c2 in zip(counts, counts[1:])):
         raise InvalidInputError(f"covering counts decreased along scales: {counts}")

@@ -17,7 +17,7 @@ import numpy as np
 from .dynamics import SelfMap, self_map_from_function
 from .errors import InvalidInputError
 from .mapping_torus import TorusPoint, TorusSpace, make_torus_space
-from .metric_core import FiniteMetricSpace, snowflake
+from .metric_core import FiniteMetricSpace, row_blocks, snowflake
 from .shift_space import (
     Alphabet,
     PeriodicSequence,
@@ -86,8 +86,10 @@ def build_padic_cycle(
     for e in range(1, digits):
         valuation[diffs % prime ** e == 0] += 1.0
     valuation[0] = np.inf
-    gaps = diffs[:, None] - diffs[None, :]
-    exponents = valuation[np.abs(gaps, out=gaps)]
+    exponents = np.empty((modulus, modulus))
+    for rows in row_blocks(modulus, modulus):
+        gaps = diffs[rows, None] - diffs
+        np.take(valuation, np.abs(gaps, out=gaps), out=exponents[rows])
     base = 1.0 / prime
     space = FiniteMetricSpace(
         points=points,

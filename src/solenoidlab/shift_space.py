@@ -23,6 +23,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import InvalidInputError
+from .metric_core import row_blocks
 
 
 @dataclass(frozen=True)
@@ -228,11 +229,6 @@ def enumerate_periodic_points(
     return out
 
 
-#: Cells per row block of the depth table, which bounds the block's XOR and
-#: exponent temporaries.
-_ROW_BLOCK_CELLS = 1 << 20
-
-
 def pairwise_depth_matrix(seqs: Sequence[PeriodicSequence]) -> np.ndarray:
     """Agreement depths for every pair, ``inf`` on equal pairs.
 
@@ -280,11 +276,10 @@ def pairwise_depth_matrix(seqs: Sequence[PeriodicSequence]) -> np.ndarray:
         words[k] = (table[:, cols] << shifts[: len(cols)]).sum(axis=1)
         depth_at[k, 1:] = (start + high_cell) // 2
     out = np.empty((n, n))
-    rows = max(1, _ROW_BLOCK_CELLS // n)
-    for lo in range(0, n, rows):
-        block = out[lo : lo + rows]
+    for rows in row_blocks(n, n):
+        block = out[rows]
         for k, word in enumerate(words):
-            _, e = np.frexp(word[lo : lo + rows, None] ^ word)
+            _, e = np.frexp(word[rows, None] ^ word)
             if k:
                 np.minimum(block, depth_at[k][e], out=block)
             else:

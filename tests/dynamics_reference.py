@@ -3,7 +3,10 @@
 The library reads iterates, orbits and permutation powers from a cycle table,
 takes the adapted metric by pointer doubling and finds components with
 scipy.  This module keeps the plain versions they replaced, each walking the
-map one step at a time, so property tests can hold the library to them.
+map one step at a time, so property tests can hold the library to them.  It
+also keeps the single-pass versions of the pair scans that the library now
+runs in row blocks: bilipschitz, isometry, components and the dense-orbit
+covering.
 """
 
 from __future__ import annotations
@@ -11,8 +14,20 @@ from __future__ import annotations
 import math
 
 import numpy as np
+from scipy.sparse import coo_matrix
+from scipy.sparse.csgraph import connected_components
 
-from solenoidlab import ComponentPartition, FiniteMetricSpace, SelfMap, TorusSpace
+from solenoidlab import (
+    BilipschitzEstimate,
+    ComponentPartition,
+    DenseOrbitReport,
+    FiniteMetricSpace,
+    InvalidInputError,
+    InvariantError,
+    IsometryReport,
+    SelfMap,
+    TorusSpace,
+)
 
 
 def orbit_by_walk(mapping: SelfMap, p) -> tuple:
@@ -105,3 +120,97 @@ def components_by_union_find(
         invariant=invariant,
         witness=blocks[0] if len(blocks) > 1 else None,
     )
+
+
+# ============================================================
+# All-at-once N^2 passes
+# ============================================================
+# The library walks these pairs in row blocks; these are the single-pass
+# versions it replaced, each holding full-size temporaries.
+
+
+def bilipschitz_all_at_once(space: FiniteMetricSpace, mapping: SelfMap) -> BilipschitzEstimate:
+    n = len(space)
+    if n < 2:
+        return BilipschitzEstimate(1.0, 1.0, 1.0, None, None)
+    idx = permutation_indices_by_lookup(space, mapping)
+    m = space.matrix
+    m2 = m[np.ix_(idx, idx)]
+    iu, ju = np.triu_indices(n, k=1)
+    base = m[iu, ju]
+    image = m2[iu, ju]
+    if np.any(base == 0) or np.any(image == 0):
+        raise InvalidInputError("zero distance between distinct points")
+    up = image / base
+    down = base / image
+    ei = int(np.argmax(up))
+    ci = int(np.argmax(down))
+    c_upper = float(up[ei])
+    c_lower = float(down[ci])
+    return BilipschitzEstimate(
+        constant=max(c_upper, c_lower),
+        c_upper=c_upper,
+        c_lower=c_lower,
+        expanding_pair=(space.points[iu[ei]], space.points[ju[ei]]),
+        contracting_pair=(space.points[iu[ci]], space.points[ju[ci]]),
+    )
+
+
+def isometry_all_at_once(
+    space: FiniteMetricSpace, mapping: SelfMap, tol: float = 0.0
+) -> IsometryReport:
+    n = len(space)
+    if n < 2:
+        return IsometryReport(True, 0.0, None)
+    idx = permutation_indices_by_lookup(space, mapping)
+    dev = np.abs(space.matrix[np.ix_(idx, idx)] - space.matrix)
+    iu, ju = np.triu_indices(n, k=1)
+    flat = dev[iu, ju]
+    worst = int(np.argmax(flat))
+    return IsometryReport(
+        is_isometry=bool(flat[worst] <= tol),
+        max_deviation=float(flat[worst]),
+        worst_pair=(space.points[iu[worst]], space.points[ju[worst]]),
+    )
+
+
+def components_all_at_once(
+    space: FiniteMetricSpace, mapping: SelfMap, epsilon: float
+) -> ComponentPartition:
+    """Every close pair and every map edge in one scipy call."""
+    n = len(space)
+    image = permutation_indices_by_lookup(space, mapping)
+    close_i, close_j = np.nonzero(np.triu(space.matrix <= epsilon, k=1))
+    rows = np.concatenate([close_i, np.arange(n)])
+    cols = np.concatenate([close_j, image])
+    graph = coo_matrix((np.ones(len(rows), dtype=np.int8), (rows, cols)), shape=(n, n))
+    _, labels = connected_components(graph, directed=False)
+    _, first = np.unique(labels, return_index=True)
+    root = first[labels]
+    members = np.argsort(root, kind="stable")
+    bounds = np.flatnonzero(np.diff(root[members])) + 1
+    blocks = tuple(
+        tuple(space.points[i] for i in block) for block in np.split(members, bounds)
+    )
+    return ComponentPartition(
+        resolution=epsilon,
+        blocks=blocks,
+        invariant=bool(np.all(labels[image] == labels)),
+        witness=blocks[0] if len(blocks) > 1 else None,
+    )
+
+
+def dense_orbit_all_at_once(
+    space: FiniteMetricSpace, mapping: SelfMap, origin, epsilon: float, max_iter: int
+) -> DenseOrbitReport:
+    """The covering minimum over a copy of all the orbit's rows at once."""
+    cycle = orbit_by_walk(mapping, origin)
+    if 2 * max_iter + 1 < len(cycle):
+        cycle = cycle[: max_iter + 1] + cycle[len(cycle) - max_iter:]
+    rows = sorted(space.index_of(p) for p in cycle)
+    nearest = space.matrix[rows].min(axis=0)
+    covered = int(np.count_nonzero(nearest <= epsilon))
+    dense = covered == len(space)
+    if dense and len(components_all_at_once(space, mapping, epsilon).blocks) != 1:
+        raise InvariantError("dense orbit with a disconnected graph")
+    return DenseOrbitReport(dense=dense, covering_fraction=covered / len(space))

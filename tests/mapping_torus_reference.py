@@ -24,7 +24,11 @@ from solenoidlab import (
     UnsupportedModeError,
     iterate,
 )
-from solenoidlab.mapping_torus import _require_canonical
+from solenoidlab.mapping_torus import (
+    _representative_kernel,
+    _require_canonical,
+    _sample_arrays,
+)
 
 TIME_CAP = 0.75
 GAP_CAP = 0.5
@@ -142,3 +146,12 @@ def chain_matrix_by_dijkstra(edges: np.ndarray) -> np.ndarray:
     return np.vstack([
         dijkstra(graph, directed=False, indices=i) for i in range(n)
     ])
+
+
+def representative_matrix_all_at_once(ts: TorusSpace, points) -> np.ndarray:
+    """All pairs in one kernel call, which the library's matrix view and
+    the chain table's edges now split into row blocks."""
+    idx, times = _sample_arrays(ts, points)
+    return _representative_kernel(
+        ts, idx[:, None], times[:, None], idx[None, :], times[None, :]
+    )

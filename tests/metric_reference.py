@@ -5,7 +5,8 @@ back to the same enumeration for failing ones.  This module is the plain
 O(N^3) scan on its own, so property tests can hold the library's reports,
 violations and their order included, against it.  It also keeps the
 subdominant-ultrametric verdict as a Prim pass that fills the whole
-ultrametric row by row, the oracle for the library's range-maximum verdict.
+ultrametric row by row, the oracle for the library's range-maximum verdict,
+and the one-pass check that an exponent table reproduces its matrix.
 """
 
 from __future__ import annotations
@@ -125,3 +126,10 @@ def within_subdominant(key: np.ndarray, tol: float) -> bool:
         parent[closer] = v
         v = int(np.argmin(np.where(in_tree, np.inf, best)))
     return True
+
+
+def reproduces_all_at_once(power_base: float, exponents: np.ndarray, matrix: np.ndarray) -> bool:
+    """Whether ``power_base ** exponents`` equals ``matrix`` entry for entry,
+    with one full-size power table: the recheck ``FiniteMetricSpace`` now
+    makes a row block at a time."""
+    return np.array_equal(power_base ** exponents, matrix)

@@ -457,6 +457,40 @@ def test_chain_sample_times_are_checked_first(tmp_path, capsys, monkeypatch):
     )
 
 
+def test_a_negative_orbit_budget_is_refused_before_a_long_check(tmp_path, capsys, monkeypatch):
+    # The library checks the budget too, but only when dense-orbit runs,
+    # after 100,000 flow-law triples.
+    monkeypatch.setitem(cli._CHECKS, "flow-laws", _never)
+    cfg = {
+        "space": PADIC,
+        "seed": 1,
+        "checks": [
+            {"name": "flow-laws", "triples": 100_000},
+            {"name": "dense-orbit", "epsilon": 0.5, "max_iter": -3},
+        ],
+    }
+    assert main(["run", write_config(tmp_path, cfg)]) == 2
+    assert capsys.readouterr().err == (
+        "error: $.checks[1].max_iter: -3 is less than the minimum of 0\n"
+    )
+
+
+@pytest.mark.parametrize("space, metric, message", [
+    ({"kind": "snowflake-interval", "parameters": {"grid_size": 4, "alpha": 0.5}},
+     "adapted", "'adapted' needs a model with a self-map"),
+    ({"kind": "snowflake-interval", "parameters": {"grid_size": 4, "alpha": 0.5}},
+     "chain", "'chain' needs a model with a glued torus"),
+    (FULL_SHIFT, "quotient",
+     "'quotient' needs an isometric model (padic-cycle or two-fixed-points)"),
+])
+def test_an_export_the_model_cannot_give_names_the_metric(tmp_path, capsys, space, metric, message):
+    cfg = {"space": space, "export": {"metric": metric, "times": [0.0]}}
+    assert main(["export", write_config(tmp_path, cfg)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: $.export.metric: {message}\n"
+
+
 def test_chain_ceiling_counts_distinct_sample_points(tmp_path, monkeypatch):
     # 8 bases x 2 distinct times = 16 points at a ceiling of 16, although
     # the times list names three.

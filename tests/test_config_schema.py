@@ -162,8 +162,8 @@ def _range_cases():
         (shift, {"name": "measures", "weights": {"0": "a", "1": 0.5}},
          "$.checks[1].weights['0']: 'a' is not of type 'number'"),
         (shift, {"name": "dimension", "scales": []},
-         "$.checks[1].scales: [] should be non-empty"),
-        (shift, {"name": "dimension", "scales": [0.5, True]},
+         "$.checks[1].scales: [] is too short"),
+        (shift, {"name": "dimension", "scales": [0.5, True, 0.125]},
          "$.checks[1].scales[1]: True is not of type 'number'"),
         (shift, {"name": "connectedness"},
          "$.checks[1]: 'epsilon' is a required property"),
@@ -186,14 +186,51 @@ def _unknown_key_cases():
         )
 
 
+def _resolution_and_scale_cases():
+    """Ranges the library also checks, which the schema states so that they
+    are refused before any check runs."""
+    shift = FULL_SHIFT
+    return [
+        (shift, {"name": "connectedness", "epsilon": 0},
+         "$.checks[1].epsilon: 0 is less than or equal to the minimum of 0"),
+        (shift, {"name": "dense-orbit", "epsilon": -0.5},
+         "$.checks[1].epsilon: -0.5 is less than or equal to the minimum of 0"),
+        (shift, {"name": "dense-orbit", "epsilon": 0.5, "max_iter": -3},
+         "$.checks[1].max_iter: -3 is less than the minimum of 0"),
+        (shift, {"name": "dimension", "scales": [0.5, 0.25]},
+         "$.checks[1].scales: [0.5, 0.25] is too short"),
+        (shift, {"name": "dimension", "scales": [0.5, 0.0, 0.25]},
+         "$.checks[1].scales[1]: 0.0 is less than or equal to the minimum of 0"),
+    ]
+
+
 @pytest.mark.parametrize(
     "space, check, message",
-    [*_type_cases(), *_range_cases(), *_unknown_key_cases()],
+    [*_type_cases(), *_range_cases(), *_unknown_key_cases(),
+     *_resolution_and_scale_cases()],
 )
 def test_the_schema_refuses_before_any_check_runs(
     tmp_path, capsys, no_check_runs, space, check, message
 ):
     cfg = {"space": space, "seed": 1, "checks": [{"name": "metric-axioms"}, check]}
+    assert main(["run", write_config(tmp_path, cfg)]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("check, message", [
+    ({"name": "dimension", "scales": [1.0, 0.5, 0.25]},
+     "$.checks[1]: every scale must be below the diameter 1"),
+    ({"name": "dimension", "scales": [0.25, 0.5, 0.125]},
+     "$.checks[1]: scales must be strictly decreasing"),
+    ({"name": "dense-orbit", "epsilon": 0.5, "origin_index": 16},
+     "$.checks[1].origin_index: out of range"),
+    ({"name": "dense-orbit", "epsilon": 0.5, "origin_index": -1},
+     "$.checks[1].origin_index: out of range"),
+])
+def test_ranges_that_depend_on_the_model_are_refused_before_any_check_runs(
+    tmp_path, capsys, no_check_runs, check, message
+):
+    cfg = {"space": FULL_SHIFT, "checks": [{"name": "metric-axioms"}, check]}
     assert main(["run", write_config(tmp_path, cfg)]) == 2
     assert capsys.readouterr().err == f"error: {message}\n"
 

@@ -28,7 +28,7 @@ from solenoidlab import (
     build_padic_cycle,
     build_two_fixed_points,
     make_torus_space,
-    mapping_torus,
+    metric_core,
     metric_space_from_matrix,
     quotient_distance_matrix,
     quotient_distance_pairs,
@@ -189,7 +189,7 @@ def _shortcut_torus():
 def test_batched_queries_keep_the_float_order(monkeypatch, cells):
     if cells is not None:
         # Chunks of one and of five queries.
-        monkeypatch.setattr(mapping_torus, "_ROW_BLOCK_CELLS", cells)
+        monkeypatch.setattr(metric_core, "ROW_BLOCK_CELLS", cells)
     ts = _shortcut_torus()
     rng = np.random.RandomState(7)
     points = ts.base_space.points
@@ -310,9 +310,11 @@ def test_quotient_matrix_view_matches_the_loop(data):
     for a, p in enumerate(sample):
         for b in range(a + 1, len(sample)):
             want[a, b] = want[b, a] = ref.quotient_metric_by_loop(p, sample[b], ts)
-    # Chunks of one pair, of a few pairs, and the library's.
-    cells = data.draw(st.sampled_from([1, 5, mapping_torus._ROW_BLOCK_CELLS]))
-    with mock.patch.object(mapping_torus, "_ROW_BLOCK_CELLS", cells):
+    # Row blocks of one row, of three rows, and the library's.
+    cells = data.draw(
+        st.sampled_from([1, 3 * len(sample), metric_core.ROW_BLOCK_CELLS])
+    )
+    with mock.patch.object(metric_core, "ROW_BLOCK_CELLS", cells):
         got = quotient_distance_matrix(ts, sample)
     assert got.tobytes() == want.tobytes()
 
