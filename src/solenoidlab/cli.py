@@ -48,6 +48,7 @@ from .measures import (
 )
 from .metric_core import (
     DEFAULT_TOLERANCE,
+    WITNESS_LIMIT,
     box_counting_dimension,
     fit_scales,
     verify_metric_axioms,
@@ -223,11 +224,17 @@ def _labels(points):
     return [point_label(p) for p in points]
 
 
-def _violation_payload(violations, limit=5):
-    return [
-        {"kind": v.kind, "points": _labels(v.points), "slack": v.slack}
-        for v in violations[:limit]
-    ]
+def _scan_payload(report, passed):
+    bad = report.axiom_violations + report.ultrametric_violations
+    return {
+        "status": "pass" if passed else "fail",
+        "diameter": report.diameter,
+        "violations": report.axiom_violation_count + report.ultrametric_violation_count,
+        "witnesses": [
+            {"kind": v.kind, "points": _labels(v.points), "slack": v.slack}
+            for v in bad[:WITNESS_LIMIT]
+        ],
+    }
 
 
 # ============================================================
@@ -236,23 +243,12 @@ def _violation_payload(violations, limit=5):
 
 def _check_metric_axioms(model, check, index, tol, rng):
     report = verify_metric_axioms(model.space, tol)
-    return {
-        "status": "pass" if report.is_metric else "fail",
-        "diameter": report.diameter,
-        "violations": len(report.axiom_violations),
-        "witnesses": _violation_payload(report.axiom_violations),
-    }
+    return _scan_payload(report, report.is_metric)
 
 
 def _check_ultrametric(model, check, index, tol, rng):
     report = verify_ultrametric(model.space, tol)
-    bad = report.axiom_violations + report.ultrametric_violations
-    return {
-        "status": "pass" if report.is_ultrametric else "fail",
-        "diameter": report.diameter,
-        "violations": len(bad),
-        "witnesses": _violation_payload(bad),
-    }
+    return _scan_payload(report, report.is_ultrametric)
 
 
 def _check_bilipschitz(model, check, index, tol, rng):

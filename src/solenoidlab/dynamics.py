@@ -280,18 +280,18 @@ def adapted_metric(space: FiniteMetricSpace, mapping: SelfMap) -> FiniteMetricSp
     the first w iterates, and max(out, out[P^w, P^w]) the maximum over the
     first 2w.  A last window shifted by P^(period - w), read from the cycle
     table, covers the rest, so the work is about log2(period) <= 2 log2(N)
-    gathers of N^2 entries.  ``max`` is exact, so the values are those of a
-    step-by-step scan.
+    gathers of N^2 entries, each maximised into ``out`` in place.  ``max`` is
+    exact, so the values are those of a step-by-step scan.
     """
     table = index_cycles(space, mapping)
     period = table.longest_pair_period()
     out = space.matrix.copy()
     step, width = table.power(1), 1
     while 2 * width <= period:
-        out = np.maximum(out, out[np.ix_(step, step)])
+        np.maximum(out, out[np.ix_(step, step)], out=out)
         step, width = step[step], 2 * width
     if width < period:
         rest = table.power(period - width)
-        out = np.maximum(out, out[np.ix_(rest, rest)])
+        np.maximum(out, out[np.ix_(rest, rest)], out=out)
     label = f"{space.label} (adapted)" if space.label else "adapted"
     return FiniteMetricSpace(points=space.points, matrix=out, label=label)

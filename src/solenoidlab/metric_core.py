@@ -35,6 +35,10 @@ DEFAULT_TOLERANCE = 1.0e-9
 #: pass starts, so a test can shrink it to put block edges anywhere.
 ROW_BLOCK_CELLS = 1 << 16
 
+#: Violations a failing scan keeps as witnesses, the first in scan order;
+#: the rest are only counted.
+WITNESS_LIMIT = 5
+
 
 def row_blocks(count: int, width: int) -> Iterator[slice]:
     """Slices covering ``range(count)`` in order, each of as many rows of
@@ -48,11 +52,15 @@ def upper_blocks(n: int) -> Iterator[tuple[slice, slice, np.ndarray]]:
     """The pairs ``i < j`` of ``n`` points, a row block at a time: the rows,
     the columns from the block's first row plus one on, and the mask of the
     cells with ``j > i``.  Row-major order over the blocks' masked cells is
-    the order of ``np.triu_indices(n, k=1)``."""
-    for rows in row_blocks(n - 1, n):
+    the order of ``np.triu_indices(n, k=1)``.  Cell ``(a, b)`` of a block is
+    the pair ``(rows.start + a, rows.start + 1 + b)``, above the diagonal when
+    ``a <= b``, so every mask is a read-only view of the first block's."""
+    blocks = list(row_blocks(n - 1, n))
+    upper = np.arange(blocks[0].stop if blocks else 0)[:, None] <= np.arange(n - 1)
+    upper.flags.writeable = False
+    for rows in blocks:
         cols = slice(rows.start + 1, n)
-        upper = np.arange(rows.start, rows.stop)[:, None] < np.arange(cols.start, n)
-        yield rows, cols, upper
+        yield rows, cols, upper[: rows.stop - rows.start, : n - cols.start]
 
 
 @dataclass(frozen=True, eq=False)
@@ -64,14 +72,16 @@ class FiniteMetricSpace:
     scans would pass it.
     When ``power_base`` is set, ``exponents`` holds one exponent per pair and
     ``power_base ** exponents`` reproduces ``matrix`` entry for entry; the
-    diagonal uses ``inf`` so equal points get distance exactly 0.
+    diagonal uses ``inf`` so equal points get distance exactly 0.  Such a
+    space may be given without ``matrix``, which is then that power table;
+    a given ``matrix`` is rechecked against it a row block at a time.
 
-    The verification scans memoise their pass/fail verdicts per tolerance on
-    the space, so neither array may be written to after construction.
+    The verification scans memoise their verdicts and tallies per tolerance
+    on the space, so neither array may be written to after construction.
     """
 
     points: tuple
-    matrix: np.ndarray
+    matrix: np.ndarray | None = None
     label: str = ""
     power_base: float | None = None
     exponents: np.ndarray | None = None
@@ -82,13 +92,7 @@ class FiniteMetricSpace:
             raise InvalidInputError("a metric space needs at least one point")
         if len(set(self.points)) != n:
             raise InvalidInputError("duplicate points in metric space")
-        if self.matrix.shape != (n, n):
-            raise InvalidInputError(
-                f"distance matrix shape {self.matrix.shape} does not match {n} points"
-            )
-        # min propagates NaN, so this needs no N x N temporary.
-        if np.isnan(self.matrix.min()):
-            raise InvalidInputError("distance matrix contains NaN")
+        derived = self.matrix is None and self.power_base is not None
         if self.power_base is not None:
             if not 0.0 < self.power_base < 1.0:
                 raise InvalidInputError(
@@ -96,6 +100,18 @@ class FiniteMetricSpace:
                 )
             if self.exponents is None or self.exponents.shape != (n, n):
                 raise InvalidInputError("exponent table missing or mis-shaped")
+            if derived:
+                object.__setattr__(self, "matrix", self.power_base ** self.exponents)
+        if self.matrix is None:
+            raise InvalidInputError("a metric space needs a distance matrix")
+        if self.matrix.shape != (n, n):
+            raise InvalidInputError(
+                f"distance matrix shape {self.matrix.shape} does not match {n} points"
+            )
+        # min propagates NaN, so this needs no N x N temporary.
+        if np.isnan(self.matrix.min()):
+            raise InvalidInputError("distance matrix contains NaN")
+        if self.power_base is not None and not derived:
             for rows in row_blocks(n, n):
                 if not np.array_equal(
                     self.power_base ** self.exponents[rows], self.matrix[rows]
@@ -164,7 +180,8 @@ class AxiomViolation:
 
 @dataclass(frozen=True)
 class MetricReport:
-    """Outcome of a verification scan.
+    """Outcome of a verification scan: each count is of every violation, each
+    tuple holds the first :data:`WITNESS_LIMIT` in scan order.
 
     ``is_ultrametric`` is ``None`` when the strong triangle inequality was
     not part of the scan.
@@ -172,9 +189,15 @@ class MetricReport:
 
     axiom_violations: tuple[AxiomViolation, ...]
     ultrametric_violations: tuple[AxiomViolation, ...]
+    axiom_violation_count: int
+    ultrametric_violation_count: int
     diameter: float
     is_metric: bool
     is_ultrametric: bool | None
+
+
+#: How many comparisons failed, and the first :data:`WITNESS_LIMIT` of them.
+Tally = tuple[int, tuple[AxiomViolation, ...]]
 
 
 def shortest_paths(weights: np.ndarray, directed: bool, return_predecessors: bool = False):
@@ -226,16 +249,45 @@ def _with_transpose(op: np.ufunc, m: np.ndarray, out: np.ndarray | None = None) 
     return out
 
 
-def _basic_failures(space: FiniteMetricSpace, tol: float):
-    """The identity indices, the symmetry and separation pairs ``(i, j)``
-    in row-major order, and ``|m - m.T|``: what :func:`_basic_violations`
-    lists, found with array passes.
+def _memoised(scan: Callable[[FiniteMetricSpace, float], Any]):
+    """Keep ``scan(space, tol)`` on the space, one result per tolerance: a
+    verdict (``True`` proves the exhaustive scan finds nothing) or a tally."""
+
+    def cached(space: FiniteMetricSpace, tol: float):
+        memo = space._verdicts  # type: ignore[attr-defined]
+        key = (scan.__name__, tol)
+        if key not in memo:
+            memo[key] = scan(space, tol)
+        return memo[key]
+
+    return cached
+
+
+def _cells(mask: np.ndarray) -> tuple[int, np.ndarray]:
+    """How many cells of a boolean matrix are true, and the first
+    :data:`WITNESS_LIMIT` of them, ``(i, j)`` in row-major order, read a row
+    block at a time until they are found."""
+    count = int(np.count_nonzero(mask))
+    found = np.empty((0, 2), dtype=np.intp)
+    for rows in row_blocks(*mask.shape):
+        if len(found) == min(count, WITNESS_LIMIT):
+            break
+        cells = np.argwhere(mask[rows])[: WITNESS_LIMIT - len(found)] + (rows.start, 0)
+        found = np.concatenate([found, cells])
+    return count, found
+
+
+@_memoised
+def _basic_tally(space: FiniteMetricSpace, tol: float) -> Tally:
+    """Identity, symmetry and separation failures, found with array passes,
+    witnessed in that order of kinds and row-major order of pairs.
 
     A symmetry failure is ``|m[i, j] - m[j, i]| > tol`` above the diagonal
     and ``0 > tol`` on and below it, so a negative ``tol`` flags every pair
     there.  A separation failure is ``m[i, j] <= tol`` with ``i < j``.
     """
     m = space.matrix
+    pts = space.points
     asym = _with_transpose(np.subtract, m)
     np.abs(asym, out=asym)
     flagged = asym > tol
@@ -244,76 +296,45 @@ def _basic_failures(space: FiniteMetricSpace, tol: float):
         flagged |= rows >= rows.T
     elif flagged.any():
         flagged = np.triu(flagged, 1)
-    close = m <= tol
-    off_diagonal = np.count_nonzero(close) > np.count_nonzero(np.diag(close))
-    return (
-        np.flatnonzero(np.abs(np.diag(m)) > tol),
-        np.argwhere(flagged),
-        np.argwhere(np.triu(close, 1)) if off_diagonal else np.empty((0, 2), np.intp),
-        asym,
-    )
-
-
-def _basic_violations(space: FiniteMetricSpace, tol: float) -> list[AxiomViolation]:
-    """Identity, symmetry and separation failures, each kind in row-major
-    order of its pairs, as :func:`_basic_failures` finds them."""
-    m = space.matrix
-    pts = space.points
-    identity, symmetry, separation, asym = _basic_failures(space, tol)
-    out = [AxiomViolation("identity", (pts[i],), float(abs(m[i, i]))) for i in identity]
-    for i, j in symmetry:
-        out.append(AxiomViolation("symmetry", (pts[i], pts[j]), float(asym[i, j])))
+    faulty, identity = _cells(np.abs(np.diag(m))[:, None] > tol)
+    asymmetric, symmetry = _cells(flagged)
+    close, separation = _cells(np.triu(m <= tol, 1))
+    out = [AxiomViolation("identity", (pts[i],), float(abs(m[i, i]))) for i, _ in identity]
+    out += [AxiomViolation("symmetry", (pts[i], pts[j]), float(asym[i, j])) for i, j in symmetry]
     for i, j in separation:
         out.append(AxiomViolation("separation", (pts[i], pts[j]), float(tol - m[i, j])))
-    return out
+    return faulty + asymmetric + close, tuple(out[:WITNESS_LIMIT])
 
 
-def _triangle_violations(space: FiniteMetricSpace, tol: float) -> list[AxiomViolation]:
+def _triple_tally(
+    space: FiniteMetricSpace, kind: str, key: np.ndarray, combine: np.ufunc, tol: float
+) -> Tally:
+    """The triples with ``key[i, j] > combine(key[i, k], key[k, j]) + tol``,
+    ``i < j``, witnessed in the exhaustive scan's order (``k``, ``i``, ``j``)
+    as ``kind`` violations with slack ``m[i, j] - combine(m[i, k], m[k, j])``.
+
+    For each ``k`` the pairs are walked in :func:`upper_blocks`: O(N^3) in
+    array calls that hold nothing larger than a block.
+    """
     m = space.matrix
     pts = space.points
-    upper = np.triu(np.ones_like(m, dtype=bool), k=1)
-    out = []
-    for k in range(len(pts)):
-        through = m[:, k][:, None] + m[k, :][None, :]
-        for i, j in np.argwhere(upper & (m > through + tol)):
-            out.append(
-                AxiomViolation(
-                    "triangle",
-                    (pts[i], pts[j], pts[k]),
-                    float(m[i, j] - through[i, j]),
-                )
-            )
-    return out
-
-
-def _ultrametric_violations(space: FiniteMetricSpace, tol: float) -> list[AxiomViolation]:
-    m = space.matrix
-    pts = space.points
-    upper = np.triu(np.ones_like(m, dtype=bool), k=1)
-    out = []
-    if space.exponents is not None:
-        # Exact route: a^e decreases in e, so the strong triangle inequality
-        # d(x,z) <= max(d(x,y), d(y,z)) is e(x,z) >= min(e(x,y), e(y,z)).
-        e = space.exponents
-        for k in range(len(pts)):
-            floor = np.minimum(e[:, k][:, None], e[k, :][None, :])
-            for i, j in np.argwhere(upper & (e < floor)):
-                peak = max(m[i, k], m[k, j])
-                out.append(
-                    AxiomViolation(
-                        "ultrametric", (pts[i], pts[j], pts[k]), float(m[i, j] - peak)
-                    )
-                )
-        return out
-    for k in range(len(pts)):
-        peak = np.maximum(m[:, k][:, None], m[k, :][None, :])
-        for i, j in np.argwhere(upper & (m > peak + tol)):
-            out.append(
-                AxiomViolation(
-                    "ultrametric", (pts[i], pts[j], pts[k]), float(m[i, j] - peak[i, j])
-                )
-            )
-    return out
+    blocks = list(upper_blocks(len(key)))
+    count = 0
+    out: list[AxiomViolation] = []
+    for k in range(len(key)):
+        for rows, cols, upper in blocks:
+            bound = combine(key[rows, k, None], key[k, cols])
+            bound += tol
+            hit = key[rows, cols] > bound
+            hit &= upper
+            found = np.count_nonzero(hit)
+            count += found
+            if found and len(out) < WITNESS_LIMIT:
+                for i, j in np.argwhere(hit)[: WITNESS_LIMIT - len(out)]:
+                    i, j = rows.start + i, cols.start + j
+                    slack = float(m[i, j] - combine(m[i, k], m[k, j]))
+                    out.append(AxiomViolation(kind, (pts[i], pts[j], pts[k]), slack))
+    return int(count), tuple(out)
 
 
 def _within_subdominant(key: np.ndarray, tol: float) -> bool:
@@ -355,23 +376,6 @@ def _within_subdominant(key: np.ndarray, tol: float) -> bool:
     return True
 
 
-def _memoised(verdict: Callable[[FiniteMetricSpace, float], bool]):
-    """Keep ``verdict(space, tol)`` on the space, one boolean per tolerance.
-
-    A verdict of ``True`` proves the exact scan finds nothing; ``False`` only
-    means the exact scan has to run.
-    """
-
-    def cached(space: FiniteMetricSpace, tol: float) -> bool:
-        memo = space._verdicts  # type: ignore[attr-defined]
-        key = (verdict.__name__, tol)
-        if key not in memo:
-            memo[key] = verdict(space, tol)
-        return memo[key]
-
-    return cached
-
-
 @_memoised
 def _basic_clear(space: FiniteMetricSpace, tol: float) -> bool:
     """No basic violation, an exactly zero diagonal and finite distances: the
@@ -379,12 +383,8 @@ def _basic_clear(space: FiniteMetricSpace, tol: float) -> bool:
     ``tol`` shifts the triple scan's ``k = i`` and ``k = j`` sums, which
     neither bound covers."""
     m = space.matrix
-    identity, symmetry, separation, _ = _basic_failures(space, tol)
-    return (
-        not (len(identity) or len(symmetry) or len(separation))
-        and not np.diag(m).any()
-        and bool(np.isfinite(m).all())
-    )
+    clear = not _basic_tally(space, tol)[0] and not np.diag(m).any()
+    return clear and bool(np.isfinite(m).all())
 
 
 @_memoised
@@ -393,60 +393,65 @@ def _float_ultrametric_clear(space: FiniteMetricSpace, tol: float) -> bool:
 
 
 @_memoised
-def _metric_clear(space: FiniteMetricSpace, tol: float) -> bool:
+def _axiom_tally(space: FiniteMetricSpace, tol: float) -> Tally:
     # Off the diagonal every distance is positive (separation and symmetry at
     # tol >= 0), so a float ultrametric at tol is also a metric at tol:
     # fl(a + b) >= max(a, b).
     # Otherwise the shortest-path fixpoint sp bounds every fl(m_ik + m_kj)
     # from below, since float addition is monotone.
-    if not _basic_clear(space, tol):
-        return False
-    if _float_ultrametric_clear(space, tol):
-        return True
     m = space.matrix
-    return bool(np.all(m <= shortest_paths(m, directed=True) + tol))
+    if _basic_clear(space, tol) and (
+        _float_ultrametric_clear(space, tol)
+        or np.all(m <= shortest_paths(m, directed=True) + tol)
+    ):
+        return 0, ()
+    basic_count, basic = _basic_tally(space, tol)
+    triangle_count, triangle = _triple_tally(space, "triangle", m, np.add, tol)
+    return basic_count + triangle_count, (basic + triangle)[:WITNESS_LIMIT]
 
 
 @_memoised
-def _ultrametric_clear(space: FiniteMetricSpace, tol: float) -> bool:
+def _ultrametric_tally(space: FiniteMetricSpace, tol: float) -> Tally:
+    # With an exponent table the strong triangle inequality is compared on
+    # exponents with no tolerance: a^e decreases in e, so it reads
+    # e(x,z) >= min(e(x,y), e(y,z)), and negation turns the min into a max.
     if space.exponents is None:
-        return _float_ultrametric_clear(space, tol)
-    # The exact scan compares exponents, e(x,z) >= min(e(x,y), e(y,z)), with
-    # no tolerance; negation turns that into a max exactly.
-    return _basic_clear(space, tol) and _within_subdominant(-space.exponents, 0.0)
+        key, key_tol, clear = space.matrix, tol, _float_ultrametric_clear(space, tol)
+    else:
+        key, key_tol = -space.exponents, 0.0
+        clear = _basic_clear(space, tol) and _within_subdominant(key, key_tol)
+    return (0, ()) if clear else _triple_tally(space, "ultrametric", key, np.maximum, key_tol)
 
 
 def _scan(space: FiniteMetricSpace, tol: float, with_ultra: bool) -> MetricReport:
-    axioms: tuple[AxiomViolation, ...] = ()
-    if not _metric_clear(space, tol):
-        axioms = tuple(_basic_violations(space, tol) + _triangle_violations(space, tol))
-    ultra: tuple[AxiomViolation, ...] = ()
-    if with_ultra and not _ultrametric_clear(space, tol):
-        ultra = tuple(_ultrametric_violations(space, tol))
+    axiom_count, axioms = _axiom_tally(space, tol)
+    ultra_count, ultra = _ultrametric_tally(space, tol) if with_ultra else (0, ())
     return MetricReport(
         axiom_violations=axioms,
         ultrametric_violations=ultra,
+        axiom_violation_count=axiom_count,
+        ultrametric_violation_count=ultra_count,
         diameter=space.diameter(),
-        is_metric=not axioms,
-        is_ultrametric=(not axioms and not ultra) if with_ultra else None,
+        is_metric=not axiom_count,
+        is_ultrametric=not (axiom_count or ultra_count) if with_ultra else None,
     )
 
 
 def verify_metric_axioms(space: FiniteMetricSpace, tol: float = 0.0) -> MetricReport:
     """Exhaustively check identity, symmetry, separation and triangle.
 
-    A violation is recorded whenever an inequality fails by more than
-    ``tol``; every offending pair or triple is kept.
+    A violation is counted whenever an inequality fails by more than
+    ``tol``; the first :data:`WITNESS_LIMIT` are kept as witnesses.
 
     A space with no identity, symmetry or separation violation, an exactly
     zero diagonal and finite distances is first tested without enumerating
     triples: it passes if no distance exceeds its subdominant ultrametric
     (O(N^2)) or, failing that, its shortest-path distance (scipy's
     Floyd-Warshall, O(N^3) in C), each plus ``tol``.  Both tests imply that
-    the triple scan finds nothing.  Any other space runs the Python-driven
-    O(N^3) triple scan, so the violations, their order and their slack are
-    those of the exhaustive scan.  Verdicts are memoised per ``tol`` on the
-    space and shared with :func:`verify_ultrametric`.
+    the triple scan finds nothing.  Any other space is tallied by O(N^3) array
+    passes over row blocks, with the count and the witnesses' order and slack
+    of the exhaustive scan.  Verdicts and tallies are memoised per ``tol`` on
+    the space and shared with :func:`verify_ultrametric`.
     """
     return _scan(space, tol, with_ultra=False)
 
@@ -460,7 +465,7 @@ def verify_ultrametric(space: FiniteMetricSpace, tol: float = 0.0) -> MetricRepo
     The strong inequality is first tested in O(N^2) against the subdominant
     ultrametric, on the negated exponents when the space has an exponent
     table and on the matrix with ``tol`` otherwise.  Only a space that fails
-    this test runs the O(N^3) triple scan that lists its violations.
+    this test is tallied by the O(N^3) triple pass, on the same key.
     """
     return _scan(space, tol, with_ultra=True)
 
@@ -485,7 +490,6 @@ def snowflake(space: FiniteMetricSpace, alpha: float) -> FiniteMetricSpace:
         new_base = space.power_base ** alpha
         return FiniteMetricSpace(
             points=space.points,
-            matrix=new_base ** space.exponents,
             label=label,
             power_base=new_base,
             exponents=space.exponents,

@@ -53,7 +53,6 @@ def build_full_shift(
     depths = pairwise_depth_matrix(points)
     space = FiniteMetricSpace(
         points=points,
-        matrix=cfg.ratio ** depths,
         label=f"full-shift({alphabet_size},{max_period})",
         power_base=cfg.ratio,
         exponents=depths,
@@ -93,7 +92,6 @@ def build_padic_cycle(
     base = 1.0 / prime
     space = FiniteMetricSpace(
         points=points,
-        matrix=base ** exponents,
         label=f"residue-ring({prime}^{digits})",
         power_base=base,
         exponents=exponents,
@@ -118,7 +116,6 @@ def build_two_fixed_points() -> tuple[FiniteMetricSpace, SelfMap, TorusSpace]:
     exponents = np.array([[np.inf, 0.0], [0.0, np.inf]])
     space = FiniteMetricSpace(
         points=points,
-        matrix=0.5 ** exponents,
         label="two-fixed-points",
         power_base=0.5,
         exponents=exponents,

@@ -1,9 +1,10 @@
 """Reference axiom scans: the exhaustive triple enumeration, kept as the oracle.
 
-``metric_core`` decides passing spaces without enumerating triples and falls
-back to the same enumeration for failing ones.  This module is the plain
-O(N^3) scan on its own, so property tests can hold the library's reports,
-violations and their order included, against it.  It also keeps the
+``metric_core`` decides passing spaces without enumerating triples and
+tallies failing ones with array passes, keeping a count and the first few
+witnesses.  This module is the plain O(N^3) scan that lists every violation,
+so property tests can hold the library's reports, counts and witnesses in
+order, against it.  It also keeps the
 subdominant-ultrametric verdict as a Prim pass that fills the whole
 ultrametric row by row, the oracle for the library's range-maximum verdict,
 and the one-pass check that an exponent table reproduces its matrix.
@@ -14,6 +15,7 @@ from __future__ import annotations
 import numpy as np
 
 from solenoidlab import AxiomViolation, FiniteMetricSpace, MetricReport
+from solenoidlab.metric_core import WITNESS_LIMIT
 
 
 def basic_violations(space: FiniteMetricSpace, tol: float) -> list[AxiomViolation]:
@@ -80,13 +82,15 @@ def ultrametric_violations(space: FiniteMetricSpace, tol: float) -> list[AxiomVi
 
 
 def scan(space: FiniteMetricSpace, tol: float, with_ultra: bool) -> MetricReport:
-    basic = basic_violations(space, tol)
-    triangle = triangle_violations(space, tol)
+    """The report of the full enumeration: every violation counted, the
+    first ``WITNESS_LIMIT`` of each list kept."""
+    axioms = basic_violations(space, tol) + triangle_violations(space, tol)
     ultra = ultrametric_violations(space, tol) if with_ultra else []
-    axioms = tuple(basic + triangle)
     return MetricReport(
-        axiom_violations=axioms,
-        ultrametric_violations=tuple(ultra),
+        axiom_violations=tuple(axioms[:WITNESS_LIMIT]),
+        ultrametric_violations=tuple(ultra[:WITNESS_LIMIT]),
+        axiom_violation_count=len(axioms),
+        ultrametric_violation_count=len(ultra),
         diameter=space.diameter(),
         is_metric=not axioms,
         is_ultrametric=(not axioms and not ultra) if with_ultra else None,

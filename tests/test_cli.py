@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import metric_reference
 from cli_reference import (
     check_chain_sandwich_by_pair,
     check_quotient_metric_by_pair,
@@ -118,6 +119,30 @@ def test_run_failing_check_exits_one(tmp_path, capsys):
     assert result["violations"] > 0
     assert result["witnesses"][0]["kind"] == "ultrametric"
     assert len(result["witnesses"][0]["points"]) == 3
+
+
+@pytest.mark.parametrize("space, tol", [
+    ({"kind": "snowflake-interval", "parameters": {"grid_size": 12, "alpha": 0.5}}, None),
+    ({"kind": "snowflake-interval", "parameters": {"grid_size": 6, "alpha": 1.0}}, -0.001),
+    (FULL_SHIFT, -0.001),
+])
+def test_failing_scan_payloads_equal_the_reference_lists(tmp_path, capsys, space, tol):
+    cfg = {"space": space, "checks": [{"name": "metric-axioms"}, {"name": "ultrametric"}]}
+    argv = ["run", write_config(tmp_path, cfg)]
+    if tol is not None:
+        argv += ["--tol", str(tol)]
+    assert main(argv) == 1
+    report = json.loads(capsys.readouterr().out)
+    tol = report["run"]["tolerance"]
+    m = models.build_model(models.ModelSpec.from_dict(space)).space
+    axioms = metric_reference.basic_violations(m, tol) + metric_reference.triangle_violations(m, tol)
+    strong = axioms + metric_reference.ultrametric_violations(m, tol)
+    for result, listed in zip(report["results"], (axioms, strong)):
+        assert result["violations"] == len(listed)
+        assert result["witnesses"] == [
+            {"kind": v.kind, "points": [models.point_label(p) for p in v.points], "slack": v.slack}
+            for v in listed[:5]
+        ]
 
 
 def test_unknown_check_is_a_usage_error(tmp_path, capsys):

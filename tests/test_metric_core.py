@@ -71,6 +71,23 @@ def test_nan_distances_are_refused():
         FiniteMetricSpace(points=(0, 1, 2), matrix=matrix)
 
 
+def test_power_structure_derives_or_rechecks_its_matrix():
+    e = np.array([[math.inf, 1.0, 2.0], [1.0, math.inf, 1.0], [2.0, 1.0, math.inf]])
+    derived = FiniteMetricSpace(points=(0, 1, 2), power_base=0.5, exponents=e)
+    assert derived.matrix.tobytes() == (0.5 ** e).tobytes()
+    # A matrix given with the table is still rechecked against it.
+    given = FiniteMetricSpace(points=(0, 1, 2), matrix=0.5 ** e, power_base=0.5, exponents=e)
+    assert given.matrix.tobytes() == derived.matrix.tobytes()
+    mismatched = 0.5 ** e
+    mismatched[0, 2] = mismatched[2, 0] = 0.5
+    with pytest.raises(InvalidInputError, match="does not reproduce the matrix"):
+        FiniteMetricSpace(points=(0, 1, 2), matrix=mismatched, power_base=0.5, exponents=e)
+    with pytest.raises(InvalidInputError, match="exponent table missing"):
+        FiniteMetricSpace(points=(0, 1, 2), power_base=0.5)
+    with pytest.raises(InvalidInputError, match="needs a distance matrix"):
+        FiniteMetricSpace(points=(0, 1, 2), exponents=e)
+
+
 def test_power_structure_exponents():
     space, _, _ = build_full_shift(2, 0.5, 4)
     zeros = space.points[0]

@@ -1,12 +1,14 @@
-"""The fast axiom verdicts against the exhaustive reference scan.
+"""The fast axiom verdicts and the failure tallies against the exhaustive
+reference scan.
 
 ``verify_metric_axioms`` and ``verify_ultrametric`` clear passing spaces
-without enumerating triples; every report must still equal the one the plain
-O(N^3) scan in ``metric_reference`` builds, violations and their order
-included.
+without enumerating triples and tally failing ones with array passes; every
+report must still equal the one the plain O(N^3) scan in ``metric_reference``
+builds, violation counts and the order and slack of the witnesses included.
 """
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -101,9 +103,16 @@ def spaces(draw, float_kinds=FLOAT_KINDS, exponent_tables=st.booleans()):
     )
 
 
+#: The scans' two tolerances, and a negative one, which every comparison
+#: must also honour.
+DIRECT_TOLERANCES = TOLERANCES + (-1.0e-9,)
+
 #: Every scan at every tolerance, run in a drawn order on one space, so the
-#: memoised verdicts are shared between calls and kept apart per tolerance.
-CALLS = tuple((with_ultra, tol) for with_ultra in (False, True) for tol in TOLERANCES)
+#: memoised verdicts and tallies are shared between calls and kept apart per
+#: tolerance.
+CALLS = tuple(
+    (with_ultra, tol) for with_ultra in (False, True) for tol in DIRECT_TOLERANCES
+)
 
 
 def assert_reports_equal_reference(space, calls):
@@ -130,11 +139,10 @@ def test_reports_equal_exhaustive_scan_at_tolerance_edge(space, calls):
 
 
 def test_passing_spaces_enumerate_no_triples(monkeypatch):
-    def refuse(space, tol):
-        raise AssertionError("triple scan ran on a passing space")
+    def refuse(space, kind, key, combine, tol):
+        raise AssertionError(f"{kind} triple tally ran on a passing space")
 
-    monkeypatch.setattr(metric_core, "_triangle_violations", refuse)
-    monkeypatch.setattr(metric_core, "_ultrametric_violations", refuse)
+    monkeypatch.setattr(metric_core, "_triple_tally", refuse)
     shift, _, _ = build_full_shift(2, 0.5, 6)
     grid = build_snowflake_interval(64, 0.5)
     for tol in TOLERANCES:
@@ -152,9 +160,6 @@ def test_full_shift_of_1024_points_passes(verify):
     assert report.axiom_violations == report.ultrametric_violations == ()
 
 
-#: Tolerances of the direct verdict and basic-violation tests: the scans'
-#: two, and a negative one, which every comparison must also honour.
-DIRECT_TOLERANCES = TOLERANCES + (-1.0e-9,)
 
 
 @settings(max_examples=300, deadline=None)
@@ -172,12 +177,85 @@ def test_subdominant_verdict_equals_the_prim_reference(space, tol):
         )
 
 
+def assert_tally_equals(got, violations):
+    """The count of the reference's list, as a plain int (reports serialise
+    it to JSON), and its first witnesses."""
+    assert type(got[0]) is int
+    assert got == (len(violations), tuple(violations[: metric_core.WITNESS_LIMIT]))
+
+
+def blocks_of(rows, n):
+    """Row blocks of ``rows`` rows of an ``n``-point pass; None keeps the
+    library's block size."""
+    cells = metric_core.ROW_BLOCK_CELLS if rows is None else rows * n
+    return mock.patch.object(metric_core, "ROW_BLOCK_CELLS", cells)
+
+
+BLOCK_ROWS = st.sampled_from([1, 3, None])
+
+
 @settings(max_examples=200, deadline=None)
-@given(space=spaces(), tol=st.sampled_from(DIRECT_TOLERANCES))
-def test_basic_violations_equal_the_reference(space, tol):
-    assert metric_core._basic_violations(space, tol) == (
-        metric_reference.basic_violations(space, tol)
-    )
+@given(space=spaces(), tol=st.sampled_from(DIRECT_TOLERANCES), rows=BLOCK_ROWS)
+def test_basic_violations_equal_the_reference(space, tol, rows):
+    with blocks_of(rows, len(space)):
+        got = metric_core._basic_tally(space, tol)
+    assert_tally_equals(got, metric_reference.basic_violations(space, tol))
+
+
+@settings(max_examples=300, deadline=None)
+@given(space=spaces(), tol=st.sampled_from(DIRECT_TOLERANCES), rows=BLOCK_ROWS)
+def test_triple_tallies_equal_the_reference(space, tol, rows):
+    # The three fallbacks are one pass with different keys: the triangle
+    # inequality on the matrix, and the strong one on the matrix with ``tol``
+    # or on the negated exponents with none.  Every space is tallied, passing
+    # ones (count 0) included.
+    if space.exponents is None:
+        ultra = (space.matrix, tol)
+    else:
+        ultra = (-space.exponents, 0.0)
+    with blocks_of(rows, len(space)):
+        triangle = metric_core._triple_tally(space, "triangle", space.matrix, np.add, tol)
+        strong = metric_core._triple_tally(space, "ultrametric", ultra[0], np.maximum, ultra[1])
+    assert_tally_equals(triangle, metric_reference.triangle_violations(space, tol))
+    assert_tally_equals(strong, metric_reference.ultrametric_violations(space, tol))
+
+
+def test_a_failing_run_tallies_each_kind_once(monkeypatch):
+    # Both scans at two tolerances, twice over: the snowflaked interval with
+    # alpha 1 is a metric but no ultrametric, and at a negative tolerance
+    # every pair fails symmetry.  Each tally runs once per tolerance, and the
+    # second scan reads the first one's.
+    counted = {"triple tallies": 0, "basic masks": 0}
+    triple_tally, cells = metric_core._triple_tally, metric_core._cells
+
+    def counting_triples(*args):
+        counted["triple tallies"] += 1
+        return triple_tally(*args)
+
+    def counting_basic(mask):
+        counted["basic masks"] += 1
+        return cells(mask)
+
+    monkeypatch.setattr(metric_core, "_triple_tally", counting_triples)
+    monkeypatch.setattr(metric_core, "_cells", counting_basic)
+    grid = build_snowflake_interval(16, 1.0)
+    for _ in range(2):
+        for tol in (-1.0e-3, 1.0e-9):
+            assert verify_metric_axioms(grid, tol).is_metric == (tol > 0)
+            assert not verify_ultrametric(grid, tol).is_ultrametric
+    # Triangle and strong triangle at -1e-3, strong triangle only at 1e-9;
+    # one basic tally per tolerance, which reads three masks (identity,
+    # symmetry, separation).
+    assert counted == {"triple tallies": 3, "basic masks": 6}
+
+
+def test_snowflake_grid_of_513_points_counts_every_violation():
+    # The exhaustive scan lists 22,369,536 violating triples here; the tally
+    # counts them all and keeps five.
+    report = verify_ultrametric(build_snowflake_interval(512, 0.5), 1.0e-9)
+    assert report.is_metric and report.axiom_violation_count == 0
+    assert report.ultrametric_violation_count == 22_369_536
+    assert len(report.ultrametric_violations) == metric_core.WITNESS_LIMIT
 
 
 def test_subdominant_verdict_on_a_tie_hierarchy():

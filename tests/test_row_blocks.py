@@ -29,6 +29,7 @@ from solenoidlab import (
     InvalidInputError,
     ModelSpec,
     TorusPoint,
+    adapted_metric,
     build_full_shift,
     build_model,
     build_padic_cycle,
@@ -79,6 +80,23 @@ def _outcome(call):
         return call()
     except InvalidInputError as e:
         return type(e), str(e)
+
+
+@settings(max_examples=100, deadline=None)
+@given(n=st.integers(1, 40), rows=BLOCK_ROWS)
+def test_upper_blocks_cover_the_upper_triangle_in_order(n, rows):
+    # Every block's mask is a read-only view of one array.
+    with blocks_of(rows, n):
+        blocks = list(metric_core.upper_blocks(n))
+    cells = [
+        (rows.start + a, cols.start + b)
+        for rows, cols, upper in blocks
+        for a, b in zip(*np.nonzero(upper))
+    ]
+    assert cells == list(zip(*np.triu_indices(n, k=1)))
+    for rows, cols, upper in blocks:
+        assert upper.shape == (rows.stop - rows.start, n - cols.start)
+        assert not upper.flags.writeable
 
 
 @settings(max_examples=200, deadline=None)
@@ -231,6 +249,18 @@ def test_pair_passes_hold_under_4_mib_on_1024_points(padic_1024, name, call):
     call(padic_1024)  # the cycle table is built once and kept on the map
     _, peak = _peak_above_start(lambda: call(padic_1024))
     assert peak < 4 * MiB, f"{name} peaked {peak / MiB:.1f} MiB above its start"
+
+
+def test_adapted_metric_peaks_under_two_and_a_half_results_on_1024_points(padic_1024):
+    # The running maximum and one gather; the old pass also held the new
+    # maximum beside them.
+    adapted_metric(padic_1024.space, padic_1024.mapping)  # builds the cycle table
+    result, peak = _peak_above_start(
+        lambda: adapted_metric(padic_1024.space, padic_1024.mapping)
+    )
+    assert peak < 2.5 * result.matrix.nbytes, (
+        f"peaked {peak / MiB:.1f} MiB for a {result.matrix.nbytes / MiB:.1f} MiB result"
+    )
 
 
 def test_building_a_1024_point_model_peaks_within_2_mib_of_what_it_keeps():
