@@ -76,6 +76,7 @@ from .metric_core import (
     verify_ultrametric,
 )
 from .models import (
+    MAX_DENSE_POINTS,
     MODEL_KINDS,
     BuiltModel,
     ModelSpec,

@@ -15,6 +15,7 @@ import json
 import math
 import sys
 import time
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -42,6 +43,7 @@ from .mapping_torus import (
 from .measures import (
     CylinderSet,
     WeightVector,
+    _require_positive,
     ahlfors_check,
     doubling_check,
     shift_invariance_check,
@@ -55,6 +57,7 @@ from .metric_core import (
     verify_ultrametric,
 )
 from .models import SPACE_SCHEMA, ModelSpec, build_model, point_label, validate
+from .shift_space import PeriodicSequence
 
 _COUNT = {"type": "integer", "minimum": 0}
 _TIMES = {
@@ -108,12 +111,26 @@ CHECK_PARAMETERS = {
     },
 }
 
-#: Checks that draw random samples and therefore need a seed.
-SAMPLING_CHECKS = frozenset(
-    {"quotient-metric", "chain-sandwich", "flow-laws", "measures"}
-)
+_TORUS = (lambda m: m.torus is not None, "a model with a glued torus")
 
-METRIC_NAMES = ("base", "adapted", "product", "quotient", "representative", "chain")
+#: What a check or an export can need from the model: (test, refusal) pairs.
+_NEEDS = {
+    "none": (),
+    "self-map": ((lambda m: m.mapping is not None, "a model with a self-map"),),
+    "glued torus": (_TORUS,),
+    "isometric glue": (_TORUS, (lambda m: m.torus.lipschitz_constant == 1.0,
+                                "an isometric model (padic-cycle or two-fixed-points)")),
+    "sequence space": ((lambda m: isinstance(m.space.points[0], PeriodicSequence),
+                        "a sequence-space model"), _TORUS),
+}
+
+#: What each export metric needs from the model, a key of ``_NEEDS``.
+_EXPORT_NEEDS = {
+    "base": "none", "adapted": "self-map", "product": "glued torus",
+    "quotient": "isometric glue", "representative": "glued torus", "chain": "glued torus",
+}
+
+METRIC_NAMES = tuple(_EXPORT_NEEDS)
 
 CONFIG_SCHEMA = {
     "$schema": "http://json-schema.org/draft-07/schema#",
@@ -202,22 +219,11 @@ def _arg(check: dict, key: str):
     return check.get(key, CHECK_PARAMETERS[check["name"]][key]["default"])
 
 
-def _need_mapping(model, name):
-    if model.mapping is None:
-        raise UsageError(f"check {name!r} needs a model with a self-map")
-    return model.mapping
-
-
-def _need_torus(model, name):
-    if model.torus is None:
-        raise UsageError(f"check {name!r} needs a model with a glued torus")
-    return model.torus
-
-
-def _need_sequences(model, name):
-    if model.shift_config is None:
-        raise UsageError(f"check {name!r} needs a sequence-space model")
-    return model.shift_config
+def _require(model, need: str, where: str) -> None:
+    """Refuse, as ``"<where> needs <what>"``, a model without ``need``."""
+    for test, text in _NEEDS[need]:
+        if not test(model):
+            raise UsageError(f"{where} needs {text}")
 
 
 def _labels(points):
@@ -241,18 +247,18 @@ def _scan_payload(report, passed):
 # Check implementations
 # ============================================================
 
-def _check_metric_axioms(model, check, index, tol, rng):
+def _check_metric_axioms(model, check, tol, rng):
     report = verify_metric_axioms(model.space, tol)
     return _scan_payload(report, report.is_metric)
 
 
-def _check_ultrametric(model, check, index, tol, rng):
+def _check_ultrametric(model, check, tol, rng):
     report = verify_ultrametric(model.space, tol)
     return _scan_payload(report, report.is_ultrametric)
 
 
-def _check_bilipschitz(model, check, index, tol, rng):
-    est = estimate_bilipschitz_constant(model.space, _need_mapping(model, "bilipschitz"))
+def _check_bilipschitz(model, check, tol, rng):
+    est = estimate_bilipschitz_constant(model.space, model.mapping)
     return {
         "status": "report",
         "constant": est.constant,
@@ -279,14 +285,8 @@ def _pair_witness(bad, ps, qs, **distances):
     return {"pair": pair, **{name: float(d[k]) for name, d in distances.items()}}
 
 
-def _check_quotient_metric(model, check, index, tol, rng):
-    ts = _need_torus(model, "quotient-metric")
-    if ts.lipschitz_constant != 1.0:
-        raise UsageError(
-            "check 'quotient-metric' needs an isometric model "
-            "(padic-cycle or two-fixed-points)"
-        )
-    pairs = _arg(check, "pairs")
+def _check_quotient_metric(model, check, tol, rng):
+    ts, pairs = model.torus, _arg(check, "pairs")
     # Draw every pair first, in the order the per-pair loop drew them, then
     # answer them in bulk.
     points = ts.base_space.points
@@ -323,21 +323,17 @@ def _draw_centered_times(rng):
             return r, t
 
 
-def _chain_plan(model, check):
-    """The torus, pair count and chain sample of a ``chain-sandwich`` check."""
-    ts = _need_torus(model, "chain-sandwich")
-    pairs = _arg(check, "pairs")
-    times = [float(t) for t in _arg(check, "times")]
+def _chain_sample(model, check):
+    """The chain sample of a ``chain-sandwich`` check."""
     max_bases = _arg(check, "max_bases")
-    points = ts.base_space.points
-    step = max(1, math.ceil(len(points) / max_bases))
-    chosen = points[::step][:max_bases]
-    return ts, pairs, [TorusPoint(b, t) for b in chosen for t in times]
+    points = model.torus.base_space.points
+    chosen = points[::max(1, math.ceil(len(points) / max_bases))][:max_bases]
+    return [TorusPoint(b, float(t)) for b in chosen for t in _arg(check, "times")]
 
 
-def _check_chain_sandwich(model, check, index, tol, rng):
-    ts, pairs, sample = _chain_plan(model, check)
-    table = ChainMetricTable(ts, sample)
+def _check_chain_sandwich(model, check, tol, rng):
+    ts, pairs = model.torus, _arg(check, "pairs")
+    table = ChainMetricTable(ts, _chain_sample(model, check))
     c = ts.lipschitz_constant
     stretch = max(c, 2.0 * ts.diameter_bound)
     # Draw every pair first, in the order the per-pair loop drew them, then
@@ -373,9 +369,8 @@ def _check_chain_sandwich(model, check, index, tol, rng):
     }
 
 
-def _check_flow_laws(model, check, index, tol, rng):
-    ts = _need_torus(model, "flow-laws")
-    triples = _arg(check, "triples")
+def _check_flow_laws(model, check, tol, rng):
+    ts, triples = model.torus, _arg(check, "triples")
     points = ts.base_space.points
     violations = 0
     witness = None
@@ -400,11 +395,9 @@ def _check_flow_laws(model, check, index, tol, rng):
     }
 
 
-def _check_connectedness(model, check, index, tol, rng):
+def _check_connectedness(model, check, tol, rng):
     epsilon = float(check["epsilon"])
-    parts = invariant_components(
-        model.space, _need_mapping(model, "connectedness"), epsilon
-    )
+    parts = invariant_components(model.space, model.mapping, epsilon)
     return {
         "status": "report",
         "epsilon": epsilon,
@@ -414,14 +407,12 @@ def _check_connectedness(model, check, index, tol, rng):
     }
 
 
-def _check_dense_orbit(model, check, index, tol, rng):
+def _check_dense_orbit(model, check, tol, rng):
     epsilon = float(check["epsilon"])
     origin_index = _arg(check, "origin_index")
     max_iter = check.get("max_iter", len(model.space))
     origin = model.space.points[origin_index]
-    report = dense_orbit_check(
-        model.space, _need_mapping(model, "dense-orbit"), origin, epsilon, max_iter
-    )
+    report = dense_orbit_check(model.space, model.mapping, origin, epsilon, max_iter)
     return {
         "status": "report",
         "epsilon": epsilon,
@@ -464,19 +455,25 @@ def _draw_cylinders(alphabet, count, rng):
     return drawn
 
 
-def _check_measures(model, check, index, tol, rng):
-    cfg = _need_sequences(model, "measures")
-    ts = _need_torus(model, "measures")
+def _weights(model, check) -> WeightVector:
+    """The ``measures`` weights, given or uniform; keys other than the
+    alphabet, a sum other than 1 or a weight <= 0 raise InvalidInputError."""
+    alphabet = model.space.points[0].alphabet
+    if "weights" not in check:
+        return WeightVector.uniform(alphabet)
+    w = WeightVector.from_dict(alphabet, check["weights"])
+    _require_positive(w)
+    return w
+
+
+def _check_measures(model, check, tol, rng):
+    ts = model.torus
     cylinders = _arg(check, "cylinders")
     radii = _arg(check, "radii")
-    if "weights" in check:
-        w = WeightVector.from_dict(cfg.alphabet, check["weights"])
-    else:
-        w = WeightVector.uniform(cfg.alphabet)
-    symbols = cfg.alphabet.symbols
-    drawn = _draw_cylinders(cfg.alphabet, cylinders, rng)
+    w = _weights(model, check)
+    drawn = _draw_cylinders(w.alphabet, cylinders, rng)
     discrepancy = shift_invariance_check(w, drawn) if drawn else 0.0
-    base_dim = 2.0 * math.log(len(symbols)) / math.log(1.0 / cfg.ratio)
+    base_dim = 2.0 * math.log(len(w.alphabet)) / math.log(1.0 / model.space.power_base)
     bases = ts.base_space.points[:8]
     samples = [TorusPoint(b, 0.25) for b in bases]
     base_band = ahlfors_check(samples, radii, base_dim, ts, w, mode="base")
@@ -494,7 +491,7 @@ def _check_measures(model, check, index, tol, rng):
     }
 
 
-def _check_dimension(model, check, index, tol, rng):
+def _check_dimension(model, check, tol, rng):
     scales = [float(v) for v in check["scales"]]
     fit = box_counting_dimension(model.space, scales)
     return {
@@ -506,17 +503,24 @@ def _check_dimension(model, check, index, tol, rng):
     }
 
 
+class _Check(NamedTuple):
+    """A check's function, its need and whether it samples (and needs a seed)."""
+    run: Callable
+    need: str
+    samples: bool
+
+
 _CHECKS = {
-    "metric-axioms": _check_metric_axioms,
-    "ultrametric": _check_ultrametric,
-    "bilipschitz": _check_bilipschitz,
-    "quotient-metric": _check_quotient_metric,
-    "chain-sandwich": _check_chain_sandwich,
-    "flow-laws": _check_flow_laws,
-    "connectedness": _check_connectedness,
-    "dense-orbit": _check_dense_orbit,
-    "measures": _check_measures,
-    "dimension": _check_dimension,
+    "metric-axioms": _Check(_check_metric_axioms, "none", False),
+    "ultrametric": _Check(_check_ultrametric, "none", False),
+    "bilipschitz": _Check(_check_bilipschitz, "self-map", False),
+    "quotient-metric": _Check(_check_quotient_metric, "isometric glue", True),
+    "chain-sandwich": _Check(_check_chain_sandwich, "glued torus", True),
+    "flow-laws": _Check(_check_flow_laws, "glued torus", True),
+    "connectedness": _Check(_check_connectedness, "self-map", False),
+    "dense-orbit": _Check(_check_dense_orbit, "self-map", False),
+    "measures": _Check(_check_measures, "sequence space", True),
+    "dimension": _Check(_check_dimension, "none", False),
 }
 
 
@@ -535,7 +539,7 @@ def _resolve_seed(cfg, args, checks):
     if args.seed is not None:
         validate(CONFIG_SCHEMA["properties"]["seed"], args.seed, root="--seed")
     seed = args.seed if args.seed is not None else cfg.get("seed")
-    if seed is None and any(c["name"] in SAMPLING_CHECKS for c in checks):
+    if seed is None and any(_CHECKS[c["name"]].samples for c in checks):
         raise UsageError(
             "a seed is required when checks sample randomly "
             "(set $.seed or pass --seed)"
@@ -544,16 +548,18 @@ def _resolve_seed(cfg, args, checks):
 
 
 def _refuse_bad_checks(model, checks) -> None:
-    """Refuse, before the first check runs, the parameters whose range
-    depends on the model: a ``chain-sandwich`` sample over the chain
-    ceiling, a ``dense-orbit`` origin that is not a point and ``dimension``
-    scales not below the diameter."""
+    """Refuse, before the first check runs, a check the model cannot serve
+    and parameters whose range depends on the model: a chain sample over
+    the ceiling, bad ``measures`` weights, a ``dense-orbit`` origin that is
+    not a point and ``dimension`` scales not below the diameter."""
     for i, check in enumerate(checks):
         name = check["name"]
+        _require(model, _CHECKS[name].need, f"$.checks[{i}]: check {name!r}")
         try:
             if name == "chain-sandwich":
-                ts, _, sample = _chain_plan(model, check)
-                distinct_chain_sample(ts, sample)
+                distinct_chain_sample(model.torus, _chain_sample(model, check))
+            elif name == "measures":
+                _weights(model, check)
             elif name == "dimension":
                 fit_scales(model.space, check["scales"])
         except InvalidInputError as e:
@@ -580,7 +586,7 @@ def _run(cfg, args) -> tuple[str, int]:
     for i, check in enumerate(checks):
         rng = np.random.RandomState((seed if seed is not None else 0, i))
         try:
-            payload = _CHECKS[check["name"]](model, check, i, tol, rng)
+            payload = _CHECKS[check["name"]].run(model, check, tol, rng)
         except InvalidInputError as e:
             raise UsageError(f"$.checks[{i}]: {e}") from None
         results.append({"name": check["name"], **payload})
@@ -609,16 +615,13 @@ def _export_matrix(cfg, model):
     if not exp:
         raise UsageError("$.export: an export needs a metric name")
     metric = exp["metric"]
+    _require(model, _EXPORT_NEEDS[metric], f"$.export.metric: {metric!r}")
     if metric == "base":
         return _labels(model.space.points), model.space.matrix
     if metric == "adapted":
-        if model.mapping is None:
-            raise UsageError("$.export.metric: 'adapted' needs a model with a self-map")
         tilde = adapted_metric(model.space, model.mapping)
         return _labels(tilde.points), tilde.matrix
     ts = model.torus
-    if ts is None:
-        raise UsageError(f"$.export.metric: {metric!r} needs a model with a glued torus")
     times = exp.get("times")
     if not times:
         raise UsageError(f"$.export.times: required for metric {metric!r}")
@@ -630,11 +633,6 @@ def _export_matrix(cfg, model):
         base = ts.base_space.matrix[np.ix_(idx, idx)]
         matrix = np.maximum(base, np.abs(tvec[:, None] - tvec[None, :]))
     elif metric == "quotient":
-        if ts.lipschitz_constant != 1.0:
-            raise UsageError(
-                "$.export.metric: 'quotient' needs an isometric model "
-                "(padic-cycle or two-fixed-points)"
-            )
         matrix = quotient_distance_matrix(ts, sample)
     elif metric == "representative":
         matrix = representative_distance_matrix(ts, sample)

@@ -29,6 +29,24 @@ from .shift_space import (
 
 _ALPHABET_TOKENS = "0123456789abcdefghijklmnopqrstuvwxyz"
 
+#: The most points a built model may have.  A power model keeps two N x N
+#: float64 tables, its distances and their exponents: 4 GiB at this size.
+MAX_DENSE_POINTS = 16384
+
+
+def _require_dense(count: str, base: int, power: int = 1) -> None:
+    """Refuse a model of ``base ** power`` points (``count`` in words) over
+    :data:`MAX_DENSE_POINTS`, before anything is allocated.  The power is
+    multiplied out only up to the limit, so a huge ``power`` costs nothing;
+    ``base`` must be at least 2."""
+    points = 1
+    for _ in range(power):
+        points *= base
+        if points > MAX_DENSE_POINTS:
+            raise InvalidInputError(
+                f"a model of {count} points exceeds the limit of {MAX_DENSE_POINTS}"
+            )
+
 
 def _make_alphabet(size: int) -> Alphabet:
     if not 2 <= size <= len(_ALPHABET_TOKENS):
@@ -43,12 +61,14 @@ def build_full_shift(
 ) -> tuple[FiniteMetricSpace, SelfMap, TorusSpace]:
     """All periodic points of period dividing ``max_period`` under the shift.
 
-    The space has ``alphabet_size ** max_period`` points, diameter 1, and an
-    exact exponent table; the torus is assembled with bilipschitz constant
-    ``1/ratio`` (the exact distortion of one shift step) and diameter bound 1.
+    The space has ``alphabet_size ** max_period`` points, at most
+    :data:`MAX_DENSE_POINTS`, diameter 1, and an exact exponent table; the
+    torus is assembled with bilipschitz constant ``1/ratio`` (the exact
+    distortion of one shift step) and diameter bound 1.
     """
     alphabet = _make_alphabet(alphabet_size)
     cfg = ShiftConfig(alphabet=alphabet, ratio=ratio)
+    _require_dense(f"{alphabet_size}^{max_period}", alphabet_size, max_period)
     points = tuple(enumerate_periodic_points(alphabet, max_period))
     depths = pairwise_depth_matrix(points)
     space = FiniteMetricSpace(
@@ -73,6 +93,8 @@ def build_padic_cycle(
     translation preserves differences, so the map is an exact isometry and
     the torus gets bilipschitz constant 1.
     """
+    if prime >= 2:  # first: a huge prime would keep the trial division going
+        _require_dense(f"{prime}^{digits}", prime, digits)
     if prime < 2 or any(prime % q == 0 for q in range(2, int(prime ** 0.5) + 1)):
         raise InvalidInputError(f"{prime} is not prime")
     if digits < 1:
@@ -131,6 +153,7 @@ def build_snowflake_interval(grid_size: int, alpha: float) -> FiniteMetricSpace:
         raise InvalidInputError(f"grid size must be at least 2, got {grid_size}")
     if not 0.0 < alpha <= 1.0:
         raise InvalidInputError(f"alpha must lie in (0, 1], got {alpha}")
+    _require_dense(str(grid_size + 1), grid_size + 1)
     points = tuple(i / grid_size for i in range(grid_size + 1))
     coords = np.array(points)
     space = FiniteMetricSpace(
@@ -224,26 +247,20 @@ class BuiltModel:
     space: FiniteMetricSpace
     mapping: SelfMap | None
     torus: TorusSpace | None
-    shift_config: ShiftConfig | None
 
 
 def build_model(spec: ModelSpec) -> BuiltModel:
     params = spec.parameters
     if spec.kind == "full-shift":
-        space, mapping, torus = build_full_shift(
+        return BuiltModel(spec, *build_full_shift(
             params["alphabet_size"], params["ratio"], params["max_period"]
-        )
-        cfg = ShiftConfig(space.points[0].alphabet, params["ratio"])
-        return BuiltModel(spec, space, mapping, torus, cfg)
+        ))
     if spec.kind == "padic-cycle":
-        space, mapping, torus = build_padic_cycle(params["prime"], params["digits"])
-        return BuiltModel(spec, space, mapping, torus, None)
+        return BuiltModel(spec, *build_padic_cycle(params["prime"], params["digits"]))
     if spec.kind == "two-fixed-points":
-        space, mapping, torus = build_two_fixed_points()
-        cfg = ShiftConfig(space.points[0].alphabet, 0.5)
-        return BuiltModel(spec, space, mapping, torus, cfg)
+        return BuiltModel(spec, *build_two_fixed_points())
     space = build_snowflake_interval(params["grid_size"], params["alpha"])
-    return BuiltModel(spec, space, None, None, None)
+    return BuiltModel(spec, space, None, None)
 
 
 def point_label(p: Any) -> str:

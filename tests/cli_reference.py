@@ -26,11 +26,11 @@ from solenoidlab import (
     point_label,
     product_metric,
 )
-from solenoidlab.cli import _arg, _draw_centered_times, _need_torus
+from solenoidlab.cli import _arg, _draw_centered_times
 
 
-def check_quotient_metric_by_pair(model, check, index, tol, rng):
-    ts = _need_torus(model, "quotient-metric")
+def check_quotient_metric_by_pair(model, check, tol, rng):
+    ts = model.torus
     pairs = _arg(check, "pairs")
     points = ts.base_space.points
     violations = 0
@@ -66,8 +66,8 @@ def check_quotient_metric_by_pair(model, check, index, tol, rng):
     }
 
 
-def check_chain_sandwich_by_pair(model, check, index, tol, rng):
-    ts = _need_torus(model, "chain-sandwich")
+def check_chain_sandwich_by_pair(model, check, tol, rng):
+    ts = model.torus
     pairs = _arg(check, "pairs")
     times = [float(t) for t in _arg(check, "times")]
     max_bases = _arg(check, "max_bases")

@@ -382,10 +382,8 @@ TWO_FIXED_POINTS = {"kind": "two-fixed-points", "parameters": {}}
 @pytest.mark.parametrize("seed", [1, 7, 401])
 def test_chain_sandwich_matches_the_per_pair_loop(space, check, tol, seed):
     model = cli._build({"space": space})
-    got = cli._check_chain_sandwich(model, check, 2, tol, np.random.RandomState((seed, 2)))
-    want = check_chain_sandwich_by_pair(
-        model, check, 2, tol, np.random.RandomState((seed, 2))
-    )
+    got = cli._check_chain_sandwich(model, check, tol, np.random.RandomState((seed, 2)))
+    want = check_chain_sandwich_by_pair(model, check, tol, np.random.RandomState((seed, 2)))
     assert json.dumps(got, sort_keys=True) == json.dumps(want, sort_keys=True)
     assert (got["status"] == "fail") == (tol < 0)
     if tol < 0:
@@ -402,10 +400,8 @@ def test_chain_sandwich_matches_the_per_pair_loop(space, check, tol, seed):
 @pytest.mark.parametrize("seed", [1, 7, 401])
 def test_quotient_check_matches_the_per_pair_loop(space, check, tol, seed):
     model = cli._build({"space": space})
-    got = cli._check_quotient_metric(model, check, 0, tol, np.random.RandomState((seed, 0)))
-    want = check_quotient_metric_by_pair(
-        model, check, 0, tol, np.random.RandomState((seed, 0))
-    )
+    got = cli._check_quotient_metric(model, check, tol, np.random.RandomState((seed, 0)))
+    want = check_quotient_metric_by_pair(model, check, tol, np.random.RandomState((seed, 0)))
     assert json.dumps(got, sort_keys=True) == json.dumps(want, sort_keys=True)
     assert (got["status"] == "fail") == (tol < 0)
     if tol < 0:
@@ -423,7 +419,7 @@ def test_chain_sandwich_holds_the_quotient_below_the_chain(monkeypatch, space, i
     )
     model = cli._build({"space": space})
     check = {"name": "chain-sandwich", "pairs": 30}
-    got = cli._check_chain_sandwich(model, check, 0, 1e-9, np.random.RandomState(5))
+    got = cli._check_chain_sandwich(model, check, 1e-9, np.random.RandomState(5))
     assert got["violations"] == (30 if isometric else 0)
 
 
@@ -431,8 +427,13 @@ def _never(*args):
     raise AssertionError("an earlier check ran before the configs were checked")
 
 
+def never_run(monkeypatch, name):
+    """Make check ``name`` fail the test if it runs."""
+    monkeypatch.setitem(cli._CHECKS, name, cli._CHECKS[name]._replace(run=_never))
+
+
 def test_unknown_parameter_of_a_later_check_is_refused_first(tmp_path, capsys, monkeypatch):
-    monkeypatch.setitem(cli._CHECKS, "quotient-metric", _never)
+    never_run(monkeypatch, "quotient-metric")
     cfg = {
         "space": PADIC,
         "seed": 1,
@@ -449,7 +450,7 @@ def test_unknown_parameter_of_a_later_check_is_refused_first(tmp_path, capsys, m
 
 
 def test_chain_sample_over_the_ceiling_is_refused_first(tmp_path, capsys, monkeypatch):
-    monkeypatch.setitem(cli._CHECKS, "quotient-metric", _never)
+    never_run(monkeypatch, "quotient-metric")
     monkeypatch.setattr(mapping_torus, "MAX_CHAIN_SAMPLE", 8)
     cfg = {
         "space": PADIC,
@@ -466,7 +467,7 @@ def test_chain_sample_over_the_ceiling_is_refused_first(tmp_path, capsys, monkey
 
 
 def test_chain_sample_times_are_checked_first(tmp_path, capsys, monkeypatch):
-    monkeypatch.setitem(cli._CHECKS, "quotient-metric", _never)
+    never_run(monkeypatch, "quotient-metric")
     cfg = {
         "space": PADIC,
         "seed": 1,
@@ -485,7 +486,7 @@ def test_chain_sample_times_are_checked_first(tmp_path, capsys, monkeypatch):
 def test_a_negative_orbit_budget_is_refused_before_a_long_check(tmp_path, capsys, monkeypatch):
     # The library checks the budget too, but only when dense-orbit runs,
     # after 100,000 flow-law triples.
-    monkeypatch.setitem(cli._CHECKS, "flow-laws", _never)
+    never_run(monkeypatch, "flow-laws")
     cfg = {
         "space": PADIC,
         "seed": 1,

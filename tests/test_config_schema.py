@@ -2,6 +2,8 @@
 and that its defaults are the ones the checks use."""
 
 import json
+import time
+import tracemalloc
 
 import jsonschema
 import pytest
@@ -49,8 +51,8 @@ def _never(*args):
 
 @pytest.fixture
 def no_check_runs(monkeypatch):
-    for name in cli._CHECKS:
-        monkeypatch.setitem(cli._CHECKS, name, _never)
+    for name, entry in cli._CHECKS.items():
+        monkeypatch.setitem(cli._CHECKS, name, entry._replace(run=_never))
 
 
 def test_every_check_has_a_setup():
@@ -308,3 +310,84 @@ def test_integer_literals_of_numbers_read_as_floats(tmp_path, capsys):
     cfg = {"space": PADIC, "export": {"metric": "product", "times": [0, 0.5]}}
     assert main(["export", write_config(tmp_path, cfg)]) == 0
     assert capsys.readouterr().out.startswith("0@0.0,0@0.5,")
+
+
+TWO_FIXED_POINTS = {"kind": "two-fixed-points", "parameters": {}}
+SELF_MAP = "a model with a self-map"
+TORUS = "a model with a glued torus"
+
+#: (space, check, what the space lacks): every check with a need, on a
+#: model kind without it.
+NEED_CASES = [
+    (SNOWFLAKE, {"name": "bilipschitz"}, SELF_MAP),
+    (SNOWFLAKE, {"name": "connectedness", "epsilon": 0.5}, SELF_MAP),
+    (SNOWFLAKE, {"name": "dense-orbit", "epsilon": 0.5}, SELF_MAP),
+    (SNOWFLAKE, {"name": "chain-sandwich"}, TORUS),
+    (SNOWFLAKE, {"name": "flow-laws"}, TORUS),
+    (SNOWFLAKE, {"name": "quotient-metric"}, TORUS),
+    (FULL_SHIFT, {"name": "quotient-metric"},
+     "an isometric model (padic-cycle or two-fixed-points)"),
+    (PADIC, {"name": "measures"}, "a sequence-space model"),
+    (SNOWFLAKE, {"name": "measures"}, "a sequence-space model"),
+]
+
+
+def test_every_need_has_a_refusal_case():
+    needy = {name for name, entry in cli._CHECKS.items() if entry.need != "none"}
+    assert {check["name"] for _, check, _ in NEED_CASES} == needy
+
+
+@pytest.mark.parametrize("space, check, lacking", NEED_CASES)
+def test_a_check_the_model_cannot_serve_is_refused_before_any_check_runs(
+    tmp_path, capsys, no_check_runs, space, check, lacking
+):
+    cfg = {"space": space, "seed": 1, "checks": [{"name": "metric-axioms"}, check]}
+    assert main(["run", write_config(tmp_path, cfg)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: $.checks[1]: check {check['name']!r} needs {lacking}\n"
+
+
+@pytest.mark.parametrize("space, weights, message", [
+    (FULL_SHIFT, {"0": 0.5, "2": 0.5}, "weight keys must match the alphabet exactly"),
+    (FULL_SHIFT, {"0": 0.6, "1": 0.5}, "weights sum to 1.1, expected 1"),
+    (FULL_SHIFT, {"0": 0.0, "1": 1.0}, "weights must all be positive for this check"),
+    (TWO_FIXED_POINTS, {"0": -0.5, "1": 1.5}, "negative weight in (-0.5, 1.5)"),
+])
+def test_measures_weights_are_refused_before_any_check_runs(
+    tmp_path, capsys, no_check_runs, space, weights, message
+):
+    cfg = {"space": space, "seed": 1, "checks": [
+        {"name": "metric-axioms"}, {"name": "measures", "weights": weights},
+    ]}
+    assert main(["run", write_config(tmp_path, cfg)]) == 2
+    assert capsys.readouterr().err == f"error: $.checks[1]: {message}\n"
+
+
+@pytest.mark.parametrize("space, count", [
+    (PADIC | {"parameters": {"prime": 2, "digits": 15}}, "2^15"),
+    (PADIC | {"parameters": {"prime": 2**61 - 1, "digits": 1}}, f"{2**61 - 1}^1"),
+    (FULL_SHIFT | {"parameters": {"alphabet_size": 3, "ratio": 0.5, "max_period": 10}},
+     "3^10"),
+    (FULL_SHIFT | {"parameters": {"alphabet_size": 2, "ratio": 0.5, "max_period": 10**9}},
+     f"2^{10**9}"),
+    (SNOWFLAKE | {"parameters": {"grid_size": 10**9, "alpha": 0.5}}, str(10**9 + 1)),
+])
+def test_an_oversized_model_is_refused_before_it_is_built(
+    tmp_path, capsys, no_check_runs, space, count
+):
+    cfg = {"space": space, "seed": 1, "checks": [{"name": "metric-axioms"}]}
+    path = write_config(tmp_path, cfg)
+    tracemalloc.start()
+    started = time.perf_counter()
+    try:
+        assert main(["run", path]) == 2
+        elapsed = time.perf_counter() - started
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert capsys.readouterr().err == (
+        f"error: $.space: a model of {count} points exceeds the limit of 16384\n"
+    )
+    assert elapsed < 1.0
+    assert peak < 8 << 20

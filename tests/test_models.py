@@ -18,6 +18,7 @@ from solenoidlab import (
     verify_metric_axioms,
     verify_ultrametric,
 )
+from solenoidlab import models
 
 
 def test_full_shift_build():
@@ -106,8 +107,8 @@ def test_model_spec_round_trip():
     assert spec.parameters == {"alphabet_size": 2, "ratio": 0.5, "max_period": 3}
     model = build_model(spec)
     assert len(model.space) == 8
-    assert model.shift_config is not None
-    assert model.shift_config.ratio == 0.5
+    assert model.space.points[0].alphabet.symbols == ("0", "1")
+    assert model.space.power_base == 0.5
     assert model.torus is not None
 
 
@@ -162,7 +163,6 @@ def test_build_model_all_kinds():
     interval = build_model(ModelSpec.from_dict(specs[-1]))
     assert interval.mapping is None and interval.torus is None
     cycle = build_model(ModelSpec.from_dict(specs[1]))
-    assert cycle.shift_config is None
     assert cycle.torus is not None
 
 
@@ -199,3 +199,16 @@ def test_point_labels():
     assert point_label(TorusPoint(parity, 0.5)) == f"{parity.to_text()}@0.5"
     assert point_label(0.1) == "0.1"
     assert point_label(7) == "7"
+
+
+@pytest.mark.parametrize("builder, fits, over", [
+    (build_padic_cycle, (2, 3), (2, 4)),
+    (build_full_shift, (2, 0.5, 3), (2, 0.5, 4)),
+    (build_snowflake_interval, (7, 0.5), (8, 0.5)),
+])
+def test_the_point_ceiling_is_the_largest_model_built(monkeypatch, builder, fits, over):
+    monkeypatch.setattr(models, "MAX_DENSE_POINTS", 8)
+    built = builder(*fits)
+    assert len(built[0] if isinstance(built, tuple) else built) == 8
+    with pytest.raises(InvalidInputError, match="exceeds the limit of 8$"):
+        builder(*over)
