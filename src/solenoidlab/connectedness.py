@@ -14,8 +14,6 @@ from dataclasses import dataclass
 from typing import Any
 
 import numpy as np
-from scipy.sparse import coo_matrix
-from scipy.sparse.csgraph import connected_components
 
 from .dynamics import SelfMap, index_cycles
 from .errors import InvalidInputError, InvariantError
@@ -35,6 +33,33 @@ class ComponentPartition:
     witness: tuple[Point, ...] | None
 
 
+def _merge_labels(count: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The component of each of the labels ``0 .. count - 1`` in the graph
+    with an edge from ``a[k]`` to ``b[k]`` for every ``k``.
+
+    Components are numbered 0, 1, ... in the order of their smallest
+    label, so the component holding label 0 is 0.  Each round hooks the
+    larger root of every edge whose ends still differ to the smaller one
+    (the smallest, where several edges meet one root), then jumps pointers
+    until every label points at its root.  Roots only ever point lower, so
+    no cycle forms.
+    """
+    root = np.arange(count)
+    while True:
+        ra, rb = root[a], root[b]
+        apart = ra != rb
+        if not apart.any():
+            break
+        a, b, ra, rb = a[apart], b[apart], ra[apart], rb[apart]
+        np.minimum.at(root, np.maximum(ra, rb), np.minimum(ra, rb))
+        while True:
+            up = root[root]
+            if np.array_equal(up, root):
+                break
+            root = up
+    return np.unique(root, return_inverse=True)[1]
+
+
 def invariant_components(
     space: FiniteMetricSpace, mapping: SelfMap, epsilon: float
 ) -> ComponentPartition:
@@ -44,9 +69,10 @@ def invariant_components(
     table = index_cycles(space, mapping)
     image = table.power(1)
     # labels[i] names the component of i among the edges seen so far.  The
-    # map's cycles come first; each row block of close pairs then merges
-    # components by one scipy call on the graph of their labels, so no pass
-    # holds more than one block of pairs.
+    # map's cycles come first; each row block of close pairs then merges the
+    # components its pairs join (_merge_labels), so no pass holds more than
+    # one block of pairs.  Label 0 stays the component of label 0, so all
+    # zeros means one component.
     labels = np.empty(n, dtype=np.intp)
     labels[table.slots] = table.start
     m = space.matrix
@@ -55,15 +81,12 @@ def invariant_components(
             break  # a single component: nothing left to merge
         close_i, close_j = np.nonzero((m[rows, cols] <= epsilon) & upper)
         if close_i.size:
-            count = int(labels.max()) + 1
-            graph = coo_matrix(
-                (
-                    np.ones(close_i.size, dtype=np.int8),
-                    (labels[rows.start + close_i], labels[cols.start + close_j]),
-                ),
-                shape=(count, count),
+            merged = _merge_labels(
+                int(labels.max()) + 1,
+                labels[rows.start + close_i],
+                labels[cols.start + close_j],
             )
-            labels = connected_components(graph, directed=False)[1][labels]
+            labels = merged[labels]
     # Blocks ordered by their smallest index, members in index order.
     _, first, which = np.unique(labels, return_index=True, return_inverse=True)
     root = first[which]

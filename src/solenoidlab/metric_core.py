@@ -21,8 +21,6 @@ from dataclasses import dataclass
 from typing import Any, Callable, Iterator, Sequence
 
 import numpy as np
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import floyd_warshall
 
 from .errors import InvalidInputError
 
@@ -209,7 +207,13 @@ def shortest_paths(weights: np.ndarray, directed: bool, return_predecessors: boo
     ``np.ma.masked_values``).  Distinct points at a tiny or zero distance
     would then be cut apart.  A sparse matrix that stores every entry keeps
     them all.
+
+    This is the one place the package imports scipy, so a run that solves
+    no shortest paths never loads it.
     """
+    from scipy.sparse import csr_matrix
+    from scipy.sparse.csgraph import floyd_warshall
+
     n = len(weights)
     graph = csr_matrix(
         (

@@ -1,12 +1,12 @@
 """Reference dynamics: orbit walks, step-by-step powers and union-find.
 
 The library reads iterates, orbits and permutation powers from a cycle table,
-takes the adapted metric by pointer doubling and finds components with
-scipy.  This module keeps the plain versions they replaced, each walking the
-map one step at a time, so property tests can hold the library to them.  It
-also keeps the single-pass versions of the pair scans that the library now
-runs in row blocks: bilipschitz, isometry, components and the dense-orbit
-covering.
+takes the adapted metric by pointer doubling and merges component labels
+with a numpy union step.  This module keeps the plain versions they replaced,
+each walking the map one step at a time, and scipy's connected components,
+so property tests can hold the library to them.  It also keeps the
+single-pass versions of the pair scans that the library now runs in row
+blocks: bilipschitz, isometry, components and the dense-orbit covering.
 """
 
 from __future__ import annotations
@@ -120,6 +120,15 @@ def components_by_union_find(
         invariant=invariant,
         witness=blocks[0] if len(blocks) > 1 else None,
     )
+
+
+def label_components_by_scipy(count: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """scipy's component labels of the graph on ``0 .. count - 1`` with an
+    edge from ``a[k]`` to ``b[k]`` for every ``k``."""
+    graph = coo_matrix(
+        (np.ones(len(a), dtype=np.int8), (a, b)), shape=(count, count)
+    )
+    return connected_components(graph, directed=False)[1]
 
 
 # ============================================================

@@ -1,0 +1,92 @@
+"""scipy is loaded by the first shortest-path solve and by nothing else.
+
+Importing scipy takes about half of the command line's start-up, and most
+runs never solve a shortest path.  Each case runs in a fresh interpreter,
+since this one has loaded scipy through the test references, and reports
+the ``scipy`` modules present in ``sys.modules`` after its last step.
+"""
+
+import json
+import os
+import pathlib
+import subprocess
+import sys
+
+import pytest
+
+import solenoidlab
+
+SRC = pathlib.Path(solenoidlab.__file__).resolve().parents[1]
+
+SHIFT_SCAN_CHECKS = [
+    {"name": "metric-axioms"},
+    {"name": "ultrametric"},
+    {"name": "bilipschitz"},
+    {"name": "connectedness", "epsilon": 0.25},
+    {"name": "dense-orbit", "epsilon": 0.25},
+    {"name": "dimension", "scales": [0.5, 0.25, 0.125, 0.0625]},
+    {"name": "measures", "cylinders": 200},
+]
+
+FULL_SHIFT = {"kind": "full-shift", "parameters": {"alphabet_size": 2, "ratio": 0.5, "max_period": 5}}
+
+MODELS = [
+    FULL_SHIFT,
+    {"kind": "padic-cycle", "parameters": {"prime": 2, "digits": 4}},
+    {"kind": "two-fixed-points", "parameters": {}},
+    {"kind": "snowflake-interval", "parameters": {"grid_size": 8, "alpha": 0.5}},
+]
+
+
+def scipy_after(tmp_path, code):
+    """The sorted ``scipy`` module names loaded once ``code`` has run in a
+    fresh interpreter that can import the package under test."""
+    script = code + (
+        "\nimport json, sys"
+        "\nprint(json.dumps(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')))"
+    )
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-c", script], cwd=tmp_path, env=env,
+        capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    return json.loads(done.stdout.splitlines()[-1])
+
+
+def run_config(checks):
+    """Code running ``solenoidlab run`` on the max_period 5 full shift."""
+    cfg = {"space": FULL_SHIFT, "seed": 3, "checks": checks}
+    return (
+        "import json\n"
+        "from solenoidlab import cli\n"
+        f"json.dump({cfg!r}, open('config.json', 'w'))\n"
+        "status = cli.main(['run', 'config.json', '--out', 'report.json'])\n"
+        "if status:\n"
+        "    raise SystemExit(f'exit {status}')\n"
+    )
+
+
+@pytest.mark.parametrize("code", ["import solenoidlab", "import solenoidlab.cli"])
+def test_imports_do_not_load_scipy(tmp_path, code):
+    assert scipy_after(tmp_path, code) == []
+
+
+@pytest.mark.parametrize("raw", MODELS, ids=[m["kind"] for m in MODELS])
+def test_model_builds_do_not_load_scipy(tmp_path, raw):
+    code = (
+        "from solenoidlab.models import ModelSpec, build_model\n"
+        f"build_model(ModelSpec.from_dict({raw!r}))\n"
+    )
+    assert scipy_after(tmp_path, code) == []
+
+
+def test_shift_scan_checks_do_not_load_scipy(tmp_path):
+    assert scipy_after(tmp_path, run_config(SHIFT_SCAN_CHECKS)) == []
+
+
+def test_chain_sandwich_loads_scipy(tmp_path):
+    # The chain table solves shortest paths, so the guard above can fail.
+    loaded = scipy_after(tmp_path, run_config([{"name": "chain-sandwich", "pairs": 10}]))
+    assert "scipy.sparse.csgraph" in loaded
