@@ -39,6 +39,8 @@ from .mapping_torus import (
     fiber,
     flow,
     make_torus_space,
+    product_distance_matrix,
+    product_distance_pairs,
     product_metric,
     project_to_circle,
     quotient_distance_matrix,

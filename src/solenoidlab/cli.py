@@ -30,7 +30,9 @@ from .mapping_torus import (
     circle_distance,
     distinct_chain_sample,
     flow,
-    product_metric,
+    product_distance_matrix,
+    product_distance_pairs,
+    product_metric,  # unused here; bench/spans.py wraps cli's binding
     project_to_circle,
     quotient_distance_matrix,
     quotient_distance_pairs,
@@ -269,13 +271,6 @@ def _check_bilipschitz(model, check, tol, rng):
     }
 
 
-def _product_pairs(ts, ps, qs):
-    return np.array(
-        [product_metric(p.base, p.time, q.base, q.time, ts) for p, q in zip(ps, qs)],
-        dtype=float,
-    )
-
-
 def _pair_witness(bad, ps, qs, **distances):
     """The labels and distances of the first bad pair, or None."""
     if not bad.size:
@@ -295,7 +290,7 @@ def _check_quotient_metric(model, check, tol, rng):
         ps.append(TorusPoint(points[rng.randint(len(points))], float(rng.rand())))
         qs.append(TorusPoint(points[rng.randint(len(points))], float(rng.rand())))
     d = quotient_distance_pairs(ts, ps, qs)
-    rho = _product_pairs(ts, ps, qs)
+    rho = product_distance_pairs(ts, ps, qs)
     circle = np.array(
         [dist_to_integers(p.time - q.time) for p, q in zip(ps, qs)], dtype=float
     )
@@ -346,7 +341,7 @@ def _check_chain_sandwich(model, check, tol, rng):
         qs.append(TorusPoint(points[rng.randint(len(points))], t))
     delta = representative_distance_pairs(ts, ps, qs)
     d0 = table.distances_via(ps, qs)
-    rho = _product_pairs(ts, ps, qs)
+    rho = product_distance_pairs(ts, ps, qs)
     ok = (
         (np.minimum(rho / c, 0.5) <= d0 + tol)
         & (d0 <= delta + tol)
@@ -628,10 +623,7 @@ def _export_matrix(cfg, model):
     sample = [TorusPoint(b, float(t)) for b in ts.base_space.points for t in times]
     labels = _labels(sample)
     if metric == "product":
-        idx = [ts.base_space.index_of(p.base) for p in sample]
-        tvec = np.array([p.time for p in sample])
-        base = ts.base_space.matrix[np.ix_(idx, idx)]
-        matrix = np.maximum(base, np.abs(tvec[:, None] - tvec[None, :]))
+        matrix = product_distance_matrix(ts, sample)
     elif metric == "quotient":
         matrix = quotient_distance_matrix(ts, sample)
     elif metric == "representative":

@@ -4,6 +4,10 @@ Points are classes of (base point, real time) under (x, t) ~ (f(x), t+1); the
 canonical representative has time in [0, 1).  Four distances are provided:
 
 * ``product_metric``: max of base distance and time gap, on representatives.
+  Its broadcasting kernel is the one place that formula is computed; the
+  quotient and representative kernels minimise it over shifted
+  representatives.  The scalar call, ``product_distance_pairs`` and
+  ``product_distance_matrix`` are views of it.
 * ``quotient_metric``: infimum of the product metric over representative
   shifts.  Only valid when the glue map is an isometry; the infimum is a
   minimum over an explicit finite window, and the window bound is checked
@@ -57,12 +61,11 @@ from .metric_core import (
 Point = Any
 
 #: Representative times are constrained to [-3/4, 3/4] in the constrained
-#: minimum; shifts are enumerated over a wider window and the excess is
-#: checked redundant.
+#: minimum.  A canonical time r lies in [0, 1), so |r + m| <= 3/4 leaves only
+#: the shifts m = -1 and m = 0.
 _TIME_CAP = 0.75
 _GAP_CAP = 0.5
-_SHIFTS = (-2, -1, 0, 1, 2)
-_CORE_SHIFTS = (-1, 0)
+_SHIFTS = (-1, 0)
 
 
 @dataclass(frozen=True)
@@ -163,9 +166,79 @@ def _require_canonical(p: TorusPoint, ts: TorusSpace) -> int:
     return ts.base_space.index_of(p.base)
 
 
+def _sample_arrays(ts: TorusSpace, points: Sequence[TorusPoint]) -> tuple[np.ndarray, np.ndarray]:
+    idx = np.array([_require_canonical(p, ts) for p in points], dtype=np.intp)
+    times = np.array([p.time for p in points], dtype=float)
+    return idx, times
+
+
+# ============================================================
+# Views shared by the kernels
+# ============================================================
+#
+# A kernel takes (ts, i, r, j, t): base indices ``i``/``j`` and times
+# ``r``/``t``, ``i`` of the shape of ``r`` and ``j`` of that of ``t``.  The two
+# sides broadcast against each other, paired as (K,) with (K,) or all pairs as
+# (A, 1) against (1, B), and the kernel gives the distance from each point
+# (i, r) to each point (j, t).
+
+def _one(kernel, ts: TorusSpace, idx: np.ndarray, times: np.ndarray) -> float:
+    """``kernel`` from the first of two points to the second."""
+    return float(kernel(ts, idx[:1], times[:1], idx[1:], times[1:])[0])
+
+
+def _pairs(
+    kernel, ts: TorusSpace, ps: Sequence[TorusPoint], qs: Sequence[TorusPoint]
+) -> np.ndarray:
+    """``kernel`` of each pair ``(ps[k], qs[k])`` of canonical points."""
+    if len(ps) != len(qs):
+        raise InvalidInputError(f"{len(ps)} start points for {len(qs)} end points")
+    return kernel(ts, *_sample_arrays(ts, ps), *_sample_arrays(ts, qs))
+
+
+def _all_pairs(kernel, ts: TorusSpace, points: Sequence[TorusPoint]) -> np.ndarray:
+    """``kernel`` over all pairs of canonical ``points``, a row block at a
+    time."""
+    idx, times = _sample_arrays(ts, points)
+    out = np.empty((len(points), len(points)))
+    for rows in row_blocks(len(points), len(points)):
+        out[rows] = kernel(
+            ts, idx[rows, None], times[rows, None], idx[None, :], times[None, :]
+        )
+    return out
+
+
+# ============================================================
+# Product metric
+# ============================================================
+
+def _product_kernel(
+    ts: TorusSpace, i: np.ndarray, r: np.ndarray, j: np.ndarray, t: np.ndarray
+) -> np.ndarray:
+    """max(base distance, time gap) from the points (``i``, ``r``) to the
+    points (``j``, ``t``), for any times."""
+    rho = ts.base_space.matrix[i, j]
+    np.maximum(rho, np.abs(r - t), out=rho)
+    return rho
+
+
 def product_metric(x: Point, r: float, y: Point, t: float, ts: TorusSpace) -> float:
-    """max(base distance, time gap) between two representatives."""
-    return max(ts.base_space.dist(x, y), abs(r - t))
+    """max(base distance, time gap) between two representatives, at any
+    times: the 1x1 view of the product kernel."""
+    idx = np.array([ts.base_space.index_of(x), ts.base_space.index_of(y)], dtype=np.intp)
+    return _one(_product_kernel, ts, idx, np.array([r, t], dtype=float))
+
+
+def product_distance_pairs(
+    ts: TorusSpace, ps: Sequence[TorusPoint], qs: Sequence[TorusPoint]
+) -> np.ndarray:
+    """:func:`product_metric` of each pair ``(ps[k], qs[k])``."""
+    return _pairs(_product_kernel, ts, ps, qs)
+
+
+def product_distance_matrix(ts: TorusSpace, points: Sequence[TorusPoint]) -> np.ndarray:
+    """:func:`product_metric` over all pairs of ``points``."""
+    return _all_pairs(_product_kernel, ts, points)
 
 
 # ============================================================
@@ -184,14 +257,12 @@ def _quotient_kernel(
     ts: TorusSpace, i: np.ndarray, r: np.ndarray, j: np.ndarray, t: np.ndarray
 ) -> np.ndarray:
     """:func:`quotient_metric` from the points (``i``, ``r``) to the points
-    (``j``, ``t``).
+    (``j``, ``t``), at canonical times.
 
-    ``i``/``j`` are base indices and ``r``/``t`` canonical times that
-    broadcast against each other, paired as (K,) with (K,) or all pairs as
-    (A, 1) against (1, B).  Each pair has its own shift window ``[lo, hi]``;
-    one loop runs over the union of the windows and masks the shifts outside
-    a pair's own.  ``min`` and ``max`` are exact and ``|(r + n) - t|`` is
-    rounded as in a loop over one pair, so every view agrees bit for bit.
+    Each pair has its own shift window ``[lo, hi]``; one loop runs over the
+    union of the windows and masks the shifts outside a pair's own.  ``min``
+    and ``max`` are exact and ``|(r + n) - t|`` is rounded as in a loop over
+    one pair, so every view agrees bit for bit.
     """
     _require_isometric(ts)
     reach = ts.diameter_bound + 1.0
@@ -201,10 +272,8 @@ def _quotient_kernel(
     best = np.full(np.broadcast(i, r, j, t).shape, np.inf)
     if best.size == 0:
         return best
-    m_base = ts.base_space.matrix
     for n in range(int(lo.min()), int(hi.max()) + 1):
-        rho = m_base[ts._cycles.power(n)[i], j]
-        np.maximum(rho, np.abs((r + n) - t), out=rho)
+        rho = _product_kernel(ts, ts._cycles.power(n)[i], r + n, j, t)
         np.minimum(best, rho, out=best, where=(lo <= n) & (n <= hi))
     # Shifts outside the window satisfy rho >= |r+n-t| > reach, and the
     # identity shift already gives at most max(diameter_bound, 1) < reach.
@@ -222,17 +291,14 @@ def quotient_metric(p: TorusPoint, q: TorusPoint, ts: TorusSpace) -> float:
     the 1x1 view of the kernel that also gives the paired view and the
     quotient export.
     """
-    idx, times = _sample_arrays(ts, (p, q))
-    return float(_quotient_kernel(ts, idx[:1], times[:1], idx[1:], times[1:])[0])
+    return _one(_quotient_kernel, ts, *_sample_arrays(ts, (p, q)))
 
 
 def quotient_distance_pairs(
     ts: TorusSpace, ps: Sequence[TorusPoint], qs: Sequence[TorusPoint]
 ) -> np.ndarray:
     """:func:`quotient_metric` of each pair ``(ps[k], qs[k])``."""
-    if len(ps) != len(qs):
-        raise InvalidInputError(f"{len(ps)} start points for {len(qs)} end points")
-    return _quotient_kernel(ts, *_sample_arrays(ts, ps), *_sample_arrays(ts, qs))
+    return _pairs(_quotient_kernel, ts, ps, qs)
 
 
 def quotient_distance_matrix(ts: TorusSpace, points: Sequence[TorusPoint]) -> np.ndarray:
@@ -272,71 +338,50 @@ def _representative_kernel(
     ts: TorusSpace, i: np.ndarray, r: np.ndarray, j: np.ndarray, t: np.ndarray
 ) -> np.ndarray:
     """:func:`representative_distance` from the points (``i``, ``r``) to the
-    points (``j``, ``t``).
+    points (``j``, ``t``), at canonical times.
 
-    ``i``/``j`` are base indices and ``r``/``t`` canonical times; the two sides
-    broadcast against each other, paired as (K,) with (K,) or all pairs as
-    (A, 1) against (1, B).  The time masks of each shift are computed once,
-    outside the loop over shift pairs.
+    The time masks of each shift are computed once, outside the loop over
+    shift pairs.
     """
     powers = ts._shift_powers
-    m_base = ts.base_space.matrix
     row_times, row_inside, row_any = _shifted_times(r)
     col_times, col_inside, col_any = _shifted_times(t)
     columns = [
-        (n, col_times[k], col_inside[k], powers[n][j])
+        (col_times[k], col_inside[k], powers[n][j])
         for k, n in enumerate(_SHIFTS) if col_any[k]
     ]
-    shape = np.broadcast(i, r, j, t).shape
-    core = np.full(shape, np.inf)
-    extra = np.full(shape, np.inf)
+    best = np.full(np.broadcast(i, r, j, t).shape, np.inf)
     for k, m in enumerate(_SHIFTS):
         if not row_any[k]:
             continue
         rp, row_ok, rows = row_times[k], row_inside[k], powers[m][i]
-        for n, tp, col_ok, cols in columns:
-            gap = np.abs(rp - tp)
-            ok = row_ok & col_ok & (gap <= _GAP_CAP)
+        for tp, col_ok, cols in columns:
+            ok = row_ok & col_ok & (np.abs(rp - tp) <= _GAP_CAP)
             if not ok.any():
                 continue
-            rho = m_base[rows, cols]
-            np.maximum(rho, gap, out=rho)
-            acc = core if m in _CORE_SHIFTS and n in _CORE_SHIFTS else extra
-            np.minimum(acc, rho, out=acc, where=ok)
-    best = np.minimum(core, extra)
+            rho = _product_kernel(ts, rows, rp, cols, tp)
+            np.minimum(best, rho, out=best, where=ok)
     if not np.all(np.isfinite(best)):
         raise InvariantError("no admissible representative pair")
-    if not np.array_equal(core, best):
-        raise InvariantError("shifts beyond {-1, 0} improved the minimum")
     return best
-
-
-def _sample_arrays(ts: TorusSpace, points: Sequence[TorusPoint]) -> tuple[np.ndarray, np.ndarray]:
-    idx = np.array([_require_canonical(p, ts) for p in points], dtype=np.intp)
-    times = np.array([p.time for p in points], dtype=float)
-    return idx, times
 
 
 def representative_distance(p: TorusPoint, q: TorusPoint, ts: TorusSpace) -> float:
     """Minimum of the product metric over constrained representative pairs.
 
     Representatives (f^m(x), r+m), (f^n(y), t+n) are admissible when both
-    times lie in [-3/4, 3/4] and differ by at most 1/2.  For canonical
-    inputs the shifts m, n = -1, 0 already realise the minimum; a wider
-    window is scanned anyway and the excess checked redundant.  This is the
-    1x1 view of the kernel that also gives the matrix and the chain rows.
+    times lie in [-3/4, 3/4] and differ by at most 1/2; for canonical inputs
+    that leaves the shifts m, n = -1, 0.  This is the 1x1 view of the kernel
+    that also gives the matrix and the chain rows.
     """
-    idx, times = _sample_arrays(ts, (p, q))
-    return float(_representative_kernel(ts, idx[:1], times[:1], idx[1:], times[1:])[0])
+    return _one(_representative_kernel, ts, *_sample_arrays(ts, (p, q)))
 
 
 def representative_distance_pairs(
     ts: TorusSpace, ps: Sequence[TorusPoint], qs: Sequence[TorusPoint]
 ) -> np.ndarray:
     """:func:`representative_distance` of each pair ``(ps[k], qs[k])``."""
-    if len(ps) != len(qs):
-        raise InvalidInputError(f"{len(ps)} start points for {len(qs)} end points")
-    return _representative_kernel(ts, *_sample_arrays(ts, ps), *_sample_arrays(ts, qs))
+    return _pairs(_representative_kernel, ts, ps, qs)
 
 
 def representative_distance_matrix(
@@ -344,13 +389,7 @@ def representative_distance_matrix(
 ) -> np.ndarray:
     """:func:`representative_distance` over all pairs of ``points``, a row
     block at a time."""
-    idx, times = _sample_arrays(ts, points)
-    out = np.empty((len(points), len(points)))
-    for rows in row_blocks(len(points), len(points)):
-        out[rows] = _representative_kernel(
-            ts, idx[rows, None], times[rows, None], idx[None, :], times[None, :]
-        )
-    return out
+    return _all_pairs(_representative_kernel, ts, points)
 
 
 # ============================================================

@@ -169,9 +169,24 @@ def torus_ball_measure(p: TorusPoint, r: float, ts: TorusSpace, w: WeightVector)
         raise InvalidInputError(f"time {p.time} is not canonical (needs [0, 1))")
     if not 0.0 < r <= 0.5:
         raise OutOfRegimeError(f"radius must lie in (0, 1/2], got {r}")
-    ratio = _shift_ratio(ts)
-    cyl = CylinderSet.ball(p.base, _ball_depth(r, ratio))
-    return cylinder_measure(cyl, w) * min(2.0 * r, 1.0)
+    return base_ball_measure(p.base, r, _shift_ratio(ts), w) * min(2.0 * r, 1.0)
+
+
+def _family_ratio(
+    samples: Sequence[TorusPoint],
+    radii: Sequence[float],
+    ts: TorusSpace,
+    w: WeightVector,
+    mode: str,
+) -> float:
+    """The shift ratio of a ball family's torus, after checking the mode,
+    that there is a sample and a radius, and that every weight is positive."""
+    if mode not in ("base", "torus"):
+        raise InvalidInputError(f"unknown mode {mode!r}")
+    if not samples or not radii:
+        raise InvalidInputError("need at least one sample point and one radius")
+    _require_positive(w)
+    return _shift_ratio(ts)
 
 
 @dataclass(frozen=True)
@@ -198,12 +213,7 @@ def ahlfors_check(
     ``mode="base"`` measures base-space balls around the samples' base
     points; ``mode="torus"`` measures balls in the glued space.
     """
-    if mode not in ("base", "torus"):
-        raise InvalidInputError(f"unknown mode {mode!r}")
-    if not samples or not radii:
-        raise InvalidInputError("need at least one sample point and one radius")
-    _require_positive(w)
-    ratio = _shift_ratio(ts)
+    ratio = _family_ratio(samples, radii, ts, w, mode)
     logs_r = []
     logs_v = []
     ratios = []
@@ -237,12 +247,7 @@ def doubling_check(
     Needs strictly positive weights; a zero weight makes balls of measure
     zero and the ratio meaningless.
     """
-    if mode not in ("base", "torus"):
-        raise InvalidInputError(f"unknown mode {mode!r}")
-    if not samples or not radii:
-        raise InvalidInputError("need at least one sample point and one radius")
-    _require_positive(w)
-    ratio = _shift_ratio(ts)
+    ratio = _family_ratio(samples, radii, ts, w, mode)
     worst = 0.0
     for p in samples:
         for r in radii:

@@ -1,8 +1,9 @@
-"""Reference torus distances: the scalar shift loops, per-point rows, one
-chain query at a time and per-row Dijkstra.
+"""Reference torus distances: the product metric one pair at a time, the
+scalar shift loops, per-point rows, one chain query at a time and per-row
+Dijkstra.
 
-The library computes the quotient and representative distances with one
-broadcasting kernel each, every chain distance with one Floyd-Warshall solve
+The library computes the product, quotient and representative distances with
+one broadcasting kernel each, every chain distance with one Floyd-Warshall solve
 and off-sample chain queries in pruned batches.  This module keeps the plain
 versions they replaced, so property tests can hold the library to them.  Its
 checks raise rather than assert, so they hold under ``python -O`` too.
@@ -32,8 +33,16 @@ from solenoidlab.mapping_torus import (
 
 TIME_CAP = 0.75
 GAP_CAP = 0.5
+#: A wider shift window than the library's (-1, 0); the loop checks that the
+#: extra shifts never lower the minimum.
 SHIFTS = (-2, -1, 0, 1, 2)
 CORE_SHIFTS = (-1, 0)
+
+
+def product_metric_by_pair(x, r: float, y, t: float, ts: TorusSpace) -> float:
+    """max(base distance, time gap) of one pair of representatives, at any
+    times."""
+    return max(ts.base_space.dist(x, y), abs(r - t))
 
 
 def quotient_metric_by_loop(p: TorusPoint, q: TorusPoint, ts: TorusSpace) -> float:

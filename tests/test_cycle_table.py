@@ -108,8 +108,8 @@ def test_perm_powers_match_the_steps(drawn, lo, hi):
     table = index_cycles(space, mapping)
     for m, want in ref.perm_powers_by_steps(ts, lo, hi).items():
         assert np.array_equal(table.power(m), want)
-    # The torus keeps the powers of its shift window, f^-2 to f^2.
-    window = ref.perm_powers_by_steps(ts, -2, 2)
+    # The torus keeps the powers of its shift window, f^-1 and f^0.
+    window = ref.perm_powers_by_steps(ts, -1, 0)
     assert ts._shift_powers.keys() == window.keys()
     for m, want in window.items():
         assert np.array_equal(ts._shift_powers[m], want)

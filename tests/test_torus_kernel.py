@@ -1,6 +1,7 @@
-"""The quotient and representative-distance kernels, the dense chain solver
-and the batched chain queries, checked against the scalar loops, per-point
-rows, per-row Dijkstra and one-at-a-time chain queries.
+"""The product, quotient and representative-distance kernels, the dense
+chain solver and the batched chain queries, checked against the per-pair
+product formula, the scalar loops, per-point rows, per-row Dijkstra and
+one-at-a-time chain queries.
 
 ``mapping_torus_reference`` keeps the plain versions.  Each kernel must agree
 with them bit for bit in all of its shapes: the 1x1 scalar view, the paired
@@ -21,6 +22,7 @@ from hypothesis import strategies as st
 import mapping_torus_reference as ref
 from solenoidlab import (
     ChainMetricTable,
+    InvalidInputError,
     InvariantError,
     TorusPoint,
     UnsupportedModeError,
@@ -30,6 +32,9 @@ from solenoidlab import (
     make_torus_space,
     metric_core,
     metric_space_from_matrix,
+    product_distance_matrix,
+    product_distance_pairs,
+    product_metric,
     quotient_distance_matrix,
     quotient_distance_pairs,
     quotient_metric,
@@ -96,6 +101,50 @@ def samples(draw, ts, max_size=24):
 
 def _bits(value):
     return np.float64(value).tobytes()
+
+
+#: Any finite times: the scalar product metric takes representatives that
+#: are not canonical.
+ANY_TIMES = st.one_of(TIMES, st.floats(-4.0, 4.0), st.sampled_from((-1.0, 1.0, 2.5)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_product_views_match_the_pair_formula(data):
+    ts = data.draw(tori())
+    points = ts.base_space.points
+    for _ in range(10):
+        x, y = (points[data.draw(st.integers(0, len(points) - 1))] for _ in range(2))
+        r, t = data.draw(ANY_TIMES), data.draw(ANY_TIMES)
+        got = product_metric(x, r, y, t, ts)
+        assert type(got) is float
+        assert _bits(got) == _bits(ref.product_metric_by_pair(x, r, y, t, ts))
+    pairs = data.draw(st.lists(point_pairs(ts), max_size=12))
+    ps, qs = [p for p, _ in pairs], [q for _, q in pairs]
+    want = [ref.product_metric_by_pair(p.base, p.time, q.base, q.time, ts) for p, q in pairs]
+    assert product_distance_pairs(ts, ps, qs).tobytes() == np.array(want, dtype=float).tobytes()
+    sample = data.draw(samples(ts))
+    want = np.array([
+        [ref.product_metric_by_pair(p.base, p.time, q.base, q.time, ts) for q in sample]
+        for p in sample
+    ])
+    cells = data.draw(st.sampled_from([1, 3 * len(sample), metric_core.ROW_BLOCK_CELLS]))
+    with mock.patch.object(metric_core, "ROW_BLOCK_CELLS", cells):
+        got = product_distance_matrix(ts, sample)
+    assert got.tobytes() == want.tobytes()
+
+
+def test_product_views_refuse_unpaired_and_non_canonical_points():
+    ts = _torus(0)
+    p = TorusPoint(ts.base_space.points[0], 0.25)
+    with pytest.raises(InvalidInputError, match="1 start points for 0 end points"):
+        product_distance_pairs(ts, [p], [])
+    for call in (
+        lambda: product_distance_pairs(ts, [p], [TorusPoint(p.base, 1.0)]),
+        lambda: product_distance_matrix(ts, [p, TorusPoint(p.base, -0.5)]),
+    ):
+        with pytest.raises(InvalidInputError, match="not canonical"):
+            call()
 
 
 @settings(max_examples=200, deadline=None)
