@@ -36,8 +36,10 @@ from .mapping_torus import (
     chain_metric,
     circle_distance,
     dist_to_integers,
+    distances_to_integers,
     fiber,
     flow,
+    flow_law_failures,
     make_torus_space,
     product_distance_matrix,
     product_distance_pairs,
@@ -68,6 +70,7 @@ from .metric_core import (
     DimensionFit,
     FiniteMetricSpace,
     MetricReport,
+    PowerLevels,
     box_counting_dimension,
     covering_number,
     metric_space_from_matrix,
@@ -95,6 +98,7 @@ from .shift_space import (
     ShiftConfig,
     agreement_depth,
     ball_points,
+    depth_levels,
     enumerate_periodic_points,
     equicontinuity_witness,
     pairwise_depth_matrix,

@@ -75,11 +75,11 @@ def invariant_components(
     # zeros means one component.
     labels = np.empty(n, dtype=np.intp)
     labels[table.slots] = table.start
-    m = space.matrix
     for rows, cols, upper in upper_blocks(n):
         if not labels.any():
             break  # a single component: nothing left to merge
-        close_i, close_j = np.nonzero((m[rows, cols] <= epsilon) & upper)
+        close = space.distances(rows, cols) <= epsilon
+        close_i, close_j = np.nonzero(close & upper)
         if close_i.size:
             merged = _merge_labels(
                 int(labels.max()) + 1,
@@ -135,7 +135,8 @@ def dense_orbit_check(
     rows = np.array(sorted(space.index_of(p) for p in cycle), dtype=np.intp)
     nearest = np.full(len(space), np.inf)
     for part in row_blocks(len(rows), len(space)):
-        np.minimum(nearest, space.matrix[rows[part]].min(axis=0), out=nearest)
+        block = space.distances(rows[part], slice(None))
+        np.minimum(nearest, block.min(axis=0), out=nearest)
     covered = int(np.count_nonzero(nearest <= epsilon))
     dense = covered == len(space)
     if dense:

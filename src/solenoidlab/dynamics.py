@@ -125,19 +125,29 @@ def iterate(mapping: SelfMap, n: int, x: Point) -> Point:
 
 class IndexCycles(NamedTuple):
     """A map's cycle table in a space's index order: ``slots`` lists the
-    space indices cycle after cycle, and ``start``/``length`` give, for each
-    slot, where its cycle begins and how long it is."""
+    space indices cycle after cycle, ``start``/``length`` give, for each
+    slot, where its cycle begins and how long it is, and ``rank`` gives the
+    slot of each space index."""
 
     slots: np.ndarray
     start: np.ndarray
     length: np.ndarray
+    rank: np.ndarray
+
+    def step(self, x: np.ndarray, n) -> np.ndarray:
+        """Index of f^n(points[x]) for an index array ``x`` and whole
+        numbers ``n``, integers or integral floats of any size, that
+        broadcast against it.  ``n`` is reduced modulo the cycle length
+        first, which is exact for floats too."""
+        slot = self.rank[x]
+        first = self.start[slot]
+        length = self.length[slot]
+        shift = np.remainder(n, length).astype(np.intp)
+        return self.slots[first + (slot - first + shift) % length]
 
     def power(self, n: int) -> np.ndarray:
         """Index array of the n-th iterate: entry i is the index of f^n(points[i])."""
-        offset = np.arange(len(self.slots)) - self.start
-        out = np.empty_like(self.slots)
-        out[self.slots] = self.slots[self.start + (offset + n) % self.length]
-        return out
+        return self.step(np.arange(len(self.slots)), n)
 
     def longest_pair_period(self) -> int:
         """The largest lcm of two cycle lengths (a cycle paired with itself
@@ -155,10 +165,13 @@ def index_cycles(space: FiniteMetricSpace, mapping: SelfMap) -> IndexCycles:
     slots = np.fromiter(
         (space.index_of(p) for cycle in cycles for p in cycle), dtype=np.intp, count=len(space)
     )
+    rank = np.empty_like(slots)
+    rank[slots] = np.arange(len(slots))
     return IndexCycles(
         slots=slots,
         start=np.repeat(np.cumsum(sizes) - sizes, sizes),
         length=np.repeat(sizes, sizes),
+        rank=rank,
     )
 
 
@@ -195,14 +208,17 @@ def _worst_pairs(
     maximum over all pairs and the first pair (i, j) attaining it in
     row-major order: what ``np.argmax`` over the values of every pair in
     ``np.triu_indices`` order gives, NaN included, since each block's and
-    the blocks' first maxima are taken by ``np.argmax`` too.
+    the blocks' first maxima are taken by ``np.argmax`` too.  Both blocks
+    are gathered (:meth:`FiniteMetricSpace.distances`), so the scan needs
+    no N x N table.
     """
-    m = space.matrix
-    idx = _permutation_indices(space, mapping)
+    image = _permutation_indices(space, mapping)
     hits = []
     for rows, cols, upper in upper_blocks(len(space)):
+        base = space.distances(rows, cols)
+        moved = space.distances(image[rows, None], image[cols])
         found = []
-        for values in score(m[rows, cols], m[idx[rows, None], idx[cols]], upper):
+        for values in score(base, moved, upper):
             k = int(np.argmax(values))
             r, c = divmod(k, values.shape[1])
             found.append((values.flat[k], (rows.start + r, cols.start + c)))

@@ -41,7 +41,7 @@ from .dynamics import (
     SelfMap,
     estimate_bilipschitz_constant,
     index_cycles,
-    iterate,
+    iterate,  # unused here; bench/spans.py wraps this module's binding
 )
 from .errors import (
     InvalidInputError,
@@ -141,23 +141,41 @@ def dist_to_integers(a: float) -> float:
     return abs(a - round(a))
 
 
+def distances_to_integers(a: np.ndarray) -> np.ndarray:
+    """:func:`dist_to_integers` of each entry, bit for bit: ``np.round``
+    rounds halves to even, as ``round`` does."""
+    return np.abs(a - np.round(a))
+
+
 def circle_distance(u: float, v: float) -> float:
     """Distance between two angles on the unit-length circle R/Z."""
     return dist_to_integers(u - v)
 
 
-def canonicalize(x: Point, t: float, ts: TorusSpace) -> TorusPoint:
-    """The representative of (x, t) with time in [0, 1).
+def _canonical(ts: TorusSpace, x: np.ndarray, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Base indices and times in [0, 1) of the representatives of the
+    points (``x``, ``t``), base indices and finite times.
 
     Applies (x, t) -> (f^n(x), t+n) with n = -floor(t); one extra wrap
     covers the case where rounding pushes t+n up to exactly 1.
     """
-    n = -math.floor(t)
+    n = -np.floor(t)
     time = t + n
-    if time >= 1.0:
-        time -= 1.0
-        n -= 1
-    return TorusPoint(base=iterate(ts.monodromy, n, x), time=time)
+    wrap = time >= 1.0
+    time[wrap] -= 1.0
+    n[wrap] -= 1.0
+    return ts._cycles.step(x, n), time
+
+
+def canonicalize(x: Point, t: float, ts: TorusSpace) -> TorusPoint:
+    """The representative of (x, t) with time in [0, 1): the 1x1 view of
+    the array canonicalisation."""
+    if not math.isfinite(t):
+        raise InvalidInputError(f"time {t} is not finite")
+    base, time = _canonical(
+        ts, np.array([ts.base_space.index_of(x)]), np.array([t], dtype=float)
+    )
+    return TorusPoint(base=ts.base_space.points[base[0]], time=float(time[0]))
 
 
 def _require_canonical(p: TorusPoint, ts: TorusSpace) -> int:
@@ -217,7 +235,7 @@ def _product_kernel(
 ) -> np.ndarray:
     """max(base distance, time gap) from the points (``i``, ``r``) to the
     points (``j``, ``t``), for any times."""
-    rho = ts.base_space.matrix[i, j]
+    rho = ts.base_space.distances(i, j)
     np.maximum(rho, np.abs(r - t), out=rho)
     return rho
 
@@ -601,16 +619,46 @@ def project_to_circle(p: TorusPoint) -> float:
     return p.time
 
 
+def _close(
+    ts: TorusSpace, i: np.ndarray, r: np.ndarray, j: np.ndarray, t: np.ndarray, tol: float
+) -> np.ndarray:
+    """Whether each point (``i``, ``r``) equals the point (``j``, ``t``) up
+    to ``tol`` once its time gap is rounded to the nearest integer n, halves
+    to even, and the base of the second is moved by f^n."""
+    gap = r - t
+    n = np.round(gap)
+    close = np.abs(gap - n) <= tol
+    close[close] = i[close] == ts._cycles.step(j[close], n[close])
+    return close
+
+
 def torus_points_close(
     p: TorusPoint, q: TorusPoint, ts: TorusSpace, tol: float = DEFAULT_TOLERANCE
 ) -> bool:
     """Equality of canonical points up to a wrap at the time boundary.
 
     Rounding can park two images of the same point on opposite sides of the
-    t = 0 seam; this compares them as points of the glued space.
+    t = 0 seam; this compares them as points of the glued space.  The 1x1
+    view of the array comparison.
     """
-    gap = p.time - q.time
-    n = round(gap)
-    if abs(gap - n) > tol:
-        return False
-    return p.base == iterate(ts.monodromy, n, q.base)
+    i, j = (np.array([ts.base_space.index_of(x.base)]) for x in (p, q))
+    r, t = (np.array([x.time], dtype=float) for x in (p, q))
+    return bool(_close(ts, i, r, j, t, tol)[0])
+
+
+def flow_law_failures(
+    ts: TorusSpace, idx: np.ndarray, times: np.ndarray, r: np.ndarray, s: np.ndarray
+) -> np.ndarray:
+    """Which of the points (``idx``, ``times``), canonical, break a flow law
+    for the flow times ``r`` and ``s``: the composition law, that
+    ``flow(flow(p, s), r)`` is ``flow(p, r + s)`` up to 1e-12 across the
+    seam, or the circle law, that ``flow(p, r)`` lies within 1e-9 of
+    ``time + r`` on the circle.  Each value is rounded as the scalar calls
+    round it."""
+    mid, mid_times = _canonical(ts, idx, times + s)
+    lhs, lhs_times = _canonical(ts, mid, mid_times + r)
+    rhs, rhs_times = _canonical(ts, idx, times + (r + s))
+    _, moved = _canonical(ts, idx, times + r)
+    ok = _close(ts, lhs, lhs_times, rhs, rhs_times, 1e-12)
+    ok &= distances_to_integers(moved - (times + r)) <= 1e-9
+    return ~ok

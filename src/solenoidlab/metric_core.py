@@ -1,17 +1,19 @@
 """Finite metric spaces: axiom scans, transforms, and covering dimension.
 
-Distances live in a dense symmetric matrix indexed by the point list.  Spaces
-whose distances are all integer powers of one base in (0, 1) (shift and
-residue-ring models) additionally carry that base together with the integer
-exponent of every entry; comparisons that would be noisy in floating point
-(ultrametric triples, snowflake identities) are then done on the exponents
-exactly.
+Distances are indexed by the point list and read through one gather,
+:meth:`FiniteMetricSpace.distances`.  Spaces whose distances are all integer
+powers of one base in (0, 1) (shift and residue-ring models) additionally
+carry that base together with the integer exponent of every pair;
+comparisons that would be noisy in floating point (ultrametric triples,
+snowflake identities) are then done on the exponents exactly.  Such a space
+may be given in closed form (:class:`PowerLevels`), and then holds no N x N
+table until a scan or an export reads its ``exponents`` or ``matrix``.
 
-Passes over all pairs walk the matrix in row blocks of at most
+Passes over all pairs walk the space in row blocks of at most
 :data:`ROW_BLOCK_CELLS` cells (:func:`row_blocks`, :func:`upper_blocks`).
 Apart from its inputs, such a pass holds at most one N x N result plus
-temporaries the size of one block, so the dense ceiling is set by the arrays
-a model keeps, not by the passes run on it.
+temporaries the size of one block.  The two axiom scans read the whole
+matrix, and the exponent table where the space has one.
 """
 
 from __future__ import annotations
@@ -62,76 +64,148 @@ def upper_blocks(n: int) -> Iterator[tuple[slice, slice, np.ndarray]]:
 
 
 @dataclass(frozen=True, eq=False)
-class FiniteMetricSpace:
-    """A finite point set with a total, precomputed distance matrix.
+class PowerLevels:
+    """A power space's distances in closed form over O(N) data.
 
-    ``matrix[i, j]`` is the distance between ``points[i]`` and ``points[j]``;
-    a NaN entry is refused, since every comparison with it is false and the
-    scans would pass it.
-    When ``power_base`` is set, ``exponents`` holds one exponent per pair and
-    ``power_base ** exponents`` reproduces ``matrix`` entry for entry; the
-    diagonal uses ``inf`` so equal points get distance exactly 0.  Such a
-    space may be given without ``matrix``, which is then that power table;
-    a given ``matrix`` is rechecked against it a row block at a time.
-
-    The verification scans memoise their verdicts and tallies per tolerance
-    on the space, so neither array may be written to after construction.
+    ``of(rows, cols)`` takes integer index arrays (or integers) that
+    broadcast against each other and gives each pair's level, an index into
+    ``exponents``, which holds the exponent of every level (``inf`` for
+    equal points).  The smallest exponent of the table is attained by some
+    pair, so a space reads its diameter off the table.
     """
 
-    points: tuple
-    matrix: np.ndarray | None = None
-    label: str = ""
-    power_base: float | None = None
-    exponents: np.ndarray | None = None
+    of: Callable[[np.ndarray, np.ndarray], np.ndarray]
+    exponents: np.ndarray
 
-    def __post_init__(self) -> None:
-        n = len(self.points)
+    def exponent_table(self, n: int) -> np.ndarray:
+        """The N x N exponent table of ``n`` points, a row block at a time."""
+        index = np.arange(n)
+        out = np.empty((n, n))
+        for rows in row_blocks(n, n):
+            np.take(self.exponents, self.of(index[rows, None], index), out=out[rows])
+        return out
+
+
+class FiniteMetricSpace:
+    """A finite point set with a distance for every pair of its points.
+
+    ``distances(rows, cols)`` gathers the distances of index pairs, bit for
+    bit ``matrix[rows, cols]``; ``dist``, ``dist_exponent`` and
+    ``diameter`` read the same data.  A NaN distance is refused, since
+    every comparison with it is false and the scans would pass it.
+
+    A space given a ``matrix`` stores it.  A power space (``power_base``
+    set) has ``power_base ** exponents`` as its matrix, entry for entry,
+    with ``inf`` exponents on the diagonal so equal points get distance
+    exactly 0.  It is given either its N x N exponent table or ``levels``
+    (:class:`PowerLevels`), a closed form over O(N) data.  A space with
+    levels builds no N x N table until ``exponents`` or ``matrix`` is read:
+    ``exponents`` is then filled from the levels a row block at a time and
+    ``matrix`` is ``power_base ** exponents``, and the gathers read the
+    matrix from then on.  A matrix given with an exponent table is
+    rechecked against it a row block at a time.
+
+    The verification scans memoise their verdicts and tallies per tolerance
+    on the space, so neither table may be written to once built.
+    """
+
+    def __init__(
+        self,
+        points: tuple,
+        matrix: np.ndarray | None = None,
+        label: str = "",
+        power_base: float | None = None,
+        exponents: np.ndarray | None = None,
+        levels: PowerLevels | None = None,
+    ) -> None:
+        n = len(points)
         if n == 0:
             raise InvalidInputError("a metric space needs at least one point")
-        if len(set(self.points)) != n:
+        if len(set(points)) != n:
             raise InvalidInputError("duplicate points in metric space")
-        derived = self.matrix is None and self.power_base is not None
-        if self.power_base is not None:
-            if not 0.0 < self.power_base < 1.0:
-                raise InvalidInputError(
-                    f"power base must lie in (0, 1), got {self.power_base}"
-                )
-            if self.exponents is None or self.exponents.shape != (n, n):
+        self.points = points
+        self.label = label
+        self.power_base = power_base
+        self.levels = levels
+        self._matrix = matrix
+        self._exponents = exponents
+        if power_base is not None:
+            if not 0.0 < power_base < 1.0:
+                raise InvalidInputError(f"power base must lie in (0, 1), got {power_base}")
+            if levels is not None:
+                if np.isnan(levels.exponents).any():
+                    raise InvalidInputError("distance matrix contains NaN")
+                self._level_distances = power_base ** levels.exponents
+            elif exponents is None or exponents.shape != (n, n):
                 raise InvalidInputError("exponent table missing or mis-shaped")
-            if derived:
-                object.__setattr__(self, "matrix", self.power_base ** self.exponents)
-        if self.matrix is None:
+            elif matrix is None and np.isnan(exponents.min()):
+                raise InvalidInputError("distance matrix contains NaN")
+        elif matrix is None:
             raise InvalidInputError("a metric space needs a distance matrix")
-        if self.matrix.shape != (n, n):
-            raise InvalidInputError(
-                f"distance matrix shape {self.matrix.shape} does not match {n} points"
-            )
-        # min propagates NaN, so this needs no N x N temporary.
-        if np.isnan(self.matrix.min()):
-            raise InvalidInputError("distance matrix contains NaN")
-        if self.power_base is not None and not derived:
-            for rows in row_blocks(n, n):
-                if not np.array_equal(
-                    self.power_base ** self.exponents[rows], self.matrix[rows]
-                ):
-                    raise InvalidInputError("exponent table does not reproduce the matrix")
-        object.__setattr__(self, "_index", {p: i for i, p in enumerate(self.points)})
-        object.__setattr__(self, "_verdicts", {})
+        if matrix is not None:
+            if matrix.shape != (n, n):
+                raise InvalidInputError(
+                    f"distance matrix shape {matrix.shape} does not match {n} points"
+                )
+            # min propagates NaN, so this needs no N x N temporary.
+            if np.isnan(matrix.min()):
+                raise InvalidInputError("distance matrix contains NaN")
+            if power_base is not None:
+                for rows in row_blocks(n, n):
+                    if not np.array_equal(power_base ** self.exponents[rows], matrix[rows]):
+                        raise InvalidInputError(
+                            "exponent table does not reproduce the matrix"
+                        )
+        self._index = {p: i for i, p in enumerate(points)}
+        self._verdicts: dict = {}
+
+    @property
+    def exponents(self) -> np.ndarray | None:
+        """The N x N exponent table of a power space, built on first read."""
+        if self._exponents is None and self.levels is not None:
+            self._exponents = self.levels.exponent_table(len(self))
+        return self._exponents
+
+    @property
+    def matrix(self) -> np.ndarray:
+        """The N x N distance matrix, built on first read."""
+        if self._matrix is None:
+            self._matrix = self.power_base ** self.exponents
+        return self._matrix
+
+    def _gathered(self) -> bool:
+        """Whether the distances are read from the levels, not the matrix."""
+        return self._matrix is None and self.levels is not None
 
     def __len__(self) -> int:
         return len(self.points)
 
     def __contains__(self, p: Point) -> bool:
-        return p in self._index  # type: ignore[attr-defined]
+        return p in self._index
 
     def index_of(self, p: Point) -> int:
         try:
-            return self._index[p]  # type: ignore[attr-defined]
+            return self._index[p]
         except KeyError:
             raise InvalidInputError(f"point {p!r} is not in this space") from None
 
+    def distances(self, rows, cols) -> np.ndarray:
+        """``matrix[rows, cols]``, for integer index arrays (or integers)
+        that broadcast against each other, or for a slice of columns with an
+        integer, a slice or a 1-D index array of rows: one row, a block or
+        some whole rows.  Once the matrix is built, a row or a block is a
+        view of it, which the caller must not write to."""
+        if not self._gathered():
+            return self.matrix[rows, cols]
+        if isinstance(cols, slice):
+            index = np.arange(len(self))
+            rows, cols = index[rows] if isinstance(rows, slice) else rows, index[cols]
+            if np.ndim(rows) == 1:
+                rows = rows[:, None]
+        return self._level_distances.take(self.levels.of(rows, cols))
+
     def dist(self, p: Point, q: Point) -> float:
-        return float(self.matrix[self.index_of(p), self.index_of(q)])
+        return float(self.distances(self.index_of(p), self.index_of(q)))
 
     def dist_exponent(self, p: Point, q: Point) -> float:
         """Exact exponent of ``dist(p, q)`` as a power of ``power_base``.
@@ -139,11 +213,16 @@ class FiniteMetricSpace:
         Returns ``inf`` for equal points.  Raises when the space carries no
         power structure.
         """
-        if self.exponents is None:
+        if self.power_base is None:
             raise InvalidInputError(f"space {self.label!r} carries no exponent table")
-        return float(self.exponents[self.index_of(p), self.index_of(q)])
+        i, j = self.index_of(p), self.index_of(q)
+        if self._exponents is None:
+            return float(self.levels.exponents.take(self.levels.of(i, j)))
+        return float(self._exponents[i, j])
 
     def diameter(self) -> float:
+        if self._gathered():
+            return float(self._level_distances.max())
         return float(self.matrix.max())
 
 
@@ -485,18 +564,19 @@ def snowflake(space: FiniteMetricSpace, alpha: float) -> FiniteMetricSpace:
     preserves ultrametricity.  For alpha > 1 the result may only be a
     quasi-metric; nothing is asserted here, run a verification scan if the
     triangle defect matters.  Power-structured spaces stay exact: the base
-    becomes ``power_base ** alpha`` and the exponents are untouched.
+    becomes ``power_base ** alpha`` and the exponents are untouched, so the
+    result shares the levels and any exponent table already built.
     """
     if alpha <= 0:
         raise InvalidInputError(f"snowflake exponent must be positive, got {alpha}")
     label = f"{space.label}^{alpha:g}" if space.label else f"snowflake^{alpha:g}"
     if space.power_base is not None:
-        new_base = space.power_base ** alpha
         return FiniteMetricSpace(
             points=space.points,
             label=label,
-            power_base=new_base,
-            exponents=space.exponents,
+            power_base=space.power_base ** alpha,
+            exponents=space._exponents,
+            levels=space.levels,
         )
     return FiniteMetricSpace(
         points=space.points, matrix=space.matrix ** alpha, label=label
@@ -534,13 +614,12 @@ def covering_number(space: FiniteMetricSpace, scale: float) -> int:
     than ``scale`` from every existing center."""
     if scale <= 0:
         raise InvalidInputError(f"scale must be positive, got {scale}")
-    m = space.matrix
-    covered = np.zeros(len(space.points), dtype=bool)
+    covered = np.zeros(len(space), dtype=bool)
     count = 0
-    for i in range(len(space.points)):
+    for i in range(len(space)):
         if not covered[i]:
             count += 1
-            covered |= m[i] <= scale
+            covered |= space.distances(i, slice(None)) <= scale
     return count
 
 

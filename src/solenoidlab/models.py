@@ -2,7 +2,10 @@
 
 Each builder returns ``(space, mapping, torus)`` with the torus assembled at
 diameter bound 1; the snowflaked interval has no dynamics and returns just
-the space.  :func:`build_model` drives the same builders from a declarative
+the space.  The full shift and the residue ring give their spaces in closed
+form (:class:`~solenoidlab.metric_core.PowerLevels`), so a build allocates
+O(N) data and its N x N tables are built only when a scan or an export
+reads them.  :func:`build_model` drives the same builders from a declarative
 :class:`ModelSpec`, which is what the command line feeds in.
 """
 
@@ -17,20 +20,22 @@ import numpy as np
 from .dynamics import SelfMap, self_map_from_function
 from .errors import InvalidInputError
 from .mapping_torus import TorusPoint, TorusSpace, make_torus_space
-from .metric_core import FiniteMetricSpace, row_blocks, snowflake
+from .metric_core import FiniteMetricSpace, PowerLevels, snowflake
 from .shift_space import (
     Alphabet,
     PeriodicSequence,
     ShiftConfig,
+    depth_levels,
     enumerate_periodic_points,
-    pairwise_depth_matrix,
+    pairwise_depth_matrix,  # unused here; bench/spans.py wraps models' binding
     shift,
 )
 
 _ALPHABET_TOKENS = "0123456789abcdefghijklmnopqrstuvwxyz"
 
-#: The most points a built model may have.  A power model keeps two N x N
-#: float64 tables, its distances and their exponents: 4 GiB at this size.
+#: The most points a built model may have.  A power model builds two N x N
+#: float64 tables, its distances and their exponents, once a scan or an
+#: export reads them: 4 GiB at this size.
 MAX_DENSE_POINTS = 16384
 
 
@@ -62,7 +67,8 @@ def build_full_shift(
     """All periodic points of period dividing ``max_period`` under the shift.
 
     The space has ``alphabet_size ** max_period`` points, at most
-    :data:`MAX_DENSE_POINTS`, diameter 1, and an exact exponent table; the
+    :data:`MAX_DENSE_POINTS`, diameter 1, and exact exponents, gathered from
+    the packed cell words of :func:`~solenoidlab.shift_space.depth_levels`; the
     torus is assembled with bilipschitz constant ``1/ratio`` (the exact
     distortion of one shift step) and diameter bound 1.
     """
@@ -70,18 +76,22 @@ def build_full_shift(
     cfg = ShiftConfig(alphabet=alphabet, ratio=ratio)
     _require_dense(f"{alphabet_size}^{max_period}", alphabet_size, max_period)
     points = tuple(enumerate_periodic_points(alphabet, max_period))
-    depths = pairwise_depth_matrix(points)
     space = FiniteMetricSpace(
         points=points,
         label=f"full-shift({alphabet_size},{max_period})",
         power_base=cfg.ratio,
-        exponents=depths,
+        levels=depth_levels(points),
     )
     mapping = self_map_from_function(points, shift, kind="shift-map")
     torus = make_torus_space(
         space, mapping, lipschitz_constant=1.0 / ratio, diameter_bound=1.0
     )
     return space, mapping, torus
+
+
+def _index_gap(rows, cols):
+    """The level of a residue-ring pair: the gap between its indices."""
+    return np.abs(rows - cols)
 
 
 def build_padic_cycle(
@@ -91,7 +101,8 @@ def build_padic_cycle(
 
     d(x, y) = prime^-v where v is the multiplicity of ``prime`` in x - y;
     translation preserves differences, so the map is an exact isometry and
-    the torus gets bilipschitz constant 1.
+    the torus gets bilipschitz constant 1.  The exponent of a pair is read
+    from one table of valuations indexed by the gap ``|i - j|``.
     """
     if prime >= 2:  # first: a huge prime would keep the trial division going
         _require_dense(f"{prime}^{digits}", prime, digits)
@@ -107,16 +118,11 @@ def build_padic_cycle(
     for e in range(1, digits):
         valuation[diffs % prime ** e == 0] += 1.0
     valuation[0] = np.inf
-    exponents = np.empty((modulus, modulus))
-    for rows in row_blocks(modulus, modulus):
-        gaps = diffs[rows, None] - diffs
-        np.take(valuation, np.abs(gaps, out=gaps), out=exponents[rows])
-    base = 1.0 / prime
     space = FiniteMetricSpace(
         points=points,
         label=f"residue-ring({prime}^{digits})",
-        power_base=base,
-        exponents=exponents,
+        power_base=1.0 / prime,
+        levels=PowerLevels(_index_gap, valuation),
     )
     mapping = self_map_from_function(
         points, lambda x: (x + 1) % modulus, kind="group-translation"

@@ -8,9 +8,9 @@ points.
 
 The metric is ``ratio ** depth`` where ``depth`` is the largest n >= 0 such
 that the sequences agree on the index window -n+1 .. n (0 for equal points).
-The depth is an exact integer, and spaces built from it keep the exponent
-table from :mod:`.metric_core` so downstream checks can compare exponents
-instead of floats.
+The depth is an exact integer, and spaces built from it carry exact
+exponents (:func:`depth_levels`, a gather over packed cell words) so
+downstream checks can compare exponents instead of floats.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import InvalidInputError
-from .metric_core import row_blocks
+from .metric_core import PowerLevels
 
 
 @dataclass(frozen=True)
@@ -229,22 +229,24 @@ def enumerate_periodic_points(
     return out
 
 
-def pairwise_depth_matrix(seqs: Sequence[PeriodicSequence]) -> np.ndarray:
-    """Agreement depths for every pair, ``inf`` on equal pairs.
+def depth_levels(seqs: Sequence[PeriodicSequence]) -> PowerLevels:
+    """Agreement depths of pairs of ``seqs`` as a gather over packed words.
 
     Read the cells in the interleaved order 1, 0, 2, -1, 3, -2, ...: two
     sequences agree on the window -n+1 .. n exactly when they agree on the
     first 2n cells of that order, so the depth is the position of the first
     differing cell, halved and rounded down.  Over one combined period
     (``span``, the lcm of the periods) that is 2 * span cells per sequence.
-    They are packed ``52 // bits`` to an int64 word, first cell in the
+    They are packed once, ``52 // bits`` to an int64 word, first cell in the
     highest bits, where ``bits`` holds one symbol index.  The highest set
     bit of the XOR of two words marks their first differing cell;
-    ``np.frexp`` reads it exactly, since the words stay below 2**52.  Each
-    word then takes one XOR, one ``frexp`` and one table lookup over all
-    pairs, a block of rows at a time, and a later word only lowers depths
-    that an earlier one left at ``inf``.  Any span works; the cost is
-    O(N^2 * span / (52 // bits)) in array passes.
+    ``np.frexp`` reads it exactly, since the words stay below 2**52.
+
+    The levels of index pairs are their depths, with ``span`` for equal
+    sequences (exponent ``inf``): each word takes one XOR, one ``frexp`` and
+    one table lookup over the pairs, and a later word only lowers depths
+    that an earlier one left at ``span``.  Any span works; the cost is
+    O(pairs * span / (52 // bits)) in array passes.
     """
     if not seqs:
         raise InvalidInputError("no sequences given")
@@ -252,7 +254,6 @@ def pairwise_depth_matrix(seqs: Sequence[PeriodicSequence]) -> np.ndarray:
     for s in seqs[1:]:
         if s.alphabet != alphabet:
             raise InvalidInputError("sequences use different alphabets")
-    n = len(seqs)
     span = math.lcm(*(s.period for s in seqs))
     table = np.array(
         [[alphabet.index(c) for c in s.expand(span)] for s in seqs], dtype=np.int64
@@ -264,24 +265,30 @@ def pairwise_depth_matrix(seqs: Sequence[PeriodicSequence]) -> np.ndarray:
     order[1::2] = -np.arange(span) % span
     starts = range(0, 2 * span, per_word)
     shifts = bits * np.arange(per_word - 1, -1, -1, dtype=np.int64)
-    words = np.empty((len(starts), n), dtype=np.int64)
+    words = np.empty((len(starts), len(seqs)), dtype=np.int64)
     # depth_at[k][e]: the depth when word k first differs and frexp of the
     # XOR gives exponent e, so its highest set bit is e - 1; e = 0 (equal
-    # words) leaves the depth open.
-    depth_at = np.empty((len(starts), bits * per_word + 1))
-    depth_at[:, 0] = np.inf
+    # words) leaves the depth open, at ``span``.
+    depth_at = np.empty((len(starts), bits * per_word + 1), dtype=np.intp)
+    depth_at[:, 0] = span
     high_cell = (np.arange(bits * per_word) // bits)[::-1]
     for k, start in enumerate(starts):
         cols = order[start : start + per_word]
         words[k] = (table[:, cols] << shifts[: len(cols)]).sum(axis=1)
         depth_at[k, 1:] = (start + high_cell) // 2
-    out = np.empty((n, n))
-    for rows in row_blocks(n, n):
-        block = out[rows]
-        for k, word in enumerate(words):
-            _, e = np.frexp(word[rows, None] ^ word)
-            if k:
-                np.minimum(block, depth_at[k][e], out=block)
-            else:
-                np.take(depth_at[k], e, out=block)
-    return out
+
+    def of(rows, cols):
+        level = None
+        for word, at in zip(words, depth_at):
+            _, e = np.frexp(word[rows] ^ word[cols])
+            found = at.take(e)
+            level = found if level is None else np.minimum(level, found)
+        return level
+
+    return PowerLevels(of, np.append(np.arange(span, dtype=float), np.inf))
+
+
+def pairwise_depth_matrix(seqs: Sequence[PeriodicSequence]) -> np.ndarray:
+    """Agreement depths for every pair, ``inf`` on equal pairs: the
+    :func:`depth_levels` gather over all pairs, a block of rows at a time."""
+    return depth_levels(seqs).exponent_table(len(seqs))

@@ -1,12 +1,14 @@
 """Reference CLI code: the ``quotient-metric`` and ``chain-sandwich`` checks
-one pair at a time, the CSV writer one row at a time, and the ``measures``
-cylinder draws with ``rng.choice``.
+one pair at a time, the ``flow-laws`` check one triple at a time, the CSV
+writer one row at a time, and the ``measures`` cylinder draws with
+``rng.choice``.
 
-The command line draws every pair first and answers them in bulk, and
-renders CSV rows a block at a time.  These are the loops they replaced, which
-draw, query and judge each pair in turn, so tests can hold the bulk checks to
-the same payload for the same seed and the writer to the same bytes.  Their
-torus distances come from ``mapping_torus_reference``.
+The command line draws every pair or triple first and answers them in bulk,
+and renders CSV rows a block at a time.  These are the loops they replaced,
+which draw, query and judge each pair or triple in turn, so tests can hold
+the bulk checks to the same payload for the same seed and the writer to the
+same bytes.  Their torus distances and canonical points come from
+``mapping_torus_reference``.
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ from solenoidlab import (
     ChainMetricTable,
     CylinderSet,
     TorusPoint,
+    circle_distance,
     dist_to_integers,
     point_label,
     product_metric,
@@ -107,6 +110,37 @@ def check_chain_sandwich_by_pair(model, check, tol, rng):
         "status": "pass" if violations == 0 else "fail",
         "pairs": pairs,
         "sample_size": len(table),
+        "violations": violations,
+        "witness": witness,
+    }
+
+
+def check_flow_laws_by_triple(model, check, tol, rng):
+    ts = model.torus
+    triples = _arg(check, "triples")
+    points = ts.base_space.points
+
+    def flow(p, r):
+        return ref.canonicalize_by_steps(p.base, p.time + r, ts)
+
+    violations = 0
+    witness = None
+    for _ in range(triples):
+        p = TorusPoint(points[rng.randint(len(points))], float(rng.rand()))
+        r, s = (float(v) for v in rng.uniform(-2.0, 2.0, size=2))
+        lhs = flow(flow(p, s), r)
+        rhs = flow(p, r + s)
+        moved = flow(p, r).time
+        ok = ref.points_close_by_steps(lhs, rhs, ts, 1e-12) and (
+            circle_distance(moved, p.time + r) <= 1e-9
+        )
+        if not ok:
+            violations += 1
+            if witness is None:
+                witness = {"point": point_label(p), "r": r, "s": s}
+    return {
+        "status": "pass" if violations == 0 else "fail",
+        "triples": triples,
         "violations": violations,
         "witness": witness,
     }

@@ -1,11 +1,12 @@
 """Reference torus distances: the product metric one pair at a time, the
 scalar shift loops, per-point rows, one chain query at a time and per-row
-Dijkstra.
+Dijkstra; and canonical representatives one point at a time.
 
 The library computes the product, quotient and representative distances with
 one broadcasting kernel each, every chain distance with one Floyd-Warshall solve
-and off-sample chain queries in pruned batches.  This module keeps the plain
-versions they replaced, so property tests can hold the library to them.  Its
+and off-sample chain queries in pruned batches, and canonicalises points on
+index arrays.  This module keeps the plain versions they replaced, so
+property tests can hold the library to them.  Its
 checks raise rather than assert, so they hold under ``python -O`` too.
 """
 
@@ -37,6 +38,26 @@ GAP_CAP = 0.5
 #: extra shifts never lower the minimum.
 SHIFTS = (-2, -1, 0, 1, 2)
 CORE_SHIFTS = (-1, 0)
+
+
+def canonicalize_by_steps(x, t: float, ts: TorusSpace) -> TorusPoint:
+    """(f^n(x), t + n) with n = -floor(t), a Python integer, and one extra
+    wrap when rounding pushes the time up to exactly 1."""
+    n = -math.floor(t)
+    time = t + n
+    if time >= 1.0:
+        time -= 1.0
+        n -= 1
+    return TorusPoint(base=iterate(ts.monodromy, n, x), time=time)
+
+
+def points_close_by_steps(p: TorusPoint, q: TorusPoint, ts: TorusSpace, tol: float) -> bool:
+    """Equality up to ``tol`` after rounding the time gap with ``round``."""
+    gap = p.time - q.time
+    n = round(gap)
+    if abs(gap - n) > tol:
+        return False
+    return p.base == iterate(ts.monodromy, n, q.base)
 
 
 def product_metric_by_pair(x, r: float, y, t: float, ts: TorusSpace) -> float:

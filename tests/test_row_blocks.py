@@ -270,8 +270,15 @@ def test_building_a_1024_point_model_peaks_within_2_mib_of_what_it_keeps():
         start, _ = tracemalloc.get_traced_memory()
         model = build_model(spec)
         kept, peak = tracemalloc.get_traced_memory()
+        # The closed form keeps O(N) data; reading the matrix builds it and
+        # the exponent table, a row block at a time.
+        assert kept - start < MiB, f"the build keeps {(kept - start) / MiB:.1f} MiB"
+        tracemalloc.reset_peak()
+        tables = model.space.matrix.nbytes + model.space.exponents.nbytes
+        with_tables, peak_tables = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert kept - start >= 2 * model.space.matrix.nbytes  # matrix and exponents
     assert peak - kept < 2 * MiB, f"peak {(peak - kept) / MiB:.1f} MiB above what it keeps"
+    assert with_tables - kept >= tables == 2 * 8 * 1024 ** 2
+    assert peak_tables - with_tables < 2 * MiB
 
