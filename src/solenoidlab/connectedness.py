@@ -129,10 +129,11 @@ def dense_orbit_check(
         raise InvalidInputError(f"resolution must be positive, got {epsilon}")
     if max_iter < 0:
         raise InvalidInputError(f"iteration budget must be nonnegative, got {max_iter}")
-    cycle = mapping.orbit(origin)
-    if 2 * max_iter + 1 < len(cycle):
-        cycle = cycle[: max_iter + 1] + cycle[len(cycle) - max_iter:]
-    rows = np.array(sorted(space.index_of(p) for p in cycle), dtype=np.intp)
+    table = index_cycles(space, mapping)
+    i = space.index_of(origin)
+    # An even cycle may list its antipode twice, which the minimum ignores.
+    reach = min(max_iter, int(table.length[table.rank[i]]) // 2)
+    rows = table.step(i, np.arange(-reach, reach + 1))
     nearest = np.full(len(space), np.inf)
     for part in row_blocks(len(rows), len(space)):
         block = space.distances(rows[part], slice(None))

@@ -15,44 +15,67 @@ from .metric_core import FiniteMetricSpace, upper_blocks
 Point = Any
 
 
-class _CycleTable(NamedTuple):
-    """The cycles of a permutation, each a tuple in map order, and for each
-    point the cycle through it with the point's position in that cycle."""
+class IndexCycles(NamedTuple):
+    """A permutation's cycles over the indices of a point list: ``slots``
+    lists the indices cycle after cycle, ``start``/``length`` give, for each
+    slot, where its cycle begins and how long it is, and ``rank`` gives the
+    slot of each index."""
 
-    cycles: tuple[tuple, ...]
-    where: dict
+    slots: np.ndarray
+    start: np.ndarray
+    length: np.ndarray
+    rank: np.ndarray
+
+    def step(self, x: np.ndarray, n) -> np.ndarray:
+        """Index of f^n(points[x]) for an index array ``x`` and whole
+        numbers ``n``, integers or integral floats of any size, that
+        broadcast against it.  ``n`` is reduced modulo the cycle length
+        first: exactly, in Python ints for an int beyond int64."""
+        slot = self.rank[x]
+        first = self.start[slot]
+        length = self.length[slot]
+        big = isinstance(n, int) and not -2 ** 63 <= n < 2 ** 63
+        shift = np.remainder(n, length.astype(object) if big else length).astype(np.intp)
+        return self.slots[first + (slot - first + shift) % length]
+
+    def power(self, n: int) -> np.ndarray:
+        """Index array of the n-th iterate: entry i is the index of f^n(points[i])."""
+        return self.step(np.arange(len(self.slots)), n)
+
+    def longest_pair_period(self) -> int:
+        """The largest lcm of two cycle lengths (a cycle paired with itself
+        included): every pair's joint orbit repeats within that many steps."""
+        lengths = set(self.length.tolist())
+        return max(math.lcm(a, b) for a in lengths for b in lengths)
 
 
-def _cycle_table(forward: dict, backward: dict) -> _CycleTable:
-    """Decompose ``forward`` into cycles, checking it permutes its keys and
-    that ``backward`` is its inverse."""
-    if len(backward) != len(forward):
+def _build_cycles(forward: dict, backward: dict, index: dict) -> IndexCycles:
+    """The cycle table of ``forward`` over its keys numbered by ``index``,
+    each cycle from its smallest index, its head, and the cycles in the
+    order of their heads; log2(N) rounds of pointer doubling find the heads.
+    Refuses a ``forward`` that does not permute its keys and a ``backward``
+    that is not its inverse."""
+    n = len(forward)
+    image = np.fromiter((index.get(q, -1) for q in forward.values()), np.intp, n)
+    if (image < 0).any() or (np.bincount(image, minlength=n) != 1).any():
+        raise UnsupportedMapError("the forward table does not permute its keys")
+    missing = object()
+    if len(backward) != n or any(backward.get(q, missing) != p for p, q in forward.items()):
         raise UnsupportedMapError("the backward table is not the inverse of the forward one")
-    where: dict = {}
-    cycles = []
-    for start in forward:
-        if start in where:
-            continue
-        # None marks the points of the cycle being walked.
-        walk = [start]
-        where[start] = None
-        q = forward[start]
-        while q != start:
-            if q in where or q not in forward:
-                raise UnsupportedMapError("the forward table does not permute its keys")
-            walk.append(q)
-            where[q] = None
-            q = forward[q]
-        cycle = tuple(walk)
-        for pos, p in enumerate(cycle):
-            image = cycle[(pos + 1) % len(cycle)]
-            if image not in backward or backward[image] != p:
-                raise UnsupportedMapError(
-                    "the backward table is not the inverse of the forward one"
-                )
-            where[p] = (cycle, pos)
-        cycles.append(cycle)
-    return _CycleTable(cycles=tuple(cycles), where=where)
+    ids = np.arange(n)
+    # After k rounds head[i] is the least of i, f(i), ..., f^(2^k - 1)(i),
+    # reached at f^ahead[i](i), and hop is f^(2^k).
+    head, ahead, hop = ids, np.zeros_like(ids), image
+    for k in range(max(n - 1, 0).bit_length()):
+        later = head[hop] < head
+        head = np.where(later, head[hop], head)
+        ahead = np.where(later, ahead[hop] + 2 ** k, ahead)
+        hop = hop[hop]
+    sizes = np.bincount(head, minlength=n)
+    rank = (np.cumsum(sizes) - sizes)[head] + (-ahead) % sizes[head]
+    slots = np.empty_like(rank)
+    slots[rank] = ids
+    return IndexCycles(slots, rank[head[slots]], sizes[head[slots]], rank)
 
 
 @dataclass(frozen=True, eq=False)
@@ -62,10 +85,11 @@ class SelfMap:
     ``kind`` is a free-form tag (``permutation-table``, ``shift-map``,
     ``group-translation``) kept for reports.
 
-    Iterates, orbits and the order are read from a cycle table built on first
-    use and kept on the map, so neither table may be written to after the map
-    is first used.  Building it raises :class:`UnsupportedMapError` when
-    ``forward`` does not permute its keys or ``backward`` is not its inverse.
+    Iterates, orbits and the order are views of one :class:`IndexCycles`
+    over the domain in ``forward`` order, built on first use and kept on
+    the map, so neither table may be written to after the map is first
+    used.  Building it raises :class:`UnsupportedMapError` when ``forward``
+    does not permute its keys or ``backward`` is not its inverse.
     """
 
     forward: dict
@@ -85,23 +109,35 @@ class SelfMap:
             raise InvalidInputError(f"point {p!r} is not in the map's range") from None
 
     @cached_property
-    def _cycles(self) -> _CycleTable:
-        return _cycle_table(self.forward, self.backward)
+    def _domain(self) -> tuple:
+        return tuple(self.forward)
 
-    def _locate(self, p: Point) -> tuple[tuple, int]:
+    @cached_property
+    def _index(self) -> dict:
+        return {p: i for i, p in enumerate(self._domain)}
+
+    @cached_property
+    def _cycles(self) -> IndexCycles:
+        return _build_cycles(self.forward, self.backward, self._index)
+
+    def _locate(self, p: Point) -> tuple[int, int, int]:
+        """The slot of ``p`` in the cycle table, with its cycle's start and length."""
+        table = self._cycles
         try:
-            return self._cycles.where[p]
+            slot = int(table.rank[self._index[p]])
         except KeyError:
             raise InvalidInputError(f"point {p!r} is not in the map's domain") from None
+        return slot, int(table.start[slot]), int(table.length[slot])
 
     def orbit(self, p: Point) -> tuple:
         """The cycle through ``p``: (p, f(p), f(f(p)), ...) up to first return."""
-        cycle, pos = self._locate(p)
-        return cycle[pos:] + cycle[:pos]
+        slot, first, length = self._locate(p)
+        cycle = np.roll(self._cycles.slots[first:first + length], first - slot)
+        return tuple(self._domain[i] for i in cycle.tolist())
 
     def order(self) -> int:
         """Least n >= 1 with the n-th iterate equal to the identity."""
-        return math.lcm(*(len(cycle) for cycle in self._cycles.cycles))
+        return math.lcm(*set(self._cycles.length.tolist()))
 
 
 def self_map_from_function(
@@ -118,65 +154,25 @@ def self_map_from_function(
 
 def iterate(mapping: SelfMap, n: int, x: Point) -> Point:
     """n-th iterate (negative n walks the inverse): one cycle-table lookup,
-    so any |n| costs O(1)."""
-    cycle, pos = mapping._locate(x)
-    return cycle[(pos + n) % len(cycle)]
-
-
-class IndexCycles(NamedTuple):
-    """A map's cycle table in a space's index order: ``slots`` lists the
-    space indices cycle after cycle, ``start``/``length`` give, for each
-    slot, where its cycle begins and how long it is, and ``rank`` gives the
-    slot of each space index."""
-
-    slots: np.ndarray
-    start: np.ndarray
-    length: np.ndarray
-    rank: np.ndarray
-
-    def step(self, x: np.ndarray, n) -> np.ndarray:
-        """Index of f^n(points[x]) for an index array ``x`` and whole
-        numbers ``n``, integers or integral floats of any size, that
-        broadcast against it.  ``n`` is reduced modulo the cycle length
-        first, which is exact for floats too."""
-        slot = self.rank[x]
-        first = self.start[slot]
-        length = self.length[slot]
-        shift = np.remainder(n, length).astype(np.intp)
-        return self.slots[first + (slot - first + shift) % length]
-
-    def power(self, n: int) -> np.ndarray:
-        """Index array of the n-th iterate: entry i is the index of f^n(points[i])."""
-        return self.step(np.arange(len(self.slots)), n)
-
-    def longest_pair_period(self) -> int:
-        """The largest lcm of two cycle lengths (a cycle paired with itself
-        included): every pair's joint orbit repeats within that many steps."""
-        lengths = set(self.length.tolist())
-        return max(math.lcm(a, b) for a in lengths for b in lengths)
+    reduced in Python ints, so any |n| costs O(1)."""
+    slot, first, length = mapping._locate(x)
+    return mapping._domain[mapping._cycles.slots[first + (slot - first + n) % length]]
 
 
 def index_cycles(space: FiniteMetricSpace, mapping: SelfMap) -> IndexCycles:
-    """The map's cycle table over the points of ``space``, which must be its domain."""
-    if set(mapping.forward.keys()) != set(space.points):
+    """The map's cycle table over the indices of ``space``, whose points
+    must be the map's domain: the map's own table when the space lists them
+    in ``forward`` order, as every model and every space derived from one
+    does, and otherwise that table renumbered."""
+    table = mapping._cycles
+    if space.points == mapping._domain:
+        return table
+    to_domain = np.fromiter((mapping._index.get(p, -1) for p in space.points), np.intp)
+    if len(space) != len(mapping._domain) or (to_domain < 0).any():
         raise UnsupportedMapError("map domain does not match the space's points")
-    cycles = mapping._cycles.cycles
-    sizes = np.array([len(cycle) for cycle in cycles], dtype=np.intp)
-    slots = np.fromiter(
-        (space.index_of(p) for cycle in cycles for p in cycle), dtype=np.intp, count=len(space)
-    )
-    rank = np.empty_like(slots)
-    rank[slots] = np.arange(len(slots))
-    return IndexCycles(
-        slots=slots,
-        start=np.repeat(np.cumsum(sizes) - sizes, sizes),
-        length=np.repeat(sizes, sizes),
-        rank=rank,
-    )
-
-
-def _permutation_indices(space: FiniteMetricSpace, mapping: SelfMap) -> np.ndarray:
-    return index_cycles(space, mapping).power(1)
+    to_space = np.empty_like(to_domain)
+    to_space[to_domain] = np.arange(len(space))
+    return table._replace(slots=to_space[table.slots], rank=table.rank[to_domain])
 
 
 # ============================================================
@@ -212,7 +208,7 @@ def _worst_pairs(
     are gathered (:meth:`FiniteMetricSpace.distances`), so the scan needs
     no N x N table.
     """
-    image = _permutation_indices(space, mapping)
+    image = index_cycles(space, mapping).power(1)
     hits = []
     for rows, cols, upper in upper_blocks(len(space)):
         base = space.distances(rows, cols)

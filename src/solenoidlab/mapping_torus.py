@@ -90,8 +90,7 @@ class TorusSpace:
 
     @cached_property
     def _cycles(self) -> IndexCycles:
-        """The monodromy's cycle table in the base space's index order,
-        built on first use and kept on the torus."""
+        """The monodromy's cycle table over the base space's indices."""
         return index_cycles(self.base_space, self.monodromy)
 
     @cached_property
@@ -117,16 +116,16 @@ def make_torus_space(
         raise UnsupportedMapError("map domain does not match the space's points")
     if diameter_bound is None:
         diameter_bound = max(space.diameter(), 0.5)
-    if diameter_bound < 0.5:
+    if not 0.5 <= diameter_bound < math.inf:
         raise InvalidInputError(
-            f"diameter bound must be at least 1/2, got {diameter_bound}"
+            f"diameter bound must be finite and at least 1/2, got {diameter_bound}"
         )
     space = truncate(space, diameter_bound)
     if lipschitz_constant is None:
         lipschitz_constant = estimate_bilipschitz_constant(space, mapping).constant
-    if lipschitz_constant < 1.0:
+    if not 1.0 <= lipschitz_constant < math.inf:
         raise InvalidInputError(
-            f"bilipschitz constant must be at least 1, got {lipschitz_constant}"
+            f"bilipschitz constant must be finite and at least 1, got {lipschitz_constant}"
         )
     return TorusSpace(
         base_space=space,

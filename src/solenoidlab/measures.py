@@ -32,6 +32,8 @@ class WeightVector:
     def __post_init__(self) -> None:
         if len(self.values) != len(self.alphabet):
             raise InvalidInputError("one weight per alphabet symbol required")
+        if not all(math.isfinite(v) for v in self.values):
+            raise InvalidInputError(f"non-finite weight in {self.values}")
         if any(v < 0 for v in self.values):
             raise InvalidInputError(f"negative weight in {self.values}")
         total = sum(self.values)

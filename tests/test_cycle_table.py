@@ -7,9 +7,12 @@ label merge is held to.
 """
 
 import ast
+import io
+import json
 import math
 import pathlib
 import time
+from contextlib import redirect_stdout
 from unittest import mock
 
 import numpy as np
@@ -26,16 +29,20 @@ from solenoidlab import (
     TorusSpace,
     UnsupportedMapError,
     adapted_metric,
+    build_padic_cycle,
     enumerate_periodic_points,
     invariant_components,
     iterate,
     metric_core,
     metric_space_from_matrix,
     self_map_from_function,
+    truncate,
     verify_isometry,
 )
+from solenoidlab import cli, dynamics
 from solenoidlab.connectedness import _merge_labels
 from solenoidlab.dynamics import index_cycles
+from solenoidlab.models import ModelSpec, build_model
 
 SEQUENCES = tuple(enumerate_periodic_points(Alphabet(("0", "1")), 6))
 
@@ -95,7 +102,9 @@ def test_iterate_orbit_and_order_match_the_walks(drawn, data):
     assert mapping.order() == ref.order_by_walk(mapping)
     for _ in range(5):
         x = data.draw(st.sampled_from(points))
-        n = data.draw(st.one_of(st.integers(-3, 3), st.integers(-10 ** 9, 10 ** 9)))
+        n = data.draw(st.one_of(
+            st.integers(-3, 3), st.integers(-10 ** 9, 10 ** 9), st.integers(-10 ** 30, 10 ** 30),
+        ))
         assert iterate(mapping, n, x) == ref.iterate_by_walk(mapping, n, x)
         assert mapping.orbit(x) == ref.orbit_by_walk(mapping, x)
 
@@ -113,6 +122,70 @@ def test_perm_powers_match_the_steps(drawn, lo, hi):
     assert ts._shift_powers.keys() == window.keys()
     for m, want in window.items():
         assert np.array_equal(ts._shift_powers[m], want)
+
+
+@pytest.mark.parametrize("n", [2 ** 63, -2 ** 63 - 1, 10 ** 30, -10 ** 30, 2 ** 63 - 1])
+def test_index_steps_beyond_int64_are_exact(n):
+    space, mapping, _ = build_padic_cycle(3, 2)
+    table = index_cycles(space, mapping)
+    assert table.step(np.array([1]), n).tolist() == [(1 + n) % 9]
+    assert table.power(n).tolist() == [(i + n) % 9 for i in range(9)]
+    assert iterate(mapping, n, 1) == (1 + n) % 9
+
+
+def test_a_model_space_shares_the_maps_table_and_a_reordered_space_renumbers_it():
+    space, mapping, torus = build_padic_cycle(2, 4)
+    table = index_cycles(space, mapping)
+    assert table is mapping._cycles is torus._cycles
+    assert index_cycles(truncate(space, 0.5), mapping) is table
+    flipped = metric_space_from_matrix(space.points[::-1], space.matrix[::-1, ::-1])
+    renumbered = index_cycles(flipped, mapping)
+    assert np.array_equal(renumbered.power(1), ref.permutation_indices_by_lookup(flipped, mapping))
+    wrong = metric_space_from_matrix(space.points[:-1], space.matrix[:-1, :-1])
+    with pytest.raises(UnsupportedMapError, match="domain"):
+        index_cycles(wrong, mapping)
+
+
+def _count_table_builds(monkeypatch) -> mock.Mock:
+    counted = mock.Mock(wraps=dynamics._build_cycles)
+    monkeypatch.setattr(dynamics, "_build_cycles", counted)
+    return counted
+
+
+@pytest.mark.parametrize("kind, parameters, checks", [
+    ("padic-cycle", {"prime": 2, "digits": 6}, [
+        {"name": "bilipschitz"},
+        {"name": "connectedness", "epsilon": 0.5},
+        {"name": "dense-orbit", "epsilon": 0.5},
+        {"name": "quotient-metric", "pairs": 50},
+        {"name": "flow-laws", "triples": 50},
+        {"name": "chain-sandwich", "pairs": 20},
+    ]),
+    ("full-shift", {"alphabet_size": 2, "ratio": 0.5, "max_period": 6}, [
+        {"name": "bilipschitz"},
+        {"name": "connectedness", "epsilon": 0.5},
+        {"name": "dense-orbit", "epsilon": 0.5},
+    ]),
+])
+def test_a_run_builds_one_cycle_table(tmp_path, monkeypatch, kind, parameters, checks):
+    builds = _count_table_builds(monkeypatch)
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(
+        {"space": {"kind": kind, "parameters": parameters}, "seed": 1, "checks": checks}
+    ))
+    with redirect_stdout(io.StringIO()):
+        assert cli.main(["run", str(config)]) == 0
+    assert builds.call_count == 1
+
+
+def test_building_a_model_builds_no_cycle_table(monkeypatch):
+    builds = _count_table_builds(monkeypatch)
+    for kind, parameters in [
+        ("padic-cycle", {"prime": 2, "digits": 6}),
+        ("full-shift", {"alphabet_size": 2, "ratio": 0.5, "max_period": 6}),
+    ]:
+        build_model(ModelSpec.from_dict({"kind": kind, "parameters": parameters}))
+    assert builds.call_count == 0
 
 
 @settings(max_examples=150, deadline=None)
@@ -222,6 +295,7 @@ def test_adapted_metric_with_an_astronomical_order_is_fast():
     ({0: 1}, {1: 0}),                 # image outside the domain
     ({0: 1, 1: 0}, {0: 0, 1: 1}),     # backward is not the inverse
     ({0: 1, 1: 0}, {0: 1}),           # backward is missing a point
+    ({0: 1, 1: 0}, {0: 1, 1: 0, 2: 2}),  # backward has an extra point
 ])
 def test_a_table_that_is_not_a_bijection_is_refused(forward, backward):
     mapping = SelfMap(forward=forward, backward=backward)

@@ -104,6 +104,18 @@ def test_make_torus_space_validation():
         make_torus_space(space, wrong)
 
 
+@pytest.mark.parametrize("bounds", [
+    {"lipschitz_constant": math.nan},
+    {"lipschitz_constant": math.inf},
+    {"diameter_bound": math.inf},
+    {"diameter_bound": math.nan},
+])
+def test_make_torus_space_refuses_non_finite_bounds(bounds):
+    space, mapping, _ = build_padic_cycle(3, 2)
+    with pytest.raises(InvalidInputError, match="finite"):
+        make_torus_space(space, mapping, **bounds)
+
+
 def test_product_metric_is_a_max(padic):
     assert product_metric(0, 0.1, 1, 0.4, padic) == 1.0
     assert product_metric(0, 0.1, 2, 0.4, padic) == 0.5

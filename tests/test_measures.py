@@ -49,6 +49,14 @@ def test_weight_vector_construction():
         WeightVector.from_dict(BITS, {"0": 1.0})
 
 
+@pytest.mark.parametrize("values", [
+    (math.nan, math.nan), (math.nan, 1.0), (math.inf, -math.inf), (0.5, math.nan),
+])
+def test_weight_vector_refuses_non_finite_weights(values):
+    with pytest.raises(InvalidInputError, match="non-finite"):
+        WeightVector(BITS, values)
+
+
 def test_cylinder_measure_is_a_product():
     cyl = CylinderSet.from_dict(BITS, {0: "0", 3: "1", -2: "0"})
     assert cylinder_measure(cyl, UNIFORM) == 0.125
