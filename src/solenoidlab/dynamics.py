@@ -5,7 +5,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Any, Callable, Iterable, NamedTuple
+from types import MappingProxyType
+from typing import Any, Callable, Iterable, Mapping, NamedTuple
 
 import numpy as np
 
@@ -49,19 +50,11 @@ class IndexCycles(NamedTuple):
         return max(math.lcm(a, b) for a in lengths for b in lengths)
 
 
-def _build_cycles(forward: dict, backward: dict, index: dict) -> IndexCycles:
-    """The cycle table of ``forward`` over its keys numbered by ``index``,
-    each cycle from its smallest index, its head, and the cycles in the
-    order of their heads; log2(N) rounds of pointer doubling find the heads.
-    Refuses a ``forward`` that does not permute its keys and a ``backward``
-    that is not its inverse."""
-    n = len(forward)
-    image = np.fromiter((index.get(q, -1) for q in forward.values()), np.intp, n)
-    if (image < 0).any() or (np.bincount(image, minlength=n) != 1).any():
-        raise UnsupportedMapError("the forward table does not permute its keys")
-    missing = object()
-    if len(backward) != n or any(backward.get(q, missing) != p for p, q in forward.items()):
-        raise UnsupportedMapError("the backward table is not the inverse of the forward one")
+def _build_cycles(image: np.ndarray) -> IndexCycles:
+    """The cycle table of the permutation ``image`` of its indices, each
+    cycle from its smallest index, its head, and the cycles in the order of
+    their heads; log2(N) rounds of pointer doubling find the heads."""
+    n = len(image)
     ids = np.arange(n)
     # After k rounds head[i] is the least of i, f(i), ..., f^(2^k - 1)(i),
     # reached at f^ahead[i](i), and hop is f^(2^k).
@@ -80,60 +73,67 @@ def _build_cycles(forward: dict, backward: dict, index: dict) -> IndexCycles:
 
 @dataclass(frozen=True, eq=False)
 class SelfMap:
-    """A bijection of a finite point set, stored as forward/backward tables.
+    """A bijection of a finite point set: ``image[i]`` is the index in
+    ``domain`` of the image of ``domain[i]``; ``kind`` is a free-form tag
+    (``permutation-table``, ``shift-map``, ``group-translation``).
 
-    ``kind`` is a free-form tag (``permutation-table``, ``shift-map``,
-    ``group-translation``) kept for reports.
-
-    Iterates, orbits and the order are views of one :class:`IndexCycles`
-    over the domain in ``forward`` order, built on first use and kept on
-    the map, so neither table may be written to after the map is first
-    used.  Building it raises :class:`UnsupportedMapError` when ``forward``
-    does not permute its keys or ``backward`` is not its inverse.
+    Construction raises :class:`UnsupportedMapError` unless ``image`` is an
+    integer array permuting ``range(len(domain))``, and keeps a read-only
+    copy.  Iterates, orbits and the order are views of one
+    :class:`IndexCycles` built from it on first use; ``forward`` and the
+    point-to-index table, which refuses a repeated point, on first read.
     """
 
-    forward: dict
-    backward: dict
+    domain: tuple
+    image: np.ndarray
     kind: str = "permutation-table"
 
+    def __post_init__(self) -> None:
+        domain, image = tuple(self.domain), np.asarray(self.image)
+        n = len(domain)
+        in_range = image.dtype.kind in "iu" and image.shape == (n,) and (
+            n == 0 or 0 <= image.min() <= image.max() < n
+        )
+        if not in_range or (np.bincount(image.astype(np.intp), minlength=n) != 1).any():
+            raise UnsupportedMapError("the image is not a permutation of the domain's indices")
+        object.__setattr__(self, "domain", domain)
+        object.__setattr__(self, "image", image.astype(np.intp))
+        self.image.flags.writeable = False
+
     def __call__(self, p: Point) -> Point:
-        try:
-            return self.forward[p]
-        except KeyError:
-            raise InvalidInputError(f"point {p!r} is not in the map's domain") from None
+        return self.domain[self.image[self._index_of(p)]]
 
     def inverse(self, p: Point) -> Point:
-        try:
-            return self.backward[p]
-        except KeyError:
-            raise InvalidInputError(f"point {p!r} is not in the map's range") from None
+        return iterate(self, -1, p)
 
     @cached_property
-    def _domain(self) -> tuple:
-        return tuple(self.forward)
+    def forward(self) -> Mapping:
+        """Each point of the domain to its image, read-only."""
+        domain = self.domain
+        return MappingProxyType({p: domain[i] for p, i in zip(domain, self.image.tolist())})
 
     @cached_property
     def _index(self) -> dict:
-        return {p: i for i, p in enumerate(self._domain)}
+        index = {p: i for i, p in enumerate(self.domain)}
+        if len(index) != len(self.domain):
+            raise UnsupportedMapError("the map's domain repeats a point")
+        return index
+
+    def _index_of(self, p: Point) -> int:
+        try:
+            return self._index[p]
+        except KeyError:
+            raise InvalidInputError(f"point {p!r} is not in the map's domain") from None
 
     @cached_property
     def _cycles(self) -> IndexCycles:
-        return _build_cycles(self.forward, self.backward, self._index)
-
-    def _locate(self, p: Point) -> tuple[int, int, int]:
-        """The slot of ``p`` in the cycle table, with its cycle's start and length."""
-        table = self._cycles
-        try:
-            slot = int(table.rank[self._index[p]])
-        except KeyError:
-            raise InvalidInputError(f"point {p!r} is not in the map's domain") from None
-        return slot, int(table.start[slot]), int(table.length[slot])
+        return _build_cycles(self.image)
 
     def orbit(self, p: Point) -> tuple:
         """The cycle through ``p``: (p, f(p), f(f(p)), ...) up to first return."""
-        slot, first, length = self._locate(p)
-        cycle = np.roll(self._cycles.slots[first:first + length], first - slot)
-        return tuple(self._domain[i] for i in cycle.tolist())
+        table, i = self._cycles, self._index_of(p)
+        steps = np.arange(table.length[table.rank[i]])
+        return tuple(self.domain[j] for j in table.step(i, steps).tolist())
 
     def order(self) -> int:
         """Least n >= 1 with the n-th iterate equal to the identity."""
@@ -143,35 +143,41 @@ class SelfMap:
 def self_map_from_function(
     points: Iterable[Point], fn: Callable[[Point], Point], kind: str = "permutation-table"
 ) -> SelfMap:
-    """Tabulate ``fn`` over ``points`` and check it permutes them."""
-    pts = list(points)
-    forward = {p: fn(p) for p in pts}
-    if set(forward.values()) != set(pts):
-        raise UnsupportedMapError("the map does not permute the given point set")
-    backward = {q: p for p, q in forward.items()}
-    return SelfMap(forward=forward, backward=backward, kind=kind)
+    """Tabulate ``fn`` over the distinct ``points`` and check it permutes them."""
+    domain = tuple(points)
+    index = {p: i for i, p in enumerate(domain)}
+    if len(index) != len(domain):
+        raise InvalidInputError("duplicate points in the map's domain")
+    image = np.fromiter((index.get(fn(p), -1) for p in domain), np.intp, len(domain))
+    return SelfMap(domain, image, kind)
 
 
 def iterate(mapping: SelfMap, n: int, x: Point) -> Point:
-    """n-th iterate (negative n walks the inverse): one cycle-table lookup,
-    reduced in Python ints, so any |n| costs O(1)."""
-    slot, first, length = mapping._locate(x)
-    return mapping._domain[mapping._cycles.slots[first + (slot - first + n) % length]]
+    """n-th iterate (negative n walks the inverse): one cycle-table step,
+    reduced exactly, so any |n| costs O(1)."""
+    return mapping.domain[mapping._cycles.step(np.array([mapping._index_of(x)]), n)[0]]
+
+
+def domain_indices(space: FiniteMetricSpace, mapping: SelfMap) -> np.ndarray | None:
+    """The domain index of each point of ``space``, ``None`` when its points
+    are the domain itself (as in every model), refusing any other points."""
+    if space.points is mapping.domain or space.points == mapping.domain:
+        return None
+    to_domain = np.fromiter((mapping._index.get(p, -1) for p in space.points), np.intp)
+    if len(space) != len(mapping.domain) or (to_domain < 0).any():
+        raise UnsupportedMapError("map domain does not match the space's points")
+    return to_domain
 
 
 def index_cycles(space: FiniteMetricSpace, mapping: SelfMap) -> IndexCycles:
     """The map's cycle table over the indices of ``space``, whose points
     must be the map's domain: the map's own table when the space lists them
-    in ``forward`` order, as every model and every space derived from one
-    does, and otherwise that table renumbered."""
+    in domain order, and otherwise that table renumbered."""
+    to_domain = domain_indices(space, mapping)
     table = mapping._cycles
-    if space.points == mapping._domain:
+    if to_domain is None:
         return table
-    to_domain = np.fromiter((mapping._index.get(p, -1) for p in space.points), np.intp)
-    if len(space) != len(mapping._domain) or (to_domain < 0).any():
-        raise UnsupportedMapError("map domain does not match the space's points")
-    to_space = np.empty_like(to_domain)
-    to_space[to_domain] = np.arange(len(space))
+    to_space = np.argsort(to_domain)  # the inverse permutation
     return table._replace(slots=to_space[table.slots], rank=table.rank[to_domain])
 
 

@@ -39,6 +39,7 @@ import numpy as np
 from .dynamics import (
     IndexCycles,
     SelfMap,
+    domain_indices,
     estimate_bilipschitz_constant,
     index_cycles,
     iterate,  # unused here; bench/spans.py wraps this module's binding
@@ -46,7 +47,6 @@ from .dynamics import (
 from .errors import (
     InvalidInputError,
     InvariantError,
-    UnsupportedMapError,
     UnsupportedModeError,
 )
 from .metric_core import (
@@ -110,10 +110,10 @@ def make_torus_space(
 
     The diameter bound defaults to max(diameter, 1/2); an explicit bound
     below the diameter truncates the base metric.  The bilipschitz constant
-    defaults to the estimate over the (possibly truncated) base.
+    defaults to the estimate over the (possibly truncated) base.  The
+    space's points must be the map's domain (:func:`domain_indices`).
     """
-    if set(mapping.forward.keys()) != set(space.points):
-        raise UnsupportedMapError("map domain does not match the space's points")
+    domain_indices(space, mapping)
     if diameter_bound is None:
         diameter_bound = max(space.diameter(), 0.5)
     if not 0.5 <= diameter_bound < math.inf:

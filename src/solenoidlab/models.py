@@ -17,7 +17,8 @@ from typing import Any, Mapping
 import jsonschema
 import numpy as np
 
-from .dynamics import SelfMap, self_map_from_function
+from .dynamics import SelfMap
+from .dynamics import self_map_from_function  # unused here; bench/spans.py wraps models' binding
 from .errors import InvalidInputError
 from .mapping_torus import TorusPoint, TorusSpace, make_torus_space
 from .metric_core import FiniteMetricSpace, PowerLevels, snowflake
@@ -28,7 +29,7 @@ from .shift_space import (
     depth_levels,
     enumerate_periodic_points,
     pairwise_depth_matrix,  # unused here; bench/spans.py wraps models' binding
-    shift,
+    shift_image,
 )
 
 _ALPHABET_TOKENS = "0123456789abcdefghijklmnopqrstuvwxyz"
@@ -82,7 +83,7 @@ def build_full_shift(
         power_base=cfg.ratio,
         levels=depth_levels(points),
     )
-    mapping = self_map_from_function(points, shift, kind="shift-map")
+    mapping = SelfMap(points, shift_image(alphabet, max_period), kind="shift-map")
     torus = make_torus_space(
         space, mapping, lipschitz_constant=1.0 / ratio, diameter_bound=1.0
     )
@@ -124,9 +125,7 @@ def build_padic_cycle(
         power_base=1.0 / prime,
         levels=PowerLevels(_index_gap, valuation),
     )
-    mapping = self_map_from_function(
-        points, lambda x: (x + 1) % modulus, kind="group-translation"
-    )
+    mapping = SelfMap(points, (diffs + 1) % modulus, kind="group-translation")
     torus = make_torus_space(space, mapping, lipschitz_constant=1.0, diameter_bound=1.0)
     return space, mapping, torus
 
@@ -138,9 +137,7 @@ def build_two_fixed_points() -> tuple[FiniteMetricSpace, SelfMap, TorusSpace]:
     invariant split at any resolution below 1.
     """
     alphabet = _make_alphabet(2)
-    points = tuple(
-        PeriodicSequence.from_cells(alphabet, (s,)) for s in alphabet.symbols
-    )
+    points = tuple(enumerate_periodic_points(alphabet, 1))
     exponents = np.array([[np.inf, 0.0], [0.0, np.inf]])
     space = FiniteMetricSpace(
         points=points,
@@ -148,7 +145,7 @@ def build_two_fixed_points() -> tuple[FiniteMetricSpace, SelfMap, TorusSpace]:
         power_base=0.5,
         exponents=exponents,
     )
-    mapping = self_map_from_function(points, shift, kind="shift-map")
+    mapping = SelfMap(points, shift_image(alphabet, 1), kind="shift-map")
     torus = make_torus_space(space, mapping, lipschitz_constant=1.0, diameter_bound=1.0)
     return space, mapping, torus
 

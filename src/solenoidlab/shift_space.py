@@ -125,8 +125,10 @@ class ShiftConfig:
     ratio: float
 
     def __post_init__(self) -> None:
-        if not 0.0 < self.ratio < 1.0:
-            raise InvalidInputError(f"ratio must lie in (0, 1), got {self.ratio}")
+        if not 0.0 < self.ratio < 1.0 or math.isinf(1.0 / self.ratio):
+            raise InvalidInputError(
+                f"ratio must lie in (0, 1) with 1/ratio finite, got {self.ratio}"
+            )
 
 
 def _require_same_alphabet(x: PeriodicSequence, y: PeriodicSequence) -> None:
@@ -227,6 +229,14 @@ def enumerate_periodic_points(
     for cells in itertools.product(alphabet.symbols, repeat=max_period):
         out.append(PeriodicSequence.from_cells(alphabet, cells))
     return out
+
+
+def shift_image(alphabet: Alphabet, max_period: int) -> np.ndarray:
+    """Index of ``shift(p)`` for each ``p`` in :func:`enumerate_periodic_points`
+    order: one step moves the last of the ``max_period`` cells to the front."""
+    k = len(alphabet)
+    i = np.arange(k ** max_period)
+    return i // k + (i % k) * k ** (max_period - 1)
 
 
 def depth_levels(seqs: Sequence[PeriodicSequence]) -> PowerLevels:

@@ -8,6 +8,10 @@ and the full shift's from the cell-by-cell depth loop of
 ``shift_space_reference``, each handed to ``FiniteMetricSpace`` as an
 explicit exponent table.  Property tests hold the lazy spaces to them byte
 for byte.
+
+It also keeps the maps tabulated point by point, which the builders
+replaced with closed-form index arrays: the full shift's image looked up
+after shifting each point, and the residue ring's from ``(x + 1) % p**d``.
 """
 
 from __future__ import annotations
@@ -19,7 +23,10 @@ from solenoidlab import (
     Alphabet,
     FiniteMetricSpace,
     PeriodicSequence,
+    SelfMap,
     enumerate_periodic_points,
+    self_map_from_function,
+    shift,
 )
 
 
@@ -60,4 +67,20 @@ def two_fixed_points_eager() -> FiniteMetricSpace:
         points=tuple(PeriodicSequence.from_cells(alphabet, (s,)) for s in "01"),
         power_base=0.5,
         exponents=np.array([[np.inf, 0.0], [0.0, np.inf]]),
+    )
+
+
+def full_shift_map_by_lookup(alphabet_size: int, max_period: int) -> SelfMap:
+    """The shift tabulated point by point: each point is shifted and its
+    image looked up among the enumerated points."""
+    alphabet = Alphabet(tuple("0123456789abcdefghijklmnopqrstuvwxyz"[:alphabet_size]))
+    points = enumerate_periodic_points(alphabet, max_period)
+    return self_map_from_function(points, shift, kind="shift-map")
+
+
+def padic_map_by_steps(prime: int, digits: int) -> SelfMap:
+    """The +1 map of Z / prime^digits tabulated point by point."""
+    modulus = prime ** digits
+    return self_map_from_function(
+        range(modulus), lambda x: (x + 1) % modulus, kind="group-translation"
     )

@@ -74,11 +74,7 @@ def cycle_maps(draw, max_points=40):
     mapping = _map_with_cycles(on_cycles, lengths)
     # Table order and space order are drawn apart from the cycle layout.
     listed = draw(st.permutations(pool))
-    mapping = SelfMap(
-        forward={p: mapping.forward[p] for p in listed},
-        backward=dict(mapping.backward),
-    )
-    return pool, mapping
+    return pool, self_map_from_function(listed, mapping)
 
 
 @st.composite
@@ -289,22 +285,44 @@ def test_adapted_metric_with_an_astronomical_order_is_fast():
     assert verify_isometry(tilde, mapping, tol=0.0).is_isometry
 
 
-@pytest.mark.parametrize("forward, backward", [
-    ({0: 1, 1: 1}, {1: 0}),           # not injective
-    ({0: 1, 1: 0, 2: 0}, {0: 1, 1: 0}),  # two preimages of 0
-    ({0: 1}, {1: 0}),                 # image outside the domain
-    ({0: 1, 1: 0}, {0: 0, 1: 1}),     # backward is not the inverse
-    ({0: 1, 1: 0}, {0: 1}),           # backward is missing a point
-    ({0: 1, 1: 0}, {0: 1, 1: 0, 2: 2}),  # backward has an extra point
+@pytest.mark.parametrize("image", [
+    np.array([1, 1]),         # not injective
+    np.array([1, 2]),         # index out of range
+    np.array([1, -1]),        # negative index
+    np.array([1, 0, 2]),      # wrong length
+    np.array([[1, 0]]),       # wrong shape
+    np.array([1.0, 0.0]),     # not integers
+    np.array([True, False]),  # not integers
 ])
-def test_a_table_that_is_not_a_bijection_is_refused(forward, backward):
-    mapping = SelfMap(forward=forward, backward=backward)
+def test_an_image_that_is_not_a_permutation_is_refused(image):
+    with pytest.raises(UnsupportedMapError, match="not a permutation"):
+        SelfMap((0, 1), image)
+
+
+def test_the_image_is_a_read_only_copy():
+    given = np.array([1, 2, 0], dtype=np.int32)
+    mapping = SelfMap(("a", "b", "c"), given)
+    given[0] = 0
+    assert mapping.image.dtype == np.intp
+    assert mapping.image.tolist() == [1, 2, 0]
+    with pytest.raises(ValueError, match="read-only"):
+        mapping.image[0] = 0
+    assert dict(mapping.forward) == {"a": "b", "b": "c", "c": "a"}
+    with pytest.raises(TypeError):
+        mapping.forward["a"] = "a"
+    assert mapping.orbit("a") == ("a", "b", "c")
+
+
+def test_a_domain_that_repeats_a_point_is_refused():
+    with pytest.raises(InvalidInputError, match="duplicate"):
+        self_map_from_function((0, 0, 1), lambda x: 1 - x)
+    # A map built directly from its image refuses at its first point lookup.
+    mapping = SelfMap((0, 0, 1), np.array([2, 1, 0]))
+    with pytest.raises(UnsupportedMapError, match="repeats"):
+        mapping(0)
+    space = metric_space_from_matrix((0, 1), [[0.0, 1.0], [1.0, 0.0]])
     with pytest.raises(UnsupportedMapError):
-        iterate(mapping, 1, 0)
-    with pytest.raises(UnsupportedMapError):
-        mapping.orbit(0)
-    with pytest.raises(UnsupportedMapError):
-        mapping.order()
+        index_cycles(space, mapping)
 
 
 def test_iterate_outside_the_domain_is_invalid_input():

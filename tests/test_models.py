@@ -2,7 +2,10 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import models_reference
 from solenoidlab import (
     InvalidInputError,
     ModelSpec,
@@ -19,6 +22,7 @@ from solenoidlab import (
     verify_ultrametric,
 )
 from solenoidlab import models
+from solenoidlab.dynamics import index_cycles
 
 
 def test_full_shift_build():
@@ -45,6 +49,9 @@ def test_full_shift_validation():
         build_full_shift(2, 0.5, 0)
     with pytest.raises(InvalidInputError):
         build_full_shift(40, 0.5, 1)  # symbol table holds 36 tokens
+    # 1 / 1e-310 overflows: the refusal names the ratio, not the constant.
+    with pytest.raises(InvalidInputError, match=r"^ratio .* 1/ratio finite, got 1e-310$"):
+        build_full_shift(2, 1e-310, 4)
 
 
 def test_padic_cycle_build():
@@ -212,3 +219,43 @@ def test_the_point_ceiling_is_the_largest_model_built(monkeypatch, builder, fits
     assert len(built[0] if isinstance(built, tuple) else built) == 8
     with pytest.raises(InvalidInputError, match="exceeds the limit of 8$"):
         builder(*over)
+
+
+def _assert_same_map(built, space, want):
+    """``built`` has the domain, image and cycle table of ``want``, bit for bit."""
+    assert built.domain == space.points == want.domain
+    assert built.kind == want.kind
+    assert built.image.dtype == want.image.dtype
+    assert built.image.tobytes() == want.image.tobytes()
+    for got, ref in zip(index_cycles(space, built), want._cycles):
+        assert got.dtype == ref.dtype and got.tobytes() == ref.tobytes()
+
+
+@st.composite
+def full_shift_sizes(draw, most=512):
+    """An alphabet size of 2 to 5 and a period giving at most ``most`` points."""
+    k = draw(st.integers(2, 5))
+    return k, draw(st.integers(1, max(p for p in range(1, 10) if k ** p <= most)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(size=full_shift_sizes())
+def test_the_full_shift_image_is_the_tabulated_shift(size):
+    alphabet_size, max_period = size
+    space, mapping, _ = build_full_shift(alphabet_size, 0.5, max_period)
+    _assert_same_map(
+        mapping, space, models_reference.full_shift_map_by_lookup(alphabet_size, max_period)
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(prime=st.sampled_from([2, 3, 5, 7, 11, 13, 17, 19, 23]), data=st.data())
+def test_the_padic_image_is_the_tabulated_translation(prime, data):
+    digits = data.draw(st.integers(1, max(d for d in range(1, 10) if prime ** d <= 600)))
+    space, mapping, _ = build_padic_cycle(prime, digits)
+    _assert_same_map(mapping, space, models_reference.padic_map_by_steps(prime, digits))
+
+
+def test_the_two_fixed_points_are_fixed_by_the_shift():
+    space, mapping, _ = build_two_fixed_points()
+    _assert_same_map(mapping, space, models_reference.full_shift_map_by_lookup(2, 1))
