@@ -27,16 +27,16 @@ class IndexCycles(NamedTuple):
     length: np.ndarray
     rank: np.ndarray
 
-    def step(self, x: np.ndarray, n) -> np.ndarray:
-        """Index of f^n(points[x]) for an index array ``x`` and whole
-        numbers ``n``, integers or integral floats of any size, that
+    def step(self, x: np.ndarray | int, n):
+        """Index of f^n(points[x]) for an index or index array ``x`` and
+        whole numbers ``n``, integers or integral floats of any size, that
         broadcast against it.  ``n`` is reduced modulo the cycle length
         first: exactly, in Python ints for an int beyond int64."""
         slot = self.rank[x]
         first = self.start[slot]
         length = self.length[slot]
         big = isinstance(n, int) and not -2 ** 63 <= n < 2 ** 63
-        shift = np.remainder(n, length.astype(object) if big else length).astype(np.intp)
+        shift = np.asarray(n % (length.astype(object) if big else length), dtype=np.intp)
         return self.slots[first + (slot - first + shift) % length]
 
     def power(self, n: int) -> np.ndarray:
@@ -155,7 +155,7 @@ def self_map_from_function(
 def iterate(mapping: SelfMap, n: int, x: Point) -> Point:
     """n-th iterate (negative n walks the inverse): one cycle-table step,
     reduced exactly, so any |n| costs O(1)."""
-    return mapping.domain[mapping._cycles.step(np.array([mapping._index_of(x)]), n)[0]]
+    return mapping.domain[mapping._cycles.step(mapping._index_of(x), n)]
 
 
 def domain_indices(space: FiniteMetricSpace, mapping: SelfMap) -> np.ndarray | None:

@@ -1,13 +1,13 @@
 """Finite metric spaces: axiom scans, transforms, and covering dimension.
 
 Distances are indexed by the point list and read through one gather,
-:meth:`FiniteMetricSpace.distances`.  Spaces whose distances are all integer
-powers of one base in (0, 1) (shift and residue-ring models) additionally
-carry that base together with the integer exponent of every pair;
-comparisons that would be noisy in floating point (ultrametric triples,
-snowflake identities) are then done on the exponents exactly.  Such a space
-may be given in closed form (:class:`PowerLevels`), and then holds no N x N
-table until a scan or an export reads its ``exponents`` or ``matrix``.
+:meth:`FiniteMetricSpace.distances`.  A space is given either its
+distance matrix or, when its distances are all integer powers of one base
+in (0, 1) (shift and residue-ring models), that base and the exponent of
+every pair in closed form (:class:`PowerLevels`).  Comparisons that would be
+noisy in floating point (ultrametric triples, snowflake identities) are
+then done on the exponents exactly, and the space holds no N x N table until
+a scan or an export reads its ``exponents`` or ``matrix``.
 
 Passes over all pairs walk the space in row blocks of at most
 :data:`ROW_BLOCK_CELLS` cells (:func:`row_blocks`, :func:`upper_blocks`).
@@ -94,16 +94,15 @@ class FiniteMetricSpace:
     ``diameter`` read the same data.  A NaN distance is refused, since
     every comparison with it is false and the scans would pass it.
 
-    A space given a ``matrix`` stores it.  A power space (``power_base``
-    set) has ``power_base ** exponents`` as its matrix, entry for entry,
-    with ``inf`` exponents on the diagonal so equal points get distance
-    exactly 0.  It is given either its N x N exponent table or ``levels``
-    (:class:`PowerLevels`), a closed form over O(N) data.  A space with
-    levels builds no N x N table until ``exponents`` or ``matrix`` is read:
+    A space is given in one of two forms.  A plain space is given its
+    ``matrix`` and stores it.  A power space is given ``power_base`` in
+    (0, 1) and ``levels`` (:class:`PowerLevels`), a closed form over O(N)
+    data; its matrix is ``power_base ** exponents``, entry for entry, with
+    ``inf`` exponents on the diagonal so equal points get distance exactly
+    0.  It builds no N x N table until ``exponents`` or ``matrix`` is read:
     ``exponents`` is then filled from the levels a row block at a time and
     ``matrix`` is ``power_base ** exponents``, and the gathers read the
-    matrix from then on.  A matrix given with an exponent table is
-    rechecked against it a row block at a time.
+    matrix from then on.  Any other combination of the three is refused.
 
     The verification scans memoise their verdicts and tallies per tolerance
     on the space, so neither table may be written to once built.
@@ -115,48 +114,37 @@ class FiniteMetricSpace:
         matrix: np.ndarray | None = None,
         label: str = "",
         power_base: float | None = None,
-        exponents: np.ndarray | None = None,
         levels: PowerLevels | None = None,
     ) -> None:
         n = len(points)
         if n == 0:
             raise InvalidInputError("a metric space needs at least one point")
-        if len(set(points)) != n:
+        self._index = {p: i for i, p in enumerate(points)}
+        if len(self._index) != n:
             raise InvalidInputError("duplicate points in metric space")
+        given = (matrix is not None, power_base is not None, levels is not None)
+        if given not in ((True, False, False), (False, True, True)):
+            raise InvalidInputError(
+                "a metric space takes a distance matrix, or a power base with levels"
+            )
+        if matrix is None:
+            if not 0.0 < power_base < 1.0:
+                raise InvalidInputError(f"power base must lie in (0, 1), got {power_base}")
+            if np.isnan(levels.exponents).any():
+                raise InvalidInputError("distance matrix contains NaN")
+            self._level_distances = power_base ** levels.exponents
+        elif matrix.shape != (n, n):
+            raise InvalidInputError(
+                f"distance matrix shape {matrix.shape} does not match {n} points"
+            )
+        elif np.isnan(matrix.min()):  # min propagates NaN: no N x N temporary
+            raise InvalidInputError("distance matrix contains NaN")
         self.points = points
         self.label = label
         self.power_base = power_base
         self.levels = levels
         self._matrix = matrix
-        self._exponents = exponents
-        if power_base is not None:
-            if not 0.0 < power_base < 1.0:
-                raise InvalidInputError(f"power base must lie in (0, 1), got {power_base}")
-            if levels is not None:
-                if np.isnan(levels.exponents).any():
-                    raise InvalidInputError("distance matrix contains NaN")
-                self._level_distances = power_base ** levels.exponents
-            elif exponents is None or exponents.shape != (n, n):
-                raise InvalidInputError("exponent table missing or mis-shaped")
-            elif matrix is None and np.isnan(exponents.min()):
-                raise InvalidInputError("distance matrix contains NaN")
-        elif matrix is None:
-            raise InvalidInputError("a metric space needs a distance matrix")
-        if matrix is not None:
-            if matrix.shape != (n, n):
-                raise InvalidInputError(
-                    f"distance matrix shape {matrix.shape} does not match {n} points"
-                )
-            # min propagates NaN, so this needs no N x N temporary.
-            if np.isnan(matrix.min()):
-                raise InvalidInputError("distance matrix contains NaN")
-            if power_base is not None:
-                for rows in row_blocks(n, n):
-                    if not np.array_equal(power_base ** self.exponents[rows], matrix[rows]):
-                        raise InvalidInputError(
-                            "exponent table does not reproduce the matrix"
-                        )
-        self._index = {p: i for i, p in enumerate(points)}
+        self._exponents: np.ndarray | None = None
         self._verdicts: dict = {}
 
     @property
@@ -175,7 +163,7 @@ class FiniteMetricSpace:
 
     def _gathered(self) -> bool:
         """Whether the distances are read from the levels, not the matrix."""
-        return self._matrix is None and self.levels is not None
+        return self._matrix is None
 
     def __len__(self) -> int:
         return len(self.points)
@@ -216,9 +204,7 @@ class FiniteMetricSpace:
         if self.power_base is None:
             raise InvalidInputError(f"space {self.label!r} carries no exponent table")
         i, j = self.index_of(p), self.index_of(q)
-        if self._exponents is None:
-            return float(self.levels.exponents.take(self.levels.of(i, j)))
-        return float(self._exponents[i, j])
+        return float(self.levels.exponents.take(self.levels.of(i, j)))
 
     def diameter(self) -> float:
         if self._gathered():
@@ -565,7 +551,7 @@ def snowflake(space: FiniteMetricSpace, alpha: float) -> FiniteMetricSpace:
     quasi-metric; nothing is asserted here, run a verification scan if the
     triangle defect matters.  Power-structured spaces stay exact: the base
     becomes ``power_base ** alpha`` and the exponents are untouched, so the
-    result shares the levels and any exponent table already built.
+    result shares the levels.
     """
     if alpha <= 0:
         raise InvalidInputError(f"snowflake exponent must be positive, got {alpha}")
@@ -575,7 +561,6 @@ def snowflake(space: FiniteMetricSpace, alpha: float) -> FiniteMetricSpace:
             points=space.points,
             label=label,
             power_base=space.power_base ** alpha,
-            exponents=space._exponents,
             levels=space.levels,
         )
     return FiniteMetricSpace(

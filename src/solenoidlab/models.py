@@ -76,6 +76,13 @@ def build_full_shift(
     alphabet = _make_alphabet(alphabet_size)
     cfg = ShiftConfig(alphabet=alphabet, ratio=ratio)
     _require_dense(f"{alphabet_size}^{max_period}", alphabet_size, max_period)
+    # Distinct points differ within any max_period cells: the deepest agreement.
+    deepest = max(max_period - 1, 0) // 2
+    if ratio ** deepest == 0.0:
+        raise InvalidInputError(
+            f"ratio {ratio} is too small for max_period {max_period}: the smallest "
+            f"distance, ratio ** {deepest}, underflows to 0"
+        )
     points = tuple(enumerate_periodic_points(alphabet, max_period))
     space = FiniteMetricSpace(
         points=points,
@@ -138,12 +145,11 @@ def build_two_fixed_points() -> tuple[FiniteMetricSpace, SelfMap, TorusSpace]:
     """
     alphabet = _make_alphabet(2)
     points = tuple(enumerate_periodic_points(alphabet, 1))
-    exponents = np.array([[np.inf, 0.0], [0.0, np.inf]])
     space = FiniteMetricSpace(
         points=points,
         label="two-fixed-points",
         power_base=0.5,
-        exponents=exponents,
+        levels=PowerLevels(_index_gap, np.array([np.inf, 0.0])),
     )
     mapping = SelfMap(points, shift_image(alphabet, 1), kind="shift-map")
     torus = make_torus_space(space, mapping, lipschitz_constant=1.0, diameter_bound=1.0)

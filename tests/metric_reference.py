@@ -7,14 +7,15 @@ so property tests can hold the library's reports, counts and witnesses in
 order, against it.  It also keeps the
 subdominant-ultrametric verdict as a Prim pass that fills the whole
 ultrametric row by row, the oracle for the library's range-maximum verdict,
-and the one-pass check that an exponent table reproduces its matrix.
+and :func:`table_levels`, which hands a whole exponent table to a power
+space as its levels.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from solenoidlab import AxiomViolation, FiniteMetricSpace, MetricReport
+from solenoidlab import AxiomViolation, FiniteMetricSpace, MetricReport, PowerLevels
 from solenoidlab.metric_core import WITNESS_LIMIT
 
 
@@ -132,8 +133,11 @@ def within_subdominant(key: np.ndarray, tol: float) -> bool:
     return True
 
 
-def reproduces_all_at_once(power_base: float, exponents: np.ndarray, matrix: np.ndarray) -> bool:
-    """Whether ``power_base ** exponents`` equals ``matrix`` entry for entry,
-    with one full-size power table: the recheck ``FiniteMetricSpace`` now
-    makes a row block at a time."""
-    return np.array_equal(power_base ** exponents, matrix)
+def table_levels(e: np.ndarray) -> PowerLevels:
+    """The N x N exponent table ``e`` as levels: each distinct exponent is
+    one level, and a pair's level is read from the table of codes.
+    ``np.unique`` counts -0.0 as 0.0, so a table with a -0.0 comes back
+    with 0.0 there."""
+    exponents, codes = np.unique(e, return_inverse=True)
+    codes = codes.reshape(e.shape)
+    return PowerLevels(lambda rows, cols: codes[rows, cols], exponents)

@@ -5,9 +5,9 @@ spaces in closed form and build the exponent table, a row block at a time,
 only when it is read.  This module keeps the eager builds they replaced: the
 residue ring's table in a single pass over a full N x N table of index gaps,
 and the full shift's from the cell-by-cell depth loop of
-``shift_space_reference``, each handed to ``FiniteMetricSpace`` as an
-explicit exponent table.  Property tests hold the lazy spaces to them byte
-for byte.
+``shift_space_reference``, each handed to ``FiniteMetricSpace`` as levels
+read off the whole table (``metric_reference.table_levels``).  Property
+tests hold the lazy spaces to them byte for byte.
 
 It also keeps the maps tabulated point by point, which the builders
 replaced with closed-form index arrays: the full shift's image looked up
@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import numpy as np
 
+import metric_reference
 import shift_space_reference
 from solenoidlab import (
     Alphabet,
@@ -47,7 +48,7 @@ def padic_space_eager(prime: int, digits: int) -> FiniteMetricSpace:
     return FiniteMetricSpace(
         points=tuple(range(prime ** digits)),
         power_base=1.0 / prime,
-        exponents=padic_exponents_all_at_once(prime, digits),
+        levels=metric_reference.table_levels(padic_exponents_all_at_once(prime, digits)),
     )
 
 
@@ -57,7 +58,9 @@ def full_shift_space_eager(alphabet_size: int, ratio: float, max_period: int) ->
     return FiniteMetricSpace(
         points=points,
         power_base=ratio,
-        exponents=shift_space_reference.pairwise_depth_matrix(points),
+        levels=metric_reference.table_levels(
+            shift_space_reference.pairwise_depth_matrix(points)
+        ),
     )
 
 
@@ -66,7 +69,7 @@ def two_fixed_points_eager() -> FiniteMetricSpace:
     return FiniteMetricSpace(
         points=tuple(PeriodicSequence.from_cells(alphabet, (s,)) for s in "01"),
         power_base=0.5,
-        exponents=np.array([[np.inf, 0.0], [0.0, np.inf]]),
+        levels=metric_reference.table_levels(np.array([[np.inf, 0.0], [0.0, np.inf]])),
     )
 
 

@@ -103,6 +103,9 @@ def test_iterate_orbit_and_order_match_the_walks(drawn, data):
         ))
         assert iterate(mapping, n, x) == ref.iterate_by_walk(mapping, n, x)
         assert mapping.orbit(x) == ref.orbit_by_walk(mapping, x)
+        # A scalar index steps as a one-element array does, for any n.
+        i = mapping.domain.index(x)
+        assert mapping._cycles.step(i, n) == mapping._cycles.step(np.array([i]), n)[0]
 
 
 @settings(max_examples=200, deadline=None)
@@ -125,6 +128,7 @@ def test_index_steps_beyond_int64_are_exact(n):
     space, mapping, _ = build_padic_cycle(3, 2)
     table = index_cycles(space, mapping)
     assert table.step(np.array([1]), n).tolist() == [(1 + n) % 9]
+    assert table.step(1, n) == (1 + n) % 9
     assert table.power(n).tolist() == [(i + n) % 9 for i in range(9)]
     assert iterate(mapping, n, 1) == (1 + n) % 9
 

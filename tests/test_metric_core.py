@@ -4,7 +4,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
+import metric_reference
 from solenoidlab import (
     FiniteMetricSpace,
     InvalidInputError,
@@ -21,6 +25,9 @@ from solenoidlab import (
     verify_metric_axioms,
     verify_ultrametric,
 )
+
+TWO_EXPONENTS = np.array([[math.inf, 1.0], [1.0, math.inf]])
+TWO_LEVELS = metric_reference.table_levels(TWO_EXPONENTS)
 
 LINE = metric_space_from_matrix(
     (0, 1, 2), [[0, 1, 2], [1, 0, 1], [2, 1, 0]], "line"
@@ -46,21 +53,8 @@ def test_space_construction_errors():
         metric_space_from_matrix((0, 0), np.zeros((2, 2)))
     with pytest.raises(InvalidInputError):
         metric_space_from_matrix((0, 1), np.zeros((3, 3)))
-    with pytest.raises(InvalidInputError):
-        FiniteMetricSpace(
-            points=(0, 1),
-            matrix=np.array([[0.0, 0.5], [0.5, 0.0]]),
-            power_base=2.0,
-            exponents=np.array([[math.inf, 1.0], [1.0, math.inf]]),
-        )
-    with pytest.raises(InvalidInputError):
-        # exponent table must reproduce the matrix entry for entry
-        FiniteMetricSpace(
-            points=(0, 1),
-            matrix=np.array([[0.0, 0.25], [0.25, 0.0]]),
-            power_base=0.5,
-            exponents=np.array([[math.inf, 1.0], [1.0, math.inf]]),
-        )
+    with pytest.raises(InvalidInputError, match="power base"):
+        FiniteMetricSpace(points=(0, 1), power_base=2.0, levels=TWO_LEVELS)
 
 
 def test_nan_distances_are_refused():
@@ -71,21 +65,53 @@ def test_nan_distances_are_refused():
         FiniteMetricSpace(points=(0, 1, 2), matrix=matrix)
 
 
-def test_power_structure_derives_or_rechecks_its_matrix():
-    e = np.array([[math.inf, 1.0, 2.0], [1.0, math.inf, 1.0], [2.0, 1.0, math.inf]])
-    derived = FiniteMetricSpace(points=(0, 1, 2), power_base=0.5, exponents=e)
-    assert derived.matrix.tobytes() == (0.5 ** e).tobytes()
-    # A matrix given with the table is still rechecked against it.
-    given = FiniteMetricSpace(points=(0, 1, 2), matrix=0.5 ** e, power_base=0.5, exponents=e)
-    assert given.matrix.tobytes() == derived.matrix.tobytes()
-    mismatched = 0.5 ** e
-    mismatched[0, 2] = mismatched[2, 0] = 0.5
-    with pytest.raises(InvalidInputError, match="does not reproduce the matrix"):
-        FiniteMetricSpace(points=(0, 1, 2), matrix=mismatched, power_base=0.5, exponents=e)
-    with pytest.raises(InvalidInputError, match="exponent table missing"):
-        FiniteMetricSpace(points=(0, 1, 2), power_base=0.5)
-    with pytest.raises(InvalidInputError, match="needs a distance matrix"):
-        FiniteMetricSpace(points=(0, 1, 2), exponents=e)
+@pytest.mark.parametrize("given", [
+    {},
+    {"matrix": 0.5 ** TWO_EXPONENTS, "power_base": 0.5, "levels": TWO_LEVELS},
+    {"matrix": 0.5 ** TWO_EXPONENTS, "power_base": 0.5},
+    {"matrix": 0.5 ** TWO_EXPONENTS, "levels": TWO_LEVELS},
+    {"power_base": 0.5},
+    {"levels": TWO_LEVELS},
+])
+def test_a_space_takes_a_matrix_or_a_power_base_with_levels(given):
+    with pytest.raises(InvalidInputError, match="a distance matrix, or a power base with levels"):
+        FiniteMetricSpace(points=(0, 1), **given)
+
+
+#: An exponent table: integers, inf for equal points, and (rarely) any
+#: float.  ``+ 0.0`` turns -0.0, which ``table_levels`` reads as 0.0, into 0.0.
+EXPONENTS = (
+    st.integers(-20, 80).map(float)
+    | st.just(math.inf)
+    | st.floats(-20.0, 300.0).map(lambda x: x + 0.0)
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    base=st.sampled_from([0.3, 0.5, 0.8]) | st.floats(1e-3, 0.999),
+    e=st.integers(1, 8).flatmap(
+        lambda n: arrays(np.float64, (n, n), elements=EXPONENTS)
+    ),
+)
+def test_a_power_space_gives_its_exponent_table_bit_for_bit(base, e):
+    n = len(e)
+    want = base ** e
+    space = FiniteMetricSpace(
+        points=tuple(range(n)), power_base=base, levels=metric_reference.table_levels(e)
+    )
+    # Gathered from the levels first, then read from the built tables.
+    for built in (False, True):
+        assert space._gathered() is not built
+        index = np.arange(n)
+        assert space.distances(index[:, None], index).tobytes() == want.tobytes()
+        assert space.distances(n - 1, slice(None)).tobytes() == want[n - 1].tobytes()
+        for i in range(n):
+            for j in range(n):
+                assert repr(space.dist_exponent(i, j)) == repr(e[i, j].item())
+        assert repr(space.diameter()) == repr(float(want.max()))
+        assert space.exponents.tobytes() == e.tobytes()
+        assert space.matrix.tobytes() == want.tobytes()
 
 
 def test_power_structure_exponents():

@@ -99,7 +99,7 @@ def spaces(draw, float_kinds=FLOAT_KINDS, exponent_tables=st.booleans()):
     if diagonal_within_tol:
         np.fill_diagonal(e, math.ceil(math.log(1e-10) / math.log(base)))
     return FiniteMetricSpace(
-        points=points, matrix=base**e, label=kind, power_base=base, exponents=e
+        points=points, label=kind, power_base=base, levels=metric_reference.table_levels(e)
     )
 
 

@@ -54,6 +54,31 @@ def test_full_shift_validation():
         build_full_shift(2, 1e-310, 4)
 
 
+@pytest.mark.parametrize("alphabet_size, max_period", [
+    (2, 1), (2, 2), (2, 3), (2, 4), (2, 5), (2, 6), (2, 7), (3, 3), (3, 4), (4, 2),
+])
+def test_full_shift_deepest_agreement_is_half_the_period(alphabet_size, max_period):
+    space, _, _ = build_full_shift(alphabet_size, 0.5, max_period)
+    finite = space.exponents[np.isfinite(space.exponents)]
+    assert finite.max() == (max_period - 1) // 2
+
+
+def test_full_shift_refuses_a_ratio_whose_smallest_distance_underflows():
+    # At max_period 5 the smallest distance is ratio ** 2: 2^-1074, the
+    # least subnormal, for 2^-537, and 2^-1076, which rounds to 0, for 2^-538.
+    space, _, _ = build_full_shift(2, 2.0 ** -537, 5)
+    assert space.matrix[~np.eye(len(space), dtype=bool)].min() == 2.0 ** -1074
+    assert verify_ultrametric(space, 0.0).is_ultrametric
+    with pytest.raises(InvalidInputError, match=r"^ratio .* max_period 5: .* ratio \*\* 2,"):
+        build_full_shift(2, 2.0 ** -538, 5)
+    with pytest.raises(InvalidInputError, match=r"^ratio 1e-200 is too small"):
+        build_full_shift(2, 1e-200, 6)
+    # At max_period 4 it is 1e-200 itself: a metric space, which the
+    # default tolerance of 1e-9 finds not separated.
+    space, _, _ = build_full_shift(2, 1e-200, 4)
+    assert verify_metric_axioms(space, 0.0).is_metric
+
+
 def test_padic_cycle_build():
     space, mapping, ts = build_padic_cycle(2, 3)
     assert space.points == tuple(range(8))
