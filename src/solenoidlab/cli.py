@@ -49,7 +49,6 @@ from .mapping_torus import (
 from .measures import (
     CylinderSet,
     WeightVector,
-    _require_positive,
     ahlfors_check,
     doubling_check,
     shift_invariance_check,
@@ -92,7 +91,7 @@ CHECK_PARAMETERS = {
     "connectedness": {"epsilon": _RESOLUTION},
     "dense-orbit": {
         "epsilon": _RESOLUTION,
-        "origin_index": {"type": "integer", "default": 0},
+        "origin_index": {"type": "integer", "minimum": 0, "default": 0},
         "max_iter": {**_COUNT, "description": "default: the number of points"},
     },
     "measures": {
@@ -104,7 +103,7 @@ CHECK_PARAMETERS = {
         },
         "weights": {
             "type": "object",
-            "additionalProperties": {"type": "number"},
+            "additionalProperties": {"type": "number", "exclusiveMinimum": 0},
             "description": "weight of each symbol; default: uniform",
         },
     },
@@ -179,6 +178,11 @@ CONFIG_SCHEMA = {
                 "metric": {"enum": list(METRIC_NAMES)},
                 "times": {**_TIMES, "uniqueItems": True},
             },
+            # A torus metric is exported over the base points at these times.
+            "if": {"required": ["metric"], "properties": {"metric": {"enum": [
+                name for name, need in _EXPORT_NEEDS.items() if _TORUS in _NEEDS[need]
+            ]}}},
+            "then": {"required": ["times"]},
         },
         "output": {
             "type": "object",
@@ -455,13 +459,12 @@ def _draw_cylinders(alphabet, count, rng):
 
 def _weights(model, check) -> WeightVector:
     """The ``measures`` weights, given or uniform; keys other than the
-    alphabet, a sum other than 1 or a weight <= 0 raise InvalidInputError."""
+    alphabet or a sum other than 1 raise InvalidInputError (the schema
+    refuses a weight <= 0)."""
     alphabet = model.space.points[0].alphabet
     if "weights" not in check:
         return WeightVector.uniform(alphabet)
-    w = WeightVector.from_dict(alphabet, check["weights"])
-    _require_positive(w)
-    return w
+    return WeightVector.from_dict(alphabet, check["weights"])
 
 
 def _check_measures(model, check, tol, rng):
@@ -548,8 +551,9 @@ def _resolve_seed(cfg, args, checks):
 def _refuse_bad_checks(model, checks) -> None:
     """Refuse, before the first check runs, a check the model cannot serve
     and parameters whose range depends on the model: a chain sample over
-    the ceiling, bad ``measures`` weights, a ``dense-orbit`` origin that is
-    not a point and ``dimension`` scales not below the diameter."""
+    the ceiling, ``measures`` weights that do not fit the alphabet, a
+    ``dense-orbit`` origin past the last point and ``dimension`` scales not
+    below the diameter."""
     for i, check in enumerate(checks):
         name = check["name"]
         _require(model, _CHECKS[name].need, f"$.checks[{i}]: check {name!r}")
@@ -562,7 +566,7 @@ def _refuse_bad_checks(model, checks) -> None:
                 fit_scales(model.space, check["scales"])
         except InvalidInputError as e:
             raise UsageError(f"$.checks[{i}]: {e}") from None
-        if name == "dense-orbit" and not 0 <= _arg(check, "origin_index") < len(model.space):
+        if name == "dense-orbit" and _arg(check, "origin_index") >= len(model.space):
             raise UsageError(f"$.checks[{i}].origin_index: out of range")
 
 
@@ -620,10 +624,7 @@ def _export_matrix(cfg, model):
         tilde = adapted_metric(model.space, model.mapping)
         return _labels(tilde.points), tilde.matrix
     ts = model.torus
-    times = exp.get("times")
-    if not times:
-        raise UsageError(f"$.export.times: required for metric {metric!r}")
-    sample = [TorusPoint(b, float(t)) for b in ts.base_space.points for t in times]
+    sample = [TorusPoint(b, float(t)) for b in ts.base_space.points for t in exp["times"]]
     labels = _labels(sample)
     if metric == "product":
         matrix = product_distance_matrix(ts, sample)

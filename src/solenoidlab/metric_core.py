@@ -4,16 +4,15 @@ Distances are indexed by the point list and read through one gather,
 :meth:`FiniteMetricSpace.distances`.  A space is given either its
 distance matrix or, when its distances are all integer powers of one base
 in (0, 1) (shift and residue-ring models), that base and the exponent of
-every pair in closed form (:class:`PowerLevels`).  Comparisons that would be
-noisy in floating point (ultrametric triples, snowflake identities) are
-then done on the exponents exactly, and the space holds no N x N table until
-a scan or an export reads its ``exponents`` or ``matrix``.
+every pair in closed form (:class:`PowerLevels`).  A power space holds no
+N x N table until a scan or an export reads its ``matrix``, and its
+distances, strictly decreasing in exponent, compare exactly as exponents.
 
 Passes over all pairs walk the space in row blocks of at most
 :data:`ROW_BLOCK_CELLS` cells (:func:`row_blocks`, :func:`upper_blocks`).
 Apart from its inputs, such a pass holds at most one N x N result plus
 temporaries the size of one block.  The two axiom scans read the whole
-matrix, and the exponent table where the space has one.
+matrix, plus one N x N temporary at a time.
 """
 
 from __future__ import annotations
@@ -77,12 +76,14 @@ class PowerLevels:
     of: Callable[[np.ndarray, np.ndarray], np.ndarray]
     exponents: np.ndarray
 
-    def exponent_table(self, n: int) -> np.ndarray:
-        """The N x N exponent table of ``n`` points, a row block at a time."""
+    def table(self, values: np.ndarray, n: int) -> np.ndarray:
+        """The N x N table of ``values[level]`` over every pair of ``n``
+        points, filled a row block at a time: the distance matrix from the
+        distance of each level, or the exponent table from ``exponents``."""
         index = np.arange(n)
-        out = np.empty((n, n))
+        out = np.empty((n, n), dtype=values.dtype)
         for rows in row_blocks(n, n):
-            np.take(self.exponents, self.of(index[rows, None], index), out=out[rows])
+            np.take(values, self.of(index[rows, None], index), out=out[rows])
         return out
 
 
@@ -97,15 +98,14 @@ class FiniteMetricSpace:
     A space is given in one of two forms.  A plain space is given its
     ``matrix`` and stores it.  A power space is given ``power_base`` in
     (0, 1) and ``levels`` (:class:`PowerLevels`), a closed form over O(N)
-    data; its matrix is ``power_base ** exponents``, entry for entry, with
+    data: the distance of a level is ``power_base ** exponent``, with
     ``inf`` exponents on the diagonal so equal points get distance exactly
-    0.  It builds no N x N table until ``exponents`` or ``matrix`` is read:
-    ``exponents`` is then filled from the levels a row block at a time and
-    ``matrix`` is ``power_base ** exponents``, and the gathers read the
-    matrix from then on.  Any other combination of the three is refused.
+    0.  It builds no N x N table until ``matrix`` is read; the matrix is
+    then gathered from the levels a row block at a time, and the gathers
+    read it from then on.  Any other combination of the three is refused.
 
     The verification scans memoise their verdicts and tallies per tolerance
-    on the space, so neither table may be written to once built.
+    on the space, so the matrix may not be written to once built.
     """
 
     def __init__(
@@ -144,21 +144,13 @@ class FiniteMetricSpace:
         self.power_base = power_base
         self.levels = levels
         self._matrix = matrix
-        self._exponents: np.ndarray | None = None
         self._verdicts: dict = {}
-
-    @property
-    def exponents(self) -> np.ndarray | None:
-        """The N x N exponent table of a power space, built on first read."""
-        if self._exponents is None and self.levels is not None:
-            self._exponents = self.levels.exponent_table(len(self))
-        return self._exponents
 
     @property
     def matrix(self) -> np.ndarray:
         """The N x N distance matrix, built on first read."""
         if self._matrix is None:
-            self._matrix = self.power_base ** self.exponents
+            self._matrix = self.levels.table(self._level_distances, len(self))
         return self._matrix
 
     def _gathered(self) -> bool:
@@ -332,24 +324,25 @@ def _memoised(scan: Callable[[FiniteMetricSpace, float], Any]):
     return cached
 
 
-def _cells(mask: np.ndarray) -> tuple[int, np.ndarray]:
-    """How many cells of a boolean matrix are true, and the first
-    :data:`WITNESS_LIMIT` of them, ``(i, j)`` in row-major order, read a row
-    block at a time until they are found."""
-    count = int(np.count_nonzero(mask))
-    found = np.empty((0, 2), dtype=np.intp)
-    for rows in row_blocks(*mask.shape):
-        if len(found) == min(count, WITNESS_LIMIT):
-            break
-        cells = np.argwhere(mask[rows])[: WITNESS_LIMIT - len(found)] + (rows.start, 0)
-        found = np.concatenate([found, cells])
+def _cells(count_rows: int, width: int, block: Callable[[slice], np.ndarray]) -> tuple[int, list]:
+    """How many cells of a ``count_rows`` x ``width`` boolean matrix are
+    true, and the first :data:`WITNESS_LIMIT` of them, ``[i, j]`` in
+    row-major order, read one row block ``block(rows)`` at a time."""
+    count = 0
+    found: list = []
+    for rows in row_blocks(count_rows, width):
+        hit = block(rows)
+        count += int(np.count_nonzero(hit))
+        if len(found) < WITNESS_LIMIT:
+            found += (np.argwhere(hit)[: WITNESS_LIMIT - len(found)] + (rows.start, 0)).tolist()
     return count, found
 
 
 @_memoised
 def _basic_tally(space: FiniteMetricSpace, tol: float) -> Tally:
-    """Identity, symmetry and separation failures, found with array passes,
-    witnessed in that order of kinds and row-major order of pairs.
+    """Identity, symmetry and separation failures, found a row block at a
+    time beside one N x N temporary, ``|m - m.T|``, and witnessed in that
+    order of kinds and row-major order of pairs.
 
     A symmetry failure is ``|m[i, j] - m[j, i]| > tol`` above the diagonal
     and ``0 > tol`` on and below it, so a negative ``tol`` flags every pair
@@ -357,28 +350,26 @@ def _basic_tally(space: FiniteMetricSpace, tol: float) -> Tally:
     """
     m = space.matrix
     pts = space.points
+    n = len(m)
     asym = _with_transpose(np.subtract, m)
     np.abs(asym, out=asym)
-    flagged = asym > tol
-    if tol < 0:
-        rows = np.arange(len(m))[:, None]
-        flagged |= rows >= rows.T
-    elif flagged.any():
-        flagged = np.triu(flagged, 1)
-    faulty, identity = _cells(np.abs(np.diag(m))[:, None] > tol)
-    asymmetric, symmetry = _cells(flagged)
-    close, separation = _cells(np.triu(m <= tol, 1))
+    index = np.arange(n)
+
+    def above(rows):
+        return index > index[rows, None]
+
+    faulty, identity = _cells(n, 1, lambda rows: np.abs(np.diag(m)[rows, None]) > tol)
+    skewed, symmetry = _cells(n, n, lambda rows: np.where(above(rows), asym[rows] > tol, tol < 0))
+    close, separation = _cells(n, n, lambda rows: (m[rows] <= tol) & above(rows))
     out = [AxiomViolation("identity", (pts[i],), float(abs(m[i, i]))) for i, _ in identity]
     out += [AxiomViolation("symmetry", (pts[i], pts[j]), float(asym[i, j])) for i, j in symmetry]
     for i, j in separation:
         out.append(AxiomViolation("separation", (pts[i], pts[j]), float(tol - m[i, j])))
-    return faulty + asymmetric + close, tuple(out[:WITNESS_LIMIT])
+    return faulty + skewed + close, tuple(out[:WITNESS_LIMIT])
 
 
-def _triple_tally(
-    space: FiniteMetricSpace, kind: str, key: np.ndarray, combine: np.ufunc, tol: float
-) -> Tally:
-    """The triples with ``key[i, j] > combine(key[i, k], key[k, j]) + tol``,
+def _triple_tally(space: FiniteMetricSpace, kind: str, combine: np.ufunc, tol: float) -> Tally:
+    """The triples with ``m[i, j] > combine(m[i, k], m[k, j]) + tol``,
     ``i < j``, witnessed in the exhaustive scan's order (``k``, ``i``, ``j``)
     as ``kind`` violations with slack ``m[i, j] - combine(m[i, k], m[k, j])``.
 
@@ -387,14 +378,14 @@ def _triple_tally(
     """
     m = space.matrix
     pts = space.points
-    blocks = list(upper_blocks(len(key)))
+    blocks = list(upper_blocks(len(m)))
     count = 0
     out: list[AxiomViolation] = []
-    for k in range(len(key)):
+    for k in range(len(m)):
         for rows, cols, upper in blocks:
-            bound = combine(key[rows, k, None], key[k, cols])
+            bound = combine(m[rows, k, None], m[k, cols])
             bound += tol
-            hit = key[rows, cols] > bound
+            hit = m[rows, cols] > bound
             hit &= upper
             found = np.count_nonzero(hit)
             count += found
@@ -456,40 +447,42 @@ def _basic_clear(space: FiniteMetricSpace, tol: float) -> bool:
     return clear and bool(np.isfinite(m).all())
 
 
+def _strong_tol(space: FiniteMetricSpace, tol: float) -> float:
+    """The strong triangle inequality's tolerance: none on a power space.
+    There ``max`` is exact and ``power_base ** e`` strictly decreases over
+    the attained exponents, so ``d(x,z) > max(d(x,y), d(y,z))`` at 0 is
+    ``e(x,z) < min(e(x,y), e(y,z))``: a comparison of exponents."""
+    return 0.0 if space.levels is not None else tol
+
+
 @_memoised
-def _float_ultrametric_clear(space: FiniteMetricSpace, tol: float) -> bool:
-    return _basic_clear(space, tol) and _within_subdominant(space.matrix, tol)
+def _ultrametric_clear(space: FiniteMetricSpace, tol: float) -> bool:
+    return _basic_clear(space, tol) and _within_subdominant(space.matrix, _strong_tol(space, tol))
 
 
 @_memoised
 def _axiom_tally(space: FiniteMetricSpace, tol: float) -> Tally:
     # Off the diagonal every distance is positive (separation and symmetry at
-    # tol >= 0), so a float ultrametric at tol is also a metric at tol:
-    # fl(a + b) >= max(a, b).
+    # tol >= 0), so a float ultrametric at tol, or at 0 on a power space, is
+    # also a metric at tol: fl(a + b) >= max(a, b).
     # Otherwise the shortest-path fixpoint sp bounds every fl(m_ik + m_kj)
     # from below, since float addition is monotone.
     m = space.matrix
     if _basic_clear(space, tol) and (
-        _float_ultrametric_clear(space, tol)
+        _ultrametric_clear(space, tol)
         or np.all(m <= shortest_paths(m, directed=True) + tol)
     ):
         return 0, ()
     basic_count, basic = _basic_tally(space, tol)
-    triangle_count, triangle = _triple_tally(space, "triangle", m, np.add, tol)
+    triangle_count, triangle = _triple_tally(space, "triangle", np.add, tol)
     return basic_count + triangle_count, (basic + triangle)[:WITNESS_LIMIT]
 
 
 @_memoised
 def _ultrametric_tally(space: FiniteMetricSpace, tol: float) -> Tally:
-    # With an exponent table the strong triangle inequality is compared on
-    # exponents with no tolerance: a^e decreases in e, so it reads
-    # e(x,z) >= min(e(x,y), e(y,z)), and negation turns the min into a max.
-    if space.exponents is None:
-        key, key_tol, clear = space.matrix, tol, _float_ultrametric_clear(space, tol)
-    else:
-        key, key_tol = -space.exponents, 0.0
-        clear = _basic_clear(space, tol) and _within_subdominant(key, key_tol)
-    return (0, ()) if clear else _triple_tally(space, "ultrametric", key, np.maximum, key_tol)
+    if _ultrametric_clear(space, tol):
+        return 0, ()
+    return _triple_tally(space, "ultrametric", np.maximum, _strong_tol(space, tol))
 
 
 def _scan(space: FiniteMetricSpace, tol: float, with_ultra: bool) -> MetricReport:
@@ -515,8 +508,9 @@ def verify_metric_axioms(space: FiniteMetricSpace, tol: float = 0.0) -> MetricRe
     A space with no identity, symmetry or separation violation, an exactly
     zero diagonal and finite distances is first tested without enumerating
     triples: it passes if no distance exceeds its subdominant ultrametric
-    (O(N^2)) or, failing that, its shortest-path distance (scipy's
-    Floyd-Warshall, O(N^3) in C), each plus ``tol``.  Both tests imply that
+    (O(N^2), the verdict of :func:`verify_ultrametric`) or, failing that,
+    its shortest-path distance (scipy's Floyd-Warshall, O(N^3) in C) plus
+    ``tol``.  Both tests imply that
     the triple scan finds nothing.  Any other space is tallied by O(N^3) array
     passes over row blocks, with the count and the witnesses' order and slack
     of the exhaustive scan.  Verdicts and tallies are memoised per ``tol`` on
@@ -528,13 +522,12 @@ def verify_metric_axioms(space: FiniteMetricSpace, tol: float = 0.0) -> MetricRe
 def verify_ultrametric(space: FiniteMetricSpace, tol: float = 0.0) -> MetricReport:
     """Like :func:`verify_metric_axioms`, plus the strong triangle inequality.
 
-    On spaces with an exponent table, ultrametric triples are compared on
-    integer exponents so no float slack enters at all.
-
     The strong inequality is first tested in O(N^2) against the subdominant
-    ultrametric, on the negated exponents when the space has an exponent
-    table and on the matrix with ``tol`` otherwise.  Only a space that fails
-    this test is tallied by the O(N^3) triple pass, on the same key.
+    ultrametric, on the matrix with ``tol``, or with no tolerance on a power
+    space, whose distances compare exactly as their exponents do.  Only a
+    space that fails this test is tallied by the O(N^3) triple pass, at the
+    same tolerance.  The verdict is the one :func:`verify_metric_axioms`
+    reads, so a run with both scans makes one Prim pass per space.
     """
     return _scan(space, tol, with_ultra=True)
 
@@ -550,8 +543,7 @@ def snowflake(space: FiniteMetricSpace, alpha: float) -> FiniteMetricSpace:
     preserves ultrametricity.  For alpha > 1 the result may only be a
     quasi-metric; nothing is asserted here, run a verification scan if the
     triangle defect matters.  Power-structured spaces stay exact: the base
-    becomes ``power_base ** alpha`` and the exponents are untouched, so the
-    result shares the levels.
+    becomes ``power_base ** alpha`` and the result shares the levels.
     """
     if alpha <= 0:
         raise InvalidInputError(f"snowflake exponent must be positive, got {alpha}")

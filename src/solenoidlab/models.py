@@ -34,9 +34,9 @@ from .shift_space import (
 
 _ALPHABET_TOKENS = "0123456789abcdefghijklmnopqrstuvwxyz"
 
-#: The most points a built model may have.  A power model builds two N x N
-#: float64 tables, its distances and their exponents, once a scan or an
-#: export reads them: 4 GiB at this size.
+#: The most points a built model may have.  A power model builds one N x N
+#: float64 table, its distance matrix, once a scan or an export reads it:
+#: 2 GiB at this size.
 MAX_DENSE_POINTS = 16384
 
 

@@ -8,9 +8,10 @@ points.
 
 The metric is ``ratio ** depth`` where ``depth`` is the largest n >= 0 such
 that the sequences agree on the index window -n+1 .. n (0 for equal points).
-The depth is an exact integer, and spaces built from it carry exact
-exponents (:func:`depth_levels`, a gather over packed cell words) so
-downstream checks can compare exponents instead of floats.
+The depth is an exact integer, and spaces built from it carry it in closed
+form (:func:`depth_levels`, a gather over packed cell words): a distance's
+exponent is read exactly, and distances, which strictly decrease in depth,
+compare exactly as depths do.
 """
 
 from __future__ import annotations
@@ -301,4 +302,5 @@ def depth_levels(seqs: Sequence[PeriodicSequence]) -> PowerLevels:
 def pairwise_depth_matrix(seqs: Sequence[PeriodicSequence]) -> np.ndarray:
     """Agreement depths for every pair, ``inf`` on equal pairs: the
     :func:`depth_levels` gather over all pairs, a block of rows at a time."""
-    return depth_levels(seqs).exponent_table(len(seqs))
+    levels = depth_levels(seqs)
+    return levels.table(levels.exponents, len(seqs))

@@ -59,8 +59,8 @@ def ultrametric_violations(space: FiniteMetricSpace, tol: float) -> list[AxiomVi
     pts = space.points
     upper = np.triu(np.ones_like(m, dtype=bool), k=1)
     out = []
-    if space.exponents is not None:
-        e = space.exponents
+    if space.levels is not None:
+        e = space.levels.table(space.levels.exponents, len(pts))
         for k in range(len(pts)):
             floor = np.minimum(e[:, k][:, None], e[k, :][None, :])
             for i, j in np.argwhere(upper & (e < floor)):

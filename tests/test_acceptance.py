@@ -58,11 +58,11 @@ def test_01_ultrametric_exactness_on_64_points():
     space, _, _ = build_full_shift(2, 0.5, 6)
     report = verify_ultrametric(space)
     bad = len(report.axiom_violations) + len(report.ultrametric_violations)
-    ok = bad == 0 and report.is_ultrametric and space.exponents is not None
+    ok = bad == 0 and report.is_ultrametric and space.levels is not None
     assert _verdict(
         "ultrametric exactness",
         ok,
-        f"{len(space)} points, {bad} violating triples (exact exponent scan)",
+        f"{len(space)} points, {bad} violating triples (distances compare exactly as exponents)",
     )
 
 

@@ -31,6 +31,7 @@ FULL_SHIFT = {
     "parameters": {"alphabet_size": 2, "ratio": 0.5, "max_period": 4},
 }
 PADIC = {"kind": "padic-cycle", "parameters": {"prime": 2, "digits": 3}}
+SNOWFLAKE_SPACE = {"kind": "snowflake-interval", "parameters": {"grid_size": 4, "alpha": 0.5}}
 
 
 def read_matrix(path):
@@ -324,10 +325,14 @@ def test_export_chain_dominates_representative(tmp_path):
     assert np.any(chain < rep - 1e-9)  # the repair genuinely shortens something
 
 
-def test_export_torus_metric_needs_times(tmp_path, capsys):
-    cfg = {"space": PADIC, "export": {"metric": "chain"}}
+@pytest.mark.parametrize("metric", ["product", "quotient", "representative", "chain"])
+@pytest.mark.parametrize("space", [PADIC, FULL_SHIFT, SNOWFLAKE_SPACE])
+def test_export_torus_metric_needs_times(tmp_path, capsys, metric, space):
+    # The schema asks for the times before the model is built, so even a
+    # model that cannot serve the metric is refused for them.
+    cfg = {"space": space, "export": {"metric": metric}}
     assert main(["export", write_config(tmp_path, cfg)]) == 2
-    assert "times" in capsys.readouterr().err
+    assert capsys.readouterr().err == "error: $.export: 'times' is a required property\n"
 
 
 def test_export_times_must_be_unique(tmp_path, capsys):

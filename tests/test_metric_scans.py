@@ -18,10 +18,15 @@ from scipy.sparse.csgraph import floyd_warshall
 
 import metric_reference
 from solenoidlab import (
+    MODEL_KINDS,
     FiniteMetricSpace,
+    ModelSpec,
     build_full_shift,
+    build_model,
+    build_padic_cycle,
     build_snowflake_interval,
     metric_space_from_matrix,
+    snowflake,
     verify_metric_axioms,
     verify_ultrametric,
 )
@@ -138,8 +143,49 @@ def test_reports_equal_exhaustive_scan_at_tolerance_edge(space, calls):
     assert_reports_equal_reference(space, calls)
 
 
+def full_shift_spec(ratio, max_period):
+    return {
+        "kind": "full-shift",
+        "parameters": {"alphabet_size": 2, "ratio": ratio, "max_period": max_period},
+    }
+
+
+#: Every model kind, and full shifts at a ratio whose deepest distance is the
+#: least subnormal (2^-1074 at max_period 5), one just below 1, and 0.3.
+EXACTNESS_SPECS = [
+    full_shift_spec(2.0 ** -537, 5),
+    full_shift_spec(0.9999999999999999, 6),
+    full_shift_spec(0.3, 6),
+    {"kind": "padic-cycle", "parameters": {"prime": 3, "digits": 3}},
+    {"kind": "two-fixed-points", "parameters": {}},
+    {"kind": "snowflake-interval", "parameters": {"grid_size": 16, "alpha": 0.5}},
+]
+
+
+def test_the_exactness_specs_cover_every_model_kind():
+    assert {spec["kind"] for spec in EXACTNESS_SPECS} == set(MODEL_KINDS)
+
+
+@pytest.mark.parametrize("make", [
+    *[lambda spec=spec: build_model(ModelSpec.from_dict(spec)).space for spec in EXACTNESS_SPECS],
+    lambda: snowflake(build_padic_cycle(2, 5)[0], 2.5),
+])
+def test_power_spaces_scan_their_matrix_as_their_exponents(make):
+    # The scans judge the strong triangle inequality of a power space on its
+    # matrix with no tolerance; the reference compares exponents.  They agree
+    # because the distances the space attains strictly decrease in exponent.
+    space = make()
+    if space.levels is not None:
+        e = space.levels.table(space.levels.exponents, len(space))
+        attained, first = np.unique(e, return_index=True)
+        distance = space.matrix.ravel()[first]
+        assert np.array_equal(space.matrix, distance[np.searchsorted(attained, e)])
+        assert np.all(np.diff(distance) < 0), distance
+    assert_reports_equal_reference(space, CALLS)
+
+
 def test_passing_spaces_enumerate_no_triples(monkeypatch):
-    def refuse(space, kind, key, combine, tol):
+    def refuse(space, kind, combine, tol):
         raise AssertionError(f"{kind} triple tally ran on a passing space")
 
     monkeypatch.setattr(metric_core, "_triple_tally", refuse)
@@ -165,16 +211,11 @@ def test_full_shift_of_1024_points_passes(verify):
 @settings(max_examples=300, deadline=None)
 @given(space=spaces(), tol=st.sampled_from(DIRECT_TOLERANCES))
 def test_subdominant_verdict_equals_the_prim_reference(space, tol):
-    # Keys as the scans pass them: the matrix, and the negated exponents
-    # (-inf on the diagonal unless a diagonal within tolerance was drawn).
-    # Hierarchies and two- or four-level tables put many keys on ties.
-    keys = [space.matrix]
-    if space.exponents is not None:
-        keys.append(-space.exponents)
-    for key in keys:
-        assert metric_core._within_subdominant(key, tol) == (
-            metric_reference.within_subdominant(key, tol)
-        )
+    # The key as the scans pass it: the matrix.  Hierarchies and two- or
+    # four-level tables put many keys on ties.
+    assert metric_core._within_subdominant(space.matrix, tol) == (
+        metric_reference.within_subdominant(space.matrix, tol)
+    )
 
 
 def assert_tally_equals(got, violations):
@@ -205,17 +246,14 @@ def test_basic_violations_equal_the_reference(space, tol, rows):
 @settings(max_examples=300, deadline=None)
 @given(space=spaces(), tol=st.sampled_from(DIRECT_TOLERANCES), rows=BLOCK_ROWS)
 def test_triple_tallies_equal_the_reference(space, tol, rows):
-    # The three fallbacks are one pass with different keys: the triangle
-    # inequality on the matrix, and the strong one on the matrix with ``tol``
-    # or on the negated exponents with none.  Every space is tallied, passing
-    # ones (count 0) included.
-    if space.exponents is None:
-        ultra = (space.matrix, tol)
-    else:
-        ultra = (-space.exponents, 0.0)
+    # The fallbacks are one pass on the matrix with different combining
+    # ufuncs: the triangle inequality at ``tol``, and the strong one at
+    # ``tol``, or with none on a power space, where the reference compares
+    # exponents.  Every space is tallied, passing ones (count 0) included.
+    strong_tol = 0.0 if space.levels is not None else tol
     with blocks_of(rows, len(space)):
-        triangle = metric_core._triple_tally(space, "triangle", space.matrix, np.add, tol)
-        strong = metric_core._triple_tally(space, "ultrametric", ultra[0], np.maximum, ultra[1])
+        triangle = metric_core._triple_tally(space, "triangle", np.add, tol)
+        strong = metric_core._triple_tally(space, "ultrametric", np.maximum, strong_tol)
     assert_tally_equals(triangle, metric_reference.triangle_violations(space, tol))
     assert_tally_equals(strong, metric_reference.ultrametric_violations(space, tol))
 
@@ -232,9 +270,9 @@ def test_a_failing_run_tallies_each_kind_once(monkeypatch):
         counted["triple tallies"] += 1
         return triple_tally(*args)
 
-    def counting_basic(mask):
+    def counting_basic(*args):
         counted["basic masks"] += 1
-        return cells(mask)
+        return cells(*args)
 
     monkeypatch.setattr(metric_core, "_triple_tally", counting_triples)
     monkeypatch.setattr(metric_core, "_cells", counting_basic)

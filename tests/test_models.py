@@ -59,7 +59,8 @@ def test_full_shift_validation():
 ])
 def test_full_shift_deepest_agreement_is_half_the_period(alphabet_size, max_period):
     space, _, _ = build_full_shift(alphabet_size, 0.5, max_period)
-    finite = space.exponents[np.isfinite(space.exponents)]
+    exponents = space.levels.table(space.levels.exponents, len(space))
+    finite = exponents[np.isfinite(exponents)]
     assert finite.max() == (max_period - 1) // 2
 
 

@@ -39,6 +39,8 @@ from solenoidlab import (
     pairwise_depth_matrix,
     self_map_from_function,
     verify_isometry,
+    verify_metric_axioms,
+    verify_ultrametric,
 )
 
 MiB = 1 << 20
@@ -139,9 +141,11 @@ def test_padic_exponents_match_the_single_pass(model, rows):
     prime, digits = model
     with blocks_of(rows, prime ** digits):
         space, _, _ = build_padic_cycle(prime, digits)
+        exponents = space.levels.table(space.levels.exponents, len(space))
+        matrix = space.matrix
     want = models_reference.padic_exponents_all_at_once(prime, digits)
-    assert space.exponents.tobytes() == want.tobytes()
-    assert space.matrix.tobytes() == (space.power_base ** want).tobytes()
+    assert exponents.tobytes() == want.tobytes()
+    assert matrix.tobytes() == (space.power_base ** want).tobytes()
 
 
 @settings(max_examples=40, deadline=None)
@@ -155,9 +159,10 @@ def test_full_shift_exponents_match_the_single_pass(model, rows):
     with blocks_of(rows, n):
         space, _, _ = build_full_shift(alphabet_size, ratio, max_period)
         depths = pairwise_depth_matrix(space.points)
+        matrix = space.matrix
     want = shift_space_reference.pairwise_depth_matrix(space.points)
-    assert space.exponents.tobytes() == depths.tobytes() == want.tobytes()
-    assert space.matrix.tobytes() == (ratio ** want).tobytes()
+    assert depths.tobytes() == want.tobytes()
+    assert matrix.tobytes() == (ratio ** want).tobytes()
 
 
 @st.composite
@@ -252,15 +257,30 @@ def test_building_a_1024_point_model_peaks_within_2_mib_of_what_it_keeps():
         start, _ = tracemalloc.get_traced_memory()
         model = build_model(spec)
         kept, peak = tracemalloc.get_traced_memory()
-        # The closed form keeps O(N) data; reading the matrix builds it and
-        # the exponent table, a row block at a time.
+        # The closed form keeps O(N) data; reading the matrix builds it, its
+        # one table, a row block at a time.
         assert kept - start < MiB, f"the build keeps {(kept - start) / MiB:.1f} MiB"
         tracemalloc.reset_peak()
-        tables = model.space.matrix.nbytes + model.space.exponents.nbytes
-        with_tables, peak_tables = tracemalloc.get_traced_memory()
+        table = model.space.matrix.nbytes
+        with_table, peak_table = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert peak - kept < 2 * MiB, f"peak {(peak - kept) / MiB:.1f} MiB above what it keeps"
-    assert with_tables - kept >= tables == 2 * 8 * 1024 ** 2
-    assert peak_tables - with_tables < 2 * MiB
+    assert with_table - kept >= table == 8 * 1024 ** 2
+    assert peak_table - with_table < 2 * MiB
+
+
+def test_both_scans_on_1024_points_peak_at_the_matrix_and_one_temporary():
+    # Above what the built model keeps, the scans hold the matrix and one
+    # N x N temporary at a time (|m - m.T|, then the Prim pass's edge
+    # weights), plus row blocks.
+    model = build_model(ModelSpec.from_dict(PADIC_1024))
+    table = 8 * 1024 ** 2
+
+    def both_scans():
+        return verify_metric_axioms(model.space), verify_ultrametric(model.space)
+
+    (axioms, ultra), peak = _peak_above_start(both_scans)
+    assert axioms.is_metric and ultra.is_ultrametric
+    assert peak < 2 * table + MiB, f"the scans peaked {peak / MiB:.1f} MiB above the model"
 
