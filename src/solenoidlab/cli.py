@@ -58,6 +58,7 @@ from .metric_core import (
     WITNESS_LIMIT,
     box_counting_dimension,
     fit_scales,
+    row_blocks,
     verify_metric_axioms,
     verify_ultrametric,
 )
@@ -648,25 +649,21 @@ def _export(cfg, args) -> str:
     return _csv_text(labels, matrix)
 
 
-#: Rows are rendered in blocks of at most this many cells, so the
-#: temporaries of a block stay the same size however large the matrix.
-_CSV_BLOCK_CELLS = 1 << 14
-
-
 def _csv_text(labels, matrix) -> str:
     """The label header (quoted as the csv module does), then one line of
     ``repr`` floats per matrix row.
 
-    Each distinct float of a block of rows is rendered once, keyed by its
+    The rows are rendered in :func:`~solenoidlab.metric_core.row_blocks`,
+    so the temporaries of a block stay the same size however large the
+    matrix.  Each distinct float of a block is rendered once, keyed by its
     bit pattern so that ``-0.0`` and ``0.0`` stay apart.  No ``repr`` of a
     float holds a comma, quote or newline, so the rows need no quoting.
     """
     out = io.StringIO()
     csv.writer(out, lineterminator="\n").writerow(labels)
     matrix = np.ascontiguousarray(matrix, dtype=np.float64)
-    step = max(1, _CSV_BLOCK_CELLS // max(1, matrix.shape[1]))
-    for start in range(0, len(matrix), step):
-        block = matrix[start:start + step]
+    for rows in row_blocks(*matrix.shape):
+        block = matrix[rows]
         keys, where = np.unique(block.view(np.uint64).ravel(), return_inverse=True)
         rendered = np.array([repr(v) for v in keys.view(np.float64).tolist()], dtype=object)
         for cells in rendered[where.reshape(block.shape)].tolist():

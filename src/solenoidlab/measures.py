@@ -5,6 +5,8 @@ sampling is involved.  A ball of radius ``ratio**n`` in the shift metric is
 the cylinder fixing the window -n+1 .. n, so its measure is a product of 2n
 weights; on the torus the cross-section contributes a factor equal to the
 length of the time interval, ``min(2r, 1)``.
+Every measure is a product from one kernel, :func:`_cylinder_measures`,
+called once per cylinder, ball or list of radii (:func:`_ball_measures`).
 """
 
 from __future__ import annotations
@@ -88,20 +90,15 @@ class CylinderSet:
 
 def cylinder_measure(cyl: CylinderSet, w: WeightVector) -> float:
     """Product of the weights of the pinned symbols (1 for no constraints)."""
-    if cyl.alphabet != w.alphabet:
-        raise InvalidInputError("cylinder and weights use different alphabets")
-    out = 1.0
-    for _, sym in cyl.constraints:
-        out *= w.of(sym)
-    return out
+    return float(_cylinder_measures([cyl], w)[0])
 
 
 def _cylinder_measures(cylinders: Sequence[CylinderSet], w: WeightVector) -> np.ndarray:
-    """:func:`cylinder_measure` of each cylinder, as one array.
+    """The measure of each cylinder, as one array.
 
     Row ``k`` of a weight table holds the weights of cylinder ``k``'s pinned
     symbols in constraint order, padded with 1.0; multiplying the columns in
-    turn gives every product in the scalar function's left-to-right order.
+    turn gives every product in left-to-right order.
     """
     for cyl in cylinders:
         if cyl.alphabet != w.alphabet:
@@ -129,25 +126,23 @@ def shift_invariance_check(w: WeightVector, cylinders: Iterable[CylinderSet]) ->
     return float(np.fmax.reduce(np.abs(before - after), initial=0.0))
 
 
-def _require_positive(w: WeightVector) -> None:
-    if w.minimum() <= 0:
-        raise InvalidInputError("weights must all be positive for this check")
-
-
 def _ball_depth(radius: float, ratio: float) -> int:
-    # Smallest integer n with ratio**n <= radius; the 1e-9 guard keeps
-    # radii that are exact powers of the ratio on the intended depth.
-    return max(0, math.ceil(math.log(radius) / math.log(ratio) - 1.0e-9))
+    """The smallest ``n >= 0`` with ``ratio ** n <= radius``, in the Python float
+    power of the model's distances, counted up from the logarithms' floor."""
+    if radius <= 0:
+        raise InvalidInputError(f"radius must be positive, got {radius}")
+    if not 0.0 < ratio < 1.0:
+        raise InvalidInputError(f"ratio must lie in (0, 1), got {ratio}")
+    n = max(0, math.floor(math.log(radius) / math.log(ratio)))
+    while ratio ** n > radius:
+        n += 1
+    return n
 
 
 def base_ball_measure(
     center: PeriodicSequence, radius: float, ratio: float, w: WeightVector
 ) -> float:
     """Measure of the closed radius-``radius`` ball in the shift metric."""
-    if radius <= 0:
-        raise InvalidInputError(f"radius must be positive, got {radius}")
-    if not 0.0 < ratio < 1.0:
-        raise InvalidInputError(f"ratio must lie in (0, 1), got {ratio}")
     return cylinder_measure(CylinderSet.ball(center, _ball_depth(radius, ratio)), w)
 
 
@@ -158,6 +153,30 @@ def _shift_ratio(ts: TorusSpace) -> float:
     return ratio
 
 
+def _ball_measures(samples, radii, ts: TorusSpace, w: WeightVector, mode: str) -> np.ndarray:
+    """Each sample's (rows) :func:`base_ball_measure` of each radius (columns),
+    times ``min(2r, 1)`` in torus mode, in one :func:`_cylinder_measures` call.
+    The balls are checked sample-major, so the first faulty one raises."""
+    balls = []
+    for p in samples:
+        for r in radii:
+            if mode == "torus":
+                if not isinstance(p.base, PeriodicSequence):
+                    raise InvalidInputError("this measure needs a shift-model base point")
+                if not 0.0 <= p.time < 1.0:
+                    raise InvalidInputError(f"time {p.time} is not canonical (needs [0, 1))")
+                if not 0.0 < r <= 0.5:
+                    raise OutOfRegimeError(f"radius must lie in (0, 1/2], got {r}")
+            ball = CylinderSet.ball(p.base, _ball_depth(r, _shift_ratio(ts)))
+            if ball.alphabet != w.alphabet:
+                raise InvalidInputError("cylinder and weights use different alphabets")
+            balls.append(ball)
+    out = _cylinder_measures(balls, w).reshape(len(samples), len(radii))
+    if mode == "torus":
+        out *= [min(2.0 * r, 1.0) for r in radii]
+    return out
+
+
 def torus_ball_measure(p: TorusPoint, r: float, ts: TorusSpace, w: WeightVector) -> float:
     """Measure of the radius-``r`` ball around a canonical point of the glued
     shift model: base cylinder measure times the time-interval length.
@@ -165,30 +184,18 @@ def torus_ball_measure(p: TorusPoint, r: float, ts: TorusSpace, w: WeightVector)
     Only defined for r in (0, 1/2]; beyond that the time interval wraps into
     itself and the product formula stops being the ball.
     """
-    if not isinstance(p.base, PeriodicSequence):
-        raise InvalidInputError("this measure needs a shift-model base point")
-    if not 0.0 <= p.time < 1.0:
-        raise InvalidInputError(f"time {p.time} is not canonical (needs [0, 1))")
-    if not 0.0 < r <= 0.5:
-        raise OutOfRegimeError(f"radius must lie in (0, 1/2], got {r}")
-    return base_ball_measure(p.base, r, _shift_ratio(ts), w) * min(2.0 * r, 1.0)
+    return float(_ball_measures([p], [r], ts, w, "torus")[0, 0])
 
 
-def _family_ratio(
-    samples: Sequence[TorusPoint],
-    radii: Sequence[float],
-    ts: TorusSpace,
-    w: WeightVector,
-    mode: str,
-) -> float:
-    """The shift ratio of a ball family's torus, after checking the mode,
-    that there is a sample and a radius, and that every weight is positive."""
+def _check_family(samples, radii, ts: TorusSpace, w: WeightVector, mode: str) -> None:
+    """Refuse an unknown mode, an empty family, a weight <= 0 or a non-shift torus."""
     if mode not in ("base", "torus"):
         raise InvalidInputError(f"unknown mode {mode!r}")
     if not samples or not radii:
         raise InvalidInputError("need at least one sample point and one radius")
-    _require_positive(w)
-    return _shift_ratio(ts)
+    if w.minimum() <= 0:
+        raise InvalidInputError("weights must all be positive for this check")
+    _shift_ratio(ts)
 
 
 @dataclass(frozen=True)
@@ -215,26 +222,14 @@ def ahlfors_check(
     ``mode="base"`` measures base-space balls around the samples' base
     points; ``mode="torus"`` measures balls in the glued space.
     """
-    ratio = _family_ratio(samples, radii, ts, w, mode)
-    logs_r = []
-    logs_v = []
-    ratios = []
-    for p in samples:
-        for r in radii:
-            if mode == "base":
-                v = base_ball_measure(p.base, r, ratio, w)
-            else:
-                v = torus_ball_measure(p, r, ts, w)
-            ratios.append(v / r ** expected_dim)
-            logs_r.append(math.log(r))
-            logs_v.append(math.log(v))
-    if len(set(logs_r)) > 1:
-        slope = float(np.polyfit(np.array(logs_r), np.array(logs_v), 1)[0])
-    else:
-        slope = math.nan
-    return RegularityBand(
-        c_low=min(ratios), c_high=max(ratios), fitted_exponent=slope
-    )
+    _check_family(samples, radii, ts, w, mode)
+    values = _ball_measures(samples, radii, ts, w, mode).ravel().tolist()
+    radii = [r for _ in samples for r in radii]
+    ratios, logs_r, logs_v = zip(*[
+        (v / r ** expected_dim, math.log(r), math.log(v)) for v, r in zip(values, radii)
+    ])
+    slope = float(np.polyfit(logs_r, logs_v, 1)[0]) if len(set(logs_r)) > 1 else math.nan
+    return RegularityBand(c_low=min(ratios), c_high=max(ratios), fitted_exponent=slope)
 
 
 def doubling_check(
@@ -249,15 +244,8 @@ def doubling_check(
     Needs strictly positive weights; a zero weight makes balls of measure
     zero and the ratio meaningless.
     """
-    ratio = _family_ratio(samples, radii, ts, w, mode)
-    worst = 0.0
-    for p in samples:
-        for r in radii:
-            if mode == "base":
-                big = base_ball_measure(p.base, 2.0 * r, ratio, w)
-                small = base_ball_measure(p.base, r, ratio, w)
-            else:
-                big = torus_ball_measure(p, 2.0 * r, ts, w)
-                small = torus_ball_measure(p, r, ts, w)
-            worst = max(worst, big / small)
-    return worst
+    _check_family(samples, radii, ts, w, mode)
+    # Each radius follows its double: per sample, B(2r) is checked before B(r).
+    pairs = [x for r in radii for x in (2.0 * r, r)]
+    values = _ball_measures(samples, pairs, ts, w, mode).ravel().tolist()
+    return max([0.0] + [big / small for big, small in zip(values[::2], values[1::2])])

@@ -98,7 +98,7 @@ class FiniteMetricSpace:
     A space is given in one of two forms.  A plain space is given its
     ``matrix`` and stores it.  A power space is given ``power_base`` in
     (0, 1) and ``levels`` (:class:`PowerLevels`), a closed form over O(N)
-    data: the distance of a level is ``power_base ** exponent``, with
+    data: the distance of a level is Python's ``power_base ** exponent``, with
     ``inf`` exponents on the diagonal so equal points get distance exactly
     0.  It builds no N x N table until ``matrix`` is read; the matrix is
     then gathered from the levels a row block at a time, and the gathers
@@ -132,7 +132,9 @@ class FiniteMetricSpace:
                 raise InvalidInputError(f"power base must lie in (0, 1), got {power_base}")
             if np.isnan(levels.exponents).any():
                 raise InvalidInputError("distance matrix contains NaN")
-            self._level_distances = power_base ** levels.exponents
+            # numpy's array power can round differently from shift_metric's.
+            distinct, where = np.unique(levels.exponents, return_inverse=True)
+            self._level_distances = np.array([power_base ** e for e in distinct.tolist()])[where]
         elif matrix.shape != (n, n):
             raise InvalidInputError(
                 f"distance matrix shape {matrix.shape} does not match {n} points"
@@ -346,11 +348,12 @@ def _basic_tally(space: FiniteMetricSpace, tol: float) -> Tally:
 
     A symmetry failure is ``|m[i, j] - m[j, i]| > tol`` above the diagonal
     and ``0 > tol`` on and below it, so a negative ``tol`` flags every pair
-    there.  A separation failure is ``m[i, j] <= tol`` with ``i < j``.
+    there.  Separation fails at ``m[i, j] <= sep`` (:func:`_exact_tol`), ``i < j``.
     """
     m = space.matrix
     pts = space.points
     n = len(m)
+    sep = _exact_tol(space, tol)
     asym = _with_transpose(np.subtract, m)
     np.abs(asym, out=asym)
     index = np.arange(n)
@@ -360,11 +363,11 @@ def _basic_tally(space: FiniteMetricSpace, tol: float) -> Tally:
 
     faulty, identity = _cells(n, 1, lambda rows: np.abs(np.diag(m)[rows, None]) > tol)
     skewed, symmetry = _cells(n, n, lambda rows: np.where(above(rows), asym[rows] > tol, tol < 0))
-    close, separation = _cells(n, n, lambda rows: (m[rows] <= tol) & above(rows))
+    close, separation = _cells(n, n, lambda rows: (m[rows] <= sep) & above(rows))
     out = [AxiomViolation("identity", (pts[i],), float(abs(m[i, i]))) for i, _ in identity]
     out += [AxiomViolation("symmetry", (pts[i], pts[j]), float(asym[i, j])) for i, j in symmetry]
     for i, j in separation:
-        out.append(AxiomViolation("separation", (pts[i], pts[j]), float(tol - m[i, j])))
+        out.append(AxiomViolation("separation", (pts[i], pts[j]), float(sep - m[i, j])))
     return faulty + skewed + close, tuple(out[:WITNESS_LIMIT])
 
 
@@ -447,17 +450,18 @@ def _basic_clear(space: FiniteMetricSpace, tol: float) -> bool:
     return clear and bool(np.isfinite(m).all())
 
 
-def _strong_tol(space: FiniteMetricSpace, tol: float) -> float:
-    """The strong triangle inequality's tolerance: none on a power space.
-    There ``max`` is exact and ``power_base ** e`` strictly decreases over
-    the attained exponents, so ``d(x,z) > max(d(x,y), d(y,z))`` at 0 is
+def _exact_tol(space: FiniteMetricSpace, tol: float) -> float:
+    """Separation's and the strong triangle inequality's tolerance: none on a
+    power space.  There a distance is 0 only between equal points (or on
+    underflow), ``max`` is exact and ``power_base ** e`` strictly decreases
+    over the attained exponents, so ``d(x,z) > max(d(x,y), d(y,z))`` at 0 is
     ``e(x,z) < min(e(x,y), e(y,z))``: a comparison of exponents."""
     return 0.0 if space.levels is not None else tol
 
 
 @_memoised
 def _ultrametric_clear(space: FiniteMetricSpace, tol: float) -> bool:
-    return _basic_clear(space, tol) and _within_subdominant(space.matrix, _strong_tol(space, tol))
+    return _basic_clear(space, tol) and _within_subdominant(space.matrix, _exact_tol(space, tol))
 
 
 @_memoised
@@ -482,7 +486,7 @@ def _axiom_tally(space: FiniteMetricSpace, tol: float) -> Tally:
 def _ultrametric_tally(space: FiniteMetricSpace, tol: float) -> Tally:
     if _ultrametric_clear(space, tol):
         return 0, ()
-    return _triple_tally(space, "ultrametric", np.maximum, _strong_tol(space, tol))
+    return _triple_tally(space, "ultrametric", np.maximum, _exact_tol(space, tol))
 
 
 def _scan(space: FiniteMetricSpace, tol: float, with_ultra: bool) -> MetricReport:
@@ -503,7 +507,8 @@ def verify_metric_axioms(space: FiniteMetricSpace, tol: float = 0.0) -> MetricRe
     """Exhaustively check identity, symmetry, separation and triangle.
 
     A violation is counted whenever an inequality fails by more than
-    ``tol``; the first :data:`WITNESS_LIMIT` are kept as witnesses.
+    ``tol``, or on a power space by any amount for separation; the first
+    :data:`WITNESS_LIMIT` are kept as witnesses.
 
     A space with no identity, symmetry or separation violation, an exactly
     zero diagonal and finite distances is first tested without enumerating

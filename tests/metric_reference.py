@@ -7,8 +7,8 @@ so property tests can hold the library's reports, counts and witnesses in
 order, against it.  It also keeps the
 subdominant-ultrametric verdict as a Prim pass that fills the whole
 ultrametric row by row, the oracle for the library's range-maximum verdict,
-and :func:`table_levels`, which hands a whole exponent table to a power
-space as its levels.
+:func:`table_levels`, which hands a whole exponent table to a power space as
+its levels, and :func:`python_powers`, the distances such a space must give.
 """
 
 from __future__ import annotations
@@ -28,10 +28,13 @@ def basic_violations(space: FiniteMetricSpace, tol: float) -> list[AxiomViolatio
     asym = np.abs(m - m.T)
     for i, j in np.argwhere(np.triu(asym, k=1) > tol):
         out.append(AxiomViolation("symmetry", (pts[i], pts[j]), float(asym[i, j])))
+    # A power space's separation is exact: its distances are powers of a
+    # base, 0 only for equal points or on underflow.
+    sep = 0.0 if space.levels is not None else tol
     off = np.triu(np.ones_like(m, dtype=bool), k=1)
-    for i, j in np.argwhere(off & (m <= tol)):
+    for i, j in np.argwhere(off & (m <= sep)):
         out.append(
-            AxiomViolation("separation", (pts[i], pts[j]), float(tol - m[i, j]))
+            AxiomViolation("separation", (pts[i], pts[j]), float(sep - m[i, j]))
         )
     return out
 
@@ -141,3 +144,10 @@ def table_levels(e: np.ndarray) -> PowerLevels:
     exponents, codes = np.unique(e, return_inverse=True)
     codes = codes.reshape(e.shape)
     return PowerLevels(lambda rows, cols: codes[rows, cols], exponents)
+
+
+def python_powers(base: float, e: np.ndarray) -> np.ndarray:
+    """``base ** x`` for every entry ``x`` of ``e``, each by Python's float
+    power: the distances a power space with exponent table ``e`` must give.
+    numpy's array power may round some of them differently."""
+    return np.array([base ** x for x in e.ravel().tolist()]).reshape(e.shape)

@@ -16,7 +16,7 @@ from cli_reference import (
     csv_text_by_row,
     draw_cylinders_by_choice,
 )
-from solenoidlab import Alphabet, cli, mapping_torus, metric_space_from_matrix, models
+from solenoidlab import Alphabet, cli, mapping_torus, metric_core, metric_space_from_matrix, models
 from solenoidlab.cli import main
 
 
@@ -537,7 +537,7 @@ def test_chain_ceiling_counts_distinct_sample_points(tmp_path, monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "block_cells", [cli._CSV_BLOCK_CELLS, 3], ids=["whole-block", "one-row"]
+    "block_cells", [metric_core.ROW_BLOCK_CELLS, 3], ids=["whole-block", "one-row"]
 )
 def test_export_bytes_match_the_csv_writer(tmp_path, monkeypatch, block_cells):
     labels = ["a,b", 'say "hi"', "c"]
@@ -549,7 +549,7 @@ def test_export_bytes_match_the_csv_writer(tmp_path, monkeypatch, block_cells):
         [0.1 + 0.2, 5e-324, -0.0],
     ])
     monkeypatch.setattr(cli, "_export_matrix", lambda cfg, model: (labels, matrix))
-    monkeypatch.setattr(cli, "_CSV_BLOCK_CELLS", block_cells)
+    monkeypatch.setattr(metric_core, "ROW_BLOCK_CELLS", block_cells)
     out = tmp_path / "m.csv"
     cfg = {"space": PADIC, "export": {"metric": "base"}}
     assert main(["export", write_config(tmp_path, cfg), "--out", str(out)]) == 0
@@ -580,7 +580,7 @@ def _special_matrix(rows, cols, seed):
 
 
 @pytest.mark.parametrize("rows, cols, block_cells", [
-    # The library's block size: one block, exactly eight, and eight plus a row.
+    # The library's block size: one block, exactly two, and two plus a row.
     (3, 3, None), (512, 256, None), (513, 256, None),
     # Blocks of one row; of two rows, from a size between two and three rows
     # and from exactly two; of one row, from a size below one row.
@@ -588,7 +588,7 @@ def _special_matrix(rows, cols, seed):
 ])
 def test_csv_writer_matches_the_row_writer(monkeypatch, rows, cols, block_cells):
     if block_cells is not None:
-        monkeypatch.setattr(cli, "_CSV_BLOCK_CELLS", block_cells)
+        monkeypatch.setattr(metric_core, "ROW_BLOCK_CELLS", block_cells)
     labels = [f"p{k}" for k in range(cols)]
     for seed in range(3):
         m = _special_matrix(rows, cols, seed)

@@ -4,7 +4,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import measures_reference
 from solenoidlab import (
     Alphabet,
     CylinderSet,
@@ -202,3 +205,131 @@ def test_doubling_radius_regime(shift_torus):
     with pytest.raises(OutOfRegimeError):
         # doubling 0.3 leaves the torus ball regime (0, 1/2]
         doubling_check(samples, [0.3], shift_torus, UNIFORM)
+
+
+@pytest.mark.parametrize("ratio, max_period", [(0.5, 9), (0.1, 6), (1 / 3, 6), (0.3, 9), (0.7, 9)])
+def test_balls_hold_the_points_within_their_radius(ratio, max_period):
+    # One ulp on either side of every distance the space attains: the ball
+    # of depth _ball_depth(r) is the points of depth at least that, and it
+    # must be the points the space puts within r.
+    space, _, _ = build_full_shift(2, ratio, max_period)
+    depths = space.levels.table(space.levels.exponents, len(space))
+    for d in np.unique(space.matrix)[1:].tolist():
+        for r in (np.nextafter(d, 0.0), d, np.nextafter(d, 1.0)):
+            n = measures._ball_depth(float(r), ratio)
+            assert ratio ** n <= r and (n == 0 or ratio ** (n - 1) > r)
+            for i in range(0, len(space), 37):
+                within = space.distances(i, slice(None)) <= r
+                assert np.array_equal(depths[i] >= n, within), (d, r, i)
+    # The cylinder of that depth pins exactly the window the depths count.
+    center = space.points[5]
+    for n in range(max_period // 2 + 1):
+        ball = CylinderSet.ball(center, n)
+        pinned = [all(y.value_at(j) == s for j, s in ball.constraints) for y in space.points]
+        assert pinned == (depths[5] >= n).tolist()
+
+
+def test_ball_depth_has_no_guard_below_a_power():
+    # 0.5 ** 2 > r, so the ball of radius r is one depth deeper than 1/4's.
+    assert measures._ball_depth(0.25 * (1 - 1e-10), 0.5) == 3
+    assert measures._ball_depth(0.25, 0.5) == 2
+    assert measures._ball_depth(1.0, 0.5) == measures._ball_depth(7.5, 0.5) == 0
+    with pytest.raises(InvalidInputError, match="ratio"):
+        base_ball_measure(ZEROS, 0.25, 1.0, UNIFORM)
+
+
+def outcome(call):
+    """What ``call()`` gives: its value's repr, or its error's type and text."""
+    try:
+        return "value", repr(call())
+    except Exception as e:  # noqa: BLE001 - the error is the outcome compared
+        return "error", type(e), str(e)
+
+
+@st.composite
+def ball_families(draw):
+    """A small full shift's torus with normalised weights, and samples and
+    radii; in half the families these now and then hold a fault: a time off
+    [0, 1), a base that is not a sequence or not over the weights' alphabet,
+    a radius <= 0 or beyond 1/2."""
+    k = draw(st.integers(2, 5))
+    ratio = draw(st.sampled_from([0.5, 0.1, 0.3, 1 / 3, 0.7]) | st.floats(0.05, 0.8))
+    max_period = draw(st.integers(1, max(p for p in range(1, 7) if k ** p <= 64)))
+    _, _, ts = build_full_shift(k, ratio, max_period)
+    points = ts.base_space.points
+    alphabet = points[0].alphabet
+    raw = draw(st.lists(st.integers(1, 100), min_size=k, max_size=k))
+    w = WeightVector(alphabet, tuple(x / sum(raw) for x in raw))
+    other = PeriodicSequence.from_cells(Alphabet(alphabet.symbols + ("z",)), "z")
+    faults = draw(st.booleans())
+    base = st.sampled_from(points)
+    time = st.sampled_from([0.0, 0.25, 0.5, 0.75])
+    if faults:
+        base |= st.sampled_from([0, other])
+        time |= st.sampled_from([1.0, -0.25])
+    samples = draw(st.lists(st.builds(TorusPoint, base, time), min_size=1, max_size=4))
+    level = st.builds(
+        lambda n, side: float(np.nextafter(ratio ** n, side)) if side else ratio ** n,
+        st.integers(0, 6), st.sampled_from([None, 0.0, 1.0]),
+    )
+    radius = level | st.floats(1e-3, 0.5)
+    if faults:
+        radius |= st.sampled_from([0.0, -0.1, 0.6, 1.5])
+    radii = draw(st.lists(radius, min_size=1, max_size=4))
+    return ts, w, samples, radii
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    family=ball_families(),
+    mode=st.sampled_from(["base", "torus"]),
+    dim=st.floats(0.5, 4.0),
+    padic=st.sampled_from([False] * 4 + [True]),
+)
+def test_measure_views_equal_the_per_ball_loops(family, mode, dim, padic):
+    ts, w, samples, radii = family
+    if padic:  # not a shift model: every view but the base ball refuses it
+        ts = build_padic_cycle(2, 3)[2]
+    ratio = ts.base_space.power_base
+    for p in samples:
+        if isinstance(p.base, PeriodicSequence):
+            cyl = CylinderSet.ball(p.base, len(radii))
+            assert outcome(lambda: cylinder_measure(cyl, w)) == outcome(
+                lambda: measures_reference.cylinder_measure(cyl, w)
+            )
+        for r in radii:
+            assert outcome(lambda: base_ball_measure(p.base, r, ratio, w)) == outcome(
+                lambda: measures_reference.base_ball_measure(p.base, r, ratio, w)
+            )
+            assert outcome(lambda: torus_ball_measure(p, r, ts, w)) == outcome(
+                lambda: measures_reference.torus_ball_measure(p, r, ts, w)
+            )
+    assert outcome(lambda: ahlfors_check(samples, radii, dim, ts, w, mode)) == outcome(
+        lambda: measures_reference.ahlfors_check(samples, radii, dim, ts, w, mode)
+    )
+    assert outcome(lambda: doubling_check(samples, radii, ts, w, mode)) == outcome(
+        lambda: measures_reference.doubling_check(samples, radii, ts, w, mode)
+    )
+
+
+def test_each_view_multiplies_weights_in_one_kernel_call(monkeypatch, shift_torus):
+    calls = []
+    kernel = measures._cylinder_measures
+
+    def counting(cylinders, w):
+        calls.append(len(cylinders))
+        return kernel(cylinders, w)
+
+    monkeypatch.setattr(measures, "_cylinder_measures", counting)
+    samples = [TorusPoint(b, 0.25) for b in shift_torus.base_space.points[:3]]
+    radii = [0.25, 0.125]
+    cylinder_measure(CylinderSet.ball(ZEROS, 2), UNIFORM)
+    base_ball_measure(ZEROS, 0.25, 0.5, UNIFORM)
+    torus_ball_measure(samples[0], 0.25, shift_torus, UNIFORM)
+    for mode in ("base", "torus"):
+        ahlfors_check(samples, radii, 2.0, shift_torus, UNIFORM, mode)
+        doubling_check(samples, radii, shift_torus, UNIFORM, mode)
+    # One call per view: every ball of a family, and both radii of each
+    # doubling pair, go through the same call.
+    assert calls == [1, 1, 1, 6, 12, 6, 12]
+

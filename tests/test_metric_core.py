@@ -96,7 +96,7 @@ EXPONENTS = (
 )
 def test_a_power_space_gives_its_exponent_table_bit_for_bit(base, e):
     n = len(e)
-    want = base ** e
+    want = metric_reference.python_powers(base, e)
     space = FiniteMetricSpace(
         points=tuple(range(n)), power_base=base, levels=metric_reference.table_levels(e)
     )
@@ -122,7 +122,7 @@ def test_power_structure_exponents():
     assert space.dist_exponent(zeros, ones) == 0.0
     assert math.isinf(space.dist_exponent(zeros, zeros))
     exponents = space.levels.table(space.levels.exponents, len(space))
-    assert np.array_equal(space.power_base ** exponents, space.matrix)
+    assert np.array_equal(metric_reference.python_powers(space.power_base, exponents), space.matrix)
 
 
 def test_verify_metric_axioms_clean():

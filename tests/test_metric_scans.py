@@ -184,6 +184,18 @@ def test_power_spaces_scan_their_matrix_as_their_exponents(make):
     assert_reports_equal_reference(space, CALLS)
 
 
+@pytest.mark.parametrize("ratio, max_period", [(1e-200, 4), (0.001, 10)])
+def test_tiny_ratio_shifts_pass_both_scans_at_the_default_tolerance(ratio, max_period):
+    # Distances of 1e-200 and 1e-12 lie below the default tolerance; a power
+    # space's separation is judged exactly, so they separate their points.
+    space, _, _ = build_full_shift(2, ratio, max_period)
+    assert space.matrix[~np.eye(len(space), dtype=bool)].min() <= metric_core.DEFAULT_TOLERANCE
+    for verify in (verify_metric_axioms, verify_ultrametric):
+        report = verify(space, metric_core.DEFAULT_TOLERANCE)
+        assert report.is_metric and report.is_ultrametric is not False
+        assert report.axiom_violation_count == 0
+
+
 def test_passing_spaces_enumerate_no_triples(monkeypatch):
     def refuse(space, kind, combine, tol):
         raise AssertionError(f"{kind} triple tally ran on a passing space")

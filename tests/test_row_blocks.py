@@ -20,6 +20,7 @@ from hypothesis import strategies as st
 
 import dynamics_reference
 import mapping_torus_reference
+import metric_reference
 import models_reference
 import shift_space_reference
 from solenoidlab import (
@@ -145,7 +146,7 @@ def test_padic_exponents_match_the_single_pass(model, rows):
         matrix = space.matrix
     want = models_reference.padic_exponents_all_at_once(prime, digits)
     assert exponents.tobytes() == want.tobytes()
-    assert matrix.tobytes() == (space.power_base ** want).tobytes()
+    assert matrix.tobytes() == metric_reference.python_powers(space.power_base, want).tobytes()
 
 
 @settings(max_examples=40, deadline=None)
@@ -162,7 +163,7 @@ def test_full_shift_exponents_match_the_single_pass(model, rows):
         matrix = space.matrix
     want = shift_space_reference.pairwise_depth_matrix(space.points)
     assert depths.tobytes() == want.tobytes()
-    assert matrix.tobytes() == (ratio ** want).tobytes()
+    assert matrix.tobytes() == metric_reference.python_powers(ratio, want).tobytes()
 
 
 @st.composite

@@ -15,6 +15,7 @@ from solenoidlab import (
     ShiftConfig,
     agreement_depth,
     ball_points,
+    build_full_shift,
     enumerate_periodic_points,
     equicontinuity_witness,
     pairwise_depth_matrix,
@@ -266,3 +267,18 @@ def test_pairwise_depth_matrix_across_word_boundaries():
     assert table[0, 1:].tolist() == [0.0, 25.0, 26.0, 52.0, 59.0, 25.0, 26.0]
     assert table.tobytes() == shift_space_reference.pairwise_depth_matrix(family).tobytes()
     assert pairwise_depth_matrix([PARITY]).tolist() == [[math.inf]]
+
+
+@pytest.mark.parametrize("ratio, max_period", [(0.1, 5), (1 / 3, 5), (0.3, 9), (0.7, 9)])
+def test_full_shift_distances_are_the_shift_metric(ratio, max_period):
+    # numpy's array power rounds 0.1 ** 2, (1/3) ** 2, 0.3 ** 4 and 0.7 ** 4
+    # differently from Python's, which shift_metric uses; the space's
+    # distances must be Python's too.  Depth 4 needs max_period 9.
+    space, _, _ = build_full_shift(2, ratio, max_period)
+    pts = space.points
+    cfg = ShiftConfig(alphabet=pts[0].alphabet, ratio=ratio)
+    index = np.arange(len(space))
+    want = [[shift_metric(x, y, cfg) for y in pts] for x in pts]
+    assert space.distances(index[:, None], index).tolist() == want
+    assert [space.dist(pts[-1], y) for y in pts] == want[-1]
+
