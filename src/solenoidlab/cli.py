@@ -74,49 +74,6 @@ _TIMES = {
 _NUMBERS = {"type": "array", "minItems": 1, "items": {"type": "number"}}
 _RESOLUTION = {"type": "number", "exclusiveMinimum": 0}
 
-#: Every check's parameters as JSON Schema: type, range and ``default``.  A
-#: ``description`` names a default that depends on the model; a parameter
-#: with neither is required.  Ranges that depend on the model are checked by
-#: :func:`_refuse_bad_checks`.
-CHECK_PARAMETERS = {
-    "metric-axioms": {},
-    "ultrametric": {},
-    "bilipschitz": {},
-    "quotient-metric": {"pairs": {**_COUNT, "default": 1000}},
-    "chain-sandwich": {
-        "pairs": {**_COUNT, "default": 200},
-        "times": {**_TIMES, "default": [0.0, 0.25, 0.5, 0.75]},
-        "max_bases": {"type": "integer", "minimum": 1, "default": 16},
-    },
-    "flow-laws": {"triples": {**_COUNT, "default": 1000}},
-    "connectedness": {"epsilon": _RESOLUTION},
-    "dense-orbit": {
-        "epsilon": _RESOLUTION,
-        "origin_index": {"type": "integer", "minimum": 0, "default": 0},
-        "max_iter": {**_COUNT, "description": "default: the number of points"},
-    },
-    "measures": {
-        "cylinders": {**_COUNT, "default": 100},
-        "radii": {
-            **_NUMBERS,
-            "items": {"type": "number", "exclusiveMinimum": 0, "maximum": 0.5},
-            "default": [0.5 ** k for k in range(1, 6)],
-        },
-        "weights": {
-            "type": "object",
-            "additionalProperties": {"type": "number", "exclusiveMinimum": 0},
-            "description": "weight of each symbol; default: uniform",
-        },
-    },
-    "dimension": {
-        "scales": {
-            "type": "array",
-            "minItems": 3,
-            "items": {"type": "number", "exclusiveMinimum": 0},
-        },
-    },
-}
-
 _TORUS = (lambda m: m.torus is not None, "a model with a glued torus")
 
 #: What a check or an export can need from the model: (test, refusal) pairs.
@@ -128,73 +85,6 @@ _NEEDS = {
                                 "an isometric model (padic-cycle or two-fixed-points)")),
     "sequence space": ((lambda m: isinstance(m.space.points[0], PeriodicSequence),
                         "a sequence-space model"), _TORUS),
-}
-
-#: What each export metric needs from the model, a key of ``_NEEDS``.
-_EXPORT_NEEDS = {
-    "base": "none", "adapted": "self-map", "product": "glued torus",
-    "quotient": "isometric glue", "representative": "glued torus", "chain": "glued torus",
-}
-
-METRIC_NAMES = tuple(_EXPORT_NEEDS)
-
-CONFIG_SCHEMA = {
-    "$schema": "http://json-schema.org/draft-07/schema#",
-    "title": "solenoidlab experiment config",
-    "type": "object",
-    "required": ["space"],
-    "additionalProperties": False,
-    "properties": {
-        "space": SPACE_SCHEMA,
-        "seed": {"type": "integer", "minimum": 0, "maximum": 2**32 - 1},  # numpy's seed range
-        "tolerance": {"type": "number", "minimum": 0},
-        "checks": {
-            "type": "array",
-            "minItems": 1,
-            "items": {
-                "type": "object",
-                "required": ["name"],
-                "properties": {"name": {"enum": list(CHECK_PARAMETERS)}},
-                "allOf": [
-                    {
-                        "if": {"required": ["name"], "properties": {"name": {"const": name}}},
-                        "then": {
-                            "required": [
-                                key for key, sub in params.items()
-                                if "default" not in sub and "description" not in sub
-                            ],
-                            "additionalProperties": False,
-                            "properties": {"name": {}, **params},
-                        },
-                    }
-                    for name, params in CHECK_PARAMETERS.items()
-                ],
-            },
-        },
-        "export": {
-            "type": "object",
-            "required": ["metric"],
-            "additionalProperties": False,
-            "properties": {
-                "metric": {"enum": list(METRIC_NAMES)},
-                "times": {**_TIMES, "uniqueItems": True},
-            },
-            # A torus metric is exported over the base points at these times.
-            "if": {"required": ["metric"], "properties": {"metric": {"enum": [
-                name for name, need in _EXPORT_NEEDS.items() if _TORUS in _NEEDS[need]
-            ]}}},
-            "then": {"required": ["times"]},
-        },
-        "output": {
-            "type": "object",
-            "required": ["path"],
-            "additionalProperties": False,
-            "properties": {
-                "path": {"type": "string"},
-                "format": {"enum": ["json", "csv"]},
-            },
-        },
-    },
 }
 
 class UsageError(Exception):
@@ -227,7 +117,7 @@ def _load_config(path: str) -> dict:
 
 def _arg(check: dict, key: str):
     """The check's ``key`` parameter, or its schema default."""
-    return check.get(key, CHECK_PARAMETERS[check["name"]][key]["default"])
+    return check.get(key, _CHECKS[check["name"]].params[key]["default"])
 
 
 def _require(model, need: str, where: str) -> None:
@@ -505,24 +395,144 @@ def _check_dimension(model, check, tol, rng):
     }
 
 
+def _refuse_origin(model, check, where):
+    if _arg(check, "origin_index") >= len(model.space):
+        raise UsageError(f"{where}.origin_index: out of range")
+
+
 class _Check(NamedTuple):
-    """A check's function, its need and whether it samples (and needs a seed)."""
+    """A check: its function, its parameters as JSON Schema (see
+    ``CONFIG_SCHEMA``), its need (a key of ``_NEEDS``), whether it samples
+    and so needs a seed, and ``refuse(model, check, where)``, which raises
+    for parameters whose range depends on the model."""
     run: Callable
+    params: dict
     need: str
     samples: bool
+    refuse: Callable = lambda model, check, where: None
 
 
+#: One row per check.  A parameter's ``description`` names a default that
+#: depends on the model; a parameter with neither it nor a ``default`` is
+#: required.  The refusals call through this module's bindings.
 _CHECKS = {
-    "metric-axioms": _Check(_check_metric_axioms, "none", False),
-    "ultrametric": _Check(_check_ultrametric, "none", False),
-    "bilipschitz": _Check(_check_bilipschitz, "self-map", False),
-    "quotient-metric": _Check(_check_quotient_metric, "isometric glue", True),
-    "chain-sandwich": _Check(_check_chain_sandwich, "glued torus", True),
-    "flow-laws": _Check(_check_flow_laws, "glued torus", True),
-    "connectedness": _Check(_check_connectedness, "self-map", False),
-    "dense-orbit": _Check(_check_dense_orbit, "self-map", False),
-    "measures": _Check(_check_measures, "sequence space", True),
-    "dimension": _Check(_check_dimension, "none", False),
+    "metric-axioms": _Check(_check_metric_axioms, {}, "none", False),
+    "ultrametric": _Check(_check_ultrametric, {}, "none", False),
+    "bilipschitz": _Check(_check_bilipschitz, {}, "self-map", False),
+    "quotient-metric": _Check(_check_quotient_metric, {"pairs": {**_COUNT, "default": 1000}},
+                              "isometric glue", True),
+    "chain-sandwich": _Check(_check_chain_sandwich, {
+        "pairs": {**_COUNT, "default": 200},
+        "times": {**_TIMES, "default": [0.0, 0.25, 0.5, 0.75]},
+        "max_bases": {"type": "integer", "minimum": 1, "default": 16},
+    }, "glued torus", True, lambda model, check, where: distinct_chain_sample(
+        model.torus, _chain_sample(model, check))),
+    "flow-laws": _Check(_check_flow_laws, {"triples": {**_COUNT, "default": 1000}},
+                        "glued torus", True),
+    "connectedness": _Check(_check_connectedness, {"epsilon": _RESOLUTION}, "self-map", False),
+    "dense-orbit": _Check(_check_dense_orbit, {
+        "epsilon": _RESOLUTION,
+        "origin_index": {"type": "integer", "minimum": 0, "default": 0},
+        "max_iter": {**_COUNT, "description": "default: the number of points"},
+    }, "self-map", False, _refuse_origin),
+    "measures": _Check(_check_measures, {
+        "cylinders": {**_COUNT, "default": 100},
+        "radii": {
+            **_NUMBERS,
+            "items": {"type": "number", "exclusiveMinimum": 0, "maximum": 0.5},
+            "default": [0.5 ** k for k in range(1, 6)],
+        },
+        "weights": {
+            "type": "object",
+            "additionalProperties": {"type": "number", "exclusiveMinimum": 0},
+            "description": "weight of each symbol; default: uniform",
+        },
+    }, "sequence space", True, lambda model, check, where: _weights(model, check)),
+    "dimension": _Check(_check_dimension, {
+        "scales": {"type": "array", "minItems": 3, "items": _RESOLUTION},
+    }, "none", False, lambda model, check, where: fit_scales(model.space, check["scales"])),
+}
+
+
+class _Export(NamedTuple):
+    """An export metric: its need, a key of ``_NEEDS``, and its matrix.  A
+    torus metric (one that needs a torus) gives ``matrix(ts, sample)`` over
+    the base points at each of the export's times; any other metric gives
+    ``matrix(model)``, a space whose points and matrix are exported."""
+    need: str
+    matrix: Callable
+
+
+#: One row per export metric.  The rows call through this module's bindings
+#: at call time, so that a wrapper installed on one is used.
+_EXPORTS = {
+    "base": _Export("none", lambda model: model.space),
+    "adapted": _Export("self-map", lambda model: adapted_metric(model.space, model.mapping)),
+    "product": _Export("glued torus", lambda ts, s: product_distance_matrix(ts, s)),
+    "quotient": _Export("isometric glue", lambda ts, s: quotient_distance_matrix(ts, s)),
+    "representative": _Export("glued torus", lambda ts, s: representative_distance_matrix(ts, s)),
+    "chain": _Export("glued torus", lambda ts, s: ChainMetricTable(ts, s).distance_matrix()),
+}
+
+METRIC_NAMES = tuple(_EXPORTS)
+
+CONFIG_SCHEMA = {
+    "$schema": "http://json-schema.org/draft-07/schema#",
+    "title": "solenoidlab experiment config",
+    "type": "object",
+    "required": ["space"],
+    "additionalProperties": False,
+    "properties": {
+        "space": SPACE_SCHEMA,
+        "seed": {"type": "integer", "minimum": 0, "maximum": 2**32 - 1},  # numpy's seed range
+        "tolerance": {"type": "number", "minimum": 0},
+        "checks": {
+            "type": "array",
+            "minItems": 1,
+            "items": {
+                "type": "object",
+                "required": ["name"],
+                "properties": {"name": {"enum": list(_CHECKS)}},
+                "allOf": [
+                    {
+                        "if": {"required": ["name"], "properties": {"name": {"const": name}}},
+                        "then": {
+                            "required": [
+                                key for key, sub in row.params.items()
+                                if "default" not in sub and "description" not in sub
+                            ],
+                            "additionalProperties": False,
+                            "properties": {"name": {}, **row.params},
+                        },
+                    }
+                    for name, row in _CHECKS.items()
+                ],
+            },
+        },
+        "export": {
+            "type": "object",
+            "required": ["metric"],
+            "additionalProperties": False,
+            "properties": {
+                "metric": {"enum": list(METRIC_NAMES)},
+                "times": {**_TIMES, "uniqueItems": True},
+            },
+            # A torus metric is exported over the base points at these times.
+            "if": {"required": ["metric"], "properties": {"metric": {"enum": [
+                name for name, row in _EXPORTS.items() if _TORUS in _NEEDS[row.need]
+            ]}}},
+            "then": {"required": ["times"]},
+        },
+        "output": {
+            "type": "object",
+            "required": ["path"],
+            "additionalProperties": False,
+            "properties": {
+                "path": {"type": "string"},
+                "format": {"enum": ["json", "csv"]},
+            },
+        },
+    },
 }
 
 
@@ -551,24 +561,16 @@ def _resolve_seed(cfg, args, checks):
 
 def _refuse_bad_checks(model, checks) -> None:
     """Refuse, before the first check runs, a check the model cannot serve
-    and parameters whose range depends on the model: a chain sample over
-    the ceiling, ``measures`` weights that do not fit the alphabet, a
-    ``dense-orbit`` origin past the last point and ``dimension`` scales not
-    below the diameter."""
+    and then parameters whose range depends on the model (the row's
+    ``refuse``), check by check."""
     for i, check in enumerate(checks):
-        name = check["name"]
-        _require(model, _CHECKS[name].need, f"$.checks[{i}]: check {name!r}")
+        name, where = check["name"], f"$.checks[{i}]"
+        row = _CHECKS[name]
+        _require(model, row.need, f"{where}: check {name!r}")
         try:
-            if name == "chain-sandwich":
-                distinct_chain_sample(model.torus, _chain_sample(model, check))
-            elif name == "measures":
-                _weights(model, check)
-            elif name == "dimension":
-                fit_scales(model.space, check["scales"])
+            row.refuse(model, check, where)
         except InvalidInputError as e:
-            raise UsageError(f"$.checks[{i}]: {e}") from None
-        if name == "dense-orbit" and _arg(check, "origin_index") >= len(model.space):
-            raise UsageError(f"$.checks[{i}].origin_index: out of range")
+            raise UsageError(f"{where}: {e}") from None
 
 
 def _run(cfg, args) -> tuple[str, int]:
@@ -618,24 +620,14 @@ def _export_matrix(cfg, model):
     if not exp:
         raise UsageError("$.export: an export needs a metric name")
     metric = exp["metric"]
-    _require(model, _EXPORT_NEEDS[metric], f"$.export.metric: {metric!r}")
-    if metric == "base":
-        return _labels(model.space.points), model.space.matrix
-    if metric == "adapted":
-        tilde = adapted_metric(model.space, model.mapping)
-        return _labels(tilde.points), tilde.matrix
+    row = _EXPORTS[metric]
+    _require(model, row.need, f"$.export.metric: {metric!r}")
+    if _TORUS not in _NEEDS[row.need]:
+        space = row.matrix(model)
+        return _labels(space.points), space.matrix
     ts = model.torus
     sample = [TorusPoint(b, float(t)) for b in ts.base_space.points for t in exp["times"]]
-    labels = _labels(sample)
-    if metric == "product":
-        matrix = product_distance_matrix(ts, sample)
-    elif metric == "quotient":
-        matrix = quotient_distance_matrix(ts, sample)
-    elif metric == "representative":
-        matrix = representative_distance_matrix(ts, sample)
-    else:
-        matrix = ChainMetricTable(ts, sample).distance_matrix()
-    return labels, matrix
+    return _labels(sample), row.matrix(ts, sample)
 
 
 def _export(cfg, args) -> str:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from functools import cached_property
 from types import MappingProxyType
@@ -154,7 +155,12 @@ def self_map_from_function(
 
 def iterate(mapping: SelfMap, n: int, x: Point) -> Point:
     """n-th iterate (negative n walks the inverse): one cycle-table step,
-    reduced exactly, so any |n| costs O(1)."""
+    reduced exactly, so any |n| costs O(1).  ``n`` is any integer, a numpy
+    integer too; a float, even an integral one, is refused."""
+    try:
+        n = operator.index(n)
+    except TypeError:
+        raise InvalidInputError(f"step count must be an integer, got {n!r}") from None
     return mapping.domain[mapping._cycles.step(mapping._index_of(x), n)]
 
 

@@ -128,11 +128,14 @@ def shift_invariance_check(w: WeightVector, cylinders: Iterable[CylinderSet]) ->
 
 def _ball_depth(radius: float, ratio: float) -> int:
     """The smallest ``n >= 0`` with ``ratio ** n <= radius``, in the Python float
-    power of the model's distances, counted up from the logarithms' floor."""
-    if radius <= 0:
+    power of the model's distances, counted up from the logarithms' floor;
+    0 for a radius of 1 or more, infinity included."""
+    if not radius > 0:  # NaN too
         raise InvalidInputError(f"radius must be positive, got {radius}")
     if not 0.0 < ratio < 1.0:
         raise InvalidInputError(f"ratio must lie in (0, 1), got {ratio}")
+    if radius >= 1.0:
+        return 0
     n = max(0, math.floor(math.log(radius) / math.log(ratio)))
     while ratio ** n > radius:
         n += 1

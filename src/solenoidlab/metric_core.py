@@ -548,7 +548,9 @@ def snowflake(space: FiniteMetricSpace, alpha: float) -> FiniteMetricSpace:
     preserves ultrametricity.  For alpha > 1 the result may only be a
     quasi-metric; nothing is asserted here, run a verification scan if the
     triangle defect matters.  Power-structured spaces stay exact: the base
-    becomes ``power_base ** alpha`` and the result shares the levels.
+    becomes ``power_base ** alpha`` and the result shares the levels.  A
+    plain space takes one Python power per distinct distance, as the levels
+    do: numpy's array power can round differently.
     """
     if alpha <= 0:
         raise InvalidInputError(f"snowflake exponent must be positive, got {alpha}")
@@ -560,8 +562,11 @@ def snowflake(space: FiniteMetricSpace, alpha: float) -> FiniteMetricSpace:
             power_base=space.power_base ** alpha,
             levels=space.levels,
         )
+    # A negative distance has no real power; its NaN is refused.
+    distinct, where = np.unique(space.matrix, return_inverse=True)
+    powers = np.array([d ** alpha if d >= 0 else math.nan for d in distinct.tolist()])
     return FiniteMetricSpace(
-        points=space.points, matrix=space.matrix ** alpha, label=label
+        points=space.points, matrix=powers[where].reshape(space.matrix.shape), label=label
     )
 
 

@@ -6,13 +6,14 @@ the space.  The full shift and the residue ring give their spaces in closed
 form (:class:`~solenoidlab.metric_core.PowerLevels`), so a build allocates
 O(N) data and its N x N tables are built only when a scan or an export
 reads them.  :func:`build_model` drives the same builders from a declarative
-:class:`ModelSpec`, which is what the command line feeds in.
+:class:`ModelSpec`, which is what the command line feeds in, through one
+row per model kind.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Mapping
+from typing import Any, Callable, Mapping, NamedTuple
 
 import jsonschema
 import numpy as np
@@ -21,7 +22,7 @@ from .dynamics import SelfMap
 from .dynamics import self_map_from_function  # unused here; bench/spans.py wraps models' binding
 from .errors import InvalidInputError
 from .mapping_torus import TorusPoint, TorusSpace, make_torus_space
-from .metric_core import FiniteMetricSpace, PowerLevels, snowflake
+from .metric_core import FiniteMetricSpace, PowerLevels
 from .shift_space import (
     Alphabet,
     PeriodicSequence,
@@ -157,20 +158,23 @@ def build_two_fixed_points() -> tuple[FiniteMetricSpace, SelfMap, TorusSpace]:
 
 
 def build_snowflake_interval(grid_size: int, alpha: float) -> FiniteMetricSpace:
-    """The grid {i / grid_size : 0 <= i <= grid_size} with metric |x-y|^alpha."""
+    """The grid {i / grid_size : 0 <= i <= grid_size} with metric |x-y|^alpha,
+    in gap form: points i and j are at distance ``(|i - j| / grid_size) **
+    alpha``, gathered from one Python power per gap."""
     if grid_size < 2:
         raise InvalidInputError(f"grid size must be at least 2, got {grid_size}")
     if not 0.0 < alpha <= 1.0:
         raise InvalidInputError(f"alpha must lie in (0, 1], got {alpha}")
-    _require_dense(str(grid_size + 1), grid_size + 1)
-    points = tuple(i / grid_size for i in range(grid_size + 1))
-    coords = np.array(points)
-    space = FiniteMetricSpace(
-        points=points,
-        matrix=np.abs(coords[:, None] - coords[None, :]),
-        label=f"interval({grid_size})",
+    n = grid_size + 1
+    _require_dense(str(n), n)
+    by_gap = np.array([(g / grid_size) ** alpha for g in range(n)])
+    # Entry k of the run is the power of gap |k - grid_size|; row i starts at n - 1 - i.
+    run = np.concatenate([by_gap[:0:-1], by_gap])
+    return FiniteMetricSpace(
+        points=tuple(i / grid_size for i in range(n)),
+        matrix=np.lib.stride_tricks.sliding_window_view(run, n)[::-1].copy(),
+        label=f"interval({grid_size})^{alpha:g}",
     )
-    return snowflake(space, alpha)
 
 
 # ============================================================
@@ -196,16 +200,24 @@ def validate(schema: dict, instance, root: str = "$") -> None:
         raise InvalidInputError(f"{root}{first.json_path[1:]}: {first.message}")
 
 
-#: The JSON Schema type of each parameter of each model kind.  The builders
-#: check the ranges.
-_PARAMETER_TYPES = {
-    "full-shift": {"alphabet_size": "integer", "ratio": "number", "max_period": "integer"},
-    "padic-cycle": {"prime": "integer", "digits": "integer"},
-    "two-fixed-points": {},
-    "snowflake-interval": {"grid_size": "integer", "alpha": "number"},
+class _Kind(NamedTuple):
+    """A model kind's row: the JSON Schema type of each parameter, and its
+    builder, which takes the parameters by name, checks their ranges and
+    returns ``(space, mapping, torus)``."""
+    types: dict
+    build: Callable
+
+
+_KINDS = {
+    "full-shift": _Kind({"alphabet_size": "integer", "ratio": "number",
+                         "max_period": "integer"}, build_full_shift),
+    "padic-cycle": _Kind({"prime": "integer", "digits": "integer"}, build_padic_cycle),
+    "two-fixed-points": _Kind({}, build_two_fixed_points),
+    "snowflake-interval": _Kind({"grid_size": "integer", "alpha": "number"}, lambda **params: (
+        build_snowflake_interval(**params), None, None)),
 }
 
-MODEL_KINDS = tuple(_PARAMETER_TYPES)
+MODEL_KINDS = tuple(_KINDS)
 
 SPACE_SCHEMA = {
     "type": "object",
@@ -224,7 +236,7 @@ SPACE_SCHEMA = {
                 "properties": {name: {"type": t} for name, t in types.items()},
             }}},
         }
-        for kind, types in _PARAMETER_TYPES.items()
+        for kind, (types, _) in _KINDS.items()
     ],
 }
 
@@ -241,11 +253,10 @@ class ModelSpec:
         """Validate ``raw`` against :data:`SPACE_SCHEMA`; number parameters
         given as integers become floats."""
         validate(SPACE_SCHEMA, raw)
-        params = dict(raw["parameters"])
-        for name, t in _PARAMETER_TYPES[raw["kind"]].items():
-            if t == "number":
-                params[name] = float(params[name])
-        return cls(kind=raw["kind"], parameters=params)
+        types = _KINDS[raw["kind"]].types
+        return cls(kind=raw["kind"], parameters={
+            k: float(v) if types[k] == "number" else v for k, v in raw["parameters"].items()
+        })
 
 
 @dataclass(frozen=True, eq=False)
@@ -259,17 +270,7 @@ class BuiltModel:
 
 
 def build_model(spec: ModelSpec) -> BuiltModel:
-    params = spec.parameters
-    if spec.kind == "full-shift":
-        return BuiltModel(spec, *build_full_shift(
-            params["alphabet_size"], params["ratio"], params["max_period"]
-        ))
-    if spec.kind == "padic-cycle":
-        return BuiltModel(spec, *build_padic_cycle(params["prime"], params["digits"]))
-    if spec.kind == "two-fixed-points":
-        return BuiltModel(spec, *build_two_fixed_points())
-    space = build_snowflake_interval(params["grid_size"], params["alpha"])
-    return BuiltModel(spec, space, None, None)
+    return BuiltModel(spec, *_KINDS[spec.kind].build(**spec.parameters))
 
 
 def point_label(p: Any) -> str:

@@ -506,20 +506,69 @@ def test_a_negative_orbit_budget_is_refused_before_a_long_check(tmp_path, capsys
     )
 
 
-@pytest.mark.parametrize("space, metric, message", [
-    ({"kind": "snowflake-interval", "parameters": {"grid_size": 4, "alpha": 0.5}},
-     "adapted", "'adapted' needs a model with a self-map"),
-    ({"kind": "snowflake-interval", "parameters": {"grid_size": 4, "alpha": 0.5}},
-     "chain", "'chain' needs a model with a glued torus"),
+#: (space, metric, refusal): every export metric with a need, on a model
+#: kind without it.
+EXPORT_NEED_CASES = [
+    (SNOWFLAKE_SPACE, "adapted", "'adapted' needs a model with a self-map"),
+    (SNOWFLAKE_SPACE, "chain", "'chain' needs a model with a glued torus"),
     (FULL_SHIFT, "quotient",
      "'quotient' needs an isometric model (padic-cycle or two-fixed-points)"),
-])
+    (SNOWFLAKE_SPACE, "product", "'product' needs a model with a glued torus"),
+    (SNOWFLAKE_SPACE, "quotient", "'quotient' needs a model with a glued torus"),
+    (SNOWFLAKE_SPACE, "representative", "'representative' needs a model with a glued torus"),
+]
+
+
+def test_every_export_need_has_a_refusal_case():
+    needy = {name for name, row in cli._EXPORTS.items() if row.need != "none"}
+    assert {metric for _, metric, _ in EXPORT_NEED_CASES} == needy
+
+
+@pytest.mark.parametrize("space, metric, message", EXPORT_NEED_CASES)
 def test_an_export_the_model_cannot_give_names_the_metric(tmp_path, capsys, space, metric, message):
     cfg = {"space": space, "export": {"metric": metric, "times": [0.0]}}
     assert main(["export", write_config(tmp_path, cfg)]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"error: $.export.metric: {message}\n"
+
+
+@pytest.mark.parametrize("metric", cli.METRIC_NAMES)
+def test_every_metric_exports_on_a_model_that_serves_it(tmp_path, capsys, metric):
+    # The padic cycle has a self-map and an isometric glued torus.
+    times = [0.0, 0.5]
+    cfg = {"space": PADIC, "export": {"metric": metric, "times": times}}
+    assert main(["export", write_config(tmp_path, cfg)]) == 0
+    header, *rows = capsys.readouterr().out.splitlines()
+    torus = cli._TORUS in cli._NEEDS[cli._EXPORTS[metric].need]
+    labels = [f"{x}@{t!r}" for x in range(8) for t in times] if torus else list("01234567")
+    assert header.split(",") == labels
+    matrix = np.array([[float(v) for v in row.split(",")] for row in rows])
+    assert matrix.shape == (len(labels), len(labels))
+    assert (np.diag(matrix) == 0.0).all() and (matrix == matrix.T).all()
+    assert (matrix[~np.eye(len(labels), dtype=bool)] > 0.0).all()
+
+
+@pytest.mark.parametrize("metric, binding", [
+    ("adapted", "adapted_metric"),
+    ("representative", "representative_distance_matrix"),
+    ("chain", "ChainMetricTable"),
+])
+def test_export_rows_call_through_the_module_binding(
+    tmp_path, capsys, monkeypatch, metric, binding
+):
+    # A wrapper installed on cli's binding after import is the one called.
+    calls = []
+    original = getattr(cli, binding)
+
+    def wrapped(*args):
+        calls.append(binding)
+        return original(*args)
+
+    monkeypatch.setattr(cli, binding, wrapped)
+    cfg = {"space": PADIC, "export": {"metric": metric, "times": [0.0, 0.5]}}
+    assert main(["export", write_config(tmp_path, cfg)]) == 0
+    assert calls == [binding]
 
 
 def test_chain_ceiling_counts_distinct_sample_points(tmp_path, monkeypatch):

@@ -4,13 +4,18 @@ and that its defaults are the ones the checks use."""
 import json
 import time
 import tracemalloc
+from pathlib import Path
 
 import jsonschema
 import pytest
 
 from solenoidlab import cli
-from solenoidlab.cli import CHECK_PARAMETERS, CONFIG_SCHEMA, main
-from solenoidlab.models import _PARAMETER_TYPES
+from solenoidlab.cli import CONFIG_SCHEMA, main
+from solenoidlab.models import _KINDS
+
+#: The printed schema, byte for byte: how the names are declared must not
+#: change what a config may say.
+SCHEMA_FIXTURE = Path(__file__).parent / "fixtures" / "config_schema.json"
 
 FULL_SHIFT = {
     "kind": "full-shift",
@@ -56,7 +61,7 @@ def no_check_runs(monkeypatch):
 
 
 def test_every_check_has_a_setup():
-    assert set(CHECK_SETUPS) == set(CHECK_PARAMETERS) == set(cli._CHECKS)
+    assert set(CHECK_SETUPS) == set(cli._CHECKS)
 
 
 def test_the_schema_is_a_valid_draft7_schema(capsys):
@@ -67,29 +72,34 @@ def test_the_schema_is_a_valid_draft7_schema(capsys):
     assert printed == json.loads(json.dumps(CONFIG_SCHEMA))
 
 
+def test_the_printed_schema_is_byte_identical_to_the_fixture(capsys):
+    assert main(["schema"]) == 0
+    assert capsys.readouterr().out.encode() == SCHEMA_FIXTURE.read_bytes()
+
+
 def test_the_printed_schema_states_every_parameter(capsys):
     assert main(["schema"]) == 0
     printed = json.loads(capsys.readouterr().out)
     clauses = printed["properties"]["checks"]["items"]["allOf"]
     by_name = {c["if"]["properties"]["name"]["const"]: c["then"] for c in clauses}
-    for name, params in CHECK_PARAMETERS.items():
+    for name, row in cli._CHECKS.items():
         then = by_name[name]
-        assert set(then["properties"]) == {"name", *params}
-        for key, sub in params.items():
+        assert set(then["properties"]) == {"name", *row.params}
+        for key, sub in row.params.items():
             assert "type" in then["properties"][key]
             stated = "default" in sub or "description" in sub
             assert (key in then["required"]) == (not stated)
     space = printed["properties"]["space"]["allOf"]
     by_kind = {c["if"]["properties"]["kind"]["const"]: c["then"] for c in space}
-    for kind, types in _PARAMETER_TYPES.items():
+    for kind, row in _KINDS.items():
         params = by_kind[kind]["properties"]["parameters"]
-        assert {k: v["type"] for k, v in params["properties"].items()} == types
-        assert params["required"] == list(types)
+        assert {k: v["type"] for k, v in params["properties"].items()} == row.types
+        assert params["required"] == list(row.types)
 
 
 def _defaulted():
-    for name, params in CHECK_PARAMETERS.items():
-        for key, sub in params.items():
+    for name, row in cli._CHECKS.items():
+        for key, sub in row.params.items():
             if "default" in sub:
                 yield name, key, sub["default"]
     for (name, key), value in MODEL_DEFAULTS.items():
@@ -114,19 +124,19 @@ def test_a_left_out_parameter_takes_its_default(tmp_path, capsys, name, key, def
 def _type_cases():
     """(space, check, message): every check and model parameter given a
     string, ``true`` and, for an integer, ``5.0``."""
-    for name, params in CHECK_PARAMETERS.items():
+    for name, row in cli._CHECKS.items():
         space, required = CHECK_SETUPS[name]
-        for key, sub in params.items():
+        for key, sub in row.params.items():
             wrong = ["x", True] + ([5.0] if sub["type"] == "integer" else [])
             for value in wrong:
                 check = {"name": name, **required, key: value}
                 message = f"{value!r} is not of type {sub['type']!r}"
                 yield space, check, f"$.checks[1].{key}: {message}"
-    for kind, types in _PARAMETER_TYPES.items():
-        for key, t in types.items():
+    for kind, row in _KINDS.items():
+        for key, t in row.types.items():
             for value in ["x", True] + ([5.0] if t == "integer" else []):
                 space = {"kind": kind, "parameters": {
-                    **{k: 2 for k in types}, key: value,
+                    **{k: 2 for k in row.types}, key: value,
                 }}
                 message = f"{value!r} is not of type {t!r}"
                 yield space, {"name": "metric-axioms"}, (
@@ -181,13 +191,13 @@ def _range_cases():
 
 
 def _unknown_key_cases():
-    for name in CHECK_PARAMETERS:
+    for name in cli._CHECKS:
         space, required = CHECK_SETUPS[name]
         yield space, {"name": name, **required, "bogus": 1}, (
             "$.checks[1]: Additional properties are not allowed ('bogus' was unexpected)"
         )
-    for kind, types in _PARAMETER_TYPES.items():
-        space = {"kind": kind, "parameters": {**{k: 2 for k in types}, "bogus": 1}}
+    for kind, row in _KINDS.items():
+        space = {"kind": kind, "parameters": {**{k: 2 for k in row.types}, "bogus": 1}}
         yield space, {"name": "metric-axioms"}, (
             "$.space.parameters: Additional properties are not allowed "
             "('bogus' was unexpected)"

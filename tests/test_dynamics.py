@@ -57,6 +57,17 @@ def test_iterate_reduces_along_the_cycle():
     assert iterate(mapping, 0, 5) == 5
 
 
+def test_iterate_takes_any_integer_and_refuses_every_other_step_count():
+    _, mapping, _ = build_padic_cycle(5, 1)
+    assert iterate(mapping, np.int64(7), 0) == 2
+    assert iterate(mapping, np.uint8(3), 4) == 2
+    assert iterate(mapping, 2 ** 70 + 1, 0) == (2 ** 70 + 1) % 5
+    assert iterate(mapping, -(2 ** 70), 0) == -(2 ** 70) % 5
+    for n in (2.5, 2.9, float("nan"), 2.0, np.float64(3.0), "2", None):
+        with pytest.raises(InvalidInputError, match="step count must be an integer"):
+            iterate(mapping, n, 0)
+
+
 def test_full_shift_mapping_is_the_shift():
     space, mapping, _ = build_full_shift(2, 0.5, 4)
     for p in space.points:

@@ -238,6 +238,17 @@ def test_ball_depth_has_no_guard_below_a_power():
         base_ball_measure(ZEROS, 0.25, 1.0, UNIFORM)
 
 
+@pytest.mark.parametrize("radius", [1.0, 7.5, 1e308, math.inf])
+def test_a_ball_of_radius_one_or_more_is_the_whole_space(radius):
+    assert measures._ball_depth(radius, 0.5) == 0
+    assert base_ball_measure(ZEROS, radius, 0.5, UNIFORM) == 1.0
+
+
+def test_a_nan_radius_is_refused_as_not_positive():
+    with pytest.raises(InvalidInputError, match="radius must be positive, got nan"):
+        base_ball_measure(ZEROS, math.nan, 0.5, UNIFORM)
+
+
 def outcome(call):
     """What ``call()`` gives: its value's repr, or its error's type and text."""
     try:

@@ -203,10 +203,21 @@ def test_snowflake_plain_values():
     assert half.dist(0, 1) == 1.0
     pair = metric_space_from_matrix((0, 1), [[0.0, 0.25], [0.25, 0.0]])
     assert snowflake(pair, 0.5).dist(0, 1) == 0.5
+    negative = metric_space_from_matrix((0, 1), [[0.0, -0.25], [-0.25, 0.0]])
+    with pytest.raises(InvalidInputError, match="NaN"):
+        snowflake(negative, 0.5)
     with pytest.raises(InvalidInputError):
         snowflake(LINE, 0.0)
     with pytest.raises(InvalidInputError):
         snowflake(LINE, -1.0)
+
+
+@pytest.mark.parametrize("grid, alpha", [(512, 0.3), (64, 0.7), (3, 0.3)])
+def test_snowflake_of_a_plain_space_takes_a_python_power_per_distance(grid, alpha):
+    coords = np.arange(grid + 1) / grid
+    plain = metric_space_from_matrix(range(grid + 1), np.abs(coords[:, None] - coords[None, :]))
+    want = [[d ** alpha for d in row] for row in plain.matrix.tolist()]
+    assert snowflake(plain, alpha).matrix.tolist() == want
 
 
 def test_snowflake_preserves_power_structure_exactly():

@@ -130,6 +130,16 @@ def test_snowflake_interval_build():
         build_snowflake_interval(16, 0.0)
 
 
+@pytest.mark.parametrize("grid, alpha", [(3, 0.3), (64, 0.7), (100, 0.5), (512, 0.5)])
+def test_snowflake_interval_is_one_python_power_per_gap(grid, alpha):
+    space = build_snowflake_interval(grid, alpha)
+    n = grid + 1
+    want = [[(abs(i - j) / grid) ** alpha for j in range(n)] for i in range(n)]
+    assert space.matrix.tolist() == want
+    assert space.label == f"interval({grid})^{alpha:g}"
+    assert space.points == tuple(i / grid for i in range(n))
+
+
 def test_model_spec_round_trip():
     raw = {
         "kind": "full-shift",
