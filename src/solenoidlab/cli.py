@@ -517,11 +517,13 @@ CONFIG_SCHEMA = {
                 "metric": {"enum": list(METRIC_NAMES)},
                 "times": {**_TIMES, "uniqueItems": True},
             },
-            # A torus metric is exported over the base points at these times.
+            # A torus metric is exported over the base points at these times;
+            # any other metric takes none.
             "if": {"required": ["metric"], "properties": {"metric": {"enum": [
                 name for name, row in _EXPORTS.items() if _TORUS in _NEEDS[row.need]
             ]}}},
             "then": {"required": ["times"]},
+            "else": {"propertyNames": {"enum": ["metric"]}},
         },
         "output": {
             "type": "object",

@@ -77,6 +77,10 @@ _SMOKE = {
                   "parameters": {"alphabet_size": 2, "ratio": 0.001, "max_period": 10}},
         "checks": [{"name": "metric-axioms"}, {"name": "ultrametric"}],
     }),
+    "smoke-base-times": ("export", {
+        "space": _FULL_SHIFT,
+        "export": {"metric": "base", "times": [0.0, 0.5]},
+    }),
     "smoke-flake": ("export", {
         "space": {"kind": "snowflake-interval",
                   "parameters": {"grid_size": 3, "alpha": 0.3}},

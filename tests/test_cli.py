@@ -34,6 +34,16 @@ PADIC = {"kind": "padic-cycle", "parameters": {"prime": 2, "digits": 3}}
 SNOWFLAKE_SPACE = {"kind": "snowflake-interval", "parameters": {"grid_size": 4, "alpha": 0.5}}
 
 
+def is_torus_metric(metric):
+    return cli._TORUS in cli._NEEDS[cli._EXPORTS[metric].need]
+
+
+def export_section(metric, times):
+    """An ``export`` section: ``times`` goes only to a torus metric, the
+    only kind that takes it."""
+    return {"metric": metric, "times": times} if is_torus_metric(metric) else {"metric": metric}
+
+
 def read_matrix(path):
     with open(path, newline="") as fh:
         rows = list(csv.reader(fh))
@@ -335,6 +345,18 @@ def test_export_torus_metric_needs_times(tmp_path, capsys, metric, space):
     assert capsys.readouterr().err == "error: $.export: 'times' is a required property\n"
 
 
+@pytest.mark.parametrize("metric", [m for m in cli.METRIC_NAMES if not is_torus_metric(m)])
+@pytest.mark.parametrize("space", [PADIC, FULL_SHIFT, SNOWFLAKE_SPACE])
+def test_export_times_are_refused_for_a_metric_that_is_not_a_torus_metric(
+    tmp_path, capsys, metric, space
+):
+    cfg = {"space": space, "export": {"metric": metric, "times": [0.0]}}
+    assert main(["export", write_config(tmp_path, cfg)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: $.export: 'times' is not one of ['metric']\n"
+
+
 def test_export_times_must_be_unique(tmp_path, capsys):
     shift2 = dict(FULL_SHIFT, parameters=dict(FULL_SHIFT["parameters"], max_period=2))
     cfg = {"space": shift2, "export": {"metric": "chain", "times": [0.0, 0.0]}}
@@ -526,7 +548,7 @@ def test_every_export_need_has_a_refusal_case():
 
 @pytest.mark.parametrize("space, metric, message", EXPORT_NEED_CASES)
 def test_an_export_the_model_cannot_give_names_the_metric(tmp_path, capsys, space, metric, message):
-    cfg = {"space": space, "export": {"metric": metric, "times": [0.0]}}
+    cfg = {"space": space, "export": export_section(metric, [0.0])}
     assert main(["export", write_config(tmp_path, cfg)]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -537,11 +559,10 @@ def test_an_export_the_model_cannot_give_names_the_metric(tmp_path, capsys, spac
 def test_every_metric_exports_on_a_model_that_serves_it(tmp_path, capsys, metric):
     # The padic cycle has a self-map and an isometric glued torus.
     times = [0.0, 0.5]
-    cfg = {"space": PADIC, "export": {"metric": metric, "times": times}}
+    cfg = {"space": PADIC, "export": export_section(metric, times)}
     assert main(["export", write_config(tmp_path, cfg)]) == 0
     header, *rows = capsys.readouterr().out.splitlines()
-    torus = cli._TORUS in cli._NEEDS[cli._EXPORTS[metric].need]
-    labels = [f"{x}@{t!r}" for x in range(8) for t in times] if torus else list("01234567")
+    labels = [f"{x}@{t!r}" for x in range(8) for t in times] if is_torus_metric(metric) else list("01234567")
     assert header.split(",") == labels
     matrix = np.array([[float(v) for v in row.split(",")] for row in rows])
     assert matrix.shape == (len(labels), len(labels))
@@ -566,7 +587,7 @@ def test_export_rows_call_through_the_module_binding(
         return original(*args)
 
     monkeypatch.setattr(cli, binding, wrapped)
-    cfg = {"space": PADIC, "export": {"metric": metric, "times": [0.0, 0.5]}}
+    cfg = {"space": PADIC, "export": export_section(metric, [0.0, 0.5])}
     assert main(["export", write_config(tmp_path, cfg)]) == 0
     assert calls == [binding]
 
