@@ -29,11 +29,9 @@ from .errors import (
 )
 from .mapping_torus import (
     ChainMetricTable,
-    ChainWitness,
     TorusPoint,
     TorusSpace,
     canonicalize,
-    chain_metric,
     circle_distance,
     dist_to_integers,
     distances_to_integers,
@@ -62,7 +60,6 @@ from .measures import (
     cylinder_measure,
     doubling_check,
     shift_invariance_check,
-    torus_ball_measure,
 )
 from .metric_core import (
     DEFAULT_TOLERANCE,
@@ -75,7 +72,6 @@ from .metric_core import (
     covering_number,
     metric_space_from_matrix,
     snowflake,
-    sup_distance,
     truncate,
     verify_metric_axioms,
     verify_ultrametric,
@@ -95,13 +91,7 @@ from .models import (
 from .shift_space import (
     Alphabet,
     PeriodicSequence,
-    ShiftConfig,
-    agreement_depth,
-    ball_points,
     depth_levels,
     enumerate_periodic_points,
-    equicontinuity_witness,
     pairwise_depth_matrix,
-    shift,
-    shift_metric,
 )

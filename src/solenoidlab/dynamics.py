@@ -75,8 +75,7 @@ def _build_cycles(image: np.ndarray) -> IndexCycles:
 @dataclass(frozen=True, eq=False)
 class SelfMap:
     """A bijection of a finite point set: ``image[i]`` is the index in
-    ``domain`` of the image of ``domain[i]``; ``kind`` is a free-form tag
-    (``permutation-table``, ``shift-map``, ``group-translation``).
+    ``domain`` of the image of ``domain[i]``.
 
     Construction raises :class:`UnsupportedMapError` unless ``image`` is an
     integer array permuting ``range(len(domain))``, and keeps a read-only
@@ -87,7 +86,6 @@ class SelfMap:
 
     domain: tuple
     image: np.ndarray
-    kind: str = "permutation-table"
 
     def __post_init__(self) -> None:
         domain, image = tuple(self.domain), np.asarray(self.image)
@@ -141,16 +139,14 @@ class SelfMap:
         return math.lcm(*set(self._cycles.length.tolist()))
 
 
-def self_map_from_function(
-    points: Iterable[Point], fn: Callable[[Point], Point], kind: str = "permutation-table"
-) -> SelfMap:
+def self_map_from_function(points: Iterable[Point], fn: Callable[[Point], Point]) -> SelfMap:
     """Tabulate ``fn`` over the distinct ``points`` and check it permutes them."""
     domain = tuple(points)
     index = {p: i for i, p in enumerate(domain)}
     if len(index) != len(domain):
         raise InvalidInputError("duplicate points in the map's domain")
     image = np.fromiter((index.get(fn(p), -1) for p in domain), np.intp, len(domain))
-    return SelfMap(domain, image, kind)
+    return SelfMap(domain, image)
 
 
 def iterate(mapping: SelfMap, n: int, x: Point) -> Point:
@@ -317,5 +313,4 @@ def adapted_metric(space: FiniteMetricSpace, mapping: SelfMap) -> FiniteMetricSp
     if width < period:
         rest = table.power(period - width)
         np.maximum(out, out[np.ix_(rest, rest)], out=out)
-    label = f"{space.label} (adapted)" if space.label else "adapted"
-    return FiniteMetricSpace(points=space.points, matrix=out, label=label)
+    return FiniteMetricSpace(points=space.points, matrix=out)

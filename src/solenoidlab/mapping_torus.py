@@ -23,8 +23,9 @@ canonical representative has time in [0, 1).  Four distances are provided:
 * chain distance (:class:`ChainMetricTable`): shortest-path repair of the
   representative distance over a caller-supplied sample of at most
   :data:`MAX_CHAIN_SAMPLE` points, which restores the triangle inequality.
-  One dense Floyd-Warshall solve gives every chain distance; queries with
-  endpoints off the sample are answered in batches.
+  One dense Floyd-Warshall solve gives every chain distance, without the
+  chains that attain them; queries with endpoints off the sample are
+  answered in batches.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Any, Iterable, Sequence
+from typing import Any, Sequence
 
 import numpy as np
 
@@ -413,17 +414,6 @@ def representative_distance_matrix(
 # Chain (shortest-path) distance
 # ============================================================
 
-@dataclass(frozen=True)
-class ChainWitness:
-    """A minimising chain: its points, the edge values, and their sum."""
-
-    points: tuple[TorusPoint, ...]
-    edge_values: tuple[float, ...]
-    total: float
-
-
-_NO_PRED = -9999
-
 #: Largest chain sample, counted after de-duplication.  The all-pairs solve is
 #: cubic: a table takes about 1.4 s at 1024 points and 11 s at 2048 on a 2-core
 #: x86 host.
@@ -468,7 +458,6 @@ class ChainMetricTable:
         self.edges = representative_distance_matrix(ts, self.sample)
         self._idx, self._times = _sample_arrays(ts, self.sample)
         self._dist = shortest_paths(self.edges, directed=False)
-        self._pred: np.ndarray | None = None
 
     def __len__(self) -> int:
         return len(self.sample)
@@ -484,33 +473,6 @@ class ChainMetricTable:
 
     def distance_matrix(self) -> np.ndarray:
         return self._dist.copy()
-
-    def witness(self, p: TorusPoint, q: TorusPoint) -> ChainWitness:
-        i, j = self.index_of(p), self.index_of(q)
-        if self._pred is None:
-            # The solve without predecessors gives the same distances bit
-            # for bit, so tables that never show a chain skip this one.
-            _, self._pred = shortest_paths(
-                self.edges, directed=False, return_predecessors=True
-            )
-        pred = self._pred[i]
-        if i == j:
-            return ChainWitness(points=(p,), edge_values=(), total=0.0)
-        chain = [j]
-        while chain[-1] != i:
-            back = int(pred[chain[-1]])
-            if back == _NO_PRED:
-                raise InvalidInputError("sample is disconnected at these points")
-            chain.append(back)
-        chain.reverse()
-        edge_values = tuple(
-            float(self.edges[a, b]) for a, b in zip(chain, chain[1:])
-        )
-        return ChainWitness(
-            points=tuple(self.sample[k] for k in chain),
-            edge_values=edge_values,
-            total=float(sum(edge_values)),
-        )
 
     def distance_via(self, p: TorusPoint, q: TorusPoint) -> float:
         """Chain distance allowing ``p`` and ``q`` off the sample: the
@@ -577,20 +539,6 @@ class ChainMetricTable:
         block = self._dist.take(a, axis=0).take(b, axis=1)
         block += row_p[a, None]
         return min(direct, float((block.min(axis=0) + row_q[b]).min()))
-
-
-def chain_metric(
-    p: TorusPoint, q: TorusPoint, ts: TorusSpace, sample: Sequence[TorusPoint]
-) -> tuple[float, ChainWitness]:
-    """One-off chain distance with its witness chain.
-
-    Both endpoints must belong to ``sample``.  Builds the full table and,
-    for the witness, its predecessor solve; use :class:`ChainMetricTable`
-    directly when querying many pairs.
-    """
-    table = ChainMetricTable(ts, sample)
-    value = table.distance(p, q)
-    return value, table.witness(p, q)
 
 
 # ============================================================

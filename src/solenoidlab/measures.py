@@ -180,16 +180,6 @@ def _ball_measures(samples, radii, ts: TorusSpace, w: WeightVector, mode: str) -
     return out
 
 
-def torus_ball_measure(p: TorusPoint, r: float, ts: TorusSpace, w: WeightVector) -> float:
-    """Measure of the radius-``r`` ball around a canonical point of the glued
-    shift model: base cylinder measure times the time-interval length.
-
-    Only defined for r in (0, 1/2]; beyond that the time interval wraps into
-    itself and the product formula stops being the ball.
-    """
-    return float(_ball_measures([p], [r], ts, w, "torus")[0, 0])
-
-
 def _check_family(samples, radii, ts: TorusSpace, w: WeightVector, mode: str) -> None:
     """Refuse an unknown mode, an empty family, a weight <= 0 or a non-shift torus."""
     if mode not in ("base", "torus"):

@@ -112,7 +112,6 @@ class FiniteMetricSpace:
         self,
         points: tuple,
         matrix: np.ndarray | None = None,
-        label: str = "",
         power_base: float | None = None,
         levels: PowerLevels | None = None,
     ) -> None:
@@ -132,7 +131,8 @@ class FiniteMetricSpace:
                 raise InvalidInputError(f"power base must lie in (0, 1), got {power_base}")
             if np.isnan(levels.exponents).any():
                 raise InvalidInputError("distance matrix contains NaN")
-            # numpy's array power can round differently from shift_metric's.
+            # numpy's array power can round differently from Python's, which
+            # tests/shift_space_reference.py's shift_metric uses.
             distinct, where = np.unique(levels.exponents, return_inverse=True)
             self._level_distances = np.array([power_base ** e for e in distinct.tolist()])[where]
         elif matrix.shape != (n, n):
@@ -142,7 +142,6 @@ class FiniteMetricSpace:
         elif np.isnan(matrix.min()):  # min propagates NaN: no N x N temporary
             raise InvalidInputError("distance matrix contains NaN")
         self.points = points
-        self.label = label
         self.power_base = power_base
         self.levels = levels
         self._matrix = matrix
@@ -196,7 +195,7 @@ class FiniteMetricSpace:
         power structure.
         """
         if self.power_base is None:
-            raise InvalidInputError(f"space {self.label!r} carries no exponent table")
+            raise InvalidInputError("space carries no exponent table")
         i, j = self.index_of(p), self.index_of(q)
         return float(self.levels.exponents.take(self.levels.of(i, j)))
 
@@ -209,11 +208,10 @@ class FiniteMetricSpace:
 def metric_space_from_matrix(
     points: Sequence[Point],
     matrix: np.ndarray | Sequence[Sequence[float]],
-    label: str = "",
 ) -> FiniteMetricSpace:
     """Build a space from any square array-like, copying to float64."""
     arr = np.asarray(matrix, dtype=float).copy()
-    return FiniteMetricSpace(points=tuple(points), matrix=arr, label=label)
+    return FiniteMetricSpace(points=tuple(points), matrix=arr)
 
 
 # ============================================================
@@ -257,7 +255,7 @@ class MetricReport:
 Tally = tuple[int, tuple[AxiomViolation, ...]]
 
 
-def shortest_paths(weights: np.ndarray, directed: bool, return_predecessors: bool = False):
+def shortest_paths(weights: np.ndarray, directed: bool) -> np.ndarray:
     """scipy's ``floyd_warshall`` with every entry of a dense weight matrix
     as an edge.
 
@@ -282,9 +280,7 @@ def shortest_paths(weights: np.ndarray, directed: bool, return_predecessors: boo
         ),
         shape=(n, n),
     )
-    return floyd_warshall(
-        graph, directed=directed, return_predecessors=return_predecessors
-    )
+    return floyd_warshall(graph, directed=directed)
 
 
 #: Side of the square tiles in which :func:`_with_transpose` pairs a matrix
@@ -554,20 +550,14 @@ def snowflake(space: FiniteMetricSpace, alpha: float) -> FiniteMetricSpace:
     """
     if alpha <= 0:
         raise InvalidInputError(f"snowflake exponent must be positive, got {alpha}")
-    label = f"{space.label}^{alpha:g}" if space.label else f"snowflake^{alpha:g}"
     if space.power_base is not None:
         return FiniteMetricSpace(
-            points=space.points,
-            label=label,
-            power_base=space.power_base ** alpha,
-            levels=space.levels,
+            points=space.points, power_base=space.power_base ** alpha, levels=space.levels
         )
     # A negative distance has no real power; its NaN is refused.
     distinct, where = np.unique(space.matrix, return_inverse=True)
     powers = np.array([d ** alpha if d >= 0 else math.nan for d in distinct.tolist()])
-    return FiniteMetricSpace(
-        points=space.points, matrix=powers[where].reshape(space.matrix.shape), label=label
-    )
+    return FiniteMetricSpace(points=space.points, matrix=powers[where].reshape(space.matrix.shape))
 
 
 def truncate(space: FiniteMetricSpace, k: float) -> FiniteMetricSpace:
@@ -576,11 +566,7 @@ def truncate(space: FiniteMetricSpace, k: float) -> FiniteMetricSpace:
         raise InvalidInputError(f"truncation level must be positive, got {k}")
     if k >= space.diameter():
         return space
-    return FiniteMetricSpace(
-        points=space.points,
-        matrix=np.minimum(space.matrix, k),
-        label=f"{space.label} (capped at {k:g})" if space.label else f"capped at {k:g}",
-    )
+    return FiniteMetricSpace(points=space.points, matrix=np.minimum(space.matrix, k))
 
 
 # ============================================================
@@ -648,13 +634,3 @@ def box_counting_dimension(
     return DimensionFit(
         scales=scales, counts=counts, slope=float(slope), r_squared=r_squared
     )
-
-
-def sup_distance(
-    f: Callable[[Point], Point], g: Callable[[Point], Point], space: FiniteMetricSpace
-) -> float:
-    """Uniform distance ``max_x d(f(x), g(x))`` between two self-maps."""
-    worst = 0.0
-    for p in space.points:
-        worst = max(worst, space.dist(f(p), g(p)))
-    return worst

@@ -12,6 +12,7 @@ row per model kind.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Any, Callable, Mapping, NamedTuple
 
@@ -26,7 +27,6 @@ from .metric_core import FiniteMetricSpace, PowerLevels
 from .shift_space import (
     Alphabet,
     PeriodicSequence,
-    ShiftConfig,
     depth_levels,
     enumerate_periodic_points,
     pairwise_depth_matrix,  # unused here; bench/spans.py wraps models' binding
@@ -75,7 +75,10 @@ def build_full_shift(
     distortion of one shift step) and diameter bound 1.
     """
     alphabet = _make_alphabet(alphabet_size)
-    cfg = ShiftConfig(alphabet=alphabet, ratio=ratio)
+    if not 0.0 < ratio < 1.0 or math.isinf(1.0 / ratio):
+        raise InvalidInputError(
+            f"ratio must lie in (0, 1) with 1/ratio finite, got {ratio}"
+        )
     _require_dense(f"{alphabet_size}^{max_period}", alphabet_size, max_period)
     # Distinct points differ within any max_period cells: the deepest agreement.
     deepest = max(max_period - 1, 0) // 2
@@ -85,13 +88,8 @@ def build_full_shift(
             f"distance, ratio ** {deepest}, underflows to 0"
         )
     points = tuple(enumerate_periodic_points(alphabet, max_period))
-    space = FiniteMetricSpace(
-        points=points,
-        label=f"full-shift({alphabet_size},{max_period})",
-        power_base=cfg.ratio,
-        levels=depth_levels(points),
-    )
-    mapping = SelfMap(points, shift_image(alphabet, max_period), kind="shift-map")
+    space = FiniteMetricSpace(points=points, power_base=ratio, levels=depth_levels(points))
+    mapping = SelfMap(points, shift_image(alphabet, max_period))
     torus = make_torus_space(
         space, mapping, lipschitz_constant=1.0 / ratio, diameter_bound=1.0
     )
@@ -128,12 +126,9 @@ def build_padic_cycle(
         valuation[diffs % prime ** e == 0] += 1.0
     valuation[0] = np.inf
     space = FiniteMetricSpace(
-        points=points,
-        label=f"residue-ring({prime}^{digits})",
-        power_base=1.0 / prime,
-        levels=PowerLevels(_index_gap, valuation),
+        points=points, power_base=1.0 / prime, levels=PowerLevels(_index_gap, valuation)
     )
-    mapping = SelfMap(points, (diffs + 1) % modulus, kind="group-translation")
+    mapping = SelfMap(points, (diffs + 1) % modulus)
     torus = make_torus_space(space, mapping, lipschitz_constant=1.0, diameter_bound=1.0)
     return space, mapping, torus
 
@@ -147,12 +142,9 @@ def build_two_fixed_points() -> tuple[FiniteMetricSpace, SelfMap, TorusSpace]:
     alphabet = _make_alphabet(2)
     points = tuple(enumerate_periodic_points(alphabet, 1))
     space = FiniteMetricSpace(
-        points=points,
-        label="two-fixed-points",
-        power_base=0.5,
-        levels=PowerLevels(_index_gap, np.array([np.inf, 0.0])),
+        points=points, power_base=0.5, levels=PowerLevels(_index_gap, np.array([np.inf, 0.0]))
     )
-    mapping = SelfMap(points, shift_image(alphabet, 1), kind="shift-map")
+    mapping = SelfMap(points, shift_image(alphabet, 1))
     torus = make_torus_space(space, mapping, lipschitz_constant=1.0, diameter_bound=1.0)
     return space, mapping, torus
 
@@ -173,7 +165,6 @@ def build_snowflake_interval(grid_size: int, alpha: float) -> FiniteMetricSpace:
     return FiniteMetricSpace(
         points=tuple(i / grid_size for i in range(n)),
         matrix=np.lib.stride_tricks.sliding_window_view(run, n)[::-1].copy(),
-        label=f"interval({grid_size})^{alpha:g}",
     )
 
 
@@ -263,14 +254,13 @@ class ModelSpec:
 class BuiltModel:
     """A built model with whatever structure its kind provides."""
 
-    spec: ModelSpec
     space: FiniteMetricSpace
     mapping: SelfMap | None
     torus: TorusSpace | None
 
 
 def build_model(spec: ModelSpec) -> BuiltModel:
-    return BuiltModel(spec, *_KINDS[spec.kind].build(**spec.parameters))
+    return BuiltModel(*_KINDS[spec.kind].build(**spec.parameters))
 
 
 def point_label(p: Any) -> str:

@@ -11,7 +11,10 @@ that the sequences agree on the index window -n+1 .. n (0 for equal points).
 The depth is an exact integer, and spaces built from it carry it in closed
 form (:func:`depth_levels`, a gather over packed cell words): a distance's
 exponent is read exactly, and distances, which strictly decrease in depth,
-compare exactly as depths do.
+compare exactly as depths do.  The shift map is an index array over
+:func:`enumerate_periodic_points` (:func:`shift_image`).  The per-pair depth,
+metric and shift they replaced are kept as references in
+``tests/shift_space_reference.py``.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -118,104 +121,6 @@ class PeriodicSequence:
         return cls.from_cells(alphabet, cells)
 
 
-@dataclass(frozen=True)
-class ShiftConfig:
-    """Alphabet plus the geometric ratio in (0, 1) defining the metric."""
-
-    alphabet: Alphabet
-    ratio: float
-
-    def __post_init__(self) -> None:
-        if not 0.0 < self.ratio < 1.0 or math.isinf(1.0 / self.ratio):
-            raise InvalidInputError(
-                f"ratio must lie in (0, 1) with 1/ratio finite, got {self.ratio}"
-            )
-
-
-def _require_same_alphabet(x: PeriodicSequence, y: PeriodicSequence) -> None:
-    if x.alphabet != y.alphabet:
-        raise InvalidInputError("sequences use different alphabets")
-
-
-def agreement_depth(x: PeriodicSequence, y: PeriodicSequence) -> int | float:
-    """Largest n >= 0 with ``x_j == y_j`` for every -n+1 <= j <= n.
-
-    Returns ``inf`` exactly when the sequences are equal, which is decidable
-    over one combined period.  With f the least j >= 1 where the sequences
-    differ and g the least m >= 0 where they differ at index -m, the depth is
-    ``min(f - 1, g)``.
-    """
-    _require_same_alphabet(x, y)
-    span = math.lcm(x.period, y.period)
-    f = math.inf
-    for j in range(1, span + 1):
-        if x.value_at(j) != y.value_at(j):
-            f = j
-            break
-    g = math.inf
-    for m in range(span):
-        if x.value_at(-m) != y.value_at(-m):
-            g = m
-            break
-    return min(f - 1, g)
-
-
-def shift_metric(x: PeriodicSequence, y: PeriodicSequence, cfg: ShiftConfig) -> float:
-    """``ratio ** agreement_depth``, exactly 0.0 for equal sequences."""
-    _require_same_alphabet(x, y)
-    if x.alphabet != cfg.alphabet:
-        raise InvalidInputError("sequences do not match the config alphabet")
-    depth = agreement_depth(x, y)
-    if math.isinf(depth):
-        return 0.0
-    return cfg.ratio ** depth
-
-
-def shift(x: PeriodicSequence, k: int = 1) -> PeriodicSequence:
-    """The sequence ``j -> x_{j-k}`` (k = 1 is one step of the shift map)."""
-    p = x.period
-    return PeriodicSequence(
-        alphabet=x.alphabet, cells=tuple(x.value_at(i - k) for i in range(p))
-    )
-
-
-def ball_points(
-    center: PeriodicSequence, n: int, sample: Iterable[PeriodicSequence]
-) -> list[PeriodicSequence]:
-    """Members of ``sample`` inside the closed ball of radius ``ratio**n``.
-
-    Membership does not depend on the ratio: it is agreement with the center
-    on the window -n+1 .. n, i.e. depth >= n.
-    """
-    if n < 0:
-        raise InvalidInputError(f"ball depth must be nonnegative, got {n}")
-    return [y for y in sample if agreement_depth(center, y) >= n]
-
-
-def equicontinuity_witness(
-    x: PeriodicSequence, n: int, cfg: ShiftConfig
-) -> tuple[PeriodicSequence, int]:
-    """A companion point and shift count showing the shift family is not
-    equicontinuous.
-
-    Returns ``(y, k)`` where y equals x except for one altered cell per
-    combined period, placed at index n+1, and ``k = -(n+1)``.  Then
-    ``shift_metric(x, y) == ratio**n`` while the k-shifted pair is at
-    distance 1: the defect lands at index 0.
-    """
-    if n < 0:
-        raise InvalidInputError(f"depth must be nonnegative, got {n}")
-    if x.alphabet != cfg.alphabet:
-        raise InvalidInputError("sequence does not match the config alphabet")
-    span = math.lcm(x.period, 2 * n + 4)
-    cells = list(x.expand(span))
-    j = n + 1
-    old = cells[j]
-    symbols = cfg.alphabet.symbols
-    cells[j] = symbols[(symbols.index(old) + 1) % len(symbols)]
-    return PeriodicSequence.from_cells(cfg.alphabet, cells), -(n + 1)
-
-
 def enumerate_periodic_points(
     alphabet: Alphabet, max_period: int
 ) -> list[PeriodicSequence]:
@@ -233,8 +138,9 @@ def enumerate_periodic_points(
 
 
 def shift_image(alphabet: Alphabet, max_period: int) -> np.ndarray:
-    """Index of ``shift(p)`` for each ``p`` in :func:`enumerate_periodic_points`
-    order: one step moves the last of the ``max_period`` cells to the front."""
+    """Index of the shift of ``p``, the sequence ``j -> p_{j-1}``, for each
+    ``p`` in :func:`enumerate_periodic_points` order: one step moves the last
+    of the ``max_period`` cells to the front."""
     k = len(alphabet)
     i = np.arange(k ** max_period)
     return i // k + (i % k) * k ** (max_period - 1)

@@ -157,7 +157,6 @@ def load() -> dict:
 
 
 def main() -> int:
-    sys.path.insert(0, str(TESTS))
     fixture = {op_id: record(*op) for op_id, op in operations().items()}
     FIXTURE.write_text(json.dumps(fixture, indent=1, sort_keys=True) + "\n", encoding="utf-8")
     print(f"wrote {len(fixture)} entries to {FIXTURE}")

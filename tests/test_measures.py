@@ -23,7 +23,6 @@ from solenoidlab import (
     cylinder_measure,
     doubling_check,
     shift_invariance_check,
-    torus_ball_measure,
 )
 from solenoidlab import measures
 
@@ -144,17 +143,17 @@ def test_base_ball_measure_skewed_center():
 
 def test_torus_ball_measure_values(shift_torus):
     p = TorusPoint(ZEROS, 0.5)
-    assert torus_ball_measure(p, 0.25, shift_torus, UNIFORM) == 1 / 32
-    assert torus_ball_measure(p, 0.5, shift_torus, UNIFORM) == 1 / 4
+    assert measures._ball_measures([p], [0.25], shift_torus, UNIFORM, "torus")[0, 0] == 1 / 32
+    assert measures._ball_measures([p], [0.5], shift_torus, UNIFORM, "torus")[0, 0] == 1 / 4
     for r in (0.0, 0.6, -0.1):
         with pytest.raises(OutOfRegimeError):
-            torus_ball_measure(p, r, shift_torus, UNIFORM)
+            measures._ball_measures([p], [r], shift_torus, UNIFORM, "torus")
 
 
 def test_torus_ball_measure_needs_sequence_base():
     _, _, padic = build_padic_cycle(2, 2)
     with pytest.raises(InvalidInputError):
-        torus_ball_measure(TorusPoint(0, 0.5), 0.25, padic, UNIFORM)
+        measures._ball_measures([TorusPoint(0, 0.5)], [0.25], padic, UNIFORM, "torus")
 
 
 def test_ahlfors_base_band_is_tight(shift_torus):
@@ -312,9 +311,9 @@ def test_measure_views_equal_the_per_ball_loops(family, mode, dim, padic):
             assert outcome(lambda: base_ball_measure(p.base, r, ratio, w)) == outcome(
                 lambda: measures_reference.base_ball_measure(p.base, r, ratio, w)
             )
-            assert outcome(lambda: torus_ball_measure(p, r, ts, w)) == outcome(
-                lambda: measures_reference.torus_ball_measure(p, r, ts, w)
-            )
+            assert outcome(
+                lambda: float(measures._ball_measures([p], [r], ts, w, "torus")[0, 0])
+            ) == outcome(lambda: measures_reference.torus_ball_measure(p, r, ts, w))
     assert outcome(lambda: ahlfors_check(samples, radii, dim, ts, w, mode)) == outcome(
         lambda: measures_reference.ahlfors_check(samples, radii, dim, ts, w, mode)
     )
@@ -336,7 +335,7 @@ def test_each_view_multiplies_weights_in_one_kernel_call(monkeypatch, shift_toru
     radii = [0.25, 0.125]
     cylinder_measure(CylinderSet.ball(ZEROS, 2), UNIFORM)
     base_ball_measure(ZEROS, 0.25, 0.5, UNIFORM)
-    torus_ball_measure(samples[0], 0.25, shift_torus, UNIFORM)
+    measures._ball_measures([samples[0]], [0.25], shift_torus, UNIFORM, "torus")
     for mode in ("base", "torus"):
         ahlfors_check(samples, radii, 2.0, shift_torus, UNIFORM, mode)
         doubling_check(samples, radii, shift_torus, UNIFORM, mode)

@@ -18,9 +18,7 @@ from solenoidlab import (
     build_snowflake_interval,
     covering_number,
     metric_space_from_matrix,
-    self_map_from_function,
     snowflake,
-    sup_distance,
     truncate,
     verify_metric_axioms,
     verify_ultrametric,
@@ -29,9 +27,7 @@ from solenoidlab import (
 TWO_EXPONENTS = np.array([[math.inf, 1.0], [1.0, math.inf]])
 TWO_LEVELS = metric_reference.table_levels(TWO_EXPONENTS)
 
-LINE = metric_space_from_matrix(
-    (0, 1, 2), [[0, 1, 2], [1, 0, 1], [2, 1, 0]], "line"
-)
+LINE = metric_space_from_matrix((0, 1, 2), [[0, 1, 2], [1, 0, 1], [2, 1, 0]])
 
 
 def test_space_basics():
@@ -293,12 +289,3 @@ def test_box_counting_degenerate_single_point():
     assert fit.slope == 0.0
     assert fit.r_squared == 1.0
 
-
-def test_sup_distance_translations():
-    space, _, _ = build_padic_cycle(2, 2)
-    ident = self_map_from_function(space.points, lambda x: x)
-    plus_one = self_map_from_function(space.points, lambda x: (x + 1) % 4)
-    plus_two = self_map_from_function(space.points, lambda x: (x + 2) % 4)
-    assert sup_distance(plus_one, ident, space) == 1.0
-    assert sup_distance(plus_two, ident, space) == 0.5
-    assert sup_distance(ident, ident, space) == 0.0

