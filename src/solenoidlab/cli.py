@@ -692,8 +692,30 @@ def _parser():
     return parser
 
 
+def _attach_tol(argv: list[str]) -> list[str]:
+    """``argv`` with each ``--tol VALUE`` written ``--tol=VALUE``.
+
+    argparse takes an argument that starts with ``-`` for an option unless it
+    reads as a plain negative decimal, so ``--tol -1e-9`` would leave
+    ``--tol`` without its value.  Only a value that parses as a float is
+    attached: ``--tol`` before an option still lacks one.
+    """
+    out: list[str] = []
+    for arg in argv:
+        if out and out[-1] == "--tol":
+            try:
+                float(arg)
+            except ValueError:
+                pass
+            else:
+                out[-1] = f"--tol={arg}"
+                continue
+        out.append(arg)
+    return out
+
+
 def main(argv=None) -> int:
-    args = _parser().parse_args(argv)
+    args = _parser().parse_args(_attach_tol(sys.argv[1:] if argv is None else argv))
     try:
         if args.command == "schema":
             sys.stdout.write(json.dumps(CONFIG_SCHEMA, sort_keys=True, indent=2) + "\n")

@@ -23,9 +23,10 @@ canonical representative has time in [0, 1).  Four distances are provided:
 * chain distance (:class:`ChainMetricTable`): shortest-path repair of the
   representative distance over a caller-supplied sample of at most
   :data:`MAX_CHAIN_SAMPLE` points, which restores the triangle inequality.
-  One dense Floyd-Warshall solve gives every chain distance, without the
-  chains that attain them; queries with endpoints off the sample are
-  answered in batches.
+  One Floyd-Warshall solve (:func:`~solenoidlab.metric_core.shortest_paths`,
+  exact, skipping the blocks a pivot cannot change) gives every chain
+  distance, without the chains that attain them; queries with endpoints off
+  the sample are answered in batches.
 """
 
 from __future__ import annotations
@@ -415,8 +416,8 @@ def representative_distance_matrix(
 # ============================================================
 
 #: Largest chain sample, counted after de-duplication.  The all-pairs solve is
-#: cubic: a table takes about 1.4 s at 1024 points and 11 s at 2048 on a 2-core
-#: x86 host.
+#: cubic at worst: a table of four times per base point takes 0.2-0.5 s at 1024
+#: points and 0.7-2.8 s at 2048 on a 2-core x86 host.
 MAX_CHAIN_SAMPLE = 2048
 
 
@@ -446,9 +447,11 @@ class ChainMetricTable:
     Edge weights are the constrained representative distance; the chain
     distance is the shortest-path metric they generate, which satisfies the
     triangle inequality even when single edges do not.  The edge graph is
-    complete, so one dense Floyd-Warshall solve serves every sample size up
-    to :data:`MAX_CHAIN_SAMPLE`; a larger sample raises
-    :class:`InvalidInputError` before any distance is computed.
+    complete, so one Floyd-Warshall solve
+    (:func:`~solenoidlab.metric_core.shortest_paths`) serves every sample
+    size up to :data:`MAX_CHAIN_SAMPLE`, bit for bit scipy's; a larger
+    sample raises :class:`InvalidInputError` before any distance is
+    computed.
     """
 
     def __init__(self, ts: TorusSpace, sample: Sequence[TorusPoint]):
@@ -457,7 +460,7 @@ class ChainMetricTable:
         self._index = {p: i for i, p in enumerate(self.sample)}
         self.edges = representative_distance_matrix(ts, self.sample)
         self._idx, self._times = _sample_arrays(ts, self.sample)
-        self._dist = shortest_paths(self.edges, directed=False)
+        self._dist = shortest_paths(self.edges)
 
     def __len__(self) -> int:
         return len(self.sample)

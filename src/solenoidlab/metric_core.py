@@ -23,7 +23,7 @@ from typing import Any, Callable, Iterator, Sequence
 
 import numpy as np
 
-from .errors import InvalidInputError
+from .errors import InvalidInputError, InvariantError
 
 Point = Any
 
@@ -255,34 +255,6 @@ class MetricReport:
 Tally = tuple[int, tuple[AxiomViolation, ...]]
 
 
-def shortest_paths(weights: np.ndarray, directed: bool) -> np.ndarray:
-    """scipy's ``floyd_warshall`` with every entry of a dense weight matrix
-    as an edge.
-
-    Handed a dense array, scipy reads zero entries as missing edges, and
-    also every entry within 1e-8 of zero (it masks with
-    ``np.ma.masked_values``).  Distinct points at a tiny or zero distance
-    would then be cut apart.  A sparse matrix that stores every entry keeps
-    them all.
-
-    This is the one place the package imports scipy, so a run that solves
-    no shortest paths never loads it.
-    """
-    from scipy.sparse import csr_matrix
-    from scipy.sparse.csgraph import floyd_warshall
-
-    n = len(weights)
-    graph = csr_matrix(
-        (
-            np.ascontiguousarray(weights, dtype=np.float64).ravel(),
-            np.tile(np.arange(n, dtype=np.int32), n),
-            np.arange(0, n * n + 1, n, dtype=np.int64),
-        ),
-        shape=(n, n),
-    )
-    return floyd_warshall(graph, directed=directed)
-
-
 #: Side of the square tiles in which :func:`_with_transpose` pairs a matrix
 #: with its transpose.
 _TILE = 64
@@ -305,6 +277,114 @@ def _with_transpose(op: np.ufunc, m: np.ndarray, out: np.ndarray | None = None) 
                 m[j : j + _TILE, i : i + _TILE].T,
                 out=out[i : i + _TILE, j : j + _TILE],
             )
+    return out
+
+
+def _prim_order(w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """A dense Prim pass over the symmetric finite weights ``w`` from vertex
+    0: the order in which the vertices join the tree, and the key ``h[t]``
+    by which the ``t``-th joined (``inf`` for the first).
+
+    Single-linkage clusters are contiguous in that order (Gower & Ross
+    1969).  O(N^2) in O(N) array calls of length N.
+    """
+    n = len(w)
+    order = np.empty(n, dtype=np.intp)
+    h = np.empty(n)
+    taken = np.zeros(n, dtype=bool)
+    best = np.full(n, np.inf)
+    v = 0
+    for t in range(n):
+        order[t] = v
+        h[t] = best[v]
+        taken[v] = True
+        np.minimum(best, w[v], out=best)
+        np.putmask(best, taken, np.inf)
+        v = int(np.argmin(best))
+    return order, h
+
+
+#: Side of the square blocks in which :func:`shortest_paths` stores its
+#: matrix and bounds what a pivot can change.
+_SOLVE_BLOCK = 32
+
+
+def shortest_paths(weights: np.ndarray) -> np.ndarray:
+    """All-pairs shortest paths over the complete graph whose edge weights
+    are ``min(weights, weights.T)``, bit for bit scipy's undirected
+    ``floyd_warshall`` of a graph that stores every entry as an edge (but for
+    the sign of a zero where the weights hold ``-0.0``).
+
+    Every entry must be finite and nonnegative, or :class:`InvariantError`
+    is raised; the diagonal is read as 0.  The pivots ``k`` run in index
+    order, and each relaxes ``D[i, j]`` to ``fl(D[i, k] + D[k, j])`` where
+    that is smaller, as scipy's loop does; row and column ``k`` cannot
+    change at pivot ``k``, since ``D[k, k]`` is 0.  Three things make it
+    fast without changing a bit:
+
+    * The cells are stored in Prim order (:func:`_prim_order`), in
+      square blocks of :data:`_SOLVE_BLOCK`, so a block pairs two runs of
+      single-linkage neighbours.
+    * A pivot skips every block pair ``(I, J)`` with ``fl(min_I c + min_J
+      c) >= bmax[I, J]``, where ``c`` is column ``k`` with ``inf`` in row
+      ``k`` (which cannot change) and ``bmax`` bounds each block's entries
+      from above.  Rounding is monotone, so ``fl(c[i] + c[j]) >= D[i, j]``
+      then holds on the whole block and no cell of it can change.  D never
+      increases, so a bound stays valid; it is refreshed on each block a
+      pivot relaxes.
+    * ``fl(a + b) == fl(b + a)`` keeps D symmetric, so only the block pairs
+      ``I <= J`` are relaxed, and the rest is mirrored at the end.
+
+    With B the block side, each pivot costs O(N^2 / B^2) in a few array
+    calls, plus B^2 per block pair it cannot rule out: scipy's O(N^3) at
+    worst.  Besides the weights, it holds two N x N arrays at a time.
+    """
+    n = len(weights)
+    if n and not (weights.min() >= 0.0 and weights.max() < math.inf):
+        raise InvariantError("shortest paths need finite nonnegative weights")
+    b = _SOLVE_BLOCK
+    nb = -(-n // b)
+    w = _with_transpose(np.minimum, weights)
+    order, _ = _prim_order(w)
+    # d[I, J, :, :] is block (I, J) in Prim order; the padding is inf, which
+    # no pivot relaxes.  Blocks below the diagonal are read once mirrored.
+    d = np.full((nb, nb, b, b), np.inf)
+    strip = np.full((b, nb * b), np.inf)
+    for rows in range(nb):
+        take = order[rows * b : (rows + 1) * b]
+        strip[: len(take), :n] = w.take(take, axis=0).take(order, axis=1)
+        d[rows] = strip.reshape(b, nb, b).transpose(1, 0, 2)
+    del w, strip
+    at = np.arange(n)
+    d[at // b, at // b, at % b, at % b] = 0.0
+    bmax = d.max(axis=(2, 3))
+    upper = np.triu(np.ones((nb, nb), dtype=bool))
+    place = np.empty(n, dtype=np.intp)
+    place[order] = at
+    c = np.empty(nb * b)
+    cb = c.reshape(nb, b)
+    for k in range(n):
+        K, o = divmod(int(place[k]), b)
+        c[: K * b] = d[:K, K, :, o].ravel()
+        c[K * b :] = d[K, K:, o, :].ravel()
+        c[K * b + o] = np.inf
+        cmin = cb.min(axis=1)
+        live = np.add.outer(cmin, cmin) < bmax
+        live &= upper
+        I, J = np.nonzero(live)
+        for part in row_blocks(len(I), b * b):
+            i, j = I[part], J[part]
+            blocks = d[i, j]
+            np.minimum(blocks, cb[i, :, None] + cb[j, None, :], out=blocks)
+            d[i, j] = blocks
+            bmax[i, j] = blocks.max(axis=(1, 2))
+    for rows in range(nb - 1):
+        d[rows + 1 :, rows] = d[rows, rows + 1 :].transpose(0, 2, 1)
+    out = np.empty((n, n))
+    for rows in range(nb):
+        take = order[rows * b : (rows + 1) * b]
+        strip = d[rows].transpose(1, 0, 2).reshape(b, nb * b)
+        out[take] = strip[: len(take)].take(place, axis=1)
     return out
 
 
@@ -406,27 +486,16 @@ def _within_subdominant(key: np.ndarray, tol: float) -> bool:
     key[k, j])`` for every ``k``, a ``True`` answer rules out a
     strong-triangle violation at ``tol``.  Off-diagonal keys must be finite.
 
-    A dense Prim pass over ``w`` records the visiting order and the key
-    ``h[t]`` by which the ``t``-th vertex joined.  Single-linkage clusters
-    are contiguous in that order, so ``sub[order[a], order[b]]`` is
+    A dense Prim pass over ``w`` (:func:`_prim_order`) gives the visiting
+    order and the key ``h[t]`` by which the ``t``-th vertex joined.
+    Single-linkage clusters are contiguous in that order, so ``sub[order[a], order[b]]`` is
     ``max(h[a+1 .. b])`` for ``a < b``: a running maximum along each row of
     ``max(key, key.T)`` gathered in Prim order.  Both passes are O(N^2) in
     O(N) array calls per vertex, with ``w`` the only N x N temporary.
     """
     n = len(key)
     w = _with_transpose(np.minimum, key)
-    order = np.empty(n, dtype=np.intp)
-    h = np.empty(n)
-    taken = np.zeros(n, dtype=bool)
-    best = np.full(n, np.inf)
-    v = 0
-    for t in range(n):
-        order[t] = v
-        h[t] = best[v]
-        taken[v] = True
-        np.minimum(best, w[v], out=best)
-        np.putmask(best, taken, np.inf)
-        v = int(np.argmin(best))
+    order, h = _prim_order(w)
     peak = _with_transpose(np.maximum, key, out=w)
     for a in range(n - 1):
         bound = np.maximum.accumulate(h[a + 1 :]) + tol
@@ -465,12 +534,12 @@ def _axiom_tally(space: FiniteMetricSpace, tol: float) -> Tally:
     # Off the diagonal every distance is positive (separation and symmetry at
     # tol >= 0), so a float ultrametric at tol, or at 0 on a power space, is
     # also a metric at tol: fl(a + b) >= max(a, b).
-    # Otherwise the shortest-path fixpoint sp bounds every fl(m_ik + m_kj)
-    # from below, since float addition is monotone.
+    # Otherwise the shortest-path fixpoint sp over min(m, m.T) bounds every
+    # fl(m_ik + m_kj) from below, since float addition is monotone.
     m = space.matrix
     if _basic_clear(space, tol) and (
         _ultrametric_clear(space, tol)
-        or np.all(m <= shortest_paths(m, directed=True) + tol)
+        or np.all(m <= shortest_paths(m) + tol)
     ):
         return 0, ()
     basic_count, basic = _basic_tally(space, tol)
@@ -510,8 +579,9 @@ def verify_metric_axioms(space: FiniteMetricSpace, tol: float = 0.0) -> MetricRe
     zero diagonal and finite distances is first tested without enumerating
     triples: it passes if no distance exceeds its subdominant ultrametric
     (O(N^2), the verdict of :func:`verify_ultrametric`) or, failing that,
-    its shortest-path distance (scipy's Floyd-Warshall, O(N^3) in C) plus
-    ``tol``.  Both tests imply that
+    its shortest-path distance over ``min(m, m.T)`` plus ``tol``
+    (:func:`shortest_paths`, a Floyd-Warshall that skips the block pairs a
+    pivot cannot change, O(N^3) at worst).  Both tests imply that
     the triple scan finds nothing.  Any other space is tallied by O(N^3) array
     passes over row blocks, with the count and the witnesses' order and slack
     of the exhaustive scan.  Verdicts and tallies are memoised per ``tol`` on

@@ -9,11 +9,15 @@ subdominant-ultrametric verdict as a Prim pass that fills the whole
 ultrametric row by row, the oracle for the library's range-maximum verdict,
 :func:`table_levels`, which hands a whole exponent table to a power space as
 its levels, and :func:`python_powers`, the distances such a space must give.
+:func:`shortest_paths_by_scipy` is scipy's Floyd-Warshall, the oracle for
+the library's block-pruned solve.
 """
 
 from __future__ import annotations
 
 import numpy as np
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import floyd_warshall
 
 from solenoidlab import AxiomViolation, FiniteMetricSpace, MetricReport, PowerLevels
 from solenoidlab.metric_core import WITNESS_LIMIT
@@ -151,3 +155,17 @@ def python_powers(base: float, e: np.ndarray) -> np.ndarray:
     power: the distances a power space with exponent table ``e`` must give.
     numpy's array power may round some of them differently."""
     return np.array([base ** x for x in e.ravel().tolist()]).reshape(e.shape)
+
+
+def shortest_paths_by_scipy(weights: np.ndarray) -> np.ndarray:
+    """scipy's undirected ``floyd_warshall`` with every entry of ``weights``
+    as an edge.  Handed a dense array, scipy would read zero entries, and
+    every entry within 1e-8 of zero, as missing edges; a sparse matrix that
+    stores every entry keeps them all."""
+    n = len(weights)
+    graph = csr_matrix(
+        (np.asarray(weights, dtype=np.float64).ravel(), np.tile(np.arange(n), n),
+         np.arange(0, n * n + 1, n)),
+        shape=(n, n),
+    )
+    return floyd_warshall(graph, directed=False)

@@ -156,6 +156,29 @@ def test_failing_scan_payloads_equal_the_reference_lists(tmp_path, capsys, space
         ]
 
 
+@pytest.mark.parametrize("value", ["-1e-9", "-1E-3", "-.5e-2", "1e-9", "-0.001"])
+def test_a_spaced_tol_value_reads_as_the_attached_one(tmp_path, capsys, monkeypatch, value):
+    # argparse takes "-1e-9" for an option name unless it is attached to
+    # --tol; both spellings must give the same report, also from sys.argv.
+    cfg = {"space": SNOWFLAKE_SPACE, "checks": [{"name": "metric-axioms"}]}
+    path = write_config(tmp_path, cfg)
+    assert main(["run", path, f"--tol={value}"]) in (0, 1)
+    attached = capsys.readouterr().out
+    monkeypatch.setattr("sys.argv", ["solenoidlab", "run", "--tol", value, path])
+    assert main() in (0, 1)
+    spaced = capsys.readouterr().out
+    assert spaced == attached
+    assert json.loads(spaced)["run"]["tolerance"] == float(value)
+
+
+def test_a_tol_flag_before_another_option_still_lacks_its_value(tmp_path, capsys):
+    path = write_config(tmp_path, {"space": SNOWFLAKE_SPACE, "checks": [{"name": "metric-axioms"}]})
+    with pytest.raises(SystemExit) as exited:
+        main(["run", path, "--tol", "--out", str(tmp_path / "report.json")])
+    assert exited.value.code == 2
+    assert "argument --tol: expected one argument" in capsys.readouterr().err
+
+
 def test_unknown_check_is_a_usage_error(tmp_path, capsys):
     cfg = {"space": FULL_SHIFT, "checks": [{"name": "foo"}]}
     code = main(["run", write_config(tmp_path, cfg)])

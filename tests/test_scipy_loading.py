@@ -1,9 +1,10 @@
-"""scipy is loaded by the first shortest-path solve and by nothing else.
+"""The package never loads scipy.
 
-Importing scipy takes about half of the command line's start-up, and most
-runs never solve a shortest path.  Each case runs in a fresh interpreter,
-since this one has loaded scipy through the test references, and reports
-the ``scipy`` modules present in ``sys.modules`` after its last step.
+Importing scipy takes about half of the command line's start-up, and
+``scipy.sparse.csgraph`` alone tens of MiB.  Each case runs in a fresh
+interpreter, since this one has loaded scipy through the test references,
+and reports the ``scipy`` modules present in ``sys.modules`` after its last
+step.
 """
 
 import json
@@ -86,7 +87,32 @@ def test_shift_scan_checks_do_not_load_scipy(tmp_path):
     assert scipy_after(tmp_path, run_config(SHIFT_SCAN_CHECKS)) == []
 
 
-def test_chain_sandwich_loads_scipy(tmp_path):
-    # The chain table solves shortest paths, so the guard above can fail.
-    loaded = scipy_after(tmp_path, run_config([{"name": "chain-sandwich", "pairs": 10}]))
-    assert "scipy.sparse.csgraph" in loaded
+def test_shortest_path_solves_do_not_load_scipy(tmp_path):
+    # A chain-sandwich run, a chain export and a passing metric-axioms run on
+    # a snowflaked interval, which is no ultrametric, so its verdict solves
+    # shortest paths: three solves, counted through the package's bindings.
+    operations = [
+        ("run", {"space": FULL_SHIFT, "seed": 3, "checks": [{"name": "chain-sandwich", "pairs": 10}]}),
+        ("export", {"space": FULL_SHIFT, "export": {"metric": "chain", "times": [0.0, 0.5]}}),
+        ("run", {
+            "space": {"kind": "snowflake-interval", "parameters": {"grid_size": 16, "alpha": 0.5}},
+            "checks": [{"name": "metric-axioms"}],
+        }),
+    ]
+    code = (
+        "import json\n"
+        "from solenoidlab import cli, mapping_torus, metric_core\n"
+        "solves = []\n"
+        "def counted(weights, solve=metric_core.shortest_paths):\n"
+        "    solves.append(len(weights))\n"
+        "    return solve(weights)\n"
+        "mapping_torus.shortest_paths = metric_core.shortest_paths = counted\n"
+        f"for command, cfg in {operations!r}:\n"
+        "    json.dump(cfg, open('config.json', 'w'))\n"
+        "    status = cli.main([command, 'config.json', '--out', 'out'])\n"
+        "    if status:\n"
+        "        raise SystemExit(f'{command} exit {status}')\n"
+        "if len(solves) != 3:\n"
+        "    raise SystemExit(f'solves {solves}')\n"
+    )
+    assert scipy_after(tmp_path, code) == []

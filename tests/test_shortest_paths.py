@@ -1,0 +1,166 @@
+"""The block-pruned Floyd-Warshall against scipy's, bit for bit.
+
+``metric_core.shortest_paths`` skips every block pair a pivot provably
+cannot change, so each of its results must hold the same bits as scipy's
+undirected ``floyd_warshall`` (``metric_reference.shortest_paths_by_scipy``):
+on drawn weights of every size around the block side, on weights with ties,
+few distinct values and entries below scipy's dense-zero threshold, and on
+the chain samples the chain table solves.  Weights holding ``-0.0`` may give
+a zero of the other sign, so there the results are only ``np.array_equal``.
+"""
+
+import math
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import metric_reference
+from solenoidlab import ChainMetricTable, ModelSpec, TorusPoint, build_model
+from solenoidlab import cli
+from solenoidlab.errors import InvariantError
+from solenoidlab.metric_core import shortest_paths
+
+KINDS = ("uniform", "tiny", "few", "powers", "clusters", "euclidean")
+
+
+def same_bits(a: np.ndarray, b: np.ndarray) -> bool:
+    return a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
+def weights(kind: str, n: int, rng: np.random.Generator) -> np.ndarray:
+    """Nonnegative weights of one ``kind``, not yet symmetric."""
+    if kind == "uniform":
+        return rng.uniform(0.0, 1.0, (n, n))
+    if kind == "tiny":
+        # Entries below 1e-8, which scipy reads as missing edges in a dense
+        # array, among entries of order one.
+        return np.where(rng.random((n, n)) < 0.5, rng.uniform(0.0, 1e-8, (n, n)), rng.random((n, n)))
+    if kind == "few":
+        # Ties everywhere, zeros off the diagonal included.
+        return rng.integers(0, 3, (n, n)) * 0.5
+    if kind == "powers":
+        return 0.3 ** rng.integers(0, 6, (n, n)).astype(float)
+    if kind == "clusters":
+        # Tight clusters far apart, with noise: most block pairs are ruled
+        # out, and the pivots that do change something change few cells.
+        label = rng.integers(0, max(1, n // 8), n)
+        far = np.where(label[:, None] == label, 0.01, 1.0)
+        return far * rng.uniform(1.0, 3.0, (n, n))
+    coords = rng.random((n, 2))
+    return np.sqrt(((coords[:, None, :] - coords[None, :, :]) ** 2).sum(axis=-1))
+
+
+@st.composite
+def weight_matrices(draw):
+    n = draw(st.integers(1, 70))
+    kind = draw(st.sampled_from(KINDS))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    w = weights(kind, n, rng)
+    if draw(st.booleans()):
+        upper = np.triu(w, k=1)
+        w = upper + upper.T
+    if draw(st.booleans()):
+        np.fill_diagonal(w, rng.uniform(0.0, 1.0, n))
+    return w
+
+
+@settings(max_examples=200)
+@given(weight_matrices())
+def test_equals_scipy_floyd_warshall_bit_for_bit(w):
+    # Asymmetric weights are read as min(w, w.T) and a nonzero diagonal as
+    # 0, as scipy's undirected solve reads them.
+    got = shortest_paths(w)
+    assert same_bits(got, metric_reference.shortest_paths_by_scipy(w))
+    assert same_bits(got, got.T)
+
+
+@pytest.mark.parametrize("size", [1, 31, 32, 33])
+def test_a_path_one_ulp_shorter_is_taken(size):
+    # Two clusters of ``size`` points, every cross pair one ulp above
+    # fl(a + b), and a hub, the last point, at a from the first cluster and
+    # b from the second.  In Prim order the first cluster fills whole blocks,
+    # so at the hub's pivot the bound of a cross block is tight, and each
+    # cross pair must still drop by that ulp.
+    a, b = 0.1, 0.2
+    via = a + b
+    n = 2 * size + 1
+    w = np.full((n, n), 0.001)
+    first, second, hub = slice(0, size), slice(size, n - 1), n - 1
+    w[first, second] = w[second, first] = np.nextafter(via, 1.0)
+    w[hub, first] = w[first, hub] = a
+    w[hub, second] = w[second, hub] = b
+    got = shortest_paths(w)
+    assert same_bits(got, metric_reference.shortest_paths_by_scipy(w))
+    assert np.all(got[first, second] == via)
+
+
+def test_negative_zeros_give_equal_distances():
+    rng = np.random.default_rng(11)
+    for n in (2, 33, 65):
+        w = rng.integers(0, 3, (n, n)) * 0.5
+        w[rng.random((n, n)) < 0.3] = -0.0
+        assert np.array_equal(shortest_paths(w), metric_reference.shortest_paths_by_scipy(w))
+
+
+def test_leaves_its_weights_as_they_were():
+    w = np.random.default_rng(5).uniform(0.0, 1.0, (40, 40))
+    kept = w.copy()
+    shortest_paths(w)
+    assert np.array_equal(w, kept)
+
+
+def test_an_empty_matrix_has_no_paths():
+    assert shortest_paths(np.zeros((0, 0))).shape == (0, 0)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, -1e-300, -1.0])
+@pytest.mark.parametrize("cell", [(0, 1), (2, 2)])
+def test_a_bad_entry_raises_an_invariant_error(bad, cell):
+    w = np.ones((3, 3))
+    w[cell] = bad
+    with pytest.raises(InvariantError, match="finite nonnegative"):
+        shortest_paths(w)
+
+
+def chain_sample(space: dict, times, max_bases=None):
+    """A torus model and the chain sample of its base points at ``times``,
+    the first ``max_bases`` of them as chain-sandwich picks them."""
+    model = build_model(ModelSpec.from_dict(space))
+    if max_bases is None:
+        points = model.torus.base_space.points
+        return model, [TorusPoint(b, float(t)) for b in points for t in times]
+    check = {"name": "chain-sandwich", "max_bases": max_bases, "times": times}
+    return model, cli._chain_sample(model, check)
+
+
+SAMPLES = {
+    # The chain-sandwich of the padic-orbit benchmark workload: 512 points.
+    "padic-orbit": (
+        {"kind": "padic-cycle", "parameters": {"prime": 2, "digits": 10}},
+        [0.0, 0.25, 0.5, 0.75], 128,
+    ),
+    # The chain export of the torus-export benchmark workload: 512 points.
+    "torus-export": (
+        {"kind": "full-shift", "parameters": {"alphabet_size": 2, "ratio": 0.5, "max_period": 7}},
+        [0.0, 0.25, 0.5, 0.75], None,
+    ),
+    "full-shift-ratio-0.3": (
+        {"kind": "full-shift", "parameters": {"alphabet_size": 2, "ratio": 0.3, "max_period": 6}},
+        [0.0, 0.3, 0.7], None,
+    ),
+    "padic-prime-3": (
+        {"kind": "padic-cycle", "parameters": {"prime": 3, "digits": 4}},
+        [0.0, 0.2, 0.45, 0.8], None,
+    ),
+}
+
+
+@pytest.mark.parametrize("name", SAMPLES)
+def test_chain_tables_equal_scipy_floyd_warshall(name):
+    space, times, max_bases = SAMPLES[name]
+    model, sample = chain_sample(space, times, max_bases)
+    table = ChainMetricTable(model.torus, sample)
+    want = metric_reference.shortest_paths_by_scipy(table.edges)
+    assert same_bits(table.distance_matrix(), want)
