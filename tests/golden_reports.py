@@ -14,7 +14,9 @@ and names each changed entry in CHANGES.md.
 The corpus: the benchmark's workloads (``bench/workloads.py``, loaded from
 its file, read-only) at seeds 1 and 7 on both rungs; every check of
 ``test_config_schema.CHECK_SETUPS`` at ``--tol`` 1e-9, 0 and -1e-9; every
-export metric on every model kind, served or refused; and the smoke configs
+export metric on every model kind, served or refused; the torus exports and
+seeded runs of four models whose distances are not powers of 1/2 (the 3-adic
+and 5-adic rings, full shifts at ratios 0.3 and 0.7); and the smoke configs
 of CI, exit-2 refusals included.
 """
 
@@ -49,6 +51,22 @@ _MODELS = {"full-shift": _FULL_SHIFT, "padic-cycle": _PADIC,
 _METRICS = ("base", "adapted", "product", "quotient", "representative", "chain")
 _TORUS_METRICS = ("product", "quotient", "representative", "chain")
 _EXPORT_TIMES = [0.0, 0.25, 0.74, 0.76]
+
+#: Models whose level distances are not powers of 1/2, so a kernel or a power
+#: that rounds differently shows in their reports; each with the check that
+#: joins the chain sandwich and the flow laws in its runs.
+_NON_DYADIC = {
+    "padic-3-4": ({"kind": "padic-cycle", "parameters": {"prime": 3, "digits": 4}},
+                  {"name": "quotient-metric", "pairs": 2000}),
+    "padic-5-3": ({"kind": "padic-cycle", "parameters": {"prime": 5, "digits": 3}},
+                  {"name": "quotient-metric", "pairs": 2000}),
+    "shift-3-0.3-5": ({"kind": "full-shift",
+                       "parameters": {"alphabet_size": 3, "ratio": 0.3, "max_period": 5}},
+                      {"name": "measures", "cylinders": 500}),
+    "shift-2-0.7-8": ({"kind": "full-shift",
+                       "parameters": {"alphabet_size": 2, "ratio": 0.7, "max_period": 8}},
+                      {"name": "measures", "cylinders": 500}),
+}
 
 #: CI's smoke configs, each with the exit code CI requires.
 _SMOKE = {
@@ -126,6 +144,16 @@ def operations() -> dict[str, tuple[str, dict, list[str]]]:
             if metric in _TORUS_METRICS:
                 export["times"] = _EXPORT_TIMES
             ops[f"export-{metric}-{kind}"] = ("export", {"space": space, "export": export}, [])
+    for model, (space, check) in _NON_DYADIC.items():
+        for metric in _TORUS_METRICS:
+            export = {"metric": metric, "times": _EXPORT_TIMES}
+            ops[f"non-dyadic-{model}-export-{metric}"] = (
+                "export", {"space": space, "export": export}, [])
+        checks = [{"name": "chain-sandwich", "pairs": 500, "max_bases": 64},
+                  {"name": "flow-laws"}, check]
+        for seed in (1, 7):
+            cfg = {"space": space, "seed": seed, "checks": checks}
+            ops[f"non-dyadic-{model}-seed{seed}"] = ("run", cfg, [])
     for name, (command, cfg) in _SMOKE.items():
         ops[name] = (command, cfg, [])
     return ops
