@@ -278,24 +278,22 @@ def _quotient_kernel(
     """:func:`quotient_metric` from the points (``i``, ``r``) to the points
     (``j``, ``t``), at canonical times.
 
-    Each pair has its own shift window ``[lo, hi]``; one loop runs over the
-    union of the windows and masks the shifts outside a pair's own.  ``min``
-    and ``max`` are exact and ``|(r + n) - t|`` is rounded as in a loop over
-    one pair, so every view agrees bit for bit.
+    One loop runs over the shifts n within ``reach`` of some pair's gap
+    ``t - r`` and keeps the plain minimum.  A shift outside a pair's own
+    window satisfies rho >= |r+n-t| > reach, and the identity shift already
+    gives at most max(diameter_bound, 1) < reach, so the extra shifts never
+    win; ``min`` is exact and each rho is rounded as in a loop over one
+    pair, so every view agrees bit for bit.
     """
     _require_isometric(ts)
     reach = ts.diameter_bound + 1.0
     gap = t - r
-    lo = np.ceil(gap - reach)
-    hi = np.floor(gap + reach)
     best = np.full(np.broadcast(i, r, j, t).shape, np.inf)
     if best.size == 0:
         return best
-    for n in range(int(lo.min()), int(hi.max()) + 1):
+    for n in range(math.ceil(gap.min() - reach), math.floor(gap.max() + reach) + 1):
         rho = _product_kernel(ts, ts._cycles.power(n)[i], r + n, j, t)
-        np.minimum(best, rho, out=best, where=(lo <= n) & (n <= hi))
-    # Shifts outside the window satisfy rho >= |r+n-t| > reach, and the
-    # identity shift already gives at most max(diameter_bound, 1) < reach.
+        np.minimum(best, rho, out=best)
     if not np.all(best <= max(ts.diameter_bound, 1.0)):
         raise InvariantError("window bound violated")
     return best
@@ -345,40 +343,21 @@ def quotient_distance_matrix(ts: TorusSpace, points: Sequence[TorusPoint]) -> np
 # Constrained representative distance
 # ============================================================
 
-def _shifted_times(times: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``times + m`` for each shift m of the window, stacked on a new first
-    axis; the mask of those inside the time cap; whether each shift has any."""
-    shifted = times + np.array(_SHIFTS).reshape((-1,) + (1,) * times.ndim)
-    inside = np.abs(shifted) <= _TIME_CAP
-    return shifted, inside, inside.reshape(len(_SHIFTS), -1).any(axis=1)
-
-
 def _representative_kernel(
     ts: TorusSpace, i: np.ndarray, r: np.ndarray, j: np.ndarray, t: np.ndarray
 ) -> np.ndarray:
     """:func:`representative_distance` from the points (``i``, ``r``) to the
-    points (``j``, ``t``), at canonical times.
-
-    The time masks of each shift are computed once, outside the loop over
-    shift pairs.
-    """
+    points (``j``, ``t``), at canonical times: the product kernel minimised
+    over the shift pairs (m, n) of the window, where admissible."""
     powers = ts._shift_powers
-    row_times, row_inside, row_any = _shifted_times(r)
-    col_times, col_inside, col_any = _shifted_times(t)
-    columns = [
-        (col_times[k], col_inside[k], powers[n][j])
-        for k, n in enumerate(_SHIFTS) if col_any[k]
-    ]
     best = np.full(np.broadcast(i, r, j, t).shape, np.inf)
-    for k, m in enumerate(_SHIFTS):
-        if not row_any[k]:
-            continue
-        rp, row_ok, rows = row_times[k], row_inside[k], powers[m][i]
-        for tp, col_ok, cols in columns:
-            ok = row_ok & col_ok & (np.abs(rp - tp) <= _GAP_CAP)
-            if not ok.any():
-                continue
-            rho = _product_kernel(ts, rows, rp, cols, tp)
+    for m in _SHIFTS:
+        rp, rows = r + m, powers[m][i]
+        for n in _SHIFTS:
+            tp = t + n
+            ok = (np.abs(rp) <= _TIME_CAP) & (np.abs(tp) <= _TIME_CAP)
+            ok &= np.abs(rp - tp) <= _GAP_CAP
+            rho = _product_kernel(ts, rows, rp, powers[n][j], tp)
             np.minimum(best, rho, out=best, where=ok)
     if not np.all(np.isfinite(best)):
         raise InvariantError("no admissible representative pair")

@@ -6,7 +6,8 @@ the cylinder fixing the window -n+1 .. n, so its measure is a product of 2n
 weights; on the torus the cross-section contributes a factor equal to the
 length of the time interval, ``min(2r, 1)``.
 Every measure is a product from one kernel, :func:`_cylinder_measures`,
-called once per cylinder, ball or list of radii (:func:`_ball_measures`).
+which multiplies each cylinder's pinned weights left to right from 1.0; it
+is called once per cylinder, ball or list of radii (:func:`_ball_measures`).
 """
 
 from __future__ import annotations
@@ -94,25 +95,18 @@ def cylinder_measure(cyl: CylinderSet, w: WeightVector) -> float:
 
 
 def _cylinder_measures(cylinders: Sequence[CylinderSet], w: WeightVector) -> np.ndarray:
-    """The measure of each cylinder, as one array.
-
-    Row ``k`` of a weight table holds the weights of cylinder ``k``'s pinned
-    symbols in constraint order, padded with 1.0; multiplying the columns in
-    turn gives every product in left-to-right order.
-    """
+    """The measure of each cylinder, as one array: its pinned weights
+    multiplied in constraint order, starting from 1.0."""
     for cyl in cylinders:
         if cyl.alphabet != w.alphabet:
             raise InvalidInputError("cylinder and weights use different alphabets")
-    lengths = np.array([len(cyl.constraints) for cyl in cylinders], dtype=np.intp)
-    codes = [w.alphabet.index(s) for cyl in cylinders for _, s in cyl.constraints]
-    rows = np.repeat(np.arange(len(cylinders)), lengths)
-    cols = np.arange(len(codes)) - np.repeat(np.cumsum(lengths) - lengths, lengths)
-    table = np.ones((len(cylinders), int(lengths.max(initial=0))))
-    table[rows, cols] = np.array(w.values)[codes]
-    out = np.ones(len(cylinders))
-    for col in table.T:
-        out *= col
-    return out
+    products = []
+    for cyl in cylinders:
+        product = 1.0
+        for _, symbol in cyl.constraints:
+            product *= w.of(symbol)
+        products.append(product)
+    return np.array(products, dtype=float)
 
 
 def shift_invariance_check(w: WeightVector, cylinders: Iterable[CylinderSet]) -> float:
