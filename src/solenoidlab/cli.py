@@ -531,7 +531,6 @@ CONFIG_SCHEMA = {
             "additionalProperties": False,
             "properties": {
                 "path": {"type": "string"},
-                "format": {"enum": ["json", "csv"]},
             },
         },
     },
@@ -579,9 +578,6 @@ def _run(cfg, args) -> tuple[str, int]:
     checks = cfg.get("checks")
     if not checks:
         raise UsageError("$.checks: a run needs at least one check")
-    out_format = cfg.get("output", {}).get("format", "json")
-    if out_format != "json":
-        raise UsageError("$.output.format: run reports are JSON")
     model = _build(cfg)
     seed = _resolve_seed(cfg, args, checks)
     if args.tol is not None and not math.isfinite(args.tol):
@@ -633,8 +629,6 @@ def _export_matrix(cfg, model):
 
 
 def _export(cfg, args) -> str:
-    if cfg.get("output", {}).get("format", "csv") != "csv":
-        raise UsageError("$.output.format: matrix exports are CSV")
     model = _build(cfg)
     try:
         labels, matrix = _export_matrix(cfg, model)

@@ -267,6 +267,21 @@ def test_non_finite_numbers_are_refused(tmp_path, capsys, no_check_runs, text, c
     assert captured.err == f"error: config is not valid JSON: non-finite number {text}\n"
 
 
+@pytest.mark.parametrize("command, cfg", [
+    ("run", {"space": PADIC, "checks": [{"name": "ultrametric"}]}),
+    ("export", {"space": PADIC, "export": {"metric": "base"}}),
+])
+def test_an_output_format_is_refused(tmp_path, capsys, no_check_runs, command, cfg):
+    # A run writes JSON and an export CSV: there is no format to choose.
+    out = tmp_path / "out.txt"
+    cfg = {**cfg, "output": {"path": str(out), "format": "json"}}
+    assert main([command, write_config(tmp_path, cfg)]) == 2
+    assert capsys.readouterr().err == (
+        "error: $.output: Additional properties are not allowed ('format' was unexpected)\n"
+    )
+    assert not out.exists()
+
+
 SNOWFLAKE = {"kind": "snowflake-interval", "parameters": {"grid_size": 8, "alpha": 1}}
 
 
