@@ -43,16 +43,13 @@ MAX_DENSE_POINTS = 16384
 
 def _require_dense(count: str, base: int, power: int = 1) -> None:
     """Refuse a model of ``base ** power`` points (``count`` in words) over
-    :data:`MAX_DENSE_POINTS`, before anything is allocated.  The power is
-    multiplied out only up to the limit, so a huge ``power`` costs nothing;
-    ``base`` must be at least 2."""
-    points = 1
-    for _ in range(power):
-        points *= base
-        if points > MAX_DENSE_POINTS:
-            raise InvalidInputError(
-                f"a model of {count} points exceeds the limit of {MAX_DENSE_POINTS}"
-            )
+    :data:`MAX_DENSE_POINTS`, before anything is allocated.  ``base`` must be
+    at least 2, so any power from the limit's bit length on is over it: the
+    power is capped there, and a huge ``power`` costs nothing."""
+    if base ** min(power, MAX_DENSE_POINTS.bit_length()) > MAX_DENSE_POINTS:
+        raise InvalidInputError(
+            f"a model of {count} points exceeds the limit of {MAX_DENSE_POINTS}"
+        )
 
 
 def _make_alphabet(size: int) -> Alphabet:
@@ -71,8 +68,10 @@ def build_full_shift(
     The space has ``alphabet_size ** max_period`` points, at most
     :data:`MAX_DENSE_POINTS`, diameter 1, and exact exponents, gathered from
     the packed cell words of :func:`~solenoidlab.shift_space.depth_levels`; the
-    torus is assembled with bilipschitz constant ``1/ratio`` (the exact
-    distortion of one shift step) and diameter bound 1.
+    torus is assembled with bilipschitz constant ``1/ratio`` and diameter
+    bound 1.  From ``max_period`` 3 on, ``1/ratio`` is the distortion of one
+    shift step, which the float estimate reads to within an ulp or so; below
+    3 every distinct pair is at distance 1 and the step distorts nothing.
     """
     alphabet = _make_alphabet(alphabet_size)
     if not 0.0 < ratio < 1.0 or math.isinf(1.0 / ratio):

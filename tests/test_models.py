@@ -1,5 +1,7 @@
 """The four prebuilt model families and their declarative specs."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -22,7 +24,7 @@ from solenoidlab import (
     verify_ultrametric,
 )
 from solenoidlab import models
-from solenoidlab.dynamics import index_cycles
+from solenoidlab.dynamics import estimate_bilipschitz_constant, index_cycles
 
 
 def test_full_shift_build():
@@ -62,6 +64,21 @@ def test_full_shift_validation():
 def test_full_shift_checks_alphabet_then_ratio_then_size_then_underflow(args, message):
     with pytest.raises(InvalidInputError, match=message):
         build_full_shift(*args)
+
+
+@pytest.mark.parametrize("ratio", [0.3, 0.5, 0.7, 0.9])
+@pytest.mark.parametrize("alphabet_size, max_periods", [(2, range(1, 8)), (3, range(1, 7))])
+def test_full_shift_glue_constant_is_the_estimated_distortion(alphabet_size, ratio, max_periods):
+    for max_period in max_periods:
+        space, mapping, ts = build_full_shift(alphabet_size, ratio, max_period)
+        estimate = estimate_bilipschitz_constant(space, mapping).constant
+        if max_period >= 3:
+            # The float estimate can sit an ulp off: 1.4285714285714288 at
+            # ratio 0.7 and max_period 7, where 1/0.7 is 1.4285714285714286.
+            assert math.isclose(estimate, ts.lipschitz_constant, rel_tol=1e-12)
+        else:
+            # Every distinct pair is at distance 1, so the shift is an isometry.
+            assert estimate == 1.0
 
 
 @pytest.mark.parametrize("alphabet_size, max_period", [
