@@ -16,8 +16,9 @@ its file, read-only) at seeds 1 and 7 on both rungs; every check of
 ``test_config_schema.CHECK_SETUPS`` at ``--tol`` 1e-9, 0 and -1e-9; every
 export metric on every model kind, served or refused; the torus exports and
 seeded runs of four models whose distances are not powers of 1/2 (the 3-adic
-and 5-adic rings, full shifts at ratios 0.3 and 0.7); and the smoke configs
-of CI, exit-2 refusals included.
+and 5-adic rings, full shifts at ratios 0.3 and 0.7); chain-sandwich runs
+whose samples end in a partial block of the chain solve; and the smoke
+configs of CI, exit-2 refusals included.
 """
 
 from __future__ import annotations
@@ -68,6 +69,19 @@ _NON_DYADIC = {
                       {"name": "measures", "cylinders": 500}),
 }
 
+#: chain-sandwich runs whose distinct samples span several blocks of the
+#: chain solve and are not a multiple of its block side, so off-sample queries
+#: meet padded blocks: each model with its ``max_bases`` and sample size.
+_CHAIN = {
+    "padic-3-6": ({"kind": "padic-cycle", "parameters": {"prime": 3, "digits": 6}}, 122),  # 488
+    "shift-2-0.5-9": ({"kind": "full-shift",
+                       "parameters": {"alphabet_size": 2, "ratio": 0.5, "max_period": 9}},
+                      100),  # 344
+    "shift-2-0.7-9": ({"kind": "full-shift",
+                       "parameters": {"alphabet_size": 2, "ratio": 0.7, "max_period": 9}},
+                      100),  # 344
+}
+
 #: CI's smoke configs, each with the exit code CI requires.
 _SMOKE = {
     "smoke-needs": ("run", {
@@ -94,6 +108,11 @@ _SMOKE = {
         "space": {"kind": "full-shift",
                   "parameters": {"alphabet_size": 2, "ratio": 0.001, "max_period": 10}},
         "checks": [{"name": "metric-axioms"}, {"name": "ultrametric"}],
+    }),
+    "smoke-chain-2048": ("run", {
+        "space": {"kind": "padic-cycle", "parameters": {"prime": 2, "digits": 11}},
+        "seed": 1,
+        "checks": [{"name": "chain-sandwich", "pairs": 500, "max_bases": 512}],
     }),
     "smoke-base-times": ("export", {
         "space": _FULL_SHIFT,
@@ -154,6 +173,11 @@ def operations() -> dict[str, tuple[str, dict, list[str]]]:
         for seed in (1, 7):
             cfg = {"space": space, "seed": seed, "checks": checks}
             ops[f"non-dyadic-{model}-seed{seed}"] = ("run", cfg, [])
+    for model, (space, max_bases) in _CHAIN.items():
+        check = {"name": "chain-sandwich", "pairs": 500, "max_bases": max_bases}
+        for seed in (1, 7):
+            cfg = {"space": space, "seed": seed, "checks": [check]}
+            ops[f"chain-{model}-seed{seed}"] = ("run", cfg, [])
     for name, (command, cfg) in _SMOKE.items():
         ops[name] = (command, cfg, [])
     return ops
