@@ -110,12 +110,14 @@ def build_padic_cycle(
     the torus gets bilipschitz constant 1.  The exponent of a pair is read
     from one table of valuations indexed by the gap ``|i - j|``.
     """
-    if prime >= 2:  # first: a huge prime would keep the trial division going
+    # Both before the trial division, which a huge prime would keep going
+    # (and overflow at ``prime ** 0.5``): with no digits, any prime is dense.
+    if digits < 1:
+        raise InvalidInputError(f"need at least one digit, got {digits}")
+    if prime >= 2:
         _require_dense(f"{prime}^{digits}", prime, digits)
     if prime < 2 or any(prime % q == 0 for q in range(2, int(prime ** 0.5) + 1)):
         raise InvalidInputError(f"{prime} is not prime")
-    if digits < 1:
-        raise InvalidInputError(f"need at least one digit, got {digits}")
     modulus = prime ** digits
     points = tuple(range(modulus))
     # valuation[k] is the multiplicity of ``prime`` in k, inf at k = 0.

@@ -114,6 +114,10 @@ _SMOKE = {
         "seed": 1,
         "checks": [{"name": "chain-sandwich", "pairs": 500, "max_bases": 512}],
     }),
+    "smoke-no-digits": ("run", {
+        "space": {"kind": "padic-cycle", "parameters": {"prime": 10**400, "digits": 0}},
+        "checks": [{"name": "ultrametric"}],
+    }),
     "smoke-base-times": ("export", {
         "space": _FULL_SHIFT,
         "export": {"metric": "base", "times": [0.0, 0.5]},

@@ -397,6 +397,13 @@ def test_export_over_the_chain_ceiling_is_a_usage_error(tmp_path, capsys, monkey
     )
 
 
+def test_a_huge_prime_without_digits_is_a_usage_error(tmp_path, capsys):
+    cfg = {"space": {"kind": "padic-cycle", "parameters": {"prime": 10**400, "digits": 0}},
+           "checks": [{"name": "ultrametric"}]}
+    assert main(["run", write_config(tmp_path, cfg)]) == 2
+    assert "need at least one digit, got 0" in capsys.readouterr().err
+
+
 def test_export_full_precision_round_trip(tmp_path):
     cfg = {
         "space": {

@@ -132,6 +132,14 @@ def test_padic_cycle_validation():
         build_padic_cycle(2, 0)
 
 
+@pytest.mark.parametrize("prime", [10**400, 2**61 - 1, 4, 1])
+def test_padic_cycle_without_digits_is_refused_before_the_primality_test(prime):
+    # A prime past the float range overflowed at ``prime ** 0.5``, and a large
+    # one kept the trial division going.
+    with pytest.raises(InvalidInputError, match="need at least one digit, got 0"):
+        build_padic_cycle(prime, 0)
+
+
 def test_two_fixed_points_build():
     space, mapping, ts = build_two_fixed_points()
     assert len(space) == 2
