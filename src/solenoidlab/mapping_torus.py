@@ -23,10 +23,11 @@ canonical representative has time in [0, 1).  Four distances are provided:
 * chain distance (:class:`ChainMetricTable`): shortest-path repair of the
   representative distance over a caller-supplied sample of at most
   :data:`MAX_CHAIN_SAMPLE` points, which restores the triangle inequality.
-  One Floyd-Warshall solve (:func:`~solenoidlab.metric_core.shortest_paths`,
-  exact, skipping the blocks a pivot cannot change) gives every chain
-  distance, without the chains that attain them; queries with endpoints off
-  the sample are answered in batches.
+  One Floyd-Warshall solve (exact, skipping the blocks a pivot cannot
+  change) gives every chain distance, without the chains that attain them,
+  and the table keeps them in the solve's blocks; queries with endpoints off
+  the sample are answered in batches that skip the blocks their bounds rule
+  out.
 """
 
 from __future__ import annotations
@@ -54,8 +55,9 @@ from .errors import (
 from .metric_core import (
     DEFAULT_TOLERANCE,
     FiniteMetricSpace,
+    _shortest_path_blocks,
+    _unblocked,
     row_blocks,
-    shortest_paths,
     truncate,
     upper_blocks,
 )
@@ -396,7 +398,9 @@ def representative_distance_matrix(
 
 #: Largest chain sample, counted after de-duplication.  The all-pairs solve is
 #: cubic at worst: a table of four times per base point takes 0.2-0.5 s at 1024
-#: points and 0.7-2.8 s at 2048 on a 2-core x86 host.
+#: points and 0.5-2.8 s at 2048 on a 2-core x86 host.  Off-sample queries are
+#: not: 500 of them take about 0.2 s on the 2048-point padic table, where the
+#: block bounds leave about 1% of the (query, block, block) triples.
 MAX_CHAIN_SAMPLE = 2048
 
 
@@ -426,11 +430,15 @@ class ChainMetricTable:
     Edge weights are the constrained representative distance; the chain
     distance is the shortest-path metric they generate, which satisfies the
     triangle inequality even when single edges do not.  The edge graph is
-    complete, so one Floyd-Warshall solve
-    (:func:`~solenoidlab.metric_core.shortest_paths`) serves every sample
-    size up to :data:`MAX_CHAIN_SAMPLE`, bit for bit scipy's; a larger
-    sample raises :class:`InvalidInputError` before any distance is
-    computed.
+    complete, so one Floyd-Warshall solve serves every sample size up to
+    :data:`MAX_CHAIN_SAMPLE`, bit for bit scipy's; a larger sample raises
+    :class:`InvalidInputError` before any distance is computed.
+
+    The table keeps the distances in the layout they are solved in
+    (:func:`~solenoidlab.metric_core._shortest_path_blocks`): square blocks
+    over the sample in Prim order, with each block's minimum.  Lookups and
+    :meth:`distance_matrix` read the blocks, and off-sample queries
+    (:meth:`distances_via`) skip every block their bound rules out.
     """
 
     def __init__(self, ts: TorusSpace, sample: Sequence[TorusPoint]):
@@ -438,8 +446,13 @@ class ChainMetricTable:
         self.sample = distinct_chain_sample(ts, sample)
         self._index = {p: i for i, p in enumerate(self.sample)}
         self.edges = representative_distance_matrix(ts, self.sample)
-        self._idx, self._times = _sample_arrays(ts, self.sample)
-        self._dist = shortest_paths(self.edges)
+        self._blocks, self._order = _shortest_path_blocks(self.edges)
+        self._place = np.empty_like(self._order)
+        self._place[self._order] = np.arange(len(self._order))
+        self._block_min = self._blocks.min(axis=(2, 3))
+        # The sample's base indices and times in Prim order.
+        idx, times = _sample_arrays(ts, self.sample)
+        self._idx, self._times = idx[self._order], times[self._order]
 
     def __len__(self) -> int:
         return len(self.sample)
@@ -450,11 +463,18 @@ class ChainMetricTable:
         except KeyError:
             raise InvalidInputError(f"point {p!r} is not in the chain sample") from None
 
+    def _cells(self, i, j):
+        """Chain distances between the sample points of indices ``i`` and
+        ``j``, integers or index arrays that broadcast."""
+        b = self._blocks.shape[2]
+        (I, a), (J, c) = divmod(self._place[i], b), divmod(self._place[j], b)
+        return self._blocks[I, J, a, c]
+
     def distance(self, p: TorusPoint, q: TorusPoint) -> float:
-        return float(self._dist[self.index_of(p), self.index_of(q)])
+        return float(self._cells(self.index_of(p), self.index_of(q)))
 
     def distance_matrix(self) -> np.ndarray:
-        return self._dist.copy()
+        return _unblocked(self._blocks, self._order)
 
     def distance_via(self, p: TorusPoint, q: TorusPoint) -> float:
         """Chain distance allowing ``p`` and ``q`` off the sample: the
@@ -476,51 +496,71 @@ class ChainMetricTable:
         """
         if len(ps) != len(qs):
             raise InvalidInputError(f"{len(ps)} start points for {len(qs)} end points")
+        i = np.array([self._index.get(p, -1) for p in ps], dtype=np.intp)
+        j = np.array([self._index.get(q, -1) for q in qs], dtype=np.intp)
+        on = (i >= 0) & (j >= 0)
         out = np.empty(len(ps))
-        off = []
-        for k, (p, q) in enumerate(zip(ps, qs)):
-            i, j = self._index.get(p), self._index.get(q)
-            if i is None or j is None:
-                off.append(k)
-            else:
-                out[k] = self._dist[i, j]
-        if not off:
-            return out
-        p_idx, p_times = _sample_arrays(self.ts, [ps[k] for k in off])
-        q_idx, q_times = _sample_arrays(self.ts, [qs[k] for k in off])
-        edge = _representative_kernel(self.ts, p_idx, p_times, q_idx, q_times)
-        for part in row_blocks(len(off), len(self.sample)):
-            rows_p = self._rows(p_idx[part], p_times[part])
-            rows_q = self._rows(q_idx[part], q_times[part])
-            for k, x, y, d in zip(off[part], rows_p, rows_q, edge[part]):
-                out[k] = self._through(x, y, float(d))
+        out[on] = self._cells(i[on], j[on])
+        off = np.flatnonzero(~on)
+        if off.size:
+            out[off] = self._off_sample([ps[k] for k in off], [qs[k] for k in off])
         return out
+
+    def _off_sample(
+        self, ps: Sequence[TorusPoint], qs: Sequence[TorusPoint]
+    ) -> np.ndarray:
+        """``min(direct, min over a, b of (row_p[a] + D[a, b]) + row_q[b])``
+        of each pair, a chunk of pairs at a time."""
+        p_idx, p_times = _sample_arrays(self.ts, ps)
+        q_idx, q_times = _sample_arrays(self.ts, qs)
+        out = _representative_kernel(self.ts, p_idx, p_times, q_idx, q_times)
+        nb, _, b, _ = self._blocks.shape
+        for part in row_blocks(len(out), nb * max(b, nb)):
+            # A call per chunk frees its rows and blocks before the next one.
+            self._lower(
+                out[part],
+                self._rows(p_idx[part], p_times[part]),
+                self._rows(q_idx[part], q_times[part]),
+            )
+        return out
+
+    def _lower(self, direct: np.ndarray, rows_p: np.ndarray, rows_q: np.ndarray) -> None:
+        """Lower each ``direct[k]``, in place, to ``min over a, b of
+        (rows_p[k, a] + D[a, b]) + rows_q[k, b]`` where that is smaller; the
+        rows are in the table's blocks (:meth:`_rows`).
+
+        Every term is nonnegative and rounding is monotone, so each
+        candidate of the blocks ``(I, J)`` is at least ``fl(fl(min
+        rows_p[k, I] + min D[I, J]) + min rows_q[k, J])``: a triple ``(k, I,
+        J)`` whose bound is not below ``direct[k]`` cannot lower it and is
+        skipped.  For the rest, the minimum over a is taken before
+        ``rows_q[k, b]`` is added, which monotone rounding also allows.  The
+        result is bit for bit that of the full S x S sum.
+        """
+        b = self._blocks.shape[2]
+        bound = rows_p.min(axis=2)[:, :, None] + self._block_min
+        bound += rows_q.min(axis=2)[:, None, :]
+        K, I, J = np.nonzero(bound < direct[:, None, None])
+        for live in row_blocks(len(K), b * b):
+            k, i, j = K[live], I[live], J[live]
+            through = self._blocks[i, j]
+            through += rows_p[k, i, :, None]
+            best = through.min(axis=1)
+            best += rows_q[k, j]
+            np.minimum.at(direct, k, best.min(axis=1))
 
     def _rows(self, idx: np.ndarray, times: np.ndarray) -> np.ndarray:
         """Representative distances from the points (``idx``, ``times``) to
-        the sample, one row per point."""
-        return _representative_kernel(
+        the sample, one row per point, in Prim order and split into the
+        table's blocks, ``inf`` past the last sample point."""
+        nb, _, b, _ = self._blocks.shape
+        rows = _representative_kernel(
             self.ts, idx[:, None], times[:, None],
             self._idx[None, :], self._times[None, :],
         )
-
-    def _through(self, row_p: np.ndarray, row_q: np.ndarray, direct: float) -> float:
-        """``min(direct, min over a, b of (row_p[a] + D[a, b]) + row_q[b])``.
-
-        Each candidate is a rounded sum of nonnegative terms, so it is at
-        least ``row_p[a]`` and at least ``row_q[b]``: rows and columns whose
-        entry is already ``>= direct`` cannot lower the result and are
-        skipped.  Rounding is monotone, so the minimum over a can be taken
-        before ``row_q[b]`` is added.  The result is bit for bit that of the
-        full S x S sum.
-        """
-        a = np.flatnonzero(row_p < direct)
-        b = np.flatnonzero(row_q < direct)
-        if a.size == 0 or b.size == 0:
-            return direct
-        block = self._dist.take(a, axis=0).take(b, axis=1)
-        block += row_p[a, None]
-        return min(direct, float((block.min(axis=0) + row_q[b]).min()))
+        # Padded once the kernel's temporaries are freed.
+        rows = np.pad(rows, ((0, 0), (0, nb * b - len(self))), constant_values=np.inf)
+        return rows.reshape(len(idx), nb, b)
 
 
 # ============================================================

@@ -316,15 +316,26 @@ def shortest_paths(weights: np.ndarray) -> np.ndarray:
     the sign of a zero where the weights hold ``-0.0``).
 
     Every entry must be finite and nonnegative, or :class:`InvariantError`
-    is raised; the diagonal is read as 0.  The pivots ``k`` run in index
-    order, and each relaxes ``D[i, j]`` to ``fl(D[i, k] + D[k, j])`` where
-    that is smaller, as scipy's loop does; row and column ``k`` cannot
-    change at pivot ``k``, since ``D[k, k]`` is 0.  Three things make it
-    fast without changing a bit:
+    is raised; the diagonal is read as 0.  This is the index-ordered view of
+    the blocks that :func:`_shortest_path_blocks` solves in.
+    """
+    return _unblocked(*_shortest_path_blocks(weights))
 
-    * The cells are stored in Prim order (:func:`_prim_order`), in
-      square blocks of :data:`_SOLVE_BLOCK`, so a block pairs two runs of
-      single-linkage neighbours.
+
+def _shortest_path_blocks(weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`shortest_paths` in the layout it is solved in: ``(d, order)``,
+    where ``order`` is the Prim order of the vertices (:func:`_prim_order`)
+    and ``d[I, J, a, b]``, of shape ``(nb, nb, B, B)`` with B =
+    :data:`_SOLVE_BLOCK`, is the distance between the vertices ``order[I * B
+    + a]`` and ``order[J * B + b]``.  Cells past the last vertex are ``inf``.
+
+    The pivots ``k`` run in index order, and each relaxes ``D[i, j]`` to
+    ``fl(D[i, k] + D[k, j])`` where that is smaller, as scipy's loop does;
+    row and column ``k`` cannot change at pivot ``k``, since ``D[k, k]`` is
+    0.  Three things make it fast without changing a bit:
+
+    * The cells are stored in Prim order, in square blocks, so a block pairs
+      two runs of single-linkage neighbours.
     * A pivot skips every block pair ``(I, J)`` with ``fl(min_I c + min_J
       c) >= bmax[I, J]``, where ``c`` is column ``k`` with ``inf`` in row
       ``k`` (which cannot change) and ``bmax`` bounds each block's entries
@@ -335,9 +346,9 @@ def shortest_paths(weights: np.ndarray) -> np.ndarray:
     * ``fl(a + b) == fl(b + a)`` keeps D symmetric, so only the block pairs
       ``I <= J`` are relaxed, and the rest is mirrored at the end.
 
-    With B the block side, each pivot costs O(N^2 / B^2) in a few array
-    calls, plus B^2 per block pair it cannot rule out: scipy's O(N^3) at
-    worst.  Besides the weights, it holds two N x N arrays at a time.
+    Each pivot costs O(N^2 / B^2) in a few array calls, plus B^2 per block
+    pair it cannot rule out: scipy's O(N^3) at worst.  Besides the weights,
+    it holds two N x N arrays at a time.
     """
     n = len(weights)
     if n and not (weights.min() >= 0.0 and weights.max() < math.inf):
@@ -346,8 +357,8 @@ def shortest_paths(weights: np.ndarray) -> np.ndarray:
     nb = -(-n // b)
     w = _with_transpose(np.minimum, weights)
     order, _ = _prim_order(w)
-    # d[I, J, :, :] is block (I, J) in Prim order; the padding is inf, which
-    # no pivot relaxes.  Blocks below the diagonal are read once mirrored.
+    # The padding is inf, which no pivot relaxes.  Blocks below the diagonal
+    # are read once mirrored.
     d = np.full((nb, nb, b, b), np.inf)
     strip = np.full((b, nb * b), np.inf)
     for rows in range(nb):
@@ -380,6 +391,16 @@ def shortest_paths(weights: np.ndarray) -> np.ndarray:
             bmax[i, j] = blocks.max(axis=(1, 2))
     for rows in range(nb - 1):
         d[rows + 1 :, rows] = d[rows, rows + 1 :].transpose(0, 2, 1)
+    return d, order
+
+
+def _unblocked(d: np.ndarray, order: np.ndarray) -> np.ndarray:
+    """The N x N matrix, in index order, of blocks ``d`` laid out as
+    :func:`_shortest_path_blocks` gives them over the vertex order
+    ``order``."""
+    n, (nb, _, b, _) = len(order), d.shape
+    place = np.empty(n, dtype=np.intp)
+    place[order] = np.arange(n)
     out = np.empty((n, n))
     for rows in range(nb):
         take = order[rows * b : (rows + 1) * b]

@@ -103,10 +103,10 @@ def test_shortest_path_solves_do_not_load_scipy(tmp_path):
         "import json\n"
         "from solenoidlab import cli, mapping_torus, metric_core\n"
         "solves = []\n"
-        "def counted(weights, solve=metric_core.shortest_paths):\n"
+        "def counted(weights, solve=metric_core._shortest_path_blocks):\n"
         "    solves.append(len(weights))\n"
         "    return solve(weights)\n"
-        "mapping_torus.shortest_paths = metric_core.shortest_paths = counted\n"
+        "mapping_torus._shortest_path_blocks = metric_core._shortest_path_blocks = counted\n"
         f"for command, cfg in {operations!r}:\n"
         "    json.dump(cfg, open('config.json', 'w'))\n"
         "    status = cli.main([command, 'config.json', '--out', 'out'])\n"

@@ -20,6 +20,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import mapping_torus_reference as ref
+import metric_reference
 from solenoidlab import (
     ChainMetricTable,
     InvalidInputError,
@@ -262,6 +263,50 @@ def test_batched_queries_keep_the_float_order(monkeypatch, cells):
         for p, q, d in zip(ps, qs, direct)
     ])
     assert other.tobytes() != want.tobytes()
+
+
+#: Tori with at least 16 base points, for samples that span several blocks
+#: of the chain solve.
+WIDE = [k for k in range(len(TORI)) if len(_torus(k).base_space) >= 16]
+
+
+@st.composite
+def wide_samples(draw):
+    """A torus and 33 to 200 distinct canonical points of it, at a few
+    shared times: more than one block of the chain solve, often a partial
+    last block."""
+    ts = _torus(draw(st.sampled_from(WIDE)))
+    times = draw(st.lists(TIMES, min_size=3, max_size=8, unique=True))
+    grid = [TorusPoint(b, t) for b in ts.base_space.points for t in times]
+    size = draw(st.integers(33, min(200, len(grid))))
+    pick = np.random.default_rng(draw(st.integers(0, 2**32 - 1))).choice(
+        len(grid), size, replace=False
+    )
+    return ts, [grid[k] for k in pick]
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_block_pruned_queries_match_one_at_a_time(data):
+    ts, sample = data.draw(wide_samples())
+    # One cell splits every query chunk and every chunk of live block
+    # triples down to one; a few block areas split both into several.
+    cells = data.draw(st.sampled_from([1, 1024, 3 * 1024 + 5, metric_core.ROW_BLOCK_CELLS]))
+    ps, qs = data.draw(chain_queries(ts, sample))
+    with mock.patch.object(metric_core, "ROW_BLOCK_CELLS", cells):
+        table = ChainMetricTable(ts, sample)
+        got = table.distances_via(ps, qs)
+    want = np.array([ref.distance_via_by_block(table, p, q) for p, q in zip(ps, qs)])
+    assert got.tobytes() == want.tobytes()
+
+    chain = metric_reference.shortest_paths_by_scipy(table.edges)
+    assert table.distance_matrix().tobytes() == chain.tobytes()
+    a, b = np.random.default_rng(len(sample)).integers(0, len(sample), (2, 50))
+    on_p, on_q = [table.sample[k] for k in a], [table.sample[k] for k in b]
+    assert table.distances_via(on_p, on_q).tobytes() == chain[a, b].tobytes()
+    for p, q, d in zip(on_p, on_q, chain[a, b]):
+        got = table.distance(p, q)
+        assert type(got) is float and _bits(got) == _bits(d)
 
 
 @settings(max_examples=150, deadline=None)
