@@ -218,14 +218,20 @@ def _pairs(
 
 
 def _all_pairs(kernel, ts: TorusSpace, points: Sequence[TorusPoint]) -> np.ndarray:
-    """``kernel`` over all pairs of canonical ``points``, a row block at a
-    time."""
+    """``kernel`` over all pairs of canonical ``points``, for a kernel that
+    is symmetric bit for bit over a symmetric base, as the product and
+    representative kernels are: ``|a - b|`` rounds as ``|b - a|``.  Each row
+    block computes its pairs on and right of the diagonal, and is mirrored
+    below it."""
     idx, times = _sample_arrays(ts, points)
-    out = np.empty((len(points), len(points)))
-    for rows in row_blocks(len(points), len(points)):
-        out[rows] = kernel(
-            ts, idx[rows, None], times[rows, None], idx[None, :], times[None, :]
+    n = len(points)
+    out = np.empty((n, n))
+    for rows in row_blocks(n, n):
+        cols = slice(rows.start, n)
+        out[rows, cols] = kernel(
+            ts, idx[rows, None], times[rows, None], idx[None, cols], times[None, cols]
         )
+        out[cols, rows] = out[rows, cols].T
     return out
 
 
@@ -258,7 +264,8 @@ def product_distance_pairs(
 
 
 def product_distance_matrix(ts: TorusSpace, points: Sequence[TorusPoint]) -> np.ndarray:
-    """:func:`product_metric` over all pairs of ``points``."""
+    """:func:`product_metric` over all pairs of ``points``: the pairs on and
+    above the diagonal, mirrored."""
     return _all_pairs(_product_kernel, ts, points)
 
 
@@ -387,8 +394,9 @@ def representative_distance_pairs(
 def representative_distance_matrix(
     ts: TorusSpace, points: Sequence[TorusPoint]
 ) -> np.ndarray:
-    """:func:`representative_distance` over all pairs of ``points``, a row
-    block at a time."""
+    """:func:`representative_distance` over all pairs of ``points``: the
+    pairs on and above the diagonal, mirrored (swapping the two points swaps
+    the shifts m and n)."""
     return _all_pairs(_representative_kernel, ts, points)
 
 

@@ -164,8 +164,13 @@ def test_scalar_view_matches_the_loop(data):
 def test_matrix_view_matches_the_loop(data):
     ts = data.draw(tori())
     sample = data.draw(samples(ts))
-    got = representative_distance_matrix(ts, sample)
+    # The view computes the pairs on and above the diagonal, a row block at
+    # a time, and mirrors them: the loop checks both triangles.
+    cells = data.draw(st.sampled_from([1, 3 * len(sample), metric_core.ROW_BLOCK_CELLS]))
+    with mock.patch.object(metric_core, "ROW_BLOCK_CELLS", cells):
+        got = representative_distance_matrix(ts, sample)
     assert got.tobytes() == ref.representative_matrix_by_loop(ts, sample).tobytes()
+    assert got.tobytes() == np.ascontiguousarray(got.T).tobytes()
 
 
 @settings(max_examples=150, deadline=None)
