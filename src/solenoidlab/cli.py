@@ -47,8 +47,9 @@ from .mapping_torus import (
     torus_points_close,  # unused
 )
 from .measures import (
-    CylinderSet,
+    CylinderArrays,
     WeightVector,
+    _ball_measures,
     ahlfors_check,
     doubling_check,
     shift_invariance_check,
@@ -326,26 +327,41 @@ def _band_payload(band):
     }
 
 
-#: Indices a drawn cylinder may pin.
+#: Indices a drawn cylinder may pin, in position order.
 _CYLINDER_POOL = np.arange(-6, 7)
+#: The most indices a drawn cylinder pins.
+_MAX_PINS = 4
 
 
-def _draw_cylinders(alphabet, count, rng):
-    """``count`` cylinders, each pinning 1 to 4 distinct indices of
-    ``_CYLINDER_POOL`` to uniform symbols.  The indices are a prefix of
-    ``rng.permutation``, which is what ``rng.choice(..., replace=False)``
-    draws, so the stream is that of the choice call."""
-    symbols = alphabet.symbols
-    drawn = []
+def _draw_cylinders(alphabet, count, rng) -> CylinderArrays:
+    """``count`` cylinders, each pinning 1 to ``_MAX_PINS`` distinct indices of
+    ``_CYLINDER_POOL`` to uniform symbols, as ``(count, _MAX_PINS)`` arrays
+    (:class:`~solenoidlab.measures.CylinderArrays`): each row's positions
+    and symbol indices sorted by position, then padding.
+
+    The generator sees the calls of the first draw, ``rng.choice(...,
+    replace=False)`` and a symbol loop: per cylinder ``randint(1, 5)``, a
+    shuffle of the pool's indices, which draws what ``rng.permutation`` and
+    so the choice call draw, then one ``randint(len(alphabet))`` per pinned
+    index in shuffled order.  Only those calls run per cylinder; the pins
+    are placed and sorted in bulk after the last draw.
+    """
+    k, n = len(alphabet), len(_CYLINDER_POOL)
+    sizes, picks, symbols = [], [], []
     for _ in range(count):
-        size = rng.randint(1, 5)
-        idx = _CYLINDER_POOL[rng.permutation(len(_CYLINDER_POOL))[:size]].tolist()
-        drawn.append(
-            CylinderSet.from_dict(
-                alphabet, {j: symbols[rng.randint(len(symbols))] for j in idx}
-            )
-        )
-    return drawn
+        size = rng.randint(1, _MAX_PINS + 1)
+        order = list(range(n))
+        rng.shuffle(order)
+        sizes.append(size)
+        picks += order[:size]
+        symbols += [rng.randint(k) for _ in range(size)]
+    # table[row, i]: the symbol index pinned at pool index i, or k for none.
+    table = np.full((count, n), k, dtype=np.intp)
+    table[np.repeat(np.arange(count), sizes), np.array(picks, dtype=np.intp)] = symbols
+    pinned = np.argsort(table == k, axis=1, kind="stable")[:, :_MAX_PINS]
+    symbols = np.take_along_axis(table, pinned, axis=1)
+    positions = np.where(symbols < k, _CYLINDER_POOL[pinned], 0)
+    return CylinderArrays(alphabet, positions, symbols)
 
 
 def _weights(model, check) -> WeightVector:
@@ -358,16 +374,22 @@ def _weights(model, check) -> WeightVector:
     return WeightVector.from_dict(alphabet, check["weights"])
 
 
+def _measure_family(model, check):
+    """The ``measures`` weights, the base space's dimension under them, and
+    the ball centers: the first eight base points at time 0.25."""
+    w = _weights(model, check)
+    base_dim = 2.0 * math.log(len(w.alphabet)) / math.log(1.0 / model.space.power_base)
+    samples = [TorusPoint(b, 0.25) for b in model.torus.base_space.points[:8]]
+    return w, base_dim, samples
+
+
 def _check_measures(model, check, tol, rng):
     ts = model.torus
     cylinders = _arg(check, "cylinders")
     radii = _arg(check, "radii")
-    w = _weights(model, check)
+    w, base_dim, samples = _measure_family(model, check)
     drawn = _draw_cylinders(w.alphabet, cylinders, rng)
-    discrepancy = shift_invariance_check(w, drawn) if drawn else 0.0
-    base_dim = 2.0 * math.log(len(w.alphabet)) / math.log(1.0 / model.space.power_base)
-    bases = ts.base_space.points[:8]
-    samples = [TorusPoint(b, 0.25) for b in bases]
+    discrepancy = shift_invariance_check(w, drawn) if cylinders else 0.0
     base_band = ahlfors_check(samples, radii, base_dim, ts, w, mode="base")
     torus_band = ahlfors_check(samples, radii, base_dim + 1.0, ts, w, mode="torus")
     doubling = doubling_check(samples, [r / 2 for r in radii], ts, w)
@@ -381,6 +403,28 @@ def _check_measures(model, check, tol, rng):
         "torus_band": _band_payload(torus_band),
         "doubling_constant": doubling,
     }
+
+
+def _refuse_measures(model, check, where):
+    """Refuse weights that do not fit the alphabet, then a radius r too
+    small for the model: one whose half, powers ``r ** dim`` or ball measures
+    underflow to 0.  The bands divide by the powers and by the measures of
+    B(r) and take their logarithms; the doubling constant divides by the
+    measure of B(r/2).  A torus ball's measure is below its base ball's, so
+    the torus balls of r, r/2 and its double stand for all of them."""
+    w, base_dim, samples = _measure_family(model, check)
+    for k, r in enumerate(_arg(check, "radii")):
+        half = r / 2
+        if (
+            half == 0.0
+            or r ** base_dim == 0.0
+            or r ** (base_dim + 1.0) == 0.0
+            or not _ball_measures(samples, [r, 2.0 * half, half], model.torus, w, "torus").all()
+        ):
+            raise UsageError(
+                f"{where}.radii[{k}]: radius {r!r} is too small for this model: "
+                "its half, a power of it or a ball measure underflows to 0"
+            )
 
 
 def _check_dimension(model, check, tol, rng):
@@ -447,7 +491,7 @@ _CHECKS = {
             "additionalProperties": {"type": "number", "exclusiveMinimum": 0},
             "description": "weight of each symbol; default: uniform",
         },
-    }, "sequence space", True, lambda model, check, where: _weights(model, check)),
+    }, "sequence space", True, _refuse_measures),
     "dimension": _Check(_check_dimension, {
         "scales": {"type": "array", "minItems": 3, "items": _RESOLUTION},
     }, "none", False, lambda model, check, where: fit_scales(model.space, check["scales"])),

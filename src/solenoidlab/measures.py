@@ -5,9 +5,16 @@ sampling is involved.  A ball of radius ``ratio**n`` in the shift metric is
 the cylinder fixing the window -n+1 .. n, so its measure is a product of 2n
 weights; on the torus the cross-section contributes a factor equal to the
 length of the time interval, ``min(2r, 1)``.
-Every measure is a product from one kernel, :func:`_cylinder_measures`,
-which multiplies each cylinder's pinned weights left to right from 1.0; it
-is called once per cylinder, ball or list of radii (:func:`_ball_measures`).
+
+Every measure is a product from one kernel, :func:`_cylinder_measures`, over
+cylinders held as :class:`CylinderArrays`: two ``(count, width)`` integer
+arrays, each row a cylinder's pinned positions and symbol indices sorted by
+position, padded with a symbol slot whose weight is exactly 1.0.  The kernel
+multiplies each row's weights left to right from 1.0, a column at a time;
+multiplying by the padding's 1.0 is exact, so every product keeps the bits
+of the scalar loop in ``tests/measures_reference.py``.  A
+:class:`CylinderSet`, a ball or a list of radii (:func:`_ball_measures`) is
+converted to those arrays and measured in one kernel call.
 """
 
 from __future__ import annotations
@@ -89,34 +96,69 @@ class CylinderSet:
         return CylinderSet(self.alphabet, tuple((j + k, s) for j, s in self.constraints))
 
 
+@dataclass(frozen=True, eq=False)
+class CylinderArrays:
+    """Cylinders as arrays, one row each: row k pins ``positions[k, j]`` to
+    ``alphabet.symbols[symbols[k, j]]``, sorted by position.  A row that pins
+    fewer than ``width`` indices ends in padding: symbol index
+    ``len(alphabet)``, whose weight is 1.0, at position 0."""
+
+    alphabet: Alphabet
+    positions: np.ndarray
+    symbols: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.symbols)
+
+    def shifted(self, k: int) -> "CylinderArrays":
+        """Pin index j+k wherever these cylinders pin index j."""
+        return CylinderArrays(self.alphabet, self.positions + k, self.symbols)
+
+
+def _as_arrays(cylinders: Sequence[CylinderSet], w: WeightVector) -> CylinderArrays:
+    """``cylinders`` as one :class:`CylinderArrays` over the weights' alphabet."""
+    alphabet = w.alphabet
+    if any(cyl.alphabet != alphabet for cyl in cylinders):
+        raise InvalidInputError("cylinder and weights use different alphabets")
+    width = max((len(cyl.constraints) for cyl in cylinders), default=0)
+    positions = np.zeros((len(cylinders), width), dtype=np.int64)
+    symbols = np.full((len(cylinders), width), len(alphabet), dtype=np.intp)
+    for row, cyl in enumerate(cylinders):
+        size = len(cyl.constraints)
+        positions[row, :size] = [j for j, _ in cyl.constraints]
+        symbols[row, :size] = [alphabet.index(s) for _, s in cyl.constraints]
+    return CylinderArrays(alphabet, positions, symbols)
+
+
 def cylinder_measure(cyl: CylinderSet, w: WeightVector) -> float:
     """Product of the weights of the pinned symbols (1 for no constraints)."""
-    return float(_cylinder_measures([cyl], w)[0])
+    return float(_cylinder_measures(_as_arrays([cyl], w), w)[0])
 
 
-def _cylinder_measures(cylinders: Sequence[CylinderSet], w: WeightVector) -> np.ndarray:
+def _cylinder_measures(cylinders: CylinderArrays, w: WeightVector) -> np.ndarray:
     """The measure of each cylinder, as one array: its pinned weights
-    multiplied in constraint order, starting from 1.0."""
-    for cyl in cylinders:
-        if cyl.alphabet != w.alphabet:
-            raise InvalidInputError("cylinder and weights use different alphabets")
-    products = []
-    for cyl in cylinders:
-        product = 1.0
-        for _, symbol in cyl.constraints:
-            product *= w.of(symbol)
-        products.append(product)
-    return np.array(products, dtype=float)
+    multiplied in position order, starting from 1.0."""
+    if cylinders.alphabet != w.alphabet:
+        raise InvalidInputError("cylinder and weights use different alphabets")
+    weights = np.array(w.values + (1.0,))
+    products = np.ones(len(cylinders))
+    for column in weights[cylinders.symbols].T:
+        products *= column
+    return products
 
 
-def shift_invariance_check(w: WeightVector, cylinders: Iterable[CylinderSet]) -> float:
+def shift_invariance_check(
+    w: WeightVector, cylinders: CylinderArrays | Iterable[CylinderSet]
+) -> float:
     """Largest discrepancy between a cylinder's measure and its image under
-    one shift step.  The product runs over the same weights either way, in
-    the same order, so the exact answer is 0.  A NaN discrepancy is skipped,
-    as a running ``max`` would skip it."""
-    cylinders = list(cylinders)
+    one shift step.  A shifted cylinder pins the same symbols in the same
+    order, so the two products are equal and the answer is 0 by
+    construction.  A NaN discrepancy is skipped, as a running ``max`` would
+    skip it."""
+    if not isinstance(cylinders, CylinderArrays):
+        cylinders = _as_arrays(list(cylinders), w)
     before = _cylinder_measures(cylinders, w)
-    after = _cylinder_measures([cyl.shifted(1) for cyl in cylinders], w)
+    after = _cylinder_measures(cylinders.shifted(1), w)
     return float(np.fmax.reduce(np.abs(before - after), initial=0.0))
 
 
@@ -153,9 +195,11 @@ def _shift_ratio(ts: TorusSpace) -> float:
 def _ball_measures(samples, radii, ts: TorusSpace, w: WeightVector, mode: str) -> np.ndarray:
     """Each sample's (rows) :func:`base_ball_measure` of each radius (columns),
     times ``min(2r, 1)`` in torus mode, in one :func:`_cylinder_measures` call.
-    The balls are checked sample-major, so the first faulty one raises."""
-    balls = []
+    The balls are checked sample-major, so the first faulty one raises; then
+    each is written as one row of the kernel's arrays, its window -n+1 .. n
+    read from its center's cells."""
     for p in samples:
+        depths = []
         for r in radii:
             if mode == "torus":
                 if not isinstance(p.base, PeriodicSequence):
@@ -164,10 +208,20 @@ def _ball_measures(samples, radii, ts: TorusSpace, w: WeightVector, mode: str) -
                     raise InvalidInputError(f"time {p.time} is not canonical (needs [0, 1))")
                 if not 0.0 < r <= 0.5:
                     raise OutOfRegimeError(f"radius must lie in (0, 1/2], got {r}")
-            ball = CylinderSet.ball(p.base, _ball_depth(r, _shift_ratio(ts)))
-            if ball.alphabet != w.alphabet:
+            depths.append(_ball_depth(r, _shift_ratio(ts)))
+            if p.base.alphabet != w.alphabet:
                 raise InvalidInputError("cylinder and weights use different alphabets")
-            balls.append(ball)
+    depths = np.array(depths, dtype=np.intp)[:, None]
+    slots = np.arange(2 * depths.max(initial=0))
+    pinned = slots < 2 * depths
+    positions = np.where(pinned, slots - depths + 1, 0)
+    symbols = []
+    for p in samples:
+        cells = np.array([w.alphabet.index(s) for s in p.base.cells])
+        symbols.append(np.where(pinned, cells[positions % len(cells)], len(w.alphabet)))
+    balls = CylinderArrays(
+        w.alphabet, np.tile(positions, (len(samples), 1)), np.concatenate(symbols)
+    )
     out = _cylinder_measures(balls, w).reshape(len(samples), len(radii))
     if mode == "torus":
         out *= [min(2.0 * r, 1.0) for r in radii]

@@ -19,6 +19,12 @@ seeded runs of four models whose distances are not powers of 1/2 (the 3-adic
 and 5-adic rings, full shifts at ratios 0.3 and 0.7); chain-sandwich runs
 whose samples end in a partial block of the chain solve; and the smoke
 configs of CI, exit-2 refusals included.
+
+A report shows a chain distance only through the sandwich's verdict, so
+``tests/fixtures/chain_distances.json`` also keeps, for each chain-sandwich
+operation of the corpus (``chain-*`` and ``smoke-chain-2048``), the sha256
+of the distances :meth:`~solenoidlab.mapping_torus.ChainMetricTable.distances_via`
+returned for its queried pairs.  The same command rewrites both fixtures.
 """
 
 from __future__ import annotations
@@ -33,8 +39,11 @@ import sys
 import tempfile
 from pathlib import Path
 
+import numpy as np
+
 TESTS = Path(__file__).resolve().parent
 FIXTURE = TESTS / "fixtures" / "reports.json"
+CHAIN_FIXTURE = TESTS / "fixtures" / "chain_distances.json"
 WORKLOADS_FILE = TESTS.parent / "bench" / "workloads.py"
 
 #: The one stderr line that holds a timing.
@@ -117,6 +126,17 @@ _SMOKE = {
     "smoke-no-digits": ("run", {
         "space": {"kind": "padic-cycle", "parameters": {"prime": 10**400, "digits": 0}},
         "checks": [{"name": "ultrametric"}],
+    }),
+    "smoke-tiny-radius": ("run", {
+        "space": _FULL_SHIFT,
+        "seed": 1,
+        "checks": [{"name": "measures", "radii": [0.5, 1e-160]}],
+    }),
+    "smoke-tiny-ball": ("run", {
+        "space": _FULL_SHIFT,
+        "seed": 1,
+        "checks": [{"name": "measures", "radii": [0.5, 1e-50],
+                    "weights": {"0": 0.999, "1": 0.001}}],
     }),
     "smoke-base-times": ("export", {
         "space": _FULL_SHIFT,
@@ -208,14 +228,50 @@ def record(command: str, cfg: dict, extra: list[str]) -> dict:
     return entry
 
 
+def chain_operations() -> list[str]:
+    """The ids of the corpus's chain-sandwich operations."""
+    return sorted(op_id for op_id in operations()
+                  if op_id.startswith("chain-") or op_id == "smoke-chain-2048")
+
+
+def chain_digest(command: str, cfg: dict, extra: list[str]) -> str:
+    """The sha256 of the float64 bytes of every array ``distances_via``
+    returns while the operation runs, in call order."""
+    from solenoidlab.mapping_torus import ChainMetricTable
+
+    digest = hashlib.sha256()
+    original = ChainMetricTable.distances_via
+
+    def digesting(table, ps, qs):
+        out = original(table, ps, qs)
+        digest.update(np.ascontiguousarray(out, dtype=np.float64).tobytes())
+        return out
+
+    ChainMetricTable.distances_via = digesting
+    try:
+        record(command, cfg, extra)
+    finally:
+        ChainMetricTable.distances_via = original
+    return digest.hexdigest()
+
+
 def load() -> dict:
     return json.loads(FIXTURE.read_text(encoding="utf-8"))
 
 
+def load_chain_digests() -> dict:
+    return json.loads(CHAIN_FIXTURE.read_text(encoding="utf-8"))
+
+
+def _write(path: Path, fixture: dict) -> None:
+    path.write_text(json.dumps(fixture, indent=1, sort_keys=True) + "\n", encoding="utf-8")
+    print(f"wrote {len(fixture)} entries to {path}")
+
+
 def main() -> int:
-    fixture = {op_id: record(*op) for op_id, op in operations().items()}
-    FIXTURE.write_text(json.dumps(fixture, indent=1, sort_keys=True) + "\n", encoding="utf-8")
-    print(f"wrote {len(fixture)} entries to {FIXTURE}")
+    ops = operations()
+    _write(FIXTURE, {op_id: record(*op) for op_id, op in ops.items()})
+    _write(CHAIN_FIXTURE, {op_id: chain_digest(*ops[op_id]) for op_id in chain_operations()})
     return 0
 
 

@@ -1,12 +1,13 @@
-"""Reference ball measures: one scalar product per ball, kept as the oracle.
+"""Reference measures: one scalar product per cylinder or ball, kept as the oracle.
 
-``measures`` builds every ball of a family as a cylinder and multiplies all
-their weights in one :func:`~solenoidlab.measures._cylinder_measures` call.
-This module keeps the per-ball loops that call replaced, in the same order
-of samples and radii and with the same checks per ball, and the depth rule
-in its plainest form: count up from 0 until ``ratio ** n <= radius``.
-Property tests hold the library's views to these bit for bit, the error
-raised for the first faulty ball included.
+``measures`` holds cylinders as index arrays and multiplies all their
+weights in one :func:`~solenoidlab.measures._cylinder_measures` call, and
+builds every ball of a family as one more row of those arrays.  This module
+keeps the per-cylinder and per-ball loops that call replaced, in the same
+order of cylinders, samples and radii and with the same checks per ball, and
+the depth rule in its plainest form: count up from 0 until ``ratio ** n <=
+radius``.  Property tests hold the library's views to these bit for bit, the
+error raised for the first faulty ball included.
 """
 
 from __future__ import annotations
@@ -39,6 +40,13 @@ def cylinder_measure(cyl, w) -> float:
     for _, sym in cyl.constraints:
         out *= w.of(sym)
     return out
+
+
+def shift_invariance_check(w, cylinders) -> float:
+    worst = 0.0
+    for cyl in cylinders:
+        worst = max(worst, abs(cylinder_measure(cyl, w) - cylinder_measure(cyl.shifted(1), w)))
+    return worst
 
 
 def base_ball_measure(center, radius, ratio, w) -> float:

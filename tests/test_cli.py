@@ -710,9 +710,17 @@ def test_csv_writer_matches_the_row_writer(monkeypatch, rows, cols, block_cells)
 def test_cylinder_draws_match_the_choice_loop(seed, size, count):
     alphabet = Alphabet(tuple(f"s{k}" for k in range(size)))
     rng, ref_rng = np.random.RandomState(seed), np.random.RandomState(seed)
-    assert cli._draw_cylinders(alphabet, count, rng) == draw_cylinders_by_choice(
-        alphabet, count, ref_rng
-    )
+    drawn = cli._draw_cylinders(alphabet, count, rng)
+    # The first draw's cylinders as four slots a row: the pins sorted by
+    # position, then padding, symbol index `size` at position 0.
+    positions = np.zeros((count, 4), dtype=np.int64)
+    symbols = np.full((count, 4), size, dtype=np.intp)
+    for row, cyl in enumerate(draw_cylinders_by_choice(alphabet, count, ref_rng)):
+        for slot, (j, symbol) in enumerate(cyl.constraints):
+            positions[row, slot], symbols[row, slot] = j, alphabet.index(symbol)
+    assert drawn.alphabet == alphabet and len(drawn) == count
+    np.testing.assert_array_equal(drawn.positions, positions, strict=True)
+    np.testing.assert_array_equal(drawn.symbols, symbols, strict=True)
     # The generator ends in the same state, so later draws are unchanged.
     assert rng.randint(2**31, size=4).tolist() == ref_rng.randint(2**31, size=4).tolist()
 
@@ -733,3 +741,17 @@ def test_measures_with_one_radius_reports_a_null_slope(tmp_path, capsys):
     assert result["base_band"]["fitted_exponent"] is None
     assert result["torus_band"]["fitted_exponent"] is None
     assert result["base_band"]["c_low"] > 0
+
+
+def test_a_small_radius_whose_measures_stay_positive_is_reported(tmp_path, capsys):
+    # 1e-100 ** 3 and the measures of its balls, about 2 ** -666 * 2e-100 at
+    # the least, are small but positive: the radius is served, not refused.
+    cfg = {
+        "space": FULL_SHIFT,
+        "seed": 3,
+        "checks": [{"name": "measures", "cylinders": 10, "radii": [0.5, 1e-100]}],
+    }
+    assert main(["run", write_config(tmp_path, cfg)]) == 0
+    (result,) = json.loads(capsys.readouterr().out, parse_constant=refuse_constant)["results"]
+    assert 0 < result["torus_band"]["c_low"] <= result["torus_band"]["c_high"]
+    assert result["doubling_constant"] > 0

@@ -392,6 +392,23 @@ def test_measures_weights_are_refused_before_any_check_runs(
     assert capsys.readouterr().err == f"error: $.checks[1]: {message}\n"
 
 
+@pytest.mark.parametrize("radius, weights", [
+    (1e-160, None),  # r ** 3 underflows: the torus band would divide by 0
+    (1e-300, None),
+    (1e-50, {"0": 0.999, "1": 0.001}),  # 0.001 ** 334, the ball around 1:1, underflows
+])
+def test_a_radius_whose_power_or_ball_measure_underflows_is_refused(
+    tmp_path, capsys, no_check_runs, radius, weights
+):
+    check = {"name": "measures", "radii": [0.5, radius], **({"weights": weights} if weights else {})}
+    cfg = {"space": FULL_SHIFT, "seed": 1, "checks": [{"name": "metric-axioms"}, check]}
+    assert main(["run", write_config(tmp_path, cfg)]) == 2
+    assert capsys.readouterr().err == (
+        f"error: $.checks[1].radii[1]: radius {radius!r} is too small for this model: "
+        "its half, a power of it or a ball measure underflows to 0\n"
+    )
+
+
 def test_a_ratio_whose_reciprocal_overflows_is_refused_by_name(tmp_path, capsys, no_check_runs):
     space = FULL_SHIFT | {"parameters": {"alphabet_size": 2, "ratio": 1e-310, "max_period": 4}}
     cfg = {"space": space, "seed": 1, "checks": [{"name": "metric-axioms"}]}

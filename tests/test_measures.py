@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import measures_reference
+from cli_reference import draw_cylinders_by_choice
 from solenoidlab import (
     Alphabet,
     CylinderSet,
@@ -24,7 +25,7 @@ from solenoidlab import (
     doubling_check,
     shift_invariance_check,
 )
-from solenoidlab import measures
+from solenoidlab import cli, measures
 
 BITS = Alphabet(("0", "1"))
 UNIFORM = WeightVector.uniform(BITS)
@@ -117,11 +118,84 @@ def test_cylinder_measures_equal_the_scalar_products():
             )
         )
     want = np.array([cylinder_measure(c, w) for c in cylinders])
-    assert measures._cylinder_measures(cylinders, w).tobytes() == want.tobytes()
+    arrays = measures._as_arrays(cylinders, w)
+    assert measures._cylinder_measures(arrays, w).tobytes() == want.tobytes()
     assert shift_invariance_check(w, cylinders) == 0.0
     assert shift_invariance_check(w, []) == 0.0
     with pytest.raises(InvalidInputError):
         shift_invariance_check(UNIFORM, cylinders)
+
+
+#: Weights small enough that a product of a few goes subnormal or to 0.
+TINY_WEIGHTS = [1e-100, 1e-160, 1e-200, 1e-310, 5e-324, 0.0]
+
+
+@st.composite
+def weight_vectors(draw, alphabet):
+    """Uniform weights, or skewed ones of which some may be tiny, with the
+    last symbol's weight making up the sum."""
+    k = len(alphabet)
+    kind = draw(st.sampled_from(["uniform", "skewed", "tiny"]))
+    if kind == "uniform":
+        return WeightVector.uniform(alphabet)
+    raw = draw(st.lists(st.floats(0.01, 1.0), min_size=k, max_size=k))
+    values = [x / sum(raw) for x in raw]
+    if kind == "tiny":
+        for i in draw(st.sets(st.integers(0, k - 2), min_size=1)):
+            values[i] = draw(st.sampled_from(TINY_WEIGHTS))
+    values[-1] += 1.0 - sum(values)
+    return WeightVector(alphabet, tuple(values))
+
+
+@st.composite
+def weighted_cylinders(draw):
+    """Weights over 2 to 36 symbols and cylinders of 0 to 8 pins, then balls
+    of depth 0 to 4 (up to 8 pins) around periodic points."""
+    k = draw(st.integers(2, 36))
+    alphabet = Alphabet(tuple(f"s{i}" for i in range(k)))
+    w = draw(weight_vectors(alphabet))
+    symbol = st.sampled_from(alphabet.symbols)
+    pins = st.dictionaries(st.integers(-40, 40), symbol, max_size=8)
+    cylinders = [
+        CylinderSet.from_dict(alphabet, d) for d in draw(st.lists(pins, max_size=20))
+    ]
+    centers = draw(st.lists(st.lists(symbol, min_size=1, max_size=6), max_size=4))
+    balls = [
+        (PeriodicSequence.from_cells(alphabet, cells), draw(st.integers(0, 4)))
+        for cells in centers
+    ]
+    return w, cylinders, balls
+
+
+def measure_bytes(cylinders, w):
+    """The reference loop's measures, as the kernel's array bytes."""
+    return np.array(
+        [measures_reference.cylinder_measure(c, w) for c in cylinders], dtype=float
+    ).tobytes()
+
+
+@settings(max_examples=200, deadline=None)
+@given(family=weighted_cylinders(), seed=st.integers(0, 2**32 - 1), count=st.integers(0, 40))
+def test_cylinder_kernel_equals_the_reference_loop(family, seed, count):
+    w, cylinders, balls = family
+    cylinders = cylinders + [CylinderSet.ball(center, n) for center, n in balls]
+    arrays = measures._as_arrays(cylinders, w)
+    assert measures._cylinder_measures(arrays, w).tobytes() == measure_bytes(cylinders, w)
+    for cyl in cylinders:
+        assert repr(cylinder_measure(cyl, w)) == repr(measures_reference.cylinder_measure(cyl, w))
+    assert repr(shift_invariance_check(w, cylinders)) == repr(
+        measures_reference.shift_invariance_check(w, cylinders)
+    )
+    for center, n in balls:
+        r = 0.5 ** n
+        assert repr(base_ball_measure(center, r, 0.5, w)) == repr(
+            measures_reference.base_ball_measure(center, r, 0.5, w)
+        )
+    # The check's drawn arrays measure what the first draw's cylinders did.
+    drawn = cli._draw_cylinders(w.alphabet, count, np.random.RandomState(seed))
+    first = draw_cylinders_by_choice(w.alphabet, count, np.random.RandomState(seed))
+    assert measures._cylinder_measures(drawn, w).tobytes() == measure_bytes(first, w)
+    assert shift_invariance_check(w, drawn) == 0.0
 
 
 def test_base_ball_measure_dyadic_radii():
