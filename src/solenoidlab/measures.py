@@ -199,7 +199,7 @@ def _ball_measures(samples, radii, ts: TorusSpace, w: WeightVector, mode: str) -
     each is written as one row of the kernel's arrays, its window -n+1 .. n
     read from its center's cells."""
     for p in samples:
-        depths = []
+        depths = []  # the same for every sample
         for r in radii:
             if mode == "torus":
                 if not isinstance(p.base, PeriodicSequence):

@@ -149,10 +149,11 @@ def weight_vectors(draw, alphabet):
 
 @st.composite
 def weighted_cylinders(draw):
-    """Weights over 2 to 36 symbols and cylinders of 0 to 8 pins, then balls
-    of depth 0 to 4 (up to 8 pins) around periodic points."""
-    k = draw(st.integers(2, 36))
-    alphabet = Alphabet(tuple(f"s{i}" for i in range(k)))
+    """The torus of a full shift over 2 to 36 symbols (for its ratio 1/2),
+    weights over its symbols, cylinders of 0 to 8 pins, and balls of depth 0
+    to 4 (up to 8 pins) around periodic points."""
+    ts = build_full_shift(draw(st.integers(2, 36)), 0.5, 1)[2]
+    alphabet = ts.base_space.points[0].alphabet
     w = draw(weight_vectors(alphabet))
     symbol = st.sampled_from(alphabet.symbols)
     pins = st.dictionaries(st.integers(-40, 40), symbol, max_size=8)
@@ -164,7 +165,7 @@ def weighted_cylinders(draw):
         (PeriodicSequence.from_cells(alphabet, cells), draw(st.integers(0, 4)))
         for cells in centers
     ]
-    return w, cylinders, balls
+    return ts, w, cylinders, balls
 
 
 def measure_bytes(cylinders, w):
@@ -177,7 +178,7 @@ def measure_bytes(cylinders, w):
 @settings(max_examples=200, deadline=None)
 @given(family=weighted_cylinders(), seed=st.integers(0, 2**32 - 1), count=st.integers(0, 40))
 def test_cylinder_kernel_equals_the_reference_loop(family, seed, count):
-    w, cylinders, balls = family
+    ts, w, cylinders, balls = family
     cylinders = cylinders + [CylinderSet.ball(center, n) for center, n in balls]
     arrays = measures._as_arrays(cylinders, w)
     assert measures._cylinder_measures(arrays, w).tobytes() == measure_bytes(cylinders, w)
@@ -191,6 +192,14 @@ def test_cylinder_kernel_equals_the_reference_loop(family, seed, count):
         assert repr(base_ball_measure(center, r, 0.5, w)) == repr(
             measures_reference.base_ball_measure(center, r, 0.5, w)
         )
+    # The ball views write their balls into the arrays from the centers' cells.
+    samples = [TorusPoint(center, 0.25) for center, _ in balls]
+    radii = [0.5 ** n for n in range(1, 5)]
+    for mode in ("base", "torus") if samples else ():
+        want = [[measures_reference.ball_measure(p, r, 0.5, ts, w, mode) for r in radii]
+                for p in samples]
+        got = measures._ball_measures(samples, radii, ts, w, mode)
+        assert got.tobytes() == np.array(want, dtype=float).tobytes()
     # The check's drawn arrays measure what the first draw's cylinders did.
     drawn = cli._draw_cylinders(w.alphabet, count, np.random.RandomState(seed))
     first = draw_cylinders_by_choice(w.alphabet, count, np.random.RandomState(seed))
