@@ -171,12 +171,12 @@ def _check_bilipschitz(model, check, tol, rng):
     }
 
 
-def _pair_witness(bad, ps, qs, **distances):
+def _pair_witness(bad, ts, i, r, j, t, **distances):
     """The labels and distances of the first bad pair, or None."""
     if not bad.size:
         return None
-    k = bad[0]
-    pair = [point_label(ps[k]), point_label(qs[k])]
+    k, points = bad[0], ts.base_space.points  # float() keeps each time's repr
+    pair = _labels([TorusPoint(points[i[k]], float(r[k])), TorusPoint(points[j[k]], float(t[k]))])
     return {"pair": pair, **{name: float(d[k]) for name, d in distances.items()}}
 
 
@@ -184,16 +184,14 @@ def _check_quotient_metric(model, check, tol, rng):
     ts, pairs = model.torus, _arg(check, "pairs")
     # Draw every pair first, in the order the per-pair loop drew them, then
     # answer them in bulk.
-    points = ts.base_space.points
-    ps, qs = [], []
-    for _ in range(pairs):
-        ps.append(TorusPoint(points[rng.randint(len(points))], float(rng.rand())))
-        qs.append(TorusPoint(points[rng.randint(len(points))], float(rng.rand())))
-    d = quotient_distance_pairs(ts, ps, qs)
-    rho = product_distance_pairs(ts, ps, qs)
-    circle = distances_to_integers(
-        np.array([p.time for p in ps]) - np.array([q.time for q in qs])
-    )
+    n = len(ts.base_space)
+    (i, j), (r, t) = np.empty((2, pairs), dtype=np.intp), np.empty((2, pairs))
+    for k in range(pairs):
+        i[k], r[k] = rng.randint(n), rng.rand()
+        j[k], t[k] = rng.randint(n), rng.rand()
+    d = quotient_distance_pairs(ts, i, r, j, t)
+    rho = product_distance_pairs(ts, i, r, j, t)
+    circle = distances_to_integers(r - t)
     # rho <= 1/2 exactly when both the base distance and the time gap are.
     equality = rho <= 0.5
     err = np.abs(d - rho)
@@ -206,7 +204,7 @@ def _check_quotient_metric(model, check, tol, rng):
         "equality_pairs": int(np.count_nonzero(equality)),
         "max_equality_error": float(err[equality].max(initial=0.0)),
         "violations": int(bad.size),
-        "witness": _pair_witness(bad, ps, qs, quotient=d, product=rho),
+        "witness": _pair_witness(bad, ts, i, r, j, t, quotient=d, product=rho),
     }
 
 
@@ -233,15 +231,14 @@ def _check_chain_sandwich(model, check, tol, rng):
     stretch = max(c, 2.0 * ts.diameter_bound)
     # Draw every pair first, in the order the per-pair loop drew them, then
     # answer them in bulk.
-    points = ts.base_space.points
-    ps, qs = [], []
-    for _ in range(pairs):
-        r, t = _draw_centered_times(rng)
-        ps.append(TorusPoint(points[rng.randint(len(points))], r))
-        qs.append(TorusPoint(points[rng.randint(len(points))], t))
-    delta = representative_distance_pairs(ts, ps, qs)
-    d0 = table.distances_via(ps, qs)
-    rho = product_distance_pairs(ts, ps, qs)
+    n = len(ts.base_space)
+    (i, j), (r, t) = np.empty((2, pairs), dtype=np.intp), np.empty((2, pairs))
+    for k in range(pairs):
+        r[k], t[k] = _draw_centered_times(rng)
+        i[k], j[k] = rng.randint(n), rng.randint(n)
+    delta = representative_distance_pairs(ts, i, r, j, t)
+    d0 = table.distances_via(i, r, j, t)
+    rho = product_distance_pairs(ts, i, r, j, t)
     ok = (
         (np.minimum(rho / c, 0.5) <= d0 + tol)
         & (d0 <= delta + tol)
@@ -251,7 +248,7 @@ def _check_chain_sandwich(model, check, tol, rng):
     if c == 1.0:
         # Isometric glue: the quotient metric is a metric below every
         # representative term, so it is also below the chain distance.
-        ok &= quotient_distance_pairs(ts, ps, qs) <= d0 + tol
+        ok &= quotient_distance_pairs(ts, i, r, j, t) <= d0 + tol
     bad = np.flatnonzero(~ok)
     return {
         "status": "pass" if bad.size == 0 else "fail",
@@ -259,7 +256,7 @@ def _check_chain_sandwich(model, check, tol, rng):
         "sample_size": len(table),
         "violations": int(bad.size),
         "witness": _pair_witness(
-            bad, ps, qs, chain=d0, representative=delta, product=rho
+            bad, ts, i, r, j, t, chain=d0, representative=delta, product=rho
         ),
     }
 
@@ -269,11 +266,9 @@ def _check_flow_laws(model, check, tol, rng):
     # Draw every triple first, in the order the per-triple loop drew them,
     # then judge them on index arrays.
     n = len(ts.base_space)
-    idx = np.empty(triples, dtype=np.intp)
-    times, r, s = np.empty(triples), np.empty(triples), np.empty(triples)
+    idx, (times, r, s) = np.empty(triples, dtype=np.intp), np.empty((3, triples))
     for k in range(triples):
-        idx[k] = rng.randint(n)
-        times[k] = rng.rand()
+        idx[k], times[k] = rng.randint(n), rng.rand()
         r[k], s[k] = rng.uniform(-2.0, 2.0, size=2)
     bad = np.flatnonzero(flow_law_failures(ts, idx, times, r, s))
     witness = None
@@ -318,7 +313,7 @@ def _check_dense_orbit(model, check, tol, rng):
 
 
 def _band_payload(band):
-    # Fewer than two distinct radii leave the slope NaN, which is not JSON.
+    # A fit of rank below 2 leaves the slope NaN, which is not JSON.
     slope = band.fitted_exponent
     return {
         "c_low": band.c_low,

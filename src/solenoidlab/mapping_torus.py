@@ -181,16 +181,10 @@ def canonicalize(x: Point, t: float, ts: TorusSpace) -> TorusPoint:
     return TorusPoint(base=ts.base_space.points[base[0]], time=float(time[0]))
 
 
-def _require_canonical(p: TorusPoint, ts: TorusSpace) -> int:
-    if not 0.0 <= p.time < 1.0:
-        raise InvalidInputError(f"time {p.time} is not canonical (needs [0, 1))")
-    return ts.base_space.index_of(p.base)
-
-
-def _sample_arrays(ts: TorusSpace, points: Sequence[TorusPoint]) -> tuple[np.ndarray, np.ndarray]:
-    idx = np.array([_require_canonical(p, ts) for p in points], dtype=np.intp)
-    times = np.array([p.time for p in points], dtype=float)
-    return idx, times
+def _sample_arrays(ts: TorusSpace, points: Sequence[TorusPoint]) -> list[np.ndarray]:
+    """The base indices and times of canonical ``points``, checked by :func:`_require_points`."""
+    idx = np.array([ts.base_space.index_of(p.base) for p in points], dtype=np.intp)
+    return _require_points(ts, idx, [p.time for p in points])
 
 
 # ============================================================
@@ -208,13 +202,28 @@ def _one(kernel, ts: TorusSpace, idx: np.ndarray, times: np.ndarray) -> float:
     return float(kernel(ts, idx[:1], times[:1], idx[1:], times[1:])[0])
 
 
-def _pairs(
-    kernel, ts: TorusSpace, ps: Sequence[TorusPoint], qs: Sequence[TorusPoint]
-) -> np.ndarray:
-    """``kernel`` of each pair ``(ps[k], qs[k])`` of canonical points."""
-    if len(ps) != len(qs):
-        raise InvalidInputError(f"{len(ps)} start points for {len(qs)} end points")
-    return kernel(ts, *_sample_arrays(ts, ps), *_sample_arrays(ts, qs))
+def _require_points(ts: TorusSpace, *ends, flows=()) -> list[np.ndarray]:
+    """``ends``, base indices and times in turn (``i, r, j, t``), as intp and float
+    arrays, refused unless all, ``flows`` too, are 1-D and of one length, the
+    indices name base points, the times lie in [0, 1) and the flows are finite."""
+    shapes = [np.shape(a) for a in ends + flows]
+    if any(len(shape) != 1 for shape in shapes) or len(set(shapes)) > 1:
+        raise InvalidInputError(f"point arrays of shapes {shapes} are not one length")
+    out = []
+    for idx, times in zip(ends[::2], ends[1::2]):
+        idx, times = np.asarray(idx), np.asarray(times, dtype=float)
+        if idx.dtype.kind not in "iu" and idx.size:
+            raise InvalidInputError(f"base indices must be integers, not {idx.dtype}")
+        bad = (idx < 0) | (idx >= len(ts.base_space))
+        if bad.any():
+            raise InvalidInputError(f"base index {idx[bad][0]} is out of range")
+        bad = ~((0.0 <= times) & (times < 1.0))
+        if bad.any():
+            raise InvalidInputError(f"time {times[bad][0]} is not canonical (needs [0, 1))")
+        out += [idx.astype(np.intp, copy=False), times]
+    if not all(np.isfinite(f).all() for f in flows):
+        raise InvalidInputError("flow times must be finite")
+    return out
 
 
 def _all_pairs(kernel, ts: TorusSpace, points: Sequence[TorusPoint]) -> np.ndarray:
@@ -257,10 +266,10 @@ def product_metric(x: Point, r: float, y: Point, t: float, ts: TorusSpace) -> fl
 
 
 def product_distance_pairs(
-    ts: TorusSpace, ps: Sequence[TorusPoint], qs: Sequence[TorusPoint]
+    ts: TorusSpace, i: np.ndarray, r: np.ndarray, j: np.ndarray, t: np.ndarray
 ) -> np.ndarray:
-    """:func:`product_metric` of each pair ``(ps[k], qs[k])``."""
-    return _pairs(_product_kernel, ts, ps, qs)
+    """:func:`product_metric` of each pair (``i[k]``, ``r[k]``), (``j[k]``, ``t[k]``)."""
+    return _product_kernel(ts, *_require_points(ts, i, r, j, t))
 
 
 def product_distance_matrix(ts: TorusSpace, points: Sequence[TorusPoint]) -> np.ndarray:
@@ -321,10 +330,10 @@ def quotient_metric(p: TorusPoint, q: TorusPoint, ts: TorusSpace) -> float:
 
 
 def quotient_distance_pairs(
-    ts: TorusSpace, ps: Sequence[TorusPoint], qs: Sequence[TorusPoint]
+    ts: TorusSpace, i: np.ndarray, r: np.ndarray, j: np.ndarray, t: np.ndarray
 ) -> np.ndarray:
-    """:func:`quotient_metric` of each pair ``(ps[k], qs[k])``."""
-    return _pairs(_quotient_kernel, ts, ps, qs)
+    """:func:`quotient_metric` of each pair (``i[k]``, ``r[k]``), (``j[k]``, ``t[k]``)."""
+    return _quotient_kernel(ts, *_require_points(ts, i, r, j, t))
 
 
 def quotient_distance_matrix(ts: TorusSpace, points: Sequence[TorusPoint]) -> np.ndarray:
@@ -385,10 +394,10 @@ def representative_distance(p: TorusPoint, q: TorusPoint, ts: TorusSpace) -> flo
 
 
 def representative_distance_pairs(
-    ts: TorusSpace, ps: Sequence[TorusPoint], qs: Sequence[TorusPoint]
+    ts: TorusSpace, i: np.ndarray, r: np.ndarray, j: np.ndarray, t: np.ndarray
 ) -> np.ndarray:
-    """:func:`representative_distance` of each pair ``(ps[k], qs[k])``."""
-    return _pairs(_representative_kernel, ts, ps, qs)
+    """:func:`representative_distance` of each pair (``i[k]``, ``r[k]``), (``j[k]``, ``t[k]``)."""
+    return _representative_kernel(ts, *_require_points(ts, i, r, j, t))
 
 
 def representative_distance_matrix(
@@ -417,13 +426,14 @@ def distinct_chain_sample(
 ) -> tuple[TorusPoint, ...]:
     """``sample`` without repeats, in first-seen order.
 
-    Raises :class:`InvalidInputError` for a point that is not canonical or
-    when more than :data:`MAX_CHAIN_SAMPLE` distinct points remain.
+    Raises :class:`InvalidInputError` for a time that is not canonical or
+    when more than :data:`MAX_CHAIN_SAMPLE` distinct points remain; the
+    table refuses a point off the torus before its first distance.
     """
-    seen: dict[TorusPoint, None] = {}
-    for p in sample:
-        _require_canonical(p, ts)
-        seen.setdefault(p)
+    seen = dict.fromkeys(sample)
+    for p in seen:
+        if not 0.0 <= p.time < 1.0:
+            raise InvalidInputError(f"time {p.time} is not canonical (needs [0, 1))")
     if len(seen) > MAX_CHAIN_SAMPLE:
         raise InvalidInputError(
             f"chain sample of {len(seen)} points exceeds the limit of "
@@ -452,14 +462,14 @@ class ChainMetricTable:
     def __init__(self, ts: TorusSpace, sample: Sequence[TorusPoint]):
         self.ts = ts
         self.sample = distinct_chain_sample(ts, sample)
-        self._index = {p: i for i, p in enumerate(self.sample)}
         self.edges = representative_distance_matrix(ts, self.sample)
         self._blocks, self._order = _shortest_path_blocks(self.edges)
         self._place = np.empty_like(self._order)
         self._place[self._order] = np.arange(len(self._order))
         self._block_min = self._blocks.min(axis=(2, 3))
-        # The sample's base indices and times in Prim order.
+        # Sample positions by (base index, time); indices and times in Prim order.
         idx, times = _sample_arrays(ts, self.sample)
+        self._index = {key: k for k, key in enumerate(zip(idx.tolist(), times.tolist()))}
         self._idx, self._times = idx[self._order], times[self._order]
 
     def __len__(self) -> int:
@@ -467,8 +477,8 @@ class ChainMetricTable:
 
     def index_of(self, p: TorusPoint) -> int:
         try:
-            return self._index[p]
-        except KeyError:
+            return self._index[self.ts.base_space.index_of(p.base), p.time]
+        except (KeyError, InvalidInputError):
             raise InvalidInputError(f"point {p!r} is not in the chain sample") from None
 
     def _cells(self, i, j):
@@ -487,49 +497,40 @@ class ChainMetricTable:
     def distance_via(self, p: TorusPoint, q: TorusPoint) -> float:
         """Chain distance allowing ``p`` and ``q`` off the sample: the
         one-pair view of :meth:`distances_via`."""
-        return float(self.distances_via((p,), (q,))[0])
+        idx, times = _sample_arrays(self.ts, (p, q))
+        return float(self.distances_via(idx[:1], times[:1], idx[1:], times[1:])[0])
 
-    def distances_via(
-        self, ps: Sequence[TorusPoint], qs: Sequence[TorusPoint]
-    ) -> np.ndarray:
-        """Chain distance of each pair ``(ps[k], qs[k])``, endpoints allowed
-        off the sample.
+    def distances_via(self, i, r, j, t) -> np.ndarray:
+        """Chain distance of each pair of canonical points (``i[k]``,
+        ``r[k]``), (``j[k]``, ``t[k]``), base indices and times, endpoints
+        allowed off the sample.
 
-        A pair on the sample reads the table.  Otherwise chains run through
-        the sample plus the two endpoints; a shortest chain never revisits an
-        endpoint, so the value is ``min(direct, (row_p[a] + D[a, b]) +
-        row_q[b])`` over the sample points a, b: the exact chain distance
-        over the extended sample, where ``direct`` is the representative
-        distance of the pair.
+        A pair whose (base index, time) keys are both on the sample reads
+        the table.  Otherwise chains run through the sample plus the two
+        endpoints; a shortest chain never revisits an endpoint, so the value
+        is ``min(direct, (row_p[a] + D[a, b]) + row_q[b])`` over the sample
+        points a, b: the exact chain distance over the extended sample,
+        where ``direct`` is the representative distance of the pair.
         """
-        if len(ps) != len(qs):
-            raise InvalidInputError(f"{len(ps)} start points for {len(qs)} end points")
-        i = np.array([self._index.get(p, -1) for p in ps], dtype=np.intp)
-        j = np.array([self._index.get(q, -1) for q in qs], dtype=np.intp)
-        on = (i >= 0) & (j >= 0)
-        out = np.empty(len(ps))
-        out[on] = self._cells(i[on], j[on])
+        i, r, j, t = _require_points(self.ts, i, r, j, t)
+        keys = zip(np.concatenate([i, j]).tolist(), np.concatenate([r, t]).tolist())
+        a, b = np.array([self._index.get(key, -1) for key in keys], dtype=np.intp).reshape(2, -1)
+        on = (a >= 0) & (b >= 0)
+        out = np.empty(len(i))
+        out[on] = self._cells(a[on], b[on])
         off = np.flatnonzero(~on)
         if off.size:
-            out[off] = self._off_sample([ps[k] for k in off], [qs[k] for k in off])
+            out[off] = self._off_sample(i[off], r[off], j[off], t[off])
         return out
 
-    def _off_sample(
-        self, ps: Sequence[TorusPoint], qs: Sequence[TorusPoint]
-    ) -> np.ndarray:
+    def _off_sample(self, i, r, j, t) -> np.ndarray:
         """``min(direct, min over a, b of (row_p[a] + D[a, b]) + row_q[b])``
         of each pair, a chunk of pairs at a time."""
-        p_idx, p_times = _sample_arrays(self.ts, ps)
-        q_idx, q_times = _sample_arrays(self.ts, qs)
-        out = _representative_kernel(self.ts, p_idx, p_times, q_idx, q_times)
+        out = _representative_kernel(self.ts, i, r, j, t)
         nb, _, b, _ = self._blocks.shape
         for part in row_blocks(len(out), nb * max(b, nb)):
             # A call per chunk frees its rows and blocks before the next one.
-            self._lower(
-                out[part],
-                self._rows(p_idx[part], p_times[part]),
-                self._rows(q_idx[part], q_times[part]),
-            )
+            self._lower(out[part], self._rows(i[part], r[part]), self._rows(j[part], t[part]))
         return out
 
     def _lower(self, direct: np.ndarray, rows_p: np.ndarray, rows_q: np.ndarray) -> None:
@@ -577,7 +578,7 @@ class ChainMetricTable:
 
 def flow(p: TorusPoint, r: float, ts: TorusSpace) -> TorusPoint:
     """Move ``r`` units along the time direction (the natural R-action)."""
-    _require_canonical(p, ts)
+    _sample_arrays(ts, [p])  # refuses a point off the torus or not canonical
     return canonicalize(p.base, p.time + r, ts)
 
 
@@ -632,6 +633,7 @@ def flow_law_failures(
     seam, or the circle law, that ``flow(p, r)`` lies within 1e-9 of
     ``time + r`` on the circle.  Each value is rounded as the scalar calls
     round it."""
+    idx, times = _require_points(ts, idx, times, flows=(r, s))
     mid, mid_times = _canonical(ts, idx, times + s)
     lhs, lhs_times = _canonical(ts, mid, mid_times + r)
     rhs, rhs_times = _canonical(ts, idx, times + (r + s))

@@ -120,12 +120,12 @@ class CylinderArrays:
 
 
 def _as_arrays(cylinders: Sequence[CylinderSet], w: WeightVector) -> CylinderArrays:
-    """``cylinders`` as one :class:`CylinderArrays` over the weights' alphabet."""
+    """``cylinders`` as :class:`CylinderArrays`, positions as Python ints so any index fits."""
     alphabet = w.alphabet
     if any(cyl.alphabet != alphabet for cyl in cylinders):
         raise InvalidInputError("cylinder and weights use different alphabets")
     width = max((len(cyl.constraints) for cyl in cylinders), default=0)
-    positions = np.zeros((len(cylinders), width), dtype=np.int64)
+    positions = np.zeros((len(cylinders), width), dtype=object)
     symbols = np.full((len(cylinders), width), len(alphabet), dtype=np.intp)
     for row, cyl in enumerate(cylinders):
         size = len(cyl.constraints)
@@ -273,7 +273,8 @@ def ahlfors_check(
     ratios, logs_r, logs_v = zip(*[
         (v / r ** expected_dim, math.log(r), math.log(v)) for v, r in zip(values, radii)
     ])
-    slope = float(np.polyfit(logs_r, logs_v, 1)[0]) if len(set(logs_r)) > 1 else math.nan
+    fit = np.polyfit(logs_r, logs_v, 1, full=True) if len(set(logs_r)) > 1 else None
+    slope = float(fit[0][0]) if fit and fit[2] == 2 else math.nan  # rank < 2: no line
     return RegularityBand(c_low=min(ratios), c_high=max(ratios), fitted_exponent=slope)
 
 

@@ -689,8 +689,8 @@ def covering_number(space: FiniteMetricSpace, scale: float) -> int:
 
 def fit_scales(space: FiniteMetricSpace, scales: Sequence[float]) -> tuple[float, ...]:
     """``scales`` as floats, once checked fit for a dimension fit: at least
-    three, positive, strictly decreasing and each below the diameter (no
-    constraint for a degenerate single-point space)."""
+    three, positive, strictly decreasing, below the diameter (unless it is
+    0) and apart enough that a line fit of their logarithms has rank 2."""
     scales = tuple(float(s) for s in scales)
     if len(scales) < 3:
         raise InvalidInputError("need at least three scales for a dimension fit")
@@ -703,6 +703,8 @@ def fit_scales(space: FiniteMetricSpace, scales: Sequence[float]) -> tuple[float
         raise InvalidInputError(
             f"every scale must be below the diameter {diam:g}"
         )
+    if np.polyfit(-np.log(scales), np.zeros(len(scales)), 1, full=True)[2] < 2:
+        raise InvalidInputError(f"scales {scales} are too close together for a line fit")
     return scales
 
 
@@ -710,7 +712,7 @@ def box_counting_dimension(
     space: FiniteMetricSpace, scales: Sequence[float]
 ) -> DimensionFit:
     """Least-squares slope of log(covering count) against log(1/scale),
-    over scales that :func:`fit_scales` accepts."""
+    over scales that :func:`fit_scales` accepts: its fit has rank 2."""
     scales = fit_scales(space, scales)
     counts = tuple(covering_number(space, s) for s in scales)
     if any(c2 < c1 for c1, c2 in zip(counts, counts[1:])):

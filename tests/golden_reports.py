@@ -242,8 +242,8 @@ def chain_digest(command: str, cfg: dict, extra: list[str]) -> str:
     digest = hashlib.sha256()
     original = ChainMetricTable.distances_via
 
-    def digesting(table, ps, qs):
-        out = original(table, ps, qs)
+    def digesting(table, *args):
+        out = original(table, *args)
         digest.update(np.ascontiguousarray(out, dtype=np.float64).tobytes())
         return out
 

@@ -26,11 +26,7 @@ from solenoidlab import (
     UnsupportedModeError,
     iterate,
 )
-from solenoidlab.mapping_torus import (
-    _representative_kernel,
-    _require_canonical,
-    _sample_arrays,
-)
+from solenoidlab.mapping_torus import _representative_kernel, _sample_arrays
 
 TIME_CAP = 0.75
 GAP_CAP = 0.5
@@ -70,8 +66,7 @@ def quotient_metric_by_loop(p: TorusPoint, q: TorusPoint, ts: TorusSpace) -> flo
     """The product metric minimised over the shifts n of ``p`` in the window
     ``[ceil(t - r - reach), floor(t - r + reach)]``, one shift at a time,
     with the base point shifted by ``iterate``."""
-    _require_canonical(p, ts)
-    _require_canonical(q, ts)
+    _sample_arrays(ts, (p, q))  # refuses points off the torus or not canonical
     if ts.lipschitz_constant != 1.0:
         raise UnsupportedModeError("quotient metric needs an isometric monodromy")
     r, t = p.time, q.time

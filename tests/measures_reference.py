@@ -99,10 +99,13 @@ def ahlfors_check(samples, radii, expected_dim, ts, w, mode="torus") -> Regulari
             ratios.append(v / r ** expected_dim)
             logs_r.append(math.log(r))
             logs_v.append(math.log(v))
+    # A fit of rank below 2 (fewer than two distinct radii, or radii too
+    # close together) gives no slope.
+    slope = math.nan
     if len(set(logs_r)) > 1:
-        slope = float(np.polyfit(np.array(logs_r), np.array(logs_v), 1)[0])
-    else:
-        slope = math.nan
+        (a, _), _, rank, _, _ = np.polyfit(np.array(logs_r), np.array(logs_v), 1, full=True)
+        if rank == 2:
+            slope = float(a)
     return RegularityBand(c_low=min(ratios), c_high=max(ratios), fitted_exponent=slope)
 
 

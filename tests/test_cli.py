@@ -472,7 +472,7 @@ def test_chain_sandwich_holds_the_quotient_below_the_chain(monkeypatch, space, i
     # A quotient metric above every chain distance breaks only the lower
     # bound, which is checked on isometric glue alone.
     monkeypatch.setattr(
-        cli, "quotient_distance_pairs", lambda ts, ps, qs: np.full(len(ps), 2.0)
+        cli, "quotient_distance_pairs", lambda ts, i, r, j, t: np.full(len(i), 2.0)
     )
     model = cli._build({"space": space})
     check = {"name": "chain-sandwich", "pairs": 30}
@@ -520,6 +520,26 @@ def test_chain_sample_over_the_ceiling_is_refused_first(tmp_path, capsys, monkey
     assert main(["run", write_config(tmp_path, cfg)]) == 2
     assert "$.checks[1]: chain sample of 32 points exceeds the limit of 8" in (
         capsys.readouterr().err
+    )
+
+
+def test_dimension_scales_too_close_for_a_line_fit_are_refused_first(
+    tmp_path, capsys, monkeypatch
+):
+    never_run(monkeypatch, "quotient-metric")
+    scales = [0.3, 0.29999999999999993, 0.2999999999999999]
+    cfg = {
+        "space": PADIC,
+        "seed": 1,
+        "checks": [
+            {"name": "quotient-metric", "pairs": 10},
+            {"name": "dimension", "scales": scales},
+        ],
+    }
+    assert main(["run", write_config(tmp_path, cfg)]) == 2
+    assert (
+        f"$.checks[1]: scales {tuple(scales)} are too close together for a line fit"
+        in capsys.readouterr().err
     )
 
 

@@ -9,6 +9,7 @@ data until a scan or an export reads ``matrix``; a patched
 
 import contextlib
 import json
+import math
 import os
 import pathlib
 import subprocess
@@ -25,6 +26,7 @@ import mapping_torus_reference as ref
 import metric_reference
 import models_reference
 from solenoidlab import (
+    InvalidInputError,
     build_full_shift,
     build_model,
     build_padic_cycle,
@@ -276,6 +278,26 @@ def test_flow_law_failures_on_no_triples():
     ts = build_padic_cycle(2, 2)[2]
     empty = np.empty(0)
     assert flow_law_failures(ts, np.empty(0, dtype=np.intp), empty, empty, empty).shape == (0,)
+
+
+@pytest.mark.parametrize("idx, times, flows, match", [
+    # On the 8-point ring, index -1 once read as point 7 and index 8 raised
+    # an IndexError.
+    ([-1], [0.5], [0.3], "base index -1 is out of range"),
+    ([8], [0.5], [0.3], "base index 8 is out of range"),
+    ([0.0], [0.5], [0.3], "base indices must be integers"),
+    ([0], [3.5], [0.3], "time 3.5 is not canonical"),
+    ([0], [1.0], [0.3], "time 1.0 is not canonical"),
+    # Two indices with one time were broadcast.
+    ([0, 1], [0.5], [0.3, 0.3], "not one length"),
+    ([0, 1], [0.5, 0.25], [0.3], "not one length"),
+    ([0], [0.5], [math.inf], "flow times must be finite"),
+    ([0], [0.5], [math.nan], "flow times must be finite"),
+])
+def test_flow_law_failures_refuse_arrays_of_no_canonical_points(idx, times, flows, match):
+    ts = build_padic_cycle(2, 3)[2]
+    with pytest.raises(InvalidInputError, match=match):
+        flow_law_failures(ts, np.array(idx), np.array(times), np.array(flows), np.zeros(len(flows)))
 
 
 # ============================================================

@@ -101,6 +101,16 @@ def test_shift_invariance_exactly_zero():
     assert shift_invariance_check(skew, cylinders) == 0.0
 
 
+@pytest.mark.parametrize("index", [2**63 - 1, 2**63, 10**20, -(2**63) - 1])
+def test_cylinders_pin_indices_of_any_size(index):
+    # Positions stored as int64 overflowed here; the measure reads only the
+    # symbols.
+    cyl = CylinderSet.from_dict(BITS, {index: "0", 0: "1"})
+    assert cylinder_measure(cyl, UNIFORM) == 0.25
+    assert cylinder_measure(CylinderSet.from_dict(BITS, {index: "0"}), UNIFORM) == 0.5
+    assert shift_invariance_check(UNIFORM, [cyl]) == 0.0
+
+
 def test_cylinder_measures_equal_the_scalar_products():
     # Long cylinders over many symbols with uneven weights: a different
     # product order would round differently somewhere among these.
@@ -246,6 +256,19 @@ def test_ahlfors_base_band_is_tight(shift_torus):
     assert band.c_low == 1.0
     assert band.c_high == 1.0
     assert band.fitted_exponent == pytest.approx(2.0)
+
+
+@pytest.mark.parametrize("mode", ["base", "torus"])
+def test_a_fit_of_rank_below_two_gives_no_slope(mode):
+    # Both radii give the same ball.  The fit used to warn that it was
+    # poorly conditioned and report a slope (1.0000000000000002 in base mode).
+    _, _, ts = build_full_shift(2, 0.5, 6)
+    samples = [TorusPoint(b, 0.25) for b in ts.base_space.points[:8]]
+    radii = [0.25, math.nextafter(0.25, 1.0)]
+    band = ahlfors_check(samples, radii, 2.0, ts, UNIFORM, mode)
+    assert math.isnan(band.fitted_exponent) and band.c_low > 0
+    want = measures_reference.ahlfors_check(samples, radii, 2.0, ts, UNIFORM, mode)
+    assert math.isnan(want.fitted_exponent)
 
 
 def test_ahlfors_torus_band(shift_torus):

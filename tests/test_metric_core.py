@@ -1,10 +1,11 @@
 """Axiom scans, transforms and covering counts on small concrete spaces."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -23,6 +24,7 @@ from solenoidlab import (
     verify_metric_axioms,
     verify_ultrametric,
 )
+from solenoidlab.metric_core import fit_scales
 
 TWO_EXPONENTS = np.array([[math.inf, 1.0], [1.0, math.inf]])
 TWO_LEVELS = metric_reference.table_levels(TWO_EXPONENTS)
@@ -280,6 +282,35 @@ def test_box_counting_dimension_validation():
         box_counting_dimension(space, [0.25, 0.25, 0.125])
     with pytest.raises(InvalidInputError):
         box_counting_dimension(space, [2.0, 0.5, 0.25])  # scale above diameter
+
+
+def test_scales_too_close_for_a_line_fit_are_refused():
+    # The counts are (16, 16, 16); the fit used to warn that it was poorly
+    # conditioned and report slope 1.15 with r_squared 1.
+    space, _, _ = build_full_shift(2, 0.5, 6)
+    scales = [0.3, math.nextafter(0.3, 0.0), math.nextafter(math.nextafter(0.3, 0.0), 0.0)]
+    with pytest.raises(InvalidInputError, match="too close together for a line fit"):
+        fit_scales(space, scales)
+    with pytest.raises(InvalidInputError, match="too close together for a line fit"):
+        box_counting_dimension(space, scales)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    x=st.lists(st.floats(-50.0, 50.0, allow_subnormal=False), min_size=2, max_size=12, unique=True),
+    data=st.data(),
+)
+def test_a_fit_of_rank_two_keeps_the_plain_polyfit_bits(x, data):
+    # The dimension fit and the Ahlfors band read the rank from
+    # ``polyfit(..., full=True)``; their slopes must stay the plain call's.
+    assume(any(abs(v) > 1e-100 for v in x))
+    y = data.draw(st.lists(st.floats(-50.0, 50.0), min_size=len(x), max_size=len(x)))
+    coefficients, _, rank, _, _ = np.polyfit(x, y, 1, full=True)
+    assume(rank == 2)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert coefficients.tobytes() == np.polyfit(x, y, 1).tobytes()
+
 
 
 def test_box_counting_degenerate_single_point():

@@ -6,7 +6,9 @@ one-at-a-time chain queries.
 ``mapping_torus_reference`` keeps the plain versions.  Each kernel must agree
 with them bit for bit in all of its shapes: the 1x1 scalar view, the paired
 view, the rows of off-sample chain queries and the matrix views; so must
-every batched chain query.
+every batched chain query.  The paired views and the batched chain queries
+take base indices and times as arrays, and refuse arrays that do not name
+canonical points.
 """
 
 import dataclasses
@@ -68,6 +70,10 @@ EDGE_TIMES = (
 TIMES = st.one_of(
     st.sampled_from(EDGE_TIMES), st.floats(0.0, 1.0, exclude_max=True),
 )
+#: Time pairs on the two sides of the seam, where time 1 is glued to time 0.
+SEAM_TIMES = st.sampled_from([
+    (0.01, 0.99), (0.99, 0.01), (0.0, math.nextafter(1.0, 0.0)), (0.125, 0.875),
+])
 
 
 @functools.lru_cache(maxsize=None)
@@ -83,13 +89,15 @@ def tori(draw):
 
 @st.composite
 def point_pairs(draw, ts):
-    """Two canonical points, often with times exactly 1/2 apart."""
+    """Two canonical points, often with times exactly 1/2 apart or on the
+    two sides of the seam."""
     points = ts.base_space.points
-    r = draw(TIMES)
-    if draw(st.booleans()):
+    r, t = draw(TIMES), draw(TIMES)
+    how = draw(st.integers(0, 2))
+    if how == 1:
         t = r + 0.5 if r < 0.5 else r - 0.5
-    else:
-        t = draw(TIMES)
+    elif how == 2:
+        r, t = draw(SEAM_TIMES)
     x, y = (points[draw(st.integers(0, len(points) - 1))] for _ in range(2))
     return TorusPoint(x, r), TorusPoint(y, t)
 
@@ -102,6 +110,18 @@ def samples(draw, ts, max_size=24):
 
 def _bits(value):
     return np.float64(value).tobytes()
+
+
+def ends(ts, points):
+    """The base indices and times of ``points``, one lookup per point."""
+    idx = np.array([ts.base_space.index_of(p.base) for p in points], dtype=np.intp)
+    return idx, np.array([p.time for p in points], dtype=float)
+
+
+def paired(ts, ps, qs):
+    """The pairs (``ps[k]``, ``qs[k]``) as the arrays ``i, r, j, t`` of the
+    paired views."""
+    return (*ends(ts, ps), *ends(ts, qs))
 
 
 #: Any finite times: the scalar product metric takes representatives that
@@ -123,7 +143,8 @@ def test_product_views_match_the_pair_formula(data):
     pairs = data.draw(st.lists(point_pairs(ts), max_size=12))
     ps, qs = [p for p, _ in pairs], [q for _, q in pairs]
     want = [ref.product_metric_by_pair(p.base, p.time, q.base, q.time, ts) for p, q in pairs]
-    assert product_distance_pairs(ts, ps, qs).tobytes() == np.array(want, dtype=float).tobytes()
+    got = product_distance_pairs(ts, *paired(ts, ps, qs))
+    assert got.tobytes() == np.array(want, dtype=float).tobytes()
     sample = data.draw(samples(ts))
     want = np.array([
         [ref.product_metric_by_pair(p.base, p.time, q.base, q.time, ts) for q in sample]
@@ -135,17 +156,63 @@ def test_product_views_match_the_pair_formula(data):
     assert got.tobytes() == want.tobytes()
 
 
-def test_product_views_refuse_unpaired_and_non_canonical_points():
+def test_product_matrix_refuses_non_canonical_points():
     ts = _torus(0)
     p = TorusPoint(ts.base_space.points[0], 0.25)
-    with pytest.raises(InvalidInputError, match="1 start points for 0 end points"):
-        product_distance_pairs(ts, [p], [])
-    for call in (
-        lambda: product_distance_pairs(ts, [p], [TorusPoint(p.base, 1.0)]),
-        lambda: product_distance_matrix(ts, [p, TorusPoint(p.base, -0.5)]),
-    ):
-        with pytest.raises(InvalidInputError, match="not canonical"):
-            call()
+    with pytest.raises(InvalidInputError, match="not canonical"):
+        product_distance_matrix(ts, [p, TorusPoint(p.base, -0.5)])
+
+
+def _array_views():
+    """Every view that takes index and time arrays, on the isometric 8-point
+    ring, whose chain sample is every base point at times 0 and 1/2."""
+    ts = _isometric_torus(2, 1.0)
+    sample = [TorusPoint(b, t) for b in ts.base_space.points for t in (0.0, 0.5)]
+    table = ChainMetricTable(ts, sample)
+    return {
+        "product": functools.partial(product_distance_pairs, ts),
+        "quotient": functools.partial(quotient_distance_pairs, ts),
+        "representative": functools.partial(representative_distance_pairs, ts),
+        "chain": table.distances_via,
+    }
+
+
+#: Index and time arrays of two points that no view accepts, with the
+#: refusal each gets, next to a good pair of arrays.
+GOOD_END = ([0, 7], [0.25, 0.5])
+BAD_ENDS = [
+    (([-1, 0], [0.25, 0.5]), "base index -1 is out of range"),
+    (([0, 8], [0.25, 0.5]), "base index 8 is out of range"),
+    (([0.0, 1.0], [0.25, 0.5]), "base indices must be integers"),
+    ((np.array([True, False]), [0.25, 0.5]), "base indices must be integers"),
+    (([0, 1], [0.25, 1.0]), "time 1.0 is not canonical"),
+    (([0, 1], [-0.25, 0.5]), "time -0.25 is not canonical"),
+    (([0, 1], [0.25, 3.5]), "time 3.5 is not canonical"),
+    (([0, 1], [math.nan, 0.5]), "time nan is not canonical"),
+    (([0, 1], [0.25]), "not one length"),
+    (([0], [0.25]), "not one length"),
+    (([[0, 1]], [[0.25, 0.5]]), "not one length"),
+]
+
+
+@pytest.mark.parametrize("view", ["product", "quotient", "representative", "chain"])
+@pytest.mark.parametrize("end, match", BAD_ENDS)
+@pytest.mark.parametrize("side", ["start", "end"])
+def test_array_views_refuse_arrays_of_no_canonical_points(view, end, match, side):
+    call = _array_views()[view]
+    args = (*end, *GOOD_END) if side == "start" else (*GOOD_END, *end)
+    with pytest.raises(InvalidInputError, match=match):
+        call(*args)
+
+
+@pytest.mark.parametrize("view", ["product", "quotient", "representative", "chain"])
+def test_array_views_take_lists_and_empty_arrays(view):
+    call = _array_views()[view]
+    lists = (*GOOD_END, [7, 0], [0.5, 0.0])
+    got = call(*lists)
+    assert got.shape == (2,) and got.dtype == float
+    assert got.tobytes() == call(*(np.array(a) for a in lists)).tobytes()
+    assert call([], [], [], []).shape == (0,)
 
 
 @settings(max_examples=200, deadline=None)
@@ -219,11 +286,11 @@ def test_batched_queries_match_one_at_a_time(data):
     table = ChainMetricTable(ts, sample)
     ps, qs = data.draw(chain_queries(ts, sample))
     want = np.array([ref.distance_via_by_block(table, p, q) for p, q in zip(ps, qs)])
-    paired = representative_distance_pairs(ts, ps, qs)
-    assert paired.tobytes() == np.array([
+    pairs = representative_distance_pairs(ts, *paired(ts, ps, qs))
+    assert pairs.tobytes() == np.array([
         ref.representative_distance_by_loop(p, q, ts) for p, q in zip(ps, qs)
     ]).tobytes()
-    assert table.distances_via(ps, qs).tobytes() == want.tobytes()
+    assert table.distances_via(*paired(ts, ps, qs)).tobytes() == want.tobytes()
     for p, q, w in zip(ps, qs, want):
         got = table.distance_via(p, q)
         assert type(got) is float and _bits(got) == _bits(w)
@@ -252,8 +319,8 @@ def test_batched_queries_keep_the_float_order(monkeypatch, cells):
     table = ChainMetricTable(ts, sample)
     ps = [TorusPoint(points[rng.randint(16)], float(rng.rand())) for _ in range(300)]
     qs = [TorusPoint(points[rng.randint(16)], float(rng.rand())) for _ in range(300)]
-    direct = representative_distance_pairs(ts, ps, qs)
-    got = table.distances_via(ps, qs)
+    direct = representative_distance_pairs(ts, *paired(ts, ps, qs))
+    got = table.distances_via(*paired(ts, ps, qs))
     assert np.count_nonzero(got < direct) >= 100
     want = np.array([ref.distance_via_by_block(table, p, q) for p, q in zip(ps, qs)])
     assert got.tobytes() == want.tobytes()
@@ -300,7 +367,7 @@ def test_block_pruned_queries_match_one_at_a_time(data):
     ps, qs = data.draw(chain_queries(ts, sample))
     with mock.patch.object(metric_core, "ROW_BLOCK_CELLS", cells):
         table = ChainMetricTable(ts, sample)
-        got = table.distances_via(ps, qs)
+        got = table.distances_via(*paired(ts, ps, qs))
     want = np.array([ref.distance_via_by_block(table, p, q) for p, q in zip(ps, qs)])
     assert got.tobytes() == want.tobytes()
 
@@ -308,7 +375,7 @@ def test_block_pruned_queries_match_one_at_a_time(data):
     assert table.distance_matrix().tobytes() == chain.tobytes()
     a, b = np.random.default_rng(len(sample)).integers(0, len(sample), (2, 50))
     on_p, on_q = [table.sample[k] for k in a], [table.sample[k] for k in b]
-    assert table.distances_via(on_p, on_q).tobytes() == chain[a, b].tobytes()
+    assert table.distances_via(*paired(ts, on_p, on_q)).tobytes() == chain[a, b].tobytes()
     for p, q, d in zip(on_p, on_q, chain[a, b]):
         got = table.distance(p, q)
         assert type(got) is float and _bits(got) == _bits(d)
@@ -392,8 +459,8 @@ def test_quotient_scalar_and_paired_views_match_the_loop(data):
     for (p, q), w in zip(pairs, want):
         got = quotient_metric(p, q, ts)
         assert type(got) is float and _bits(got) == _bits(w)
-    paired = quotient_distance_pairs(ts, [p for p, _ in pairs], [q for _, q in pairs])
-    assert paired.tobytes() == np.array(want, dtype=float).tobytes()
+    got = quotient_distance_pairs(ts, *paired(ts, [p for p, _ in pairs], [q for _, q in pairs]))
+    assert got.tobytes() == np.array(want, dtype=float).tobytes()
 
 
 @settings(max_examples=150, deadline=None)
@@ -420,7 +487,7 @@ def test_quotient_views_need_isometric_glue():
     p, q = (TorusPoint(x, 0.25) for x in ts.base_space.points[:2])
     for call in (
         lambda: quotient_metric(p, q, ts),
-        lambda: quotient_distance_pairs(ts, [], []),
+        lambda: quotient_distance_pairs(ts, [], [], [], []),
         lambda: quotient_distance_matrix(ts, [p]),
     ):
         with pytest.raises(UnsupportedModeError):
@@ -440,7 +507,7 @@ def test_quotient_window_bound_is_checked():
     for call in (
         lambda: ref.quotient_metric_by_loop(p, q, ts),
         lambda: quotient_metric(p, q, ts),
-        lambda: quotient_distance_pairs(ts, [p, p], [p, q]),
+        lambda: quotient_distance_pairs(ts, *paired(ts, [p, p], [p, q])),
         lambda: quotient_distance_matrix(ts, [p, q]),
     ):
         with pytest.raises(InvariantError, match="window bound"):
