@@ -7,12 +7,13 @@ canonical representative has time in [0, 1).  Four distances are provided:
   Its broadcasting kernel is the one place that formula is computed; the
   quotient and representative kernels minimise it over shifted
   representatives.  The scalar call, ``product_distance_pairs`` and
-  ``product_distance_matrix`` are views of it.
+  ``product_distance_matrix`` are views of it.  The three matrix views share
+  one all-pairs driver, :func:`_all_pairs`.
 * ``quotient_metric``: infimum of the product metric over representative
   shifts.  Only valid when the glue map is an isometry; the infimum is a
   minimum over an explicit finite window, and the window bound is checked
   rather than assumed.  One broadcasting kernel computes it; the scalar
-  call, the paired view and the quotient export are views of that kernel.
+  call, the paired view and the quotient matrix are views of that kernel.
 * ``representative_distance``: minimum of the product metric over
   representatives constrained to times within 3/4 of zero and within 1/2 of
   each other.  Symmetric and positive, but not a metric in general: the
@@ -25,9 +26,9 @@ canonical representative has time in [0, 1).  Four distances are provided:
   :data:`MAX_CHAIN_SAMPLE` points, which restores the triangle inequality.
   One Floyd-Warshall solve (exact, skipping the blocks a pivot cannot
   change) gives every chain distance, without the chains that attain them,
-  and the table keeps them in the solve's blocks; queries with endpoints off
-  the sample are answered in batches that skip the blocks their bounds rule
-  out.
+  and the table keeps only them, in the solve's blocks; queries with
+  endpoints off the sample are answered in batches that skip the blocks
+  their bounds rule out.
 """
 
 from __future__ import annotations
@@ -59,7 +60,6 @@ from .metric_core import (
     _unblocked,
     row_blocks,
     truncate,
-    upper_blocks,
 )
 
 Point = Any
@@ -139,15 +139,23 @@ def make_torus_space(
     )
 
 
-def dist_to_integers(a: float) -> float:
-    """Distance from a real number to the nearest integer, in [0, 1/2]."""
-    return abs(a - round(a))
+def _require_finite(*values: float, name: str = "time") -> None:
+    for value in values:
+        if not math.isfinite(value):
+            raise InvalidInputError(f"{name} {value} is not finite")
 
 
 def distances_to_integers(a: np.ndarray) -> np.ndarray:
-    """:func:`dist_to_integers` of each entry, bit for bit: ``np.round``
-    rounds halves to even, as ``round`` does."""
+    """Distance from each entry to the nearest integer, in [0, 1/2]:
+    ``np.round`` rounds halves to even, as ``round`` does."""
     return np.abs(a - np.round(a))
+
+
+def dist_to_integers(a: float) -> float:
+    """Distance from a finite real number to the nearest integer: the
+    one-number view of :func:`distances_to_integers`."""
+    _require_finite(a, name="number")
+    return float(distances_to_integers(np.array([a], dtype=float))[0])
 
 
 def circle_distance(u: float, v: float) -> float:
@@ -173,8 +181,7 @@ def _canonical(ts: TorusSpace, x: np.ndarray, t: np.ndarray) -> tuple[np.ndarray
 def canonicalize(x: Point, t: float, ts: TorusSpace) -> TorusPoint:
     """The representative of (x, t) with time in [0, 1): the 1x1 view of
     the array canonicalisation."""
-    if not math.isfinite(t):
-        raise InvalidInputError(f"time {t} is not finite")
+    _require_finite(t)
     base, time = _canonical(
         ts, np.array([ts.base_space.index_of(x)]), np.array([t], dtype=float)
     )
@@ -226,21 +233,21 @@ def _require_points(ts: TorusSpace, *ends, flows=()) -> list[np.ndarray]:
     return out
 
 
-def _all_pairs(kernel, ts: TorusSpace, points: Sequence[TorusPoint]) -> np.ndarray:
-    """``kernel`` over all pairs of canonical ``points``, for a kernel that
-    is symmetric bit for bit over a symmetric base, as the product and
-    representative kernels are: ``|a - b|`` rounds as ``|b - a|``.  Each row
-    block computes its pairs on and right of the diagonal, and is mirrored
-    below it."""
-    idx, times = _sample_arrays(ts, points)
-    n = len(points)
+def _all_pairs(kernel, ts: TorusSpace, idx: np.ndarray, times: np.ndarray) -> np.ndarray:
+    """``kernel`` over all pairs of the checked points (``idx``, ``times``),
+    each pair a <= b computed from point a to point b, a row block at a time.
+    Only those cells are mirrored, so the kernel need not be symmetric bit for
+    bit: the quotient kernel can round ``|(r + n) - t|`` differently in the
+    two orientations."""
+    n = len(idx)
     out = np.empty((n, n))
     for rows in row_blocks(n, n):
         cols = slice(rows.start, n)
-        out[rows, cols] = kernel(
-            ts, idx[rows, None], times[rows, None], idx[None, cols], times[None, cols]
-        )
-        out[cols, rows] = out[rows, cols].T
+        block = kernel(ts, idx[rows, None], times[rows, None], idx[None, cols], times[None, cols])
+        square, right = np.split(block, [rows.stop - rows.start], axis=1)
+        upper = np.arange(len(square))[:, None] <= np.arange(len(square))
+        out[rows, rows] = np.where(upper, square, square.T)
+        out[rows, rows.stop:], out[rows.stop:, rows] = right, right.T
     return out
 
 
@@ -260,7 +267,8 @@ def _product_kernel(
 
 def product_metric(x: Point, r: float, y: Point, t: float, ts: TorusSpace) -> float:
     """max(base distance, time gap) between two representatives, at any
-    times: the 1x1 view of the product kernel."""
+    finite times: the 1x1 view of the product kernel."""
+    _require_finite(r, t)
     idx = np.array([ts.base_space.index_of(x), ts.base_space.index_of(y)], dtype=np.intp)
     return _one(_product_kernel, ts, idx, np.array([r, t], dtype=float))
 
@@ -273,9 +281,9 @@ def product_distance_pairs(
 
 
 def product_distance_matrix(ts: TorusSpace, points: Sequence[TorusPoint]) -> np.ndarray:
-    """:func:`product_metric` over all pairs of ``points``: the pairs on and
-    above the diagonal, mirrored."""
-    return _all_pairs(_product_kernel, ts, points)
+    """:func:`product_metric` over all pairs of ``points``: the all-pairs
+    view of the product kernel."""
+    return _all_pairs(_product_kernel, ts, *_sample_arrays(ts, points))
 
 
 # ============================================================
@@ -337,24 +345,12 @@ def quotient_distance_pairs(
 
 
 def quotient_distance_matrix(ts: TorusSpace, points: Sequence[TorusPoint]) -> np.ndarray:
-    """:func:`quotient_metric` over all pairs of ``points``, zero on the
-    diagonal.
-
-    Each pair a < b is computed once, from ``points[a]`` to ``points[b]``,
-    and mirrored: the two orientations can round ``|(r + n) - t|``
-    differently.  The kernel takes the pairs a row block at a time
-    (:func:`~solenoidlab.metric_core.upper_blocks`), so its temporaries do
-    not grow with the matrix.
-    """
+    """:func:`quotient_metric` over all pairs of ``points``: the all-pairs
+    view of the quotient kernel, each pair a < b computed from ``points[a]``
+    to ``points[b]``."""
     idx, times = _sample_arrays(ts, points)
     _require_isometric(ts)
-    out = np.zeros((len(points), len(points)))
-    for rows, cols, upper in upper_blocks(len(points)):
-        a, b = np.nonzero(upper)
-        a += rows.start
-        b += cols.start
-        out[a, b] = out[b, a] = _quotient_kernel(ts, idx[a], times[a], idx[b], times[b])
-    return out
+    return _all_pairs(_quotient_kernel, ts, idx, times)
 
 
 # ============================================================
@@ -404,9 +400,8 @@ def representative_distance_matrix(
     ts: TorusSpace, points: Sequence[TorusPoint]
 ) -> np.ndarray:
     """:func:`representative_distance` over all pairs of ``points``: the
-    pairs on and above the diagonal, mirrored (swapping the two points swaps
-    the shifts m and n)."""
-    return _all_pairs(_representative_kernel, ts, points)
+    all-pairs view of the representative kernel."""
+    return _all_pairs(_representative_kernel, ts, *_sample_arrays(ts, points))
 
 
 # ============================================================
@@ -423,23 +418,25 @@ MAX_CHAIN_SAMPLE = 2048
 
 def distinct_chain_sample(
     ts: TorusSpace, sample: Sequence[TorusPoint]
-) -> tuple[TorusPoint, ...]:
-    """``sample`` without repeats, in first-seen order.
+) -> tuple[tuple[TorusPoint, ...], np.ndarray, np.ndarray]:
+    """``sample`` without repeats, in first-seen order, with the base indices
+    and times of the kept points: ``(points, idx, times)``.
 
-    Raises :class:`InvalidInputError` for a time that is not canonical or
-    when more than :data:`MAX_CHAIN_SAMPLE` distinct points remain; the
-    table refuses a point off the torus before its first distance.
+    Two points repeat when they have one (base index, time) key.  Raises
+    :class:`InvalidInputError` for a point off the torus or not canonical
+    (:func:`_sample_arrays`), and then when more than
+    :data:`MAX_CHAIN_SAMPLE` distinct points remain.
     """
-    seen = dict.fromkeys(sample)
-    for p in seen:
-        if not 0.0 <= p.time < 1.0:
-            raise InvalidInputError(f"time {p.time} is not canonical (needs [0, 1))")
-    if len(seen) > MAX_CHAIN_SAMPLE:
+    idx, times = _sample_arrays(ts, sample)
+    first: dict = {}
+    for k, key in enumerate(zip(idx.tolist(), times.tolist())):
+        first.setdefault(key, k)
+    if len(first) > MAX_CHAIN_SAMPLE:
         raise InvalidInputError(
-            f"chain sample of {len(seen)} points exceeds the limit of "
-            f"{MAX_CHAIN_SAMPLE}"
+            f"chain sample of {len(first)} points exceeds the limit of {MAX_CHAIN_SAMPLE}"
         )
-    return tuple(seen)
+    keep = list(first.values())
+    return tuple(sample[k] for k in keep), idx[keep], times[keep]
 
 
 class ChainMetricTable:
@@ -450,25 +447,27 @@ class ChainMetricTable:
     triangle inequality even when single edges do not.  The edge graph is
     complete, so one Floyd-Warshall solve serves every sample size up to
     :data:`MAX_CHAIN_SAMPLE`, bit for bit scipy's; a larger sample raises
-    :class:`InvalidInputError` before any distance is computed.
+    :class:`InvalidInputError` before any distance is computed.  The sample
+    is checked and de-duplicated once (:func:`distinct_chain_sample`), and
+    its edges come from :func:`representative_distance_matrix`.
 
-    The table keeps the distances in the layout they are solved in
-    (:func:`~solenoidlab.metric_core._shortest_path_blocks`): square blocks
-    over the sample in Prim order, with each block's minimum.  Lookups and
-    :meth:`distance_matrix` read the blocks, and off-sample queries
-    (:meth:`distances_via`) skip every block their bound rules out.
+    The table keeps no edge matrix, only the distances in the layout they
+    are solved in (:func:`~solenoidlab.metric_core._shortest_path_blocks`):
+    square blocks over the sample in Prim order, with each block's minimum.
+    Lookups and :meth:`distance_matrix` read the blocks, and off-sample
+    queries (:meth:`distances_via`) skip every block their bound rules out.
     """
 
     def __init__(self, ts: TorusSpace, sample: Sequence[TorusPoint]):
         self.ts = ts
-        self.sample = distinct_chain_sample(ts, sample)
-        self.edges = representative_distance_matrix(ts, self.sample)
-        self._blocks, self._order = _shortest_path_blocks(self.edges)
+        self.sample, idx, times = distinct_chain_sample(ts, sample)
+        self._blocks, self._order = _shortest_path_blocks(
+            representative_distance_matrix(ts, self.sample)
+        )
         self._place = np.empty_like(self._order)
         self._place[self._order] = np.arange(len(self._order))
         self._block_min = self._blocks.min(axis=(2, 3))
         # Sample positions by (base index, time); indices and times in Prim order.
-        idx, times = _sample_arrays(ts, self.sample)
         self._index = {key: k for k, key in enumerate(zip(idx.tolist(), times.tolist()))}
         self._idx, self._times = idx[self._order], times[self._order]
 

@@ -14,11 +14,12 @@ and names each changed entry in CHANGES.md.
 The corpus: the benchmark's workloads (``bench/workloads.py``, loaded from
 its file, read-only) at seeds 1 and 7 on both rungs; every check of
 ``test_config_schema.CHECK_SETUPS`` at ``--tol`` 1e-9, 0 and -1e-9; every
-export metric on every model kind, served or refused; the torus exports and
-seeded runs of four models whose distances are not powers of 1/2 (the 3-adic
-and 5-adic rings, full shifts at ratios 0.3 and 0.7); chain-sandwich runs
-whose samples end in a partial block of the chain solve; and the smoke
-configs of CI, exit-2 refusals included.
+export metric on every model kind, served or refused, and one quotient
+export whose pairs round differently in the two orientations; the torus
+exports and seeded runs of four models whose distances are not powers of
+1/2 (the 3-adic and 5-adic rings, full shifts at ratios 0.3 and 0.7);
+chain-sandwich runs whose samples end in a partial block of the chain
+solve; and the smoke configs of CI, exit-2 refusals included.
 
 A report shows a chain distance only through the sandwich's verdict, so
 ``tests/fixtures/chain_distances.json`` also keeps, for each chain-sandwich
@@ -61,6 +62,11 @@ _MODELS = {"full-shift": _FULL_SHIFT, "padic-cycle": _PADIC,
 _METRICS = ("base", "adapted", "product", "quotient", "representative", "chain")
 _TORUS_METRICS = ("product", "quotient", "representative", "chain")
 _EXPORT_TIMES = [0.0, 0.25, 0.74, 0.76]
+
+#: Times at which 128 of the 576 cells of the 2^3 ring's quotient export
+#: round differently from a to b than from b to a, so the export shows
+#: whether each pair a < b is computed from a to b.
+_ORIENTED_TIMES = [0.1, 0.2, 0.3]
 
 #: Models whose level distances are not powers of 1/2, so a kernel or a power
 #: that rounds differently shows in their reports; each with the check that
@@ -187,6 +193,8 @@ def operations() -> dict[str, tuple[str, dict, list[str]]]:
             if metric in _TORUS_METRICS:
                 export["times"] = _EXPORT_TIMES
             ops[f"export-{metric}-{kind}"] = ("export", {"space": space, "export": export}, [])
+    ops["export-quotient-padic-cycle-oriented"] = (
+        "export", {"space": _PADIC, "export": {"metric": "quotient", "times": _ORIENTED_TIMES}}, [])
     for model, (space, check) in _NON_DYADIC.items():
         for metric in _TORUS_METRICS:
             export = {"metric": metric, "times": _EXPORT_TIMES}

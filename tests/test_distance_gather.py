@@ -313,8 +313,18 @@ def test_flow_law_failures_refuse_arrays_of_no_canonical_points(idx, times, flow
 ))
 def test_array_circle_distance_equals_dist_to_integers(values):
     got = distances_to_integers(np.array(values, dtype=float))
-    want = np.array([dist_to_integers(v) for v in values], dtype=float)
+    want = np.array([abs(v - round(v)) for v in values], dtype=float)
     assert got.tobytes() == want.tobytes()
+
+
+@settings(max_examples=300, deadline=None)
+@given(value=st.floats(allow_nan=False, allow_infinity=False, width=64)
+       | st.integers(-10, 10).map(lambda k: k + 0.5)
+       | st.sampled_from([0.5, -0.5, 1.5, -2.5, 0.49999999999999994, -0.0]))
+def test_dist_to_integers_is_the_round_formula_bit_for_bit(value):
+    got = dist_to_integers(value)
+    assert type(got) is float
+    assert np.float64(got).tobytes() == np.float64(abs(value - round(value))).tobytes()
 
 
 def test_halves_round_to_even_in_both():

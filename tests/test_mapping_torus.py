@@ -65,6 +65,14 @@ def test_dist_to_integers_values():
     assert circle_distance(0.9, 0.1) == pytest.approx(0.2)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_dist_to_integers_refuses_non_finite_numbers(bad):
+    with pytest.raises(InvalidInputError, match=f"number {bad} is not finite"):
+        dist_to_integers(bad)
+    with pytest.raises(InvalidInputError, match=f"number {bad} is not finite"):
+        circle_distance(bad, 0.0)
+
+
 def test_dist_to_integers_subadditive():
     rng = np.random.RandomState(31)
     for _ in range(500):
@@ -119,6 +127,15 @@ def test_product_metric_is_a_max(padic):
     assert product_metric(0, 0.1, 1, 0.4, padic) == 1.0
     assert product_metric(0, 0.1, 2, 0.4, padic) == 0.5
     assert product_metric(0, 0.1, 0, 0.4, padic) == pytest.approx(0.3)
+    # Finite times outside [0, 1) are taken as they are.
+    assert product_metric(0, 3.5, 1, -2.0, padic) == 5.5
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_product_metric_refuses_non_finite_times(padic, bad):
+    for r, t in ((bad, 0.25), (0.25, bad)):
+        with pytest.raises(InvalidInputError, match=f"time {bad} is not finite"):
+            product_metric(0, r, 1, t, padic)
 
 
 def test_quotient_metric_examples(padic):
@@ -235,11 +252,12 @@ def test_chain_table_repairs_the_triangle(shift_torus):
     assert chained < direct
     # The shorter chain routes through ("2:01", 0.25): two edges of 0.49.
     i, mid, j = (table.index_of(p) for p in (p1, TorusPoint(seq("2:01"), 0.25), p3))
-    assert table.edges[i, mid] + table.edges[mid, j] == chained
-    assert (table.edges[i, mid], table.edges[mid, j]) == pytest.approx((0.49, 0.49))
+    edges = representative_distance_matrix(shift_torus, table.sample)
+    assert edges[i, mid] + edges[mid, j] == chained
+    assert (edges[i, mid], edges[mid, j]) == pytest.approx((0.49, 0.49))
     # a chain distance never exceeds its direct edge
     d0 = table.distance_matrix()
-    assert np.all(d0 <= table.edges + 1e-12)
+    assert np.all(d0 <= edges + 1e-12)
 
 
 def test_chain_table_triangle_inequality(shift_torus):
@@ -293,6 +311,39 @@ def test_chain_sample_ceiling_is_checked_first(shift_torus, monkeypatch):
     monkeypatch.setattr(mapping_torus, "representative_distance_matrix", never)
     with pytest.raises(InvalidInputError, match="limit of 3"):
         ChainMetricTable(shift_torus, [TorusPoint(b, 0.0) for b in points[:4]])
+
+
+def test_distinct_chain_sample_keeps_first_seen_points_and_arrays(padic8):
+    a, b, c = TorusPoint(3, 0.5), TorusPoint(1, 0.0), TorusPoint(3, 0.25)
+    # -0.0 is the time 0.0, so (1, -0.0) repeats b.
+    sample = [a, b, a, c, TorusPoint(1, -0.0), TorusPoint(3, 0.5)]
+    points, idx, times = mapping_torus.distinct_chain_sample(padic8, sample)
+    assert points == (a, b, c)
+    assert idx.tolist() == [padic8.base_space.index_of(p.base) for p in points]
+    assert times.tolist() == [0.5, 0.0, 0.25]
+    assert idx.dtype == np.intp and times.dtype == float
+    assert ChainMetricTable(padic8, sample).sample == (a, b, c)
+
+
+@pytest.mark.parametrize("bad, match", [
+    (TorusPoint(99, 0.5), "point 99 is not in this space"),
+    (TorusPoint(0, 1.0), r"time 1.0 is not canonical"),
+    (TorusPoint(0, -0.25), r"time -0.25 is not canonical"),
+    (TorusPoint(0, math.nan), r"time nan is not canonical"),
+])
+def test_chain_sample_refuses_bad_points_before_the_ceiling(padic8, monkeypatch, bad, match):
+    def never(*args):
+        raise AssertionError("a distance was computed")
+
+    monkeypatch.setattr(mapping_torus, "MAX_CHAIN_SAMPLE", 3)
+    monkeypatch.setattr(mapping_torus, "representative_distance_matrix", never)
+    monkeypatch.setattr(mapping_torus, "_representative_kernel", never)
+    # Eight distinct points are over the ceiling of 3 as well.
+    sample = [TorusPoint(x, 0.0) for x in padic8.base_space.points] + [bad]
+    with pytest.raises(InvalidInputError, match=match):
+        mapping_torus.distinct_chain_sample(padic8, sample)
+    with pytest.raises(InvalidInputError, match=match):
+        ChainMetricTable(padic8, sample)
 
 
 def test_chain_table_keeps_zero_and_tiny_edges():

@@ -38,6 +38,7 @@ from solenoidlab import (
     metric_core,
     metric_space_from_matrix,
     pairwise_depth_matrix,
+    representative_distance_matrix,
     self_map_from_function,
     verify_isometry,
     verify_metric_axioms,
@@ -191,8 +192,10 @@ def test_chain_edges_match_the_single_kernel_call(drawn, rows):
     distinct = list(dict.fromkeys(sample))
     with blocks_of(rows, len(distinct)):
         table = ChainMetricTable(ts, sample)
+        edges = representative_distance_matrix(ts, table.sample)
     want = mapping_torus_reference.representative_matrix_all_at_once(ts, distinct)
-    assert table.edges.tobytes() == want.tobytes()
+    assert table.sample == tuple(distinct)
+    assert edges.tobytes() == want.tobytes()
 
 
 # ============================================================

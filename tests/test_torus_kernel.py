@@ -371,7 +371,8 @@ def test_block_pruned_queries_match_one_at_a_time(data):
     want = np.array([ref.distance_via_by_block(table, p, q) for p, q in zip(ps, qs)])
     assert got.tobytes() == want.tobytes()
 
-    chain = metric_reference.shortest_paths_by_scipy(table.edges)
+    edges = representative_distance_matrix(ts, table.sample)
+    chain = metric_reference.shortest_paths_by_scipy(edges)
     assert table.distance_matrix().tobytes() == chain.tobytes()
     a, b = np.random.default_rng(len(sample)).integers(0, len(sample), (2, 50))
     on_p, on_q = [table.sample[k] for k in a], [table.sample[k] for k in b]
@@ -387,8 +388,9 @@ def test_dense_solver_matches_dijkstra_rows(data):
     ts = data.draw(tori())
     sample = data.draw(samples(ts, max_size=40))
     table = ChainMetricTable(ts, sample)
-    assert table.edges.tobytes() == ref.representative_matrix_by_loop(ts, sample).tobytes()
-    want = ref.chain_matrix_by_dijkstra(table.edges)
+    edges = representative_distance_matrix(ts, table.sample)
+    assert edges.tobytes() == ref.representative_matrix_by_loop(ts, sample).tobytes()
+    want = ref.chain_matrix_by_dijkstra(edges)
     assert np.allclose(table.distance_matrix(), want, rtol=0.0, atol=1e-12)
 
 

@@ -4,7 +4,10 @@
 (``cli.quotient_metric``, ``mapping_torus.iterate``, ...) and reads each
 with ``vars(owner)[attr]``, so a renamed or dropped binding would break a
 traced benchmark run with a ``KeyError``.  This installs the tracer, runs
-one small traced operation of each kind and restores the originals.
+one small traced operation of each kind and restores the originals.  The
+``cells`` counter reads ``representative_distance_matrix(ts, points)``'s
+arguments, so a changed signature of that view, or a chain table that
+builds its edges without it, fails here too.
 """
 
 import io
@@ -37,6 +40,8 @@ def test_tracer_installs_runs_and_restores(tmp_path, monkeypatch):
                 {"name": "flow-laws", "triples": 10},
             ]}),
             ("export", {"space": space, "export": {"metric": "quotient", "times": [0.0, 0.5]}}),
+            ("export", {"space": space,
+                        "export": {"metric": "representative", "times": [0.0, 0.5]}}),
             ("export", {"space": space, "export": {"metric": "chain", "times": [0.0, 0.5]}}),
         ]
         for k, (command, cfg) in enumerate(configs):
@@ -49,4 +54,8 @@ def test_tracer_installs_runs_and_restores(tmp_path, monkeypatch):
     assert [dict(vars(owner)) for owner in OWNERS] == before
     (totals,) = tracer.pass_totals()
     assert totals["models.build_calls"] == len(configs)
+    # The chain-sandwich table's 32-point sample and the representative and
+    # chain exports' 16 points, each counted by the wrapped matrix view.
+    assert totals["mapping_torus.rep_matrix_calls"] == 3
+    assert totals["mapping_torus.rep_matrix_cells"] == 32 ** 2 + 2 * 16 ** 2
     assert not [k for k, v in totals.items() if k.endswith(".errors") and v]
