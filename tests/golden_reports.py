@@ -18,7 +18,8 @@ export metric on every model kind, served or refused, and one quotient
 export whose pairs round differently in the two orientations; the torus
 exports and seeded runs of four models whose distances are not powers of
 1/2 (the 3-adic and 5-adic rings, full shifts at ratios 0.3 and 0.7);
-chain-sandwich runs whose samples end in a partial block of the chain
+representative and chain exports of two of them at times on the caps of the
+representative window; chain-sandwich runs whose samples end in a partial block of the chain
 solve; and the smoke configs of CI, exit-2 refusals included.
 
 A report shows a chain distance only through the sandwich's verdict, so
@@ -82,6 +83,16 @@ _NON_DYADIC = {
     "shift-2-0.7-8": ({"kind": "full-shift",
                        "parameters": {"alphabet_size": 2, "ratio": 0.7, "max_period": 8}},
                       {"name": "measures", "cylinders": 500}),
+}
+
+#: Times on the caps of the representative window (3/4 from the seam, 1/2
+#: apart) and at both sides of the seam, so an admissibility test that moves
+#: a cap by a rounding step shows; and two non-dyadic models exported there.
+_CAP_TIMES = [0.0, 0.25, 0.5, 0.75, 0.9999999999999999]
+_CAP_MODELS = {
+    "padic-3-3": {"kind": "padic-cycle", "parameters": {"prime": 3, "digits": 3}},
+    "shift-2-0.7-5": {"kind": "full-shift",
+                      "parameters": {"alphabet_size": 2, "ratio": 0.7, "max_period": 5}},
 }
 
 #: chain-sandwich runs whose distinct samples span several blocks of the
@@ -205,6 +216,11 @@ def operations() -> dict[str, tuple[str, dict, list[str]]]:
         for seed in (1, 7):
             cfg = {"space": space, "seed": seed, "checks": checks}
             ops[f"non-dyadic-{model}-seed{seed}"] = ("run", cfg, [])
+    for model, space in _CAP_MODELS.items():
+        for metric in ("representative", "chain"):
+            export = {"metric": metric, "times": _CAP_TIMES}
+            ops[f"cap-times-{model}-export-{metric}"] = (
+                "export", {"space": space, "export": export}, [])
     for model, (space, max_bases) in _CHAIN.items():
         check = {"name": "chain-sandwich", "pairs": 500, "max_bases": max_bases}
         for seed in (1, 7):
