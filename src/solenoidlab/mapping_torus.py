@@ -20,7 +20,10 @@ canonical representative has time in [0, 1).  Four distances are provided:
   triangle inequality can genuinely fail when the glue map only satisfies a
   bilipschitz bound.  One broadcasting kernel computes it; the scalar call,
   the paired and all-pairs views and the rows of off-sample chain queries
-  are views of that kernel, so all of them agree bit for bit.
+  are views of that kernel, so all of them agree bit for bit.  It works by
+  time class: which shift pairs are admissible, and their time gaps, are
+  decided once per row and time of the columns (once per pair in the
+  paired view), and base distances are gathered only for admissible cells.
 * chain distance (:class:`ChainMetricTable`): shortest-path repair of the
   representative distance over a caller-supplied sample of at most
   :data:`MAX_CHAIN_SAMPLE` points, which restores the triangle inequality.
@@ -318,7 +321,7 @@ def _quotient_kernel(
     if best.size == 0:
         return best
     for n in range(math.ceil(gap.min() - reach), math.floor(gap.max() + reach) + 1):
-        rho = _product_kernel(ts, ts._cycles.power(n)[i], r + n, j, t)
+        rho = _product_kernel(ts, ts._cycles.step(i, n), r + n, j, t)
         np.minimum(best, rho, out=best)
     if not np.all(best <= max(ts.diameter_bound, 1.0)):
         raise InvariantError("window bound violated")
@@ -357,25 +360,89 @@ def quotient_distance_matrix(ts: TorusSpace, points: Sequence[TorusPoint]) -> np
 # Constrained representative distance
 # ============================================================
 
+def _time_pieces(t: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The positions of ``t`` grouped by time: ``(pieces, times, slot)``.
+
+    Row p of ``pieces`` lists positions of the one time ``times[p]``, padded
+    to the common width W with its last position; ``slot[b]`` is where
+    position b sits in ``pieces.ravel()``.  For B positions of C distinct
+    times, W = ceil(B / C) and a longer run of one time is cut every W
+    positions, so the pieces hold at most 3B cells however uneven the runs.
+    """
+    order = np.argsort(t, kind="stable")
+    t = t[order]
+    new_time = np.ones(len(t), dtype=bool)
+    new_time[1:] = t[1:] != t[:-1]
+    width = -(-len(t) // max(np.count_nonzero(new_time), 1)) or 1
+    place = np.arange(len(t))
+    run_start = np.maximum.accumulate(np.where(new_time, place, 0))
+    first = np.flatnonzero(new_time | ((place - run_start) % width == 0))
+    size = np.diff(np.append(first, len(t)))
+    pieces = order[first[:, None] + np.minimum(np.arange(width), size[:, None] - 1)]
+    slot = np.empty_like(order)
+    slot[order] = place + np.repeat(width * np.arange(len(first)) - first, size)
+    return pieces, t[first], slot
+
+
 def _representative_kernel(
     ts: TorusSpace, i: np.ndarray, r: np.ndarray, j: np.ndarray, t: np.ndarray
 ) -> np.ndarray:
     """:func:`representative_distance` from the points (``i``, ``r``) to the
     points (``j``, ``t``), at canonical times: the product kernel minimised
-    over the shift pairs (m, n) of the window, where admissible."""
+    over the shift pairs (m, n) of the window, where admissible.
+
+    Paired points are (K,) arrays on both sides; all pairs are (A, 1) rows
+    against (1, B) columns.  Whether a shift pair is admissible, and its
+    time gap ``|(r + m) - (t + n)|``, depend only on the two times, so they
+    are computed once per candidate: each pair, or each row against each
+    piece of columns of one time (:func:`_time_pieces`).  Base distances
+    are gathered only for the admissible shift pairs of each candidate, each
+    cell taking one ``max`` with its gap, and the pairs are folded with
+    ``min`` in the order (-1, -1), (-1, 0), (0, -1), (0, 0).  ``max`` and
+    ``min`` are exact and the gaps are rounded as in the product kernel, so
+    every view agrees bit for bit with the product kernel minimised over
+    the masked shift pairs cell by cell.
+    """
     powers = ts._shift_powers
-    best = np.full(np.broadcast(i, r, j, t).shape, np.inf)
-    for m in _SHIFTS:
-        rp, rows = r + m, powers[m][i]
-        for n in _SHIFTS:
-            tp = t + n
-            ok = (np.abs(rp) <= _TIME_CAP) & (np.abs(tp) <= _TIME_CAP)
-            ok &= np.abs(rp - tp) <= _GAP_CAP
-            rho = _product_kernel(ts, rows, rp, powers[n][j], tp)
-            np.minimum(best, rho, out=best, where=ok)
-    if not np.all(np.isfinite(best)):
+    grid = np.ndim(t) == 2
+    if grid:
+        i, r, j, t = i[:, 0], r[:, 0], j[0], t[0]
+        pieces, times, slot = _time_pieces(t)
+        # Candidate k is row ca[k] against piece cp[k].
+        ca, cp = np.divmod(np.arange(len(r) * len(pieces)), len(pieces) or 1)
+    else:
+        pieces, times = np.arange(len(t))[:, None], t
+        ca = cp = np.arange(len(t))
+    # Axes (candidate, m, n).
+    shifts = np.array(_SHIFTS)
+    rp = r[ca, None, None] + shifts[:, None]
+    tp = times[cp, None, None] + shifts
+    gap = np.abs(rp - tp)
+    ok = (np.abs(rp) <= _TIME_CAP) & (np.abs(tp) <= _TIME_CAP) & (gap <= _GAP_CAP)
+    count = ok.sum(axis=(1, 2))
+    if not count.all():
         raise InvariantError("no admissible representative pair")
-    return best
+    # One entry per admissible shift pair, a candidate's entries consecutive:
+    # its row's base index under f^m, its piece's under f^n, and its gap.
+    c, m, n = np.nonzero(ok)
+    rows = np.concatenate([powers[s][i] for s in _SHIFTS]).take(m * len(i) + ca[c])
+    cols = np.concatenate([powers[s][j][pieces] for s in _SHIFTS])
+    piece = n * len(pieces) + cp[c]
+    gap = gap[c, m, n]
+
+    def shifted_product(e):
+        """max(base distance, gap) of the entries ``e``, cell by cell."""
+        rho = ts.base_space.distances(rows[e, None], cols.take(piece[e], axis=0))
+        return np.maximum(rho, gap[e, None], out=rho)
+
+    first = np.cumsum(count) - count
+    best = shifted_product(first)
+    for extra in range(1, count.max(initial=0)):
+        has = np.flatnonzero(count > extra)
+        best[has] = np.minimum(best.take(has, axis=0), shifted_product(first[has] + extra))
+    if grid:
+        return best.reshape(len(r), best.size // max(len(r), 1)).take(slot, axis=1)
+    return best[:, 0]
 
 
 def representative_distance(p: TorusPoint, q: TorusPoint, ts: TorusSpace) -> float:
@@ -409,11 +476,19 @@ def representative_distance_matrix(
 # ============================================================
 
 #: Largest chain sample, counted after de-duplication.  The all-pairs solve is
-#: cubic at worst: a table of four times per base point takes 0.2-0.5 s at 1024
-#: points and 0.5-2.8 s at 2048 on a 2-core x86 host.  Off-sample queries are
-#: not: 500 of them take about 0.2 s on the 2048-point padic table, where the
-#: block bounds leave about 1% of the (query, block, block) triples.
+#: cubic at worst: a table of four times per base point takes 0.08-0.15 s at
+#: 1024 points and 0.3-2.3 s at 2048 on a 2-core x86 host.  Off-sample queries
+#: are not: 500 of them take 0.2-0.35 s on the 2048-point padic table, where
+#: the block bounds leave about 1% of the (query, block, block) triples.
 MAX_CHAIN_SAMPLE = 2048
+
+
+def _require_chain_sample_size(size: int) -> None:
+    """Refuse a chain sample of more than :data:`MAX_CHAIN_SAMPLE` distinct points."""
+    if size > MAX_CHAIN_SAMPLE:
+        raise InvalidInputError(
+            f"chain sample of {size} points exceeds the limit of {MAX_CHAIN_SAMPLE}"
+        )
 
 
 def distinct_chain_sample(
@@ -431,10 +506,7 @@ def distinct_chain_sample(
     first: dict = {}
     for k, key in enumerate(zip(idx.tolist(), times.tolist())):
         first.setdefault(key, k)
-    if len(first) > MAX_CHAIN_SAMPLE:
-        raise InvalidInputError(
-            f"chain sample of {len(first)} points exceeds the limit of {MAX_CHAIN_SAMPLE}"
-        )
+    _require_chain_sample_size(len(first))
     keep = list(first.values())
     return tuple(sample[k] for k in keep), idx[keep], times[keep]
 

@@ -3,7 +3,7 @@ scalar shift loops, per-point rows, one chain query at a time and per-row
 Dijkstra; and canonical representatives one point at a time.
 
 The library computes the product, quotient and representative distances with
-one broadcasting kernel each, every chain distance with one Floyd-Warshall solve
+one broadcasting kernel each (the representative one on time classes), every chain distance with one Floyd-Warshall solve
 and off-sample chain queries in pruned batches, and canonicalises points on
 index arrays.  This module keeps the plain versions they replaced, so
 property tests can hold the library to them.  Its
@@ -26,7 +26,7 @@ from solenoidlab import (
     UnsupportedModeError,
     iterate,
 )
-from solenoidlab.mapping_torus import _representative_kernel, _sample_arrays
+from solenoidlab.mapping_torus import _product_kernel, _sample_arrays
 
 TIME_CAP = 0.75
 GAP_CAP = 0.5
@@ -173,10 +173,33 @@ def chain_matrix_by_dijkstra(edges: np.ndarray) -> np.ndarray:
     ])
 
 
+def representative_kernel_by_cell(
+    ts: TorusSpace, i: np.ndarray, r: np.ndarray, j: np.ndarray, t: np.ndarray
+) -> np.ndarray:
+    """The representative distance from the points (``i``, ``r``) to the
+    points (``j``, ``t``), base indices and canonical times that broadcast,
+    as the library computed it before it grouped times into classes: each
+    of the four shift pairs gets an admissibility mask, a base gather and a
+    masked minimum over every cell."""
+    powers = ts._shift_powers
+    best = np.full(np.broadcast(i, r, j, t).shape, np.inf)
+    for m in CORE_SHIFTS:
+        rp, rows = r + m, powers[m][i]
+        for n in CORE_SHIFTS:
+            tp = t + n
+            ok = (np.abs(rp) <= TIME_CAP) & (np.abs(tp) <= TIME_CAP)
+            ok &= np.abs(rp - tp) <= GAP_CAP
+            rho = _product_kernel(ts, rows, rp, powers[n][j], tp)
+            np.minimum(best, rho, out=best, where=ok)
+    if not np.all(np.isfinite(best)):
+        raise InvariantError("no admissible representative pair")
+    return best
+
+
 def representative_matrix_all_at_once(ts: TorusSpace, points) -> np.ndarray:
-    """All pairs in one kernel call, which the library's matrix view and
-    the chain table's edges now split into row blocks."""
+    """All pairs in one call of the per-cell kernel, which the library's
+    matrix view and the chain table's edges split into row blocks."""
     idx, times = _sample_arrays(ts, points)
-    return _representative_kernel(
+    return representative_kernel_by_cell(
         ts, idx[:, None], times[:, None], idx[None, :], times[None, :]
     )

@@ -16,7 +16,9 @@ from cli_reference import (
     csv_text_by_row,
     draw_cylinders_by_choice,
 )
-from solenoidlab import Alphabet, cli, mapping_torus, metric_core, metric_space_from_matrix, models
+from solenoidlab import (
+    Alphabet, InvalidInputError, cli, mapping_torus, metric_core, metric_space_from_matrix, models,
+)
 from solenoidlab.cli import main
 
 
@@ -519,6 +521,39 @@ def test_chain_sample_over_the_ceiling_is_refused_first(tmp_path, capsys, monkey
     }
     assert main(["run", write_config(tmp_path, cfg)]) == 2
     assert "$.checks[1]: chain sample of 32 points exceeds the limit of 8" in (
+        capsys.readouterr().err
+    )
+
+
+@pytest.mark.parametrize("space", [PADIC, PADIC_64, FULL_SHIFT, TWO_FIXED_POINTS])
+@pytest.mark.parametrize("max_bases", [1, 3, 5, 16, 100])
+@pytest.mark.parametrize("times", [
+    [0.0, 0.5, 0.5], [0.0, -0.0, 0.25], [-0.0], [0, 0.75, 0.25, 0.75, -0.0],
+])
+def test_chain_sample_refusal_counts_the_distinct_sample(monkeypatch, space, max_bases, times):
+    model = models.build_model(models.ModelSpec.from_dict(space))
+    check = {"name": "chain-sandwich", "max_bases": max_bases, "times": times}
+    size = len(mapping_torus.distinct_chain_sample(model.torus, cli._chain_sample(model, check))[0])
+    # The refusal counts without building the sample, yet refuses exactly
+    # the samples with more distinct points than the limit.
+    monkeypatch.setattr(cli, "_chain_sample", _never)
+    monkeypatch.setattr(mapping_torus, "MAX_CHAIN_SAMPLE", size)
+    cli._refuse_chain_sample(model, check, "$.checks[0]")
+    monkeypatch.setattr(mapping_torus, "MAX_CHAIN_SAMPLE", size - 1)
+    with pytest.raises(InvalidInputError, match=f"chain sample of {size} points exceeds"):
+        cli._refuse_chain_sample(model, check, "$.checks[0]")
+
+
+def test_chain_sample_with_repeated_and_signed_zero_times_is_refused_with_exit_2(
+    tmp_path, capsys, monkeypatch
+):
+    never_run(monkeypatch, "chain-sandwich")
+    monkeypatch.setattr(mapping_torus, "MAX_CHAIN_SAMPLE", 15)
+    # Eight bases at the two times 0 and 1/2: sixteen distinct points.
+    cfg = {"space": PADIC, "seed": 1,
+           "checks": [{"name": "chain-sandwich", "times": [0.0, -0.0, 0.5, 0.5, 0]}]}
+    assert main(["run", write_config(tmp_path, cfg)]) == 2
+    assert "$.checks[0]: chain sample of 16 points exceeds the limit of 15" in (
         capsys.readouterr().err
     )
 

@@ -33,6 +33,7 @@ from solenoidlab import (
     build_padic_cycle,
     build_two_fixed_points,
     make_torus_space,
+    mapping_torus,
     metric_core,
     metric_space_from_matrix,
     product_distance_matrix,
@@ -258,6 +259,79 @@ def test_row_block_matches_distance_rows(data):
 
     table = ChainMetricTable(ts, sample)
     assert _bits(table.distance_via(p, q)) == _bits(ref.distance_via_by_block(table, p, q))
+
+
+#: Models for the time-classed kernel against the per-cell one: residue
+#: rings of two primes, full shifts whose glue is not an isometry, and the
+#: two fixed points.
+CLASSED_TORI = (
+    [(build_padic_cycle, (2, k)) for k in (1, 3, 5)]
+    + [(build_padic_cycle, (3, k)) for k in (1, 3)]
+    + [(build_full_shift, (2, 0.3, 5)), (build_full_shift, (2, 0.7, 5))]
+    + [(build_two_fixed_points, ())]
+)
+#: The caps of the window, 3/4 from the seam and 1/2 apart, and the seam
+#: from both sides.
+CAP_TIMES = (0.0, 0.25, 0.5, 0.75, 0.9999999999999999)
+
+
+@functools.lru_cache(maxsize=None)
+def _classed_torus(k):
+    build, args = CLASSED_TORI[k]
+    return build(*args)[2]
+
+
+def _same_bits(got, want):
+    assert got.shape == want.shape
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_classed_kernel_matches_the_per_cell_kernel(data):
+    ts = _classed_torus(data.draw(st.integers(0, len(CLASSED_TORI) - 1)))
+    n = len(ts.base_space)
+    # A few times, most on the caps, shared by many points.
+    times = st.one_of(st.sampled_from(CAP_TIMES), TIMES)
+    times = data.draw(st.lists(times, min_size=1, max_size=5))
+
+    def points(max_size):
+        k = data.draw(st.integers(0, max_size))
+        idx = data.draw(st.lists(st.integers(0, n - 1), min_size=k, max_size=k))
+        at = data.draw(st.lists(st.sampled_from(times), min_size=k, max_size=k))
+        return np.array(idx, dtype=np.intp), np.array(at, dtype=float)
+
+    (i, r), (j, t) = points(12), points(40)
+    k = min(len(i), len(j))
+    paired_ends = (i[:k], r[:k], j[:k], t[:k])
+    _same_bits(_representative_kernel(ts, *paired_ends),
+               ref.representative_kernel_by_cell(ts, *paired_ends))
+    _same_bits(representative_distance_pairs(ts, *paired_ends),
+               ref.representative_kernel_by_cell(ts, *paired_ends))
+    grid_ends = (i[:, None], r[:, None], j[None, :], t[None, :])
+    _same_bits(_representative_kernel(ts, *grid_ends),
+               ref.representative_kernel_by_cell(ts, *grid_ends))
+    if k:
+        got = representative_distance(
+            TorusPoint(ts.base_space.points[i[0]], r[0]),
+            TorusPoint(ts.base_space.points[j[0]], t[0]), ts,
+        )
+        want = ref.representative_kernel_by_cell(ts, *(a[:1] for a in paired_ends))
+        _same_bits(np.array([got]), want)
+
+    sample = list(dict.fromkeys(TorusPoint(ts.base_space.points[b], a) for b, a in zip(j, t)))
+    cells = data.draw(st.sampled_from([1, 7, 3 * len(sample), metric_core.ROW_BLOCK_CELLS]))
+    with mock.patch.object(metric_core, "ROW_BLOCK_CELLS", cells):
+        _same_bits(representative_distance_matrix(ts, sample),
+                   ref.representative_matrix_all_at_once(ts, sample))
+        if sample and k:
+            # Off-sample queries: their rows to the sample and their direct edges.
+            table = ChainMetricTable(ts, sample)
+            got = table.distances_via(i[:k], r[:k], i[::-1][:k], r[::-1][:k])
+            with mock.patch.object(mapping_torus, "_representative_kernel",
+                                   ref.representative_kernel_by_cell):
+                want = table.distances_via(i[:k], r[:k], i[::-1][:k], r[::-1][:k])
+            _same_bits(got, want)
 
 
 @st.composite
