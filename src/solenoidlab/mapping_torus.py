@@ -395,13 +395,13 @@ def _representative_kernel(
     against (1, B) columns.  Whether a shift pair is admissible, and its
     time gap ``|(r + m) - (t + n)|``, depend only on the two times, so they
     are computed once per candidate: each pair, or each row against each
-    piece of columns of one time (:func:`_time_pieces`).  Base distances
-    are gathered only for the admissible shift pairs of each candidate, each
-    cell taking one ``max`` with its gap, and the pairs are folded with
-    ``min`` in the order (-1, -1), (-1, 0), (0, -1), (0, 0).  ``max`` and
-    ``min`` are exact and the gaps are rounded as in the product kernel, so
-    every view agrees bit for bit with the product kernel minimised over
-    the masked shift pairs cell by cell.
+    piece of columns of one time (:func:`_time_pieces`).  The product
+    kernel runs only on the admissible shift pairs of each candidate, where
+    each cell takes one base-distance gather and one ``max`` with its gap,
+    and the pairs are folded with ``min`` in the order (-1, -1), (-1, 0),
+    (0, -1), (0, 0).  ``max`` and ``min`` are exact and each gap is rounded
+    as before, so every view agrees bit for bit with the product kernel
+    minimised over the masked shift pairs cell by cell.
     """
     powers = ts._shift_powers
     grid = np.ndim(t) == 2
@@ -413,35 +413,27 @@ def _representative_kernel(
     else:
         pieces, times = np.arange(len(t))[:, None], t
         ca = cp = np.arange(len(t))
-    # Axes (candidate, m, n).
-    shifts = np.array(_SHIFTS)
-    rp = r[ca, None, None] + shifts[:, None]
-    tp = times[cp, None, None] + shifts
-    gap = np.abs(rp - tp)
-    ok = (np.abs(rp) <= _TIME_CAP) & (np.abs(tp) <= _TIME_CAP) & (gap <= _GAP_CAP)
-    count = ok.sum(axis=(1, 2))
-    if not count.all():
+    # Each candidate's two times, and each piece's columns under f^n.
+    r, t = r[ca], times[cp]
+    cols = {n: powers[n][j][pieces] for n in _SHIFTS}
+    best = np.full((len(ca), pieces.shape[1]), np.inf)
+    for m in _SHIFTS:
+        rp, rows = r + m, powers[m][i].take(ca)
+        for n in _SHIFTS:
+            tp = t + n
+            ok = (np.abs(rp) <= _TIME_CAP) & (np.abs(tp) <= _TIME_CAP)
+            ok &= np.abs(rp - tp) <= _GAP_CAP
+            k = np.flatnonzero(ok)
+            rho = _product_kernel(
+                ts, rows.take(k)[:, None], rp.take(k)[:, None],
+                cols[n].take(cp.take(k), axis=0), tp.take(k)[:, None],
+            )
+            best[k] = np.minimum(best.take(k, axis=0), rho, out=rho)
+    # A candidate's cells share their shift pairs: inf in one is inf in all.
+    if np.isinf(best[:, 0]).any():
         raise InvariantError("no admissible representative pair")
-    # One entry per admissible shift pair, a candidate's entries consecutive:
-    # its row's base index under f^m, its piece's under f^n, and its gap.
-    c, m, n = np.nonzero(ok)
-    rows = np.concatenate([powers[s][i] for s in _SHIFTS]).take(m * len(i) + ca[c])
-    cols = np.concatenate([powers[s][j][pieces] for s in _SHIFTS])
-    piece = n * len(pieces) + cp[c]
-    gap = gap[c, m, n]
-
-    def shifted_product(e):
-        """max(base distance, gap) of the entries ``e``, cell by cell."""
-        rho = ts.base_space.distances(rows[e, None], cols.take(piece[e], axis=0))
-        return np.maximum(rho, gap[e, None], out=rho)
-
-    first = np.cumsum(count) - count
-    best = shifted_product(first)
-    for extra in range(1, count.max(initial=0)):
-        has = np.flatnonzero(count > extra)
-        best[has] = np.minimum(best.take(has, axis=0), shifted_product(first[has] + extra))
     if grid:
-        return best.reshape(len(r), best.size // max(len(r), 1)).take(slot, axis=1)
+        return best.reshape(len(i), best.size // max(len(i), 1)).take(slot, axis=1)
     return best[:, 0]
 
 

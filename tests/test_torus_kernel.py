@@ -334,6 +334,19 @@ def test_classed_kernel_matches_the_per_cell_kernel(data):
             _same_bits(got, want)
 
 
+@pytest.mark.parametrize("grid", [False, True])
+def test_kernel_refuses_a_pair_with_no_admissible_shift_pair(grid):
+    # Time 1.6 is not canonical, so no shift pair is admissible against time
+    # 0; the views refuse such times, so only a direct kernel call meets it.
+    ts = _classed_torus(0)
+    i, r, j, t = np.array([0, 1]), np.array([0.5, 1.6]), np.array([1, 0]), np.array([0.0, 0.0])
+    if grid:
+        i, r, j, t = i[:, None], r[:, None], j[None, :], t[None, :]
+    for kernel in (_representative_kernel, ref.representative_kernel_by_cell):
+        with pytest.raises(InvariantError, match="no admissible representative pair"):
+            kernel(ts, i, r, j, t)
+
+
 @st.composite
 def chain_queries(draw, ts, sample):
     """Query pairs whose endpoints are sample points or fresh points, some
