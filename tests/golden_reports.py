@@ -18,9 +18,10 @@ export metric on every model kind, served or refused, and one quotient
 export whose pairs round differently in the two orientations; the torus
 exports and seeded runs of four models whose distances are not powers of
 1/2 (the 3-adic and 5-adic rings, full shifts at ratios 0.3 and 0.7);
-representative and chain exports of two of them at times on the caps of the
-representative window; chain-sandwich runs whose samples end in a partial block of the chain
-solve; and the smoke configs of CI, exit-2 refusals included.
+representative and chain exports of two such models at times on the caps of
+the representative window; chain-sandwich runs whose samples end in a
+partial block of the chain solve; and the smoke configs of CI, exit-2
+refusals included.
 
 A report shows a chain distance only through the sandwich's verdict, so
 ``tests/fixtures/chain_distances.json`` also keeps, for each chain-sandwich

@@ -3,11 +3,12 @@ scalar shift loops, per-point rows, one chain query at a time and per-row
 Dijkstra; and canonical representatives one point at a time.
 
 The library computes the product, quotient and representative distances with
-one broadcasting kernel each (the representative one on time classes), every chain distance with one Floyd-Warshall solve
-and off-sample chain queries in pruned batches, and canonicalises points on
-index arrays.  This module keeps the plain versions they replaced, so
-property tests can hold the library to them.  Its
-checks raise rather than assert, so they hold under ``python -O`` too.
+one broadcasting kernel each (the representative one by time class), every
+chain distance with one Floyd-Warshall solve and off-sample chain queries in
+pruned batches, and canonicalises points on index arrays.  This module keeps
+the plain versions they replaced, so property tests can hold the library to
+them.  Its checks raise rather than assert, so they hold under ``python -O``
+too.
 """
 
 from __future__ import annotations
