@@ -180,15 +180,71 @@ def _pair_witness(bad, ts, i, r, j, t, **distances):
     return {"pair": pair, **{name: float(d[k]) for name, d in distances.items()}}
 
 
+#: How many 32-bit words a :class:`_Words` reads from its generator at once.
+_WORD_BUFFER = 1024
+
+
+def _word_stream(rng, size):
+    """The 32-bit output words of ``rng``, in order, as Python ints, read
+    ``size`` at a time: at the full 32-bit range ``randint`` masks nothing
+    and rejects nothing, so each value is one word."""
+    while True:
+        yield from rng.randint(0, 2**32, size=size, dtype=np.uint64).tolist()
+
+
+class _Words:
+    """The scalar ``randint(n)``, ``rand()`` and ``uniform(low, high)`` draws
+    of a legacy ``np.random.RandomState``, decoded from its word stream
+    (:func:`_word_stream`) as the generator decodes them, so a sequence of
+    calls gives the same values, bit for bit, as the same calls on the
+    generator.  NumPy keeps the legacy stream frozen (NEP 19).
+
+    The generator runs ahead of the draws by up to ``size`` words, so it
+    must not be drawn from again; each sampling check gets a fresh one.
+    """
+
+    __slots__ = ("_next",)
+
+    def __init__(self, rng, size=_WORD_BUFFER):
+        self._next = _word_stream(rng, size).__next__
+
+    def randint(self, n):
+        """An index below ``n``: the first word whose low bits, masked to
+        the bit length of ``n - 1``, are below ``n``.  ``n == 1`` reads no
+        word; an ``n`` past ``2**32``, which the generator draws from two
+        words, is refused, as is one below 1."""
+        if not 1 < n <= 1 << 32:
+            if n == 1:
+                return 0
+            raise ValueError(f"cannot draw an index below {n} from one word")
+        word, mask = self._next, (1 << (n - 1).bit_length()) - 1
+        while True:
+            value = word() & mask
+            if value < n:
+                return value
+
+    def rand(self):
+        """A double in [0, 1) from the high 27 and 26 bits of two words."""
+        word = self._next
+        return ((word() >> 5) * 67108864.0 + (word() >> 6)) / 9007199254740992.0
+
+    def uniform(self, low, high):
+        """``low + (high - low) * rand()``, as the generator computes it.
+        For a width that is a power of two, as of (-2, 2), the product is
+        exact, so the sum is the one rounding however the generator's C code
+        was compiled."""
+        return low + (high - low) * self.rand()
+
+
 def _check_quotient_metric(model, check, tol, rng):
     ts, pairs = model.torus, _arg(check, "pairs")
-    # Draw every pair first, in the order the per-pair loop drew them, then
-    # answer them in bulk.
-    n = len(ts.base_space)
+    # Draw every pair first from the generator's words, the values the
+    # per-pair loop drew with its calls, then answer them in bulk.
+    n, words = len(ts.base_space), _Words(rng)
     (i, j), (r, t) = np.empty((2, pairs), dtype=np.intp), np.empty((2, pairs))
     for k in range(pairs):
-        i[k], r[k] = rng.randint(n), rng.rand()
-        j[k], t[k] = rng.randint(n), rng.rand()
+        i[k], r[k] = words.randint(n), words.rand()
+        j[k], t[k] = words.randint(n), words.rand()
     d = quotient_distance_pairs(ts, i, r, j, t)
     rho = product_distance_pairs(ts, i, r, j, t)
     circle = distances_to_integers(r - t)
@@ -209,7 +265,9 @@ def _check_quotient_metric(model, check, tol, rng):
 
 
 def _draw_centered_times(rng):
-    # representatives must sit within 1/2 of each other and of the seam
+    """Two times drawn with ``rng.rand()`` (a generator or its
+    :class:`_Words`) until they sit within 1/2 of each other and their mean
+    within 1/2 of the seam, as representatives must."""
     while True:
         r, t = float(rng.rand()), float(rng.rand())
         if abs(r - t) <= 0.5 and (r + t) / 2 <= 0.5:
@@ -243,13 +301,13 @@ def _check_chain_sandwich(model, check, tol, rng):
     table = ChainMetricTable(ts, _chain_sample(model, check))
     c = ts.lipschitz_constant
     stretch = max(c, 2.0 * ts.diameter_bound)
-    # Draw every pair first, in the order the per-pair loop drew them, then
-    # answer them in bulk.
-    n = len(ts.base_space)
+    # Draw every pair first from the generator's words, the values the
+    # per-pair loop drew with its calls, then answer them in bulk.
+    n, words = len(ts.base_space), _Words(rng)
     (i, j), (r, t) = np.empty((2, pairs), dtype=np.intp), np.empty((2, pairs))
     for k in range(pairs):
-        r[k], t[k] = _draw_centered_times(rng)
-        i[k], j[k] = rng.randint(n), rng.randint(n)
+        r[k], t[k] = _draw_centered_times(words)
+        i[k], j[k] = words.randint(n), words.randint(n)
     delta = representative_distance_pairs(ts, i, r, j, t)
     d0 = table.distances_via(i, r, j, t)
     rho = product_distance_pairs(ts, i, r, j, t)
@@ -275,15 +333,23 @@ def _check_chain_sandwich(model, check, tol, rng):
     }
 
 
-def _check_flow_laws(model, check, tol, rng):
-    ts, triples = model.torus, _arg(check, "triples")
-    # Draw every triple first, in the order the per-triple loop drew them,
-    # then judge them on index arrays.
-    n = len(ts.base_space)
+def _draw_flow_triples(rng, n, triples):
+    """``triples`` flow-law triples over ``n`` base points, as arrays: a base
+    index, a time in [0, 1) and two flow times r and s in [-2, 2), drawn
+    from the generator's words in the order the per-triple loop drew them
+    with ``randint(n)``, ``rand()`` and ``uniform(-2.0, 2.0, size=2)``."""
+    words = _Words(rng)
     idx, (times, r, s) = np.empty(triples, dtype=np.intp), np.empty((3, triples))
     for k in range(triples):
-        idx[k], times[k] = rng.randint(n), rng.rand()
-        r[k], s[k] = rng.uniform(-2.0, 2.0, size=2)
+        idx[k], times[k] = words.randint(n), words.rand()
+        r[k], s[k] = words.uniform(-2.0, 2.0), words.uniform(-2.0, 2.0)
+    return idx, times, r, s
+
+
+def _check_flow_laws(model, check, tol, rng):
+    ts, triples = model.torus, _arg(check, "triples")
+    # Draw every triple first, then judge them on index arrays.
+    idx, times, r, s = _draw_flow_triples(rng, len(ts.base_space), triples)
     bad = np.flatnonzero(flow_law_failures(ts, idx, times, r, s))
     witness = None
     if bad.size:

@@ -358,12 +358,15 @@ def _shortest_path_blocks(weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     w = _with_transpose(np.minimum, weights)
     order, _ = _prim_order(w)
     # The padding is inf, which no pivot relaxes.  Blocks below the diagonal
-    # are read once mirrored.
+    # are read once mirrored.  The last block row can be short: the strip's
+    # rows past its last vertex are reset to inf, so that they keep no copy
+    # of the block row before.
     d = np.full((nb, nb, b, b), np.inf)
     strip = np.full((b, nb * b), np.inf)
     for rows in range(nb):
         take = order[rows * b : (rows + 1) * b]
         strip[: len(take), :n] = w.take(take, axis=0).take(order, axis=1)
+        strip[len(take) :] = np.inf
         d[rows] = strip.reshape(b, nb, b).transpose(1, 0, 2)
     del w, strip
     at = np.arange(n)

@@ -20,12 +20,14 @@ exports and seeded runs of four models whose distances are not powers of
 1/2 (the 3-adic and 5-adic rings, full shifts at ratios 0.3 and 0.7);
 representative and chain exports of two such models at times on the caps of
 the representative window; chain-sandwich runs whose samples end in a
-partial block of the chain solve; and the smoke configs of CI, exit-2
-refusals included.
+partial block of the chain solve; seeded sampling runs on the 3^2 ring,
+whose index draws reject 7 of every 16 words; and the smoke configs of CI,
+exit-2 refusals included.
 
 A report shows a chain distance only through the sandwich's verdict, so
 ``tests/fixtures/chain_distances.json`` also keeps, for each chain-sandwich
-operation of the corpus (``chain-*`` and ``smoke-chain-2048``), the sha256
+operation of the corpus (``chain-*``, ``smoke-chain-2048`` and the
+``rejection-*`` runs at the default tolerance), the sha256
 of the distances :meth:`~solenoidlab.mapping_torus.ChainMetricTable.distances_via`
 returned for its queried pairs.  The same command rewrites both fixtures.
 """
@@ -108,6 +110,12 @@ _CHAIN = {
                        "parameters": {"alphabet_size": 2, "ratio": 0.7, "max_period": 9}},
                       100),  # 344
 }
+
+#: A ring of 9 points: an index draw masks each 32-bit word to 4 bits and
+#: rejects the 7 values past 8, so rejections land all through its runs.
+_REJECTION_SPACE = {"kind": "padic-cycle", "parameters": {"prime": 3, "digits": 2}}
+_REJECTION_CHECKS = [{"name": "quotient-metric"}, {"name": "flow-laws"},
+                     {"name": "chain-sandwich", "pairs": 500}]
 
 #: CI's smoke configs, each with the exit code CI requires.
 _SMOKE = {
@@ -227,6 +235,12 @@ def operations() -> dict[str, tuple[str, dict, list[str]]]:
         for seed in (1, 7):
             cfg = {"space": space, "seed": seed, "checks": [check]}
             ops[f"chain-{model}-seed{seed}"] = ("run", cfg, [])
+    for seed in (1, 7):
+        cfg = {"space": _REJECTION_SPACE, "seed": seed, "checks": _REJECTION_CHECKS}
+        ops[f"rejection-padic-3-2-seed{seed}"] = ("run", cfg, [])
+        # Below a negative tolerance the equal pairs fail, so the report
+        # names the first drawn pair of each pair check.
+        ops[f"rejection-padic-3-2-seed{seed}-tol-1e-9"] = ("run", cfg, ["--tol=-1e-9"])
     for name, (command, cfg) in _SMOKE.items():
         ops[name] = (command, cfg, [])
     return ops
@@ -256,7 +270,8 @@ def record(command: str, cfg: dict, extra: list[str]) -> dict:
 def chain_operations() -> list[str]:
     """The ids of the corpus's chain-sandwich operations."""
     return sorted(op_id for op_id in operations()
-                  if op_id.startswith("chain-") or op_id == "smoke-chain-2048")
+                  if op_id.startswith("chain-") or op_id == "smoke-chain-2048"
+                  or op_id.startswith("rejection-") and not op_id.endswith("-tol-1e-9"))
 
 
 def chain_digest(command: str, cfg: dict, extra: list[str]) -> str:

@@ -207,7 +207,8 @@ def test_base_and_adapted_exports_build_the_table(tmp_path, table_builds, metric
 # ============================================================
 
 class WideFlows(np.random.RandomState):
-    """Flow times scaled up, so that rounding breaks the laws."""
+    """The per-triple loop's flow times scaled up, so that rounding breaks
+    the laws."""
 
     def __init__(self, seed, scale):
         super().__init__(seed)
@@ -215,6 +216,20 @@ class WideFlows(np.random.RandomState):
 
     def uniform(self, *args, **kwargs):
         return super().uniform(*args, **kwargs) * self.scale
+
+
+def wide_flow_draws(scale):
+    """``cli._draw_flow_triples`` with r and s scaled by the factor that
+    :class:`WideFlows` applies to the loop's ``uniform`` draws, so both
+    sides judge the same bits: the check reads the generator's words, not
+    its ``uniform``."""
+    draw = cli._draw_flow_triples
+
+    def scaled(rng, n, triples):
+        idx, times, r, s = draw(rng, n, triples)
+        return idx, times, r * scale, s * scale
+
+    return scaled
 
 
 FLOW_MODELS = [
@@ -235,15 +250,18 @@ FLOW_MODELS = [
 def test_flow_laws_report_equals_the_per_triple_loop(space, seed, triples, scale):
     model = build_model(ModelSpec.from_dict(space))
     check = {"name": "flow-laws", "triples": triples}
-    got = cli._check_flow_laws(model, check, 0.0, WideFlows(seed, scale))
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(cli, "_draw_flow_triples", wide_flow_draws(scale))
+        got = cli._check_flow_laws(model, check, 0.0, np.random.RandomState(seed))
     want = cli_reference.check_flow_laws_by_triple(model, check, 0.0, WideFlows(seed, scale))
     assert json.dumps(got) == json.dumps(want)
 
 
-def test_wide_flows_break_the_laws_as_the_loop_does():
+def test_wide_flows_break_the_laws_as_the_loop_does(monkeypatch):
     model = build_model(ModelSpec.from_dict(FLOW_MODELS[2]))
     check = {"name": "flow-laws", "triples": 400}
-    got = cli._check_flow_laws(model, check, 0.0, WideFlows(5, 1e15))
+    monkeypatch.setattr(cli, "_draw_flow_triples", wide_flow_draws(1e15))
+    got = cli._check_flow_laws(model, check, 0.0, np.random.RandomState(5))
     want = cli_reference.check_flow_laws_by_triple(model, check, 0.0, WideFlows(5, 1e15))
     assert got["status"] == "fail" and 0 < got["violations"] < 400
     assert got == want

@@ -23,7 +23,7 @@ def test_the_operation_prints_its_golden_record(op_id):
 
 def test_the_chain_digests_cover_every_chain_operation():
     assert sorted(CHAIN_DIGESTS) == golden_reports.chain_operations()
-    assert len(CHAIN_DIGESTS) == 7
+    assert len(CHAIN_DIGESTS) == 9
 
 
 @pytest.mark.parametrize("op_id", sorted(CHAIN_DIGESTS))

@@ -21,7 +21,7 @@ from solenoidlab import ChainMetricTable, ModelSpec, TorusPoint, build_model
 from solenoidlab import representative_distance_matrix
 from solenoidlab import cli
 from solenoidlab.errors import InvariantError
-from solenoidlab.metric_core import shortest_paths
+from solenoidlab.metric_core import _shortest_path_blocks, shortest_paths
 
 KINDS = ("uniform", "tiny", "few", "powers", "clusters", "euclidean")
 
@@ -112,6 +112,23 @@ def test_leaves_its_weights_as_they_were():
     assert np.array_equal(w, kept)
 
 
+def padding_cells(d: np.ndarray, n: int) -> np.ndarray:
+    """The cells of blocks ``d`` whose row or column is past the last of
+    ``n`` vertices."""
+    nb, _, b, _ = d.shape
+    past = np.arange(nb * b).reshape(nb, b) >= n
+    return d[past[:, None, :, None] | past[None, :, None, :]]
+
+
+@pytest.mark.parametrize("n", [33, 40])
+def test_the_padding_of_the_blocks_is_inf(n):
+    # The last block row is short, so its padded rows must not keep the
+    # rows of the block row before it.
+    w = np.random.default_rng(n).uniform(0.0, 1.0, (n, n))
+    d, _ = _shortest_path_blocks(w)
+    assert np.all(padding_cells(d, n) == np.inf)
+
+
 def test_an_empty_matrix_has_no_paths():
     assert shortest_paths(np.zeros((0, 0))).shape == (0, 0)
 
@@ -166,3 +183,13 @@ def test_chain_tables_equal_scipy_floyd_warshall(name):
     edges = representative_distance_matrix(model.torus, table.sample)
     want = metric_reference.shortest_paths_by_scipy(edges)
     assert same_bits(table.distance_matrix(), want)
+
+
+def test_a_chain_table_pads_its_blocks_with_inf():
+    # 54 points: the 3^3 ring at two times, two blocks, the second short.
+    model, sample = chain_sample(
+        {"kind": "padic-cycle", "parameters": {"prime": 3, "digits": 3}}, [0.0, 0.5]
+    )
+    table = ChainMetricTable(model.torus, sample)
+    assert len(table) == 54
+    assert np.all(padding_cells(table._blocks, len(table)) == np.inf)
