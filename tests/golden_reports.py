@@ -19,17 +19,24 @@ export whose pairs round differently in the two orientations; the torus
 exports and seeded runs of four models whose distances are not powers of
 1/2 (the 3-adic and 5-adic rings, full shifts at ratios 0.3 and 0.7);
 representative and chain exports of two such models at times on the caps of
-the representative window; chain-sandwich runs whose samples end in a
-partial block of the chain solve; seeded sampling runs on the 3^2 ring,
-whose index draws reject 7 of every 16 words; and the smoke configs of CI,
-exit-2 refusals included.
+the representative window; quotient exports of the 3^3 ring and the two
+fixed points at times on both sides of the seam and 1/2 apart;
+chain-sandwich runs whose samples end in a partial block of the chain solve;
+seeded sampling runs on the 3^2 ring, whose index draws reject 7 of every 16
+words; and the smoke configs of CI, exit-2 refusals included.
 
 A report shows a chain distance only through the sandwich's verdict, so
 ``tests/fixtures/chain_distances.json`` also keeps, for each chain-sandwich
 operation of the corpus (``chain-*``, ``smoke-chain-2048`` and the
 ``rejection-*`` runs at the default tolerance), the sha256
 of the distances :meth:`~solenoidlab.mapping_torus.ChainMetricTable.distances_via`
-returned for its queried pairs.  The same command rewrites both fixtures.
+returned for its queried pairs.  Neither shows the drawn points, nor a
+quotient distance but through a verdict, so ``tests/fixtures/draw_digests.json``
+keeps, for each operation that runs ``quotient-metric``, ``chain-sandwich``
+or ``flow-laws`` (once per config: a tolerance changes no draw), the sha256
+of what ``quotient_distance_pairs`` returned to the first two (nothing, on
+bilipschitz glue or in a refused run) and what ``cli._draw_flow_triples`` returned to the third.
+The same command rewrites all three fixtures.
 """
 
 from __future__ import annotations
@@ -49,6 +56,7 @@ import numpy as np
 TESTS = Path(__file__).resolve().parent
 FIXTURE = TESTS / "fixtures" / "reports.json"
 CHAIN_FIXTURE = TESTS / "fixtures" / "chain_distances.json"
+DRAW_FIXTURE = TESTS / "fixtures" / "draw_digests.json"
 WORKLOADS_FILE = TESTS.parent / "bench" / "workloads.py"
 
 #: The one stderr line that holds a timing.
@@ -97,6 +105,11 @@ _CAP_MODELS = {
     "shift-2-0.7-5": {"kind": "full-shift",
                       "parameters": {"alphabet_size": 2, "ratio": 0.7, "max_period": 5}},
 }
+
+#: Times next to the seam from both sides and 1/2 apart, where the quotient
+#: minimum changes its shift; and two isometric models exported there.
+_SEAM_TIMES = [0.0, 0.01, 0.49, 0.5, 0.51, 0.99, 0.9999999999999999]
+_SEAM_MODELS = {"padic-3-3": _CAP_MODELS["padic-3-3"], "two-fixed-points": _TWO}
 
 #: chain-sandwich runs whose distinct samples span several blocks of the
 #: chain solve and are not a multiple of its block side, so off-sample queries
@@ -230,6 +243,10 @@ def operations() -> dict[str, tuple[str, dict, list[str]]]:
             export = {"metric": metric, "times": _CAP_TIMES}
             ops[f"cap-times-{model}-export-{metric}"] = (
                 "export", {"space": space, "export": export}, [])
+    for model, space in _SEAM_MODELS.items():
+        export = {"metric": "quotient", "times": _SEAM_TIMES}
+        ops[f"seam-times-{model}-export-quotient"] = (
+            "export", {"space": space, "export": export}, [])
     for model, (space, max_bases) in _CHAIN.items():
         check = {"name": "chain-sandwich", "pairs": 500, "max_bases": max_bases}
         for seed in (1, 7):
@@ -274,25 +291,75 @@ def chain_operations() -> list[str]:
                   or op_id.startswith("rejection-") and not op_id.endswith("-tol-1e-9"))
 
 
+def _digests(hooks: dict, command: str, cfg: dict, extra: list[str]) -> dict[str, str]:
+    """For each ``label: (owner, name)`` of ``hooks``, the sha256 of the
+    bytes of every array ``owner.name`` returns while the operation runs, in
+    call order: float64, integers as int64, each array of a tuple in turn."""
+    digests = {label: hashlib.sha256() for label in hooks}
+    originals = {label: getattr(owner, name) for label, (owner, name) in hooks.items()}
+
+    def digesting(label):
+        def call(*args):
+            out = originals[label](*args)
+            for a in out if isinstance(out, tuple) else (out,):
+                a = np.asarray(a)
+                digests[label].update(
+                    a.astype(np.int64 if a.dtype.kind in "iu" else np.float64).tobytes()
+                )
+            return out
+        return call
+
+    try:
+        for label, (owner, name) in hooks.items():
+            setattr(owner, name, digesting(label))
+        record(command, cfg, extra)
+    finally:
+        for label, (owner, name) in hooks.items():
+            setattr(owner, name, originals[label])
+    return {label: digest.hexdigest() for label, digest in digests.items()}
+
+
 def chain_digest(command: str, cfg: dict, extra: list[str]) -> str:
     """The sha256 of the float64 bytes of every array ``distances_via``
     returns while the operation runs, in call order."""
     from solenoidlab.mapping_torus import ChainMetricTable
 
-    digest = hashlib.sha256()
-    original = ChainMetricTable.distances_via
+    hooks = {"distances_via": (ChainMetricTable, "distances_via")}
+    return _digests(hooks, command, cfg, extra)["distances_via"]
 
-    def digesting(table, *args):
-        out = original(table, *args)
-        digest.update(np.ascontiguousarray(out, dtype=np.float64).tobytes())
-        return out
 
-    ChainMetricTable.distances_via = digesting
-    try:
-        record(command, cfg, extra)
-    finally:
-        ChainMetricTable.distances_via = original
-    return digest.hexdigest()
+#: The checks whose draws or quotient distances the draw digests keep, each
+#: with the ``cli`` functions it calls that are hashed.
+_DRAW_HOOKS = {
+    "quotient-metric": ("quotient_distance_pairs",),
+    "chain-sandwich": ("quotient_distance_pairs",),
+    "flow-laws": ("_draw_flow_triples",),
+}
+
+
+def _hooked(cfg: dict) -> list[str]:
+    """The ``cli`` functions hashed in a run of ``cfg``, in sorted order."""
+    checks = [check["name"] for check in cfg.get("checks", ())]
+    return sorted({name for check in checks for name in _DRAW_HOOKS.get(check, ())})
+
+
+def draw_operations() -> list[str]:
+    """The ids of the corpus's runs of a check in :data:`_DRAW_HOOKS`, one
+    per config: the first id in sorted order."""
+    seen, ids = set(), []
+    for op_id, (command, cfg, _) in sorted(operations().items()):
+        key = json.dumps(cfg, sort_keys=True)
+        if command == "run" and _hooked(cfg) and key not in seen:
+            seen.add(key)
+            ids.append(op_id)
+    return ids
+
+
+def draw_digest(command: str, cfg: dict, extra: list[str]) -> dict[str, str]:
+    """The digest of each ``cli`` function of :func:`_hooked` over the run."""
+    from solenoidlab import cli
+
+    return _digests({name: (cli, name) for name in _hooked(cfg)}, command, cfg, extra)
 
 
 def load() -> dict:
@@ -301,6 +368,10 @@ def load() -> dict:
 
 def load_chain_digests() -> dict:
     return json.loads(CHAIN_FIXTURE.read_text(encoding="utf-8"))
+
+
+def load_draw_digests() -> dict:
+    return json.loads(DRAW_FIXTURE.read_text(encoding="utf-8"))
 
 
 def _write(path: Path, fixture: dict) -> None:
@@ -312,6 +383,7 @@ def main() -> int:
     ops = operations()
     _write(FIXTURE, {op_id: record(*op) for op_id, op in ops.items()})
     _write(CHAIN_FIXTURE, {op_id: chain_digest(*ops[op_id]) for op_id in chain_operations()})
+    _write(DRAW_FIXTURE, {op_id: draw_digest(*ops[op_id]) for op_id in draw_operations()})
     return 0
 
 
