@@ -4,26 +4,21 @@ Points are classes of (base point, real time) under (x, t) ~ (f(x), t+1); the
 canonical representative has time in [0, 1).  Four distances are provided:
 
 * ``product_metric``: max of base distance and time gap, on representatives.
-  Its broadcasting kernel is the one place that formula is computed; the
-  quotient and representative kernels minimise it over shifted
-  representatives.  The scalar call, ``product_distance_pairs`` and
-  ``product_distance_matrix`` are views of it.  The three matrix views share
-  one all-pairs driver, :func:`_all_pairs`.
-* ``quotient_metric``: infimum of the product metric over representative
-  shifts.  Only valid when the glue map is an isometry; the infimum is a
-  minimum over an explicit finite window, and the window bound is checked
-  rather than assumed.  One broadcasting kernel computes it; the scalar
-  call, the paired view and the quotient matrix are views of that kernel.
-* ``representative_distance``: minimum of the product metric over
-  representatives constrained to times within 3/4 of zero and within 1/2 of
-  each other.  Symmetric and positive, but not a metric in general: the
-  triangle inequality can genuinely fail when the glue map only satisfies a
-  bilipschitz bound.  One broadcasting kernel computes it; the scalar call,
-  the paired and all-pairs views and the rows of off-sample chain queries
-  are views of that kernel, so all of them agree bit for bit.  It works by
-  time class: which shift pairs are admissible, and their time gaps, are
-  decided once per row and time of the columns (once per pair in the
-  paired view), and base distances are gathered only for admissible cells.
+  Its broadcasting kernel is the one place that formula is computed.  The
+  scalar call, ``product_distance_pairs`` and ``product_distance_matrix``
+  are views of it.  The three matrix views share one all-pairs driver,
+  :func:`_all_pairs`.
+* ``quotient_metric`` and ``representative_distance``: the product metric
+  minimised over shifted representatives (f^m(x), r + m), (f^n(y), t + n),
+  by one driver, :func:`_shift_minimum`, over a list of shift pairs where
+  the shifted times are admissible.  The quotient metric (isometric glue
+  only) shifts one side in a window the monodromy's cycles bound, and checks
+  the window bound.  The representative distance takes m, n in {-1, 0}
+  with times within 3/4 of zero and 1/2 of each other; the triangle
+  inequality can genuinely fail for it under bilipschitz glue.  Admissibility
+  and time gaps are decided once per row and time of the columns (per pair
+  when paired), so base distances are gathered only for admissible cells.
+  Every view of either, off-sample chain rows included, agrees bit for bit.
 * chain distance (:class:`ChainMetricTable`): shortest-path repair of the
   representative distance over a caller-supplied sample of at most
   :data:`MAX_CHAIN_SAMPLE` points, which restores the triangle inequality.
@@ -69,10 +64,10 @@ Point = Any
 
 #: Representative times are constrained to [-3/4, 3/4] in the constrained
 #: minimum.  A canonical time r lies in [0, 1), so |r + m| <= 3/4 leaves only
-#: the shifts m = -1 and m = 0.
+#: the shifts m = -1 and m = 0: the shift pairs, in the order they are folded.
 _TIME_CAP = 0.75
 _GAP_CAP = 0.5
-_SHIFTS = (-1, 0)
+_SHIFT_PAIRS = ((-1, -1), (-1, 0), (0, -1), (0, 0))
 
 
 @dataclass(frozen=True)
@@ -99,12 +94,6 @@ class TorusSpace:
     def _cycles(self) -> IndexCycles:
         """The monodromy's cycle table over the base space's indices."""
         return index_cycles(self.base_space, self.monodromy)
-
-    @cached_property
-    def _shift_powers(self) -> dict[int, np.ndarray]:
-        """Index arrays of f^m over the base space for each shift m in the
-        representative window, built on first use and kept on the torus."""
-        return {m: self._cycles.power(m) for m in _SHIFTS}
 
 
 def make_torus_space(
@@ -290,74 +279,7 @@ def product_distance_matrix(ts: TorusSpace, points: Sequence[TorusPoint]) -> np.
 
 
 # ============================================================
-# Quotient metric (isometric glue)
-# ============================================================
-
-def _require_isometric(ts: TorusSpace) -> None:
-    if ts.lipschitz_constant != 1.0:
-        raise UnsupportedModeError(
-            "quotient metric needs an isometric monodromy; "
-            "use a ChainMetricTable for bilipschitz glue"
-        )
-
-
-def _quotient_kernel(
-    ts: TorusSpace, i: np.ndarray, r: np.ndarray, j: np.ndarray, t: np.ndarray
-) -> np.ndarray:
-    """:func:`quotient_metric` from the points (``i``, ``r``) to the points
-    (``j``, ``t``), at canonical times.
-
-    One loop runs over the shifts n within ``reach`` of some pair's gap
-    ``t - r`` and keeps the plain minimum.  A shift outside a pair's own
-    window satisfies rho >= |r+n-t| > reach, and the identity shift already
-    gives at most max(diameter_bound, 1) < reach, so the extra shifts never
-    win; ``min`` is exact and each rho is rounded as in a loop over one
-    pair, so every view agrees bit for bit.
-    """
-    _require_isometric(ts)
-    reach = ts.diameter_bound + 1.0
-    gap = t - r
-    best = np.full(np.broadcast(i, r, j, t).shape, np.inf)
-    if best.size == 0:
-        return best
-    for n in range(math.ceil(gap.min() - reach), math.floor(gap.max() + reach) + 1):
-        rho = _product_kernel(ts, ts._cycles.step(i, n), r + n, j, t)
-        np.minimum(best, rho, out=best)
-    if not np.all(best <= max(ts.diameter_bound, 1.0)):
-        raise InvariantError("window bound violated")
-    return best
-
-
-def quotient_metric(p: TorusPoint, q: TorusPoint, ts: TorusSpace) -> float:
-    """Distance in the glued space: the product metric minimised over
-    representative shifts of ``p``.
-
-    Defined only when the monodromy is an isometry (lipschitz constant 1);
-    otherwise the chain distance is the right tool and this raises.  This is
-    the 1x1 view of the kernel that also gives the paired view and the
-    quotient export.
-    """
-    return _one(_quotient_kernel, ts, *_sample_arrays(ts, (p, q)))
-
-
-def quotient_distance_pairs(
-    ts: TorusSpace, i: np.ndarray, r: np.ndarray, j: np.ndarray, t: np.ndarray
-) -> np.ndarray:
-    """:func:`quotient_metric` of each pair (``i[k]``, ``r[k]``), (``j[k]``, ``t[k]``)."""
-    return _quotient_kernel(ts, *_require_points(ts, i, r, j, t))
-
-
-def quotient_distance_matrix(ts: TorusSpace, points: Sequence[TorusPoint]) -> np.ndarray:
-    """:func:`quotient_metric` over all pairs of ``points``: the all-pairs
-    view of the quotient kernel, each pair a < b computed from ``points[a]``
-    to ``points[b]``."""
-    idx, times = _sample_arrays(ts, points)
-    _require_isometric(ts)
-    return _all_pairs(_quotient_kernel, ts, idx, times)
-
-
-# ============================================================
-# Constrained representative distance
+# Shifted representatives
 # ============================================================
 
 def _time_pieces(t: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -384,26 +306,21 @@ def _time_pieces(t: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return pieces, t[first], slot
 
 
-def _representative_kernel(
-    ts: TorusSpace, i: np.ndarray, r: np.ndarray, j: np.ndarray, t: np.ndarray
-) -> np.ndarray:
-    """:func:`representative_distance` from the points (``i``, ``r``) to the
-    points (``j``, ``t``), at canonical times: the product kernel minimised
-    over the shift pairs (m, n) of the window, where admissible.
+def _shift_minimum(ts: TorusSpace, i, r, j, t, pairs, admissible) -> np.ndarray:
+    """The product kernel from the points (``i``, ``r``) to the points
+    (``j``, ``t``), at canonical times, minimised over the representatives
+    (f^m(x), r + m), (f^n(y), t + n) of the shift pairs (m, n) of ``pairs``
+    for which ``admissible(r + m, t + n)`` holds.
 
-    Paired points are (K,) arrays on both sides; all pairs are (A, 1) rows
-    against (1, B) columns.  Whether a shift pair is admissible, and its
-    time gap ``|(r + m) - (t + n)|``, depend only on the two times, so they
-    are computed once per candidate: each pair, or each row against each
-    piece of columns of one time (:func:`_time_pieces`).  The product
-    kernel runs only on the admissible shift pairs of each candidate, where
-    each cell takes one base-distance gather and one ``max`` with its gap,
-    and the pairs are folded with ``min`` in the order (-1, -1), (-1, 0),
-    (0, -1), (0, 0).  ``max`` and ``min`` are exact and each gap is rounded
-    as before, so every view agrees bit for bit with the product kernel
-    minimised over the masked shift pairs cell by cell.
+    Paired points are (K,) arrays; all pairs are (A, 1) rows against (1, B)
+    columns.  Admissibility and the gap ``|(r + m) - (t + n)|`` depend only
+    on the two times, so they are decided once per candidate: each pair, or
+    each row against each piece of columns of one time (:func:`_time_pieces`).
+    Each admissible cell then takes one base-distance gather, one ``max``
+    with its gap and one ``min``; both are exact, so every view agrees bit
+    for bit with the minimum taken cell by cell.  A candidate that admits no
+    pair raises :class:`InvariantError`.
     """
-    powers = ts._shift_powers
     grid = np.ndim(t) == 2
     if grid:
         i, r, j, t = i[:, 0], r[:, 0], j[0], t[0]
@@ -413,28 +330,107 @@ def _representative_kernel(
     else:
         pieces, times = np.arange(len(t))[:, None], t
         ca = cp = np.arange(len(t))
-    # Each candidate's two times, and each piece's columns under f^n.
+    # Each candidate's two times; rows and columns stepped once per shift,
+    # or read from f^s where there are more of them than base points.
     r, t = r[ca], times[cp]
-    cols = {n: powers[n][j][pieces] for n in _SHIFTS}
+    rows, cols, cycles = {}, {}, ts._cycles
+    stepped = lambda x, s: cycles.power(s)[x] if len(x) > len(cycles.slots) else cycles.step(x, s)
     best = np.full((len(ca), pieces.shape[1]), np.inf)
-    for m in _SHIFTS:
-        rp, rows = r + m, powers[m][i].take(ca)
-        for n in _SHIFTS:
-            tp = t + n
-            ok = (np.abs(rp) <= _TIME_CAP) & (np.abs(tp) <= _TIME_CAP)
-            ok &= np.abs(rp - tp) <= _GAP_CAP
-            k = np.flatnonzero(ok)
-            rho = _product_kernel(
-                ts, rows.take(k)[:, None], rp.take(k)[:, None],
-                cols[n].take(cp.take(k), axis=0), tp.take(k)[:, None],
-            )
-            best[k] = np.minimum(best.take(k, axis=0), rho, out=rho)
+    for m, n in pairs:
+        rp, tp = r + m, t + n
+        k = np.flatnonzero(admissible(rp, tp))
+        if not k.size:
+            continue
+        if m not in rows:
+            rows[m] = stepped(i, m).take(ca)
+        if n not in cols:
+            cols[n] = stepped(j, n)[pieces]
+        rho = _product_kernel(
+            ts, rows[m].take(k)[:, None], rp.take(k)[:, None],
+            cols[n].take(cp.take(k), axis=0), tp.take(k)[:, None],
+        )
+        best[k] = np.minimum(best.take(k, axis=0), rho, out=rho)
     # A candidate's cells share their shift pairs: inf in one is inf in all.
     if np.isinf(best[:, 0]).any():
         raise InvariantError("no admissible representative pair")
     if grid:
         return best.reshape(len(i), best.size // max(len(i), 1)).take(slot, axis=1)
     return best[:, 0]
+
+
+# ============================================================
+# Quotient metric (isometric glue)
+# ============================================================
+
+def _require_isometric(ts: TorusSpace) -> None:
+    if ts.lipschitz_constant != 1.0:
+        raise UnsupportedModeError(
+            "quotient metric needs an isometric monodromy; "
+            "use a ChainMetricTable for bilipschitz glue"
+        )
+
+
+def _quotient_kernel(
+    ts: TorusSpace, i: np.ndarray, r: np.ndarray, j: np.ndarray, t: np.ndarray
+) -> np.ndarray:
+    """:func:`quotient_metric` from the points (``i``, ``r``) to the points
+    (``j``, ``t``): the shift minimum over (f^n(x), r + n), (y, t) with
+    ``|(r + n) - t|`` within ``reach``, the diameter bound plus 1, as the
+    identity shift gives at most max(diameter_bound, 1) < reach.  Then
+    |n| <= floor(reach) + 1; and n, n -+ l (l the length of x's cycle, at
+    most the longest, L) give one base point, and the one nearer the gap has
+    the smaller rounded gap, so |n| <= L + 1 loses nothing either."""
+    _require_isometric(ts)
+    reach = ts.diameter_bound + 1.0
+    w = min(math.floor(reach), int(ts._cycles.length.max(initial=0))) + 1
+    best = _shift_minimum(
+        ts, i, r, j, t, [(n, 0) for n in range(-w, w + 1)],
+        lambda rp, tp: np.abs(rp - tp) <= reach,
+    )
+    if not np.all(best <= max(ts.diameter_bound, 1.0)):
+        raise InvariantError("window bound violated")
+    return best
+
+
+def quotient_metric(p: TorusPoint, q: TorusPoint, ts: TorusSpace) -> float:
+    """Distance in the glued space: the product metric minimised over
+    representative shifts of ``p``.  Defined only when the monodromy is an
+    isometry (lipschitz constant 1); otherwise the chain distance is the
+    right tool and this raises.  The 1x1 view of the quotient kernel."""
+    return _one(_quotient_kernel, ts, *_sample_arrays(ts, (p, q)))
+
+
+def quotient_distance_pairs(
+    ts: TorusSpace, i: np.ndarray, r: np.ndarray, j: np.ndarray, t: np.ndarray
+) -> np.ndarray:
+    """:func:`quotient_metric` of each pair (``i[k]``, ``r[k]``), (``j[k]``, ``t[k]``)."""
+    return _quotient_kernel(ts, *_require_points(ts, i, r, j, t))
+
+
+def quotient_distance_matrix(ts: TorusSpace, points: Sequence[TorusPoint]) -> np.ndarray:
+    """:func:`quotient_metric` over all pairs of ``points``: the all-pairs
+    view of the quotient kernel, each pair a < b computed from ``points[a]``
+    to ``points[b]``."""
+    idx, times = _sample_arrays(ts, points)
+    _require_isometric(ts)
+    return _all_pairs(_quotient_kernel, ts, idx, times)
+
+
+# ============================================================
+# Constrained representative distance
+# ============================================================
+
+def _within_caps(rp: np.ndarray, tp: np.ndarray) -> np.ndarray:
+    """Whether both times lie within 3/4 of zero and within 1/2 of each other."""
+    return (np.abs(rp) <= _TIME_CAP) & (np.abs(tp) <= _TIME_CAP) & (np.abs(rp - tp) <= _GAP_CAP)
+
+
+def _representative_kernel(
+    ts: TorusSpace, i: np.ndarray, r: np.ndarray, j: np.ndarray, t: np.ndarray
+) -> np.ndarray:
+    """:func:`representative_distance` from the points (``i``, ``r``) to the
+    points (``j``, ``t``): the shift minimum within the caps."""
+    return _shift_minimum(ts, i, r, j, t, _SHIFT_PAIRS, _within_caps)
 
 
 def representative_distance(p: TorusPoint, q: TorusPoint, ts: TorusSpace) -> float:

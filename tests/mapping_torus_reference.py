@@ -2,12 +2,13 @@
 scalar shift loops, per-point rows, one chain query at a time and per-row
 Dijkstra; and canonical representatives one point at a time.
 
-The library computes the product, quotient and representative distances with
-one broadcasting kernel each (the representative one by time class), every
-chain distance with one Floyd-Warshall solve and off-sample chain queries in
-pruned batches, and canonicalises points on index arrays.  This module keeps
-the plain versions they replaced, so property tests can hold the library to
-them.  Its checks raise rather than assert, so they hold under ``python -O``
+The library computes the product metric with one broadcasting kernel, the
+quotient and representative distances with one shift-minimum driver over it
+(by time class, with the quotient's shifts capped by the monodromy's cycles),
+every chain distance with one Floyd-Warshall solve and off-sample chain
+queries in pruned batches, and canonicalises points on index arrays.  This
+module keeps the plain versions they replaced, so property tests can hold the
+library to them: the quotient loop scans its whole window, however wide.  Its checks raise rather than assert, so they hold under ``python -O``
 too.
 """
 
@@ -182,7 +183,7 @@ def representative_kernel_by_cell(
     as the library computed it before it grouped times into classes: each
     of the four shift pairs gets an admissibility mask, a base gather and a
     masked minimum over every cell."""
-    powers = ts._shift_powers
+    powers = {m: ts._cycles.power(m) for m in CORE_SHIFTS}
     best = np.full(np.broadcast(i, r, j, t).shape, np.inf)
     for m in CORE_SHIFTS:
         rp, rows = r + m, powers[m][i]

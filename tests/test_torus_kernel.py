@@ -14,6 +14,7 @@ canonical points.
 import dataclasses
 import functools
 import math
+import time
 from unittest import mock
 
 import numpy as np
@@ -552,23 +553,36 @@ def test_quotient_scalar_and_paired_views_match_the_loop(data):
     assert got.tobytes() == np.array(want, dtype=float).tobytes()
 
 
+def _quotient_matrix_by_loop(ts, sample):
+    """The loop over each pair a < b, from ``sample[a]`` to ``sample[b]``."""
+    want = np.zeros((len(sample), len(sample)))
+    for a, p in enumerate(sample):
+        for b in range(a + 1, len(sample)):
+            want[a, b] = want[b, a] = ref.quotient_metric_by_loop(p, sample[b], ts)
+    return want
+
+
 @settings(max_examples=150, deadline=None)
 @given(data=st.data())
 def test_quotient_matrix_view_matches_the_loop(data):
     ts = data.draw(isometric_tori())
     pairs = data.draw(st.lists(quotient_pairs(ts), min_size=1, max_size=12))
-    sample = list(dict.fromkeys(p for pair in pairs for p in pair))
-    want = np.zeros((len(sample), len(sample)))
-    for a, p in enumerate(sample):
-        for b in range(a + 1, len(sample)):
-            want[a, b] = want[b, a] = ref.quotient_metric_by_loop(p, sample[b], ts)
-    # Row blocks of one row, of three rows, and the library's.
-    cells = data.draw(
-        st.sampled_from([1, 3 * len(sample), metric_core.ROW_BLOCK_CELLS])
-    )
-    with mock.patch.object(metric_core, "ROW_BLOCK_CELLS", cells):
-        got = quotient_distance_matrix(ts, sample)
-    assert got.tobytes() == want.tobytes()
+    # Mostly distinct times; and several base points at one to three shared
+    # times, in runs of uneven length that the time pieces cut.
+    times = data.draw(st.lists(QUOTIENT_TIMES, min_size=1, max_size=3))
+    shared = st.builds(TorusPoint, st.sampled_from(ts.base_space.points), st.sampled_from(times))
+    for sample in (
+        [p for pair in pairs for p in pair],
+        data.draw(st.lists(shared, min_size=1, max_size=16)),
+    ):
+        sample = list(dict.fromkeys(sample))
+        # Row blocks of one row, of three rows, and the library's.
+        cells = data.draw(
+            st.sampled_from([1, 3 * len(sample), metric_core.ROW_BLOCK_CELLS])
+        )
+        with mock.patch.object(metric_core, "ROW_BLOCK_CELLS", cells):
+            got = quotient_distance_matrix(ts, sample)
+        assert got.tobytes() == _quotient_matrix_by_loop(ts, sample).tobytes()
 
 
 def test_quotient_views_need_isometric_glue():
@@ -601,3 +615,42 @@ def test_quotient_window_bound_is_checked():
     ):
         with pytest.raises(InvariantError, match="window bound"):
             call()
+
+
+def _identity_glue(distance):
+    """Identity glue over two points at ``distance``, which is also the
+    diameter bound, so the quotient window of a plain loop grows with it."""
+    space = metric_space_from_matrix(range(2), np.array([[0.0, distance], [distance, 0.0]]))
+    return make_torus_space(
+        space, self_map_from_function(space.points, lambda x: x), lipschitz_constant=1.0
+    )
+
+
+def _seam_sample(ts):
+    return [TorusPoint(b, t) for b in ts.base_space.points for t in (0.0, 0.01, 0.5, 0.99)]
+
+
+def test_quotient_views_do_not_grow_with_the_diameter_bound():
+    ts = _identity_glue(1e9)
+    sample = _seam_sample(ts)
+    pairs = paired(ts, sample, sample[::-1])
+    for call in (
+        lambda: quotient_metric(sample[0], sample[-1], ts),
+        lambda: quotient_distance_pairs(ts, *pairs),
+        lambda: quotient_distance_matrix(ts, sample),
+    ):
+        start = time.perf_counter()
+        call()
+        assert time.perf_counter() - start < 0.1
+
+
+def test_quotient_views_match_the_loop_at_a_wide_window():
+    ts = _identity_glue(1e3)
+    sample = _seam_sample(ts)
+    want = _quotient_matrix_by_loop(ts, sample)
+    assert quotient_distance_matrix(ts, sample).tobytes() == want.tobytes()
+    a, b = np.triu_indices(len(sample), 1)
+    got = quotient_distance_pairs(ts, *paired(ts, [sample[k] for k in a], [sample[k] for k in b]))
+    assert got.tobytes() == want[a, b].tobytes()
+    for k, l in zip(a, b):
+        assert _bits(quotient_metric(sample[k], sample[l], ts)) == _bits(want[k, l])
