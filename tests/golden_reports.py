@@ -30,12 +30,14 @@ A report shows a chain distance only through the sandwich's verdict, so
 operation of the corpus (``chain-*``, ``smoke-chain-2048`` and the
 ``rejection-*`` runs at the default tolerance), the sha256
 of the distances :meth:`~solenoidlab.mapping_torus.ChainMetricTable.distances_via`
-returned for its queried pairs.  Neither shows the drawn points, nor a
-quotient distance but through a verdict, so ``tests/fixtures/draw_digests.json``
-keeps, for each operation that runs ``quotient-metric``, ``chain-sandwich``
-or ``flow-laws`` (once per config: a tolerance changes no draw), the sha256
-of what ``quotient_distance_pairs`` returned to the first two (nothing, on
-bilipschitz glue or in a refused run) and what ``cli._draw_flow_triples`` returned to the third.
+returned for its queried pairs.  A report shows neither the drawn points nor
+a quotient distance but through a verdict, so
+``tests/fixtures/draw_digests.json`` keeps, for each run of
+``quotient-metric``, ``chain-sandwich`` or ``flow-laws`` in the corpus (once
+per config: a tolerance changes no draw), the sha256 of what
+``cli.quotient_distance_pairs`` returned to the first two (nothing on
+bilipschitz glue or in a refused run) and of what
+``cli._draw_flow_triples`` returned to the third.
 The same command rewrites all three fixtures.
 """
 
