@@ -22,11 +22,9 @@ canonical representative has time in [0, 1).  Four distances are provided:
 * chain distance (:class:`ChainMetricTable`): shortest-path repair of the
   representative distance over a caller-supplied sample of at most
   :data:`MAX_CHAIN_SAMPLE` points, which restores the triangle inequality.
-  One Floyd-Warshall solve (exact, skipping the blocks a pivot cannot
-  change) gives every chain distance, without the chains that attain them,
-  and the table keeps only them, in the solve's blocks; queries with
-  endpoints off the sample are answered in batches that skip the blocks
-  their bounds rule out.
+  One exact Floyd-Warshall solve (:class:`~solenoidlab.metric_core.ShortestPaths`)
+  gives every chain distance, without the chains that attain them, and
+  answers queries with endpoints off the sample in batches.
 """
 
 from __future__ import annotations
@@ -54,8 +52,7 @@ from .errors import (
 from .metric_core import (
     DEFAULT_TOLERANCE,
     FiniteMetricSpace,
-    _shortest_path_blocks,
-    _unblocked,
+    ShortestPaths,
     row_blocks,
     truncate,
 )
@@ -94,6 +91,11 @@ class TorusSpace:
     def _cycles(self) -> IndexCycles:
         """The monodromy's cycle table over the base space's indices."""
         return index_cycles(self.base_space, self.monodromy)
+
+    @cached_property
+    def _reach(self) -> float:
+        """:func:`_quotient_kernel`'s reach, from the base diameter read once."""
+        return min(self.diameter_bound, max(self.base_space.diameter(), 1.0)) + 1.0
 
 
 def make_torus_space(
@@ -155,18 +157,22 @@ def circle_distance(u: float, v: float) -> float:
     return dist_to_integers(u - v)
 
 
-def _canonical(ts: TorusSpace, x: np.ndarray, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Base indices and times in [0, 1) of the representatives of the
-    points (``x``, ``t``), base indices and finite times.
-
-    Applies (x, t) -> (f^n(x), t+n) with n = -floor(t); one extra wrap
-    covers the case where rounding pushes t+n up to exactly 1.
-    """
+def _canonical_times(t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The shifts n and the times t + n in [0, 1) of finite times ``t``:
+    n = -floor(t), less one where rounding pushes t + n up to exactly 1."""
     n = -np.floor(t)
     time = t + n
     wrap = time >= 1.0
     time[wrap] -= 1.0
     n[wrap] -= 1.0
+    return n, time
+
+
+def _canonical(ts: TorusSpace, x: np.ndarray, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Base indices and times in [0, 1) of the representatives of the
+    points (``x``, ``t``), base indices and finite times: (x, t) ->
+    (f^n(x), t + n), with n from :func:`_canonical_times`."""
+    n, time = _canonical_times(t)
     return ts._cycles.step(x, n), time
 
 
@@ -375,13 +381,14 @@ def _quotient_kernel(
 ) -> np.ndarray:
     """:func:`quotient_metric` from the points (``i``, ``r``) to the points
     (``j``, ``t``): the shift minimum over (f^n(x), r + n), (y, t) with
-    ``|(r + n) - t|`` within ``reach``, the diameter bound plus 1, as the
-    identity shift gives at most max(diameter_bound, 1) < reach.  Then
-    |n| <= floor(reach) + 1; and n, n -+ l (l the length of x's cycle, at
-    most the longest, L) give one base point, and the one nearer the gap has
-    the smaller rounded gap, so |n| <= L + 1 loses nothing either."""
+    ``|(r + n) - t|`` within ``reach``, min(diameter bound, max(base
+    diameter, 1)) + 1, as the identity shift gives at most max(base
+    diameter, 1) < reach.  Then |n| <= floor(reach) + 1; and n, n -+ l (l
+    the length of x's cycle, at most the longest, L) give one base point,
+    and the one nearer the gap has the smaller rounded gap, so |n| <= L + 1
+    loses nothing either."""
     _require_isometric(ts)
-    reach = ts.diameter_bound + 1.0
+    reach = ts._reach
     w = min(math.floor(reach), int(ts._cycles.length.max(initial=0))) + 1
     best = _shift_minimum(
         ts, i, r, j, t, [(n, 0) for n in range(-w, w + 1)],
@@ -511,25 +518,19 @@ class ChainMetricTable:
     is checked and de-duplicated once (:func:`distinct_chain_sample`), and
     its edges come from :func:`representative_distance_matrix`.
 
-    The table keeps no edge matrix, only the distances in the layout they
-    are solved in (:func:`~solenoidlab.metric_core._shortest_path_blocks`):
-    square blocks over the sample in Prim order, with each block's minimum.
-    Lookups and :meth:`distance_matrix` read the blocks, and off-sample
-    queries (:meth:`distances_via`) skip every block their bound rules out.
+    The table keeps no edge matrix: only the solve (:class:`ShortestPaths`),
+    the sample's (base index, time) keys, and its indices and times in the
+    solve's vertex order, from which off-sample query rows are built.
     """
 
     def __init__(self, ts: TorusSpace, sample: Sequence[TorusPoint]):
         self.ts = ts
         self.sample, idx, times = distinct_chain_sample(ts, sample)
-        self._blocks, self._order = _shortest_path_blocks(
-            representative_distance_matrix(ts, self.sample)
-        )
-        self._place = np.empty_like(self._order)
-        self._place[self._order] = np.arange(len(self._order))
-        self._block_min = self._blocks.min(axis=(2, 3))
-        # Sample positions by (base index, time); indices and times in Prim order.
+        self._paths = ShortestPaths(representative_distance_matrix(ts, self.sample))
+        # Sample positions by (base index, time); indices and times as one
+        # row in the solve's vertex order.
         self._index = {key: k for k, key in enumerate(zip(idx.tolist(), times.tolist()))}
-        self._idx, self._times = idx[self._order], times[self._order]
+        self._idx, self._times = idx[None, self._paths.order], times[None, self._paths.order]
 
     def __len__(self) -> int:
         return len(self.sample)
@@ -540,18 +541,11 @@ class ChainMetricTable:
         except (KeyError, InvalidInputError):
             raise InvalidInputError(f"point {p!r} is not in the chain sample") from None
 
-    def _cells(self, i, j):
-        """Chain distances between the sample points of indices ``i`` and
-        ``j``, integers or index arrays that broadcast."""
-        b = self._blocks.shape[2]
-        (I, a), (J, c) = divmod(self._place[i], b), divmod(self._place[j], b)
-        return self._blocks[I, J, a, c]
-
     def distance(self, p: TorusPoint, q: TorusPoint) -> float:
-        return float(self._cells(self.index_of(p), self.index_of(q)))
+        return float(self._paths.cells(self.index_of(p), self.index_of(q)))
 
     def distance_matrix(self) -> np.ndarray:
-        return _unblocked(self._blocks, self._order)
+        return self._paths.matrix()
 
     def distance_via(self, p: TorusPoint, q: TorusPoint) -> float:
         """Chain distance allowing ``p`` and ``q`` off the sample: the
@@ -568,67 +562,32 @@ class ChainMetricTable:
         the table.  Otherwise chains run through the sample plus the two
         endpoints; a shortest chain never revisits an endpoint, so the value
         is ``min(direct, (row_p[a] + D[a, b]) + row_q[b])`` over the sample
-        points a, b: the exact chain distance over the extended sample,
-        where ``direct`` is the representative distance of the pair.
+        points a, b (:meth:`ShortestPaths.lower`, a chunk of pairs at a
+        time): the exact chain distance over the extended sample, where
+        ``direct`` is the representative distance of the pair.
         """
         i, r, j, t = _require_points(self.ts, i, r, j, t)
         keys = zip(np.concatenate([i, j]).tolist(), np.concatenate([r, t]).tolist())
         a, b = np.array([self._index.get(key, -1) for key in keys], dtype=np.intp).reshape(2, -1)
         on = (a >= 0) & (b >= 0)
         out = np.empty(len(i))
-        out[on] = self._cells(a[on], b[on])
+        out[on] = self._paths.cells(a[on], b[on])
         off = np.flatnonzero(~on)
         if off.size:
-            out[off] = self._off_sample(i[off], r[off], j[off], t[off])
+            i, r, j, t = i[off], r[off], j[off], t[off]
+            direct = _representative_kernel(self.ts, i, r, j, t)
+            for part in self._paths.query_chunks(len(off)):
+                # A call per chunk frees its rows before the next one.
+                self._paths.lower(
+                    direct[part], self._rows(i[part], r[part]), self._rows(j[part], t[part])
+                )
+            out[off] = direct
         return out
-
-    def _off_sample(self, i, r, j, t) -> np.ndarray:
-        """``min(direct, min over a, b of (row_p[a] + D[a, b]) + row_q[b])``
-        of each pair, a chunk of pairs at a time."""
-        out = _representative_kernel(self.ts, i, r, j, t)
-        nb, _, b, _ = self._blocks.shape
-        for part in row_blocks(len(out), nb * max(b, nb)):
-            # A call per chunk frees its rows and blocks before the next one.
-            self._lower(out[part], self._rows(i[part], r[part]), self._rows(j[part], t[part]))
-        return out
-
-    def _lower(self, direct: np.ndarray, rows_p: np.ndarray, rows_q: np.ndarray) -> None:
-        """Lower each ``direct[k]``, in place, to ``min over a, b of
-        (rows_p[k, a] + D[a, b]) + rows_q[k, b]`` where that is smaller; the
-        rows are in the table's blocks (:meth:`_rows`).
-
-        Every term is nonnegative and rounding is monotone, so each
-        candidate of the blocks ``(I, J)`` is at least ``fl(fl(min
-        rows_p[k, I] + min D[I, J]) + min rows_q[k, J])``: a triple ``(k, I,
-        J)`` whose bound is not below ``direct[k]`` cannot lower it and is
-        skipped.  For the rest, the minimum over a is taken before
-        ``rows_q[k, b]`` is added, which monotone rounding also allows.  The
-        result is bit for bit that of the full S x S sum.
-        """
-        b = self._blocks.shape[2]
-        bound = rows_p.min(axis=2)[:, :, None] + self._block_min
-        bound += rows_q.min(axis=2)[:, None, :]
-        K, I, J = np.nonzero(bound < direct[:, None, None])
-        for live in row_blocks(len(K), b * b):
-            k, i, j = K[live], I[live], J[live]
-            through = self._blocks[i, j]
-            through += rows_p[k, i, :, None]
-            best = through.min(axis=1)
-            best += rows_q[k, j]
-            np.minimum.at(direct, k, best.min(axis=1))
 
     def _rows(self, idx: np.ndarray, times: np.ndarray) -> np.ndarray:
         """Representative distances from the points (``idx``, ``times``) to
-        the sample, one row per point, in Prim order and split into the
-        table's blocks, ``inf`` past the last sample point."""
-        nb, _, b, _ = self._blocks.shape
-        rows = _representative_kernel(
-            self.ts, idx[:, None], times[:, None],
-            self._idx[None, :], self._times[None, :],
-        )
-        # Padded once the kernel's temporaries are freed.
-        rows = np.pad(rows, ((0, 0), (0, nb * b - len(self))), constant_values=np.inf)
-        return rows.reshape(len(idx), nb, b)
+        the sample, one row per point, in the solve's vertex order."""
+        return _representative_kernel(self.ts, idx[:, None], times[:, None], self._idx, self._times)
 
 
 # ============================================================
@@ -696,7 +655,7 @@ def flow_law_failures(
     mid, mid_times = _canonical(ts, idx, times + s)
     lhs, lhs_times = _canonical(ts, mid, mid_times + r)
     rhs, rhs_times = _canonical(ts, idx, times + (r + s))
-    _, moved = _canonical(ts, idx, times + r)
+    _, moved = _canonical_times(times + r)
     ok = _close(ts, lhs, lhs_times, rhs, rhs_times, 1e-12)
     ok &= distances_to_integers(moved - (times + r)) <= 1e-9
     return ~ok

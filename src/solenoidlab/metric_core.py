@@ -12,7 +12,8 @@ Passes over all pairs walk the space in row blocks of at most
 :data:`ROW_BLOCK_CELLS` cells (:func:`row_blocks`, :func:`upper_blocks`).
 Apart from its inputs, such a pass holds at most one N x N result plus
 temporaries the size of one block.  The two axiom scans read the whole
-matrix, plus one N x N temporary at a time.
+matrix, plus one N x N temporary at a time.  :class:`ShortestPaths` solves
+and keeps shortest paths, for the metric verdict and the torus chain table.
 """
 
 from __future__ import annotations
@@ -304,38 +305,31 @@ def _prim_order(w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return order, h
 
 
-#: Side of the square blocks in which :func:`shortest_paths` stores its
-#: matrix and bounds what a pivot can change.
+#: Side of the square blocks in which :class:`ShortestPaths` stores its
+#: distances and bounds what a pivot or a query can change.
 _SOLVE_BLOCK = 32
 
 
-def shortest_paths(weights: np.ndarray) -> np.ndarray:
+class ShortestPaths:
     """All-pairs shortest paths over the complete graph whose edge weights
     are ``min(weights, weights.T)``, bit for bit scipy's undirected
     ``floyd_warshall`` of a graph that stores every entry as an edge (but for
-    the sign of a zero where the weights hold ``-0.0``).
+    the sign of a zero where the weights hold ``-0.0``).  Every entry must be
+    finite and nonnegative, or :class:`InvariantError` is raised; the
+    diagonal is read as 0.
 
-    Every entry must be finite and nonnegative, or :class:`InvariantError`
-    is raised; the diagonal is read as 0.  This is the index-ordered view of
-    the blocks that :func:`_shortest_path_blocks` solves in.
-    """
-    return _unblocked(*_shortest_path_blocks(weights))
-
-
-def _shortest_path_blocks(weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """:func:`shortest_paths` in the layout it is solved in: ``(d, order)``,
-    where ``order`` is the Prim order of the vertices (:func:`_prim_order`)
-    and ``d[I, J, a, b]``, of shape ``(nb, nb, B, B)`` with B =
-    :data:`_SOLVE_BLOCK`, is the distance between the vertices ``order[I * B
-    + a]`` and ``order[J * B + b]``.  Cells past the last vertex are ``inf``.
+    The distances are kept only as they are solved: over the vertices in
+    Prim order (:attr:`order`, :func:`_prim_order`), in square blocks of
+    side :data:`_SOLVE_BLOCK`, ``inf`` past the last vertex.  :meth:`cells`
+    and :meth:`matrix` read them by vertex index, and :meth:`lower` relaxes
+    queries through them.
 
     The pivots ``k`` run in index order, and each relaxes ``D[i, j]`` to
     ``fl(D[i, k] + D[k, j])`` where that is smaller, as scipy's loop does;
     row and column ``k`` cannot change at pivot ``k``, since ``D[k, k]`` is
     0.  Three things make it fast without changing a bit:
 
-    * The cells are stored in Prim order, in square blocks, so a block pairs
-      two runs of single-linkage neighbours.
+    * A block pairs two runs of single-linkage neighbours.
     * A pivot skips every block pair ``(I, J)`` with ``fl(min_I c + min_J
       c) >= bmax[I, J]``, where ``c`` is column ``k`` with ``inf`` in row
       ``k`` (which cannot change) and ``bmax`` bounds each block's entries
@@ -344,72 +338,116 @@ def _shortest_path_blocks(weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
       increases, so a bound stays valid; it is refreshed on each block a
       pivot relaxes.
     * ``fl(a + b) == fl(b + a)`` keeps D symmetric, so only the block pairs
-      ``I <= J`` are relaxed, and the rest is mirrored at the end.
+      ``I <= J`` are relaxed (``bmax`` is ``-inf`` below the diagonal), and
+      the rest is mirrored at the end.
 
     Each pivot costs O(N^2 / B^2) in a few array calls, plus B^2 per block
     pair it cannot rule out: scipy's O(N^3) at worst.  Besides the weights,
-    it holds two N x N arrays at a time.
+    the solve holds two N x N arrays at a time.
     """
-    n = len(weights)
-    if n and not (weights.min() >= 0.0 and weights.max() < math.inf):
-        raise InvariantError("shortest paths need finite nonnegative weights")
-    b = _SOLVE_BLOCK
-    nb = -(-n // b)
-    w = _with_transpose(np.minimum, weights)
-    order, _ = _prim_order(w)
-    # The padding is inf, which no pivot relaxes.  Blocks below the diagonal
-    # are read once mirrored.  The last block row can be short: the strip's
-    # rows past its last vertex are reset to inf, so that they keep no copy
-    # of the block row before.
-    d = np.full((nb, nb, b, b), np.inf)
-    strip = np.full((b, nb * b), np.inf)
-    for rows in range(nb):
-        take = order[rows * b : (rows + 1) * b]
-        strip[: len(take), :n] = w.take(take, axis=0).take(order, axis=1)
-        strip[len(take) :] = np.inf
-        d[rows] = strip.reshape(b, nb, b).transpose(1, 0, 2)
-    del w, strip
-    at = np.arange(n)
-    d[at // b, at // b, at % b, at % b] = 0.0
-    bmax = d.max(axis=(2, 3))
-    upper = np.triu(np.ones((nb, nb), dtype=bool))
-    place = np.empty(n, dtype=np.intp)
-    place[order] = at
-    c = np.empty(nb * b)
-    cb = c.reshape(nb, b)
-    for k in range(n):
-        K, o = divmod(int(place[k]), b)
-        c[: K * b] = d[:K, K, :, o].ravel()
-        c[K * b :] = d[K, K:, o, :].ravel()
-        c[K * b + o] = np.inf
-        cmin = cb.min(axis=1)
-        live = np.add.outer(cmin, cmin) < bmax
-        live &= upper
-        I, J = np.nonzero(live)
-        for part in row_blocks(len(I), b * b):
-            i, j = I[part], J[part]
-            blocks = d[i, j]
-            np.minimum(blocks, cb[i, :, None] + cb[j, None, :], out=blocks)
-            d[i, j] = blocks
-            bmax[i, j] = blocks.max(axis=(1, 2))
-    for rows in range(nb - 1):
-        d[rows + 1 :, rows] = d[rows, rows + 1 :].transpose(0, 2, 1)
-    return d, order
 
+    def __init__(self, weights: np.ndarray) -> None:
+        n = len(weights)
+        if n and not (weights.min() >= 0.0 and weights.max() < math.inf):
+            raise InvariantError("shortest paths need finite nonnegative weights")
+        b = _SOLVE_BLOCK
+        nb = -(-n // b)
+        w = _with_transpose(np.minimum, weights)
+        order, _ = _prim_order(w)
+        # Blocks below the diagonal are read once mirrored.  The last block
+        # row can be short: the strip's rows past its last vertex are reset
+        # to inf, so that they keep no copy of the block row before.
+        d = np.full((nb, nb, b, b), np.inf)
+        strip = np.full((b, nb * b), np.inf)
+        for rows in range(nb):
+            take = order[rows * b : (rows + 1) * b]
+            strip[: len(take), :n] = w.take(take, axis=0).take(order, axis=1)
+            strip[len(take) :] = np.inf
+            d[rows] = strip.reshape(b, nb, b).transpose(1, 0, 2)
+        del w, strip
+        at = np.arange(n)
+        d[at // b, at // b, at % b, at % b] = 0.0
+        bmax = d.max(axis=(2, 3))
+        bmax[np.tril_indices(nb, -1)] = -np.inf
+        place = np.empty(n, dtype=np.intp)
+        place[order] = at
+        c = np.empty(nb * b)
+        cb = c.reshape(nb, b)
+        for k in range(n):
+            K, o = divmod(int(place[k]), b)
+            c[: K * b] = d[:K, K, :, o].ravel()
+            c[K * b :] = d[K, K:, o, :].ravel()
+            c[K * b + o] = np.inf
+            cmin = cb.min(axis=1)
+            I, J = np.nonzero(np.add.outer(cmin, cmin) < bmax)
+            for part in row_blocks(len(I), b * b):
+                i, j = I[part], J[part]
+                blocks = d[i, j]
+                np.minimum(blocks, cb[i, :, None] + cb[j, None, :], out=blocks)
+                d[i, j] = blocks
+                bmax[i, j] = blocks.max(axis=(1, 2))
+        for rows in range(nb - 1):
+            d[rows + 1 :, rows] = d[rows, rows + 1 :].transpose(0, 2, 1)
+        #: The vertices in the order the distances are stored in.
+        self.order = order
+        self._place = place
+        self._blocks = d
+        self._block_min = d.min(axis=(2, 3))
 
-def _unblocked(d: np.ndarray, order: np.ndarray) -> np.ndarray:
-    """The N x N matrix, in index order, of blocks ``d`` laid out as
-    :func:`_shortest_path_blocks` gives them over the vertex order
-    ``order``."""
-    n, (nb, _, b, _) = len(order), d.shape
-    place = np.empty(n, dtype=np.intp)
-    place[order] = np.arange(n)
-    out = np.empty((n, n))
-    for rows in range(nb):
-        take = order[rows * b : (rows + 1) * b]
-        strip = d[rows].transpose(1, 0, 2).reshape(b, nb * b)
-        out[take] = strip[: len(take)].take(place, axis=1)
-    return out
+    def __len__(self) -> int:
+        return len(self.order)
+
+    def cells(self, i, j) -> np.ndarray:
+        """Distances between vertices ``i`` and ``j``: integers or broadcasting index arrays."""
+        b = _SOLVE_BLOCK
+        (I, a), (J, c) = divmod(self._place[i], b), divmod(self._place[j], b)
+        return self._blocks[I, J, a, c]
+
+    def matrix(self) -> np.ndarray:
+        """The N x N distance matrix, in vertex index order."""
+        n, nb, b = len(self), len(self._blocks), _SOLVE_BLOCK
+        out = np.empty((n, n))
+        for rows in range(nb):
+            take = self.order[rows * b : (rows + 1) * b]
+            strip = self._blocks[rows].transpose(1, 0, 2).reshape(b, nb * b)
+            out[take] = strip[: len(take)].take(self._place, axis=1)
+        return out
+
+    def query_chunks(self, count: int) -> Iterator[slice]:
+        """Slices of ``range(count)`` that :meth:`lower` takes within :data:`ROW_BLOCK_CELLS`."""
+        nb = len(self._blocks)
+        return row_blocks(count, nb * max(_SOLVE_BLOCK, nb))
+
+    def lower(self, direct: np.ndarray, rows_p: np.ndarray, rows_q: np.ndarray) -> None:
+        """Lower each ``direct[k]``, in place, to ``min over a, b of
+        (rows_p[k, a] + D[a, b]) + rows_q[k, b]`` where that is smaller: the
+        shortest path from a point p off the graph to a point q off it, with
+        ``rows_p`` and ``rows_q`` their nonnegative edges to the vertices,
+        one row per query, in the vertex order :attr:`order`.
+
+        Every term is nonnegative and rounding is monotone, so each
+        candidate of the blocks ``(I, J)`` is at least ``fl(fl(min
+        rows_p[k, I] + min D[I, J]) + min rows_q[k, J])``: a triple ``(k, I,
+        J)`` whose bound is not below ``direct[k]`` cannot lower it and is
+        skipped.  For the rest, the minimum over a is taken before
+        ``rows_q[k, b]`` is added, which monotone rounding also allows.  The
+        result is bit for bit that of the full N x N sum.
+        """
+        nb, b = len(self._blocks), _SOLVE_BLOCK
+        pad = ((0, 0), (0, nb * b - len(self)))
+        rows_p, rows_q = (
+            np.pad(x, pad, constant_values=np.inf).reshape(len(x), nb, b) for x in (rows_p, rows_q)
+        )
+        bound = rows_p.min(axis=2)[:, :, None] + self._block_min
+        bound += rows_q.min(axis=2)[:, None, :]
+        K, I, J = np.nonzero(bound < direct[:, None, None])
+        for live in row_blocks(len(K), b * b):
+            k, i, j = K[live], I[live], J[live]
+            through = self._blocks[i, j]
+            through += rows_p[k, i, :, None]
+            best = through.min(axis=1)
+            best += rows_q[k, j]
+            np.minimum.at(direct, k, best.min(axis=1))
 
 
 def _memoised(scan: Callable[[FiniteMetricSpace, float], Any]):
@@ -563,7 +601,7 @@ def _axiom_tally(space: FiniteMetricSpace, tol: float) -> Tally:
     m = space.matrix
     if _basic_clear(space, tol) and (
         _ultrametric_clear(space, tol)
-        or np.all(m <= shortest_paths(m) + tol)
+        or np.all(m <= ShortestPaths(m).matrix() + tol)
     ):
         return 0, ()
     basic_count, basic = _basic_tally(space, tol)
@@ -604,7 +642,7 @@ def verify_metric_axioms(space: FiniteMetricSpace, tol: float = 0.0) -> MetricRe
     triples: it passes if no distance exceeds its subdominant ultrametric
     (O(N^2), the verdict of :func:`verify_ultrametric`) or, failing that,
     its shortest-path distance over ``min(m, m.T)`` plus ``tol``
-    (:func:`shortest_paths`, a Floyd-Warshall that skips the block pairs a
+    (:class:`ShortestPaths`, a Floyd-Warshall that skips the block pairs a
     pivot cannot change, O(N^3) at worst).  Both tests imply that
     the triple scan finds nothing.  Any other space is tallied by O(N^3) array
     passes over row blocks, with the count and the witnesses' order and slack

@@ -103,10 +103,11 @@ def test_shortest_path_solves_do_not_load_scipy(tmp_path):
         "import json\n"
         "from solenoidlab import cli, mapping_torus, metric_core\n"
         "solves = []\n"
-        "def counted(weights, solve=metric_core._shortest_path_blocks):\n"
-        "    solves.append(len(weights))\n"
-        "    return solve(weights)\n"
-        "mapping_torus._shortest_path_blocks = metric_core._shortest_path_blocks = counted\n"
+        "class Counted(metric_core.ShortestPaths):\n"
+        "    def __init__(self, weights):\n"
+        "        solves.append(len(weights))\n"
+        "        super().__init__(weights)\n"
+        "mapping_torus.ShortestPaths = metric_core.ShortestPaths = Counted\n"
         f"for command, cfg in {operations!r}:\n"
         "    json.dump(cfg, open('config.json', 'w'))\n"
         "    status = cli.main([command, 'config.json', '--out', 'out'])\n"

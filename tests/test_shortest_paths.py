@@ -1,6 +1,6 @@
 """The block-pruned Floyd-Warshall against scipy's, bit for bit.
 
-``metric_core.shortest_paths`` skips every block pair a pivot provably
+``metric_core.ShortestPaths`` skips every block pair a pivot provably
 cannot change, so each of its results must hold the same bits as scipy's
 undirected ``floyd_warshall`` (``metric_reference.shortest_paths_by_scipy``):
 on drawn weights of every size around the block side, on weights with ties,
@@ -10,6 +10,7 @@ a zero of the other sign, so there the results are only ``np.array_equal``.
 """
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -19,9 +20,9 @@ from hypothesis import strategies as st
 import metric_reference
 from solenoidlab import ChainMetricTable, ModelSpec, TorusPoint, build_model
 from solenoidlab import representative_distance_matrix
-from solenoidlab import cli
+from solenoidlab import cli, metric_core
 from solenoidlab.errors import InvariantError
-from solenoidlab.metric_core import _shortest_path_blocks, shortest_paths
+from solenoidlab.metric_core import ShortestPaths
 
 KINDS = ("uniform", "tiny", "few", "powers", "clusters", "euclidean")
 
@@ -72,7 +73,7 @@ def weight_matrices(draw):
 def test_equals_scipy_floyd_warshall_bit_for_bit(w):
     # Asymmetric weights are read as min(w, w.T) and a nonzero diagonal as
     # 0, as scipy's undirected solve reads them.
-    got = shortest_paths(w)
+    got = ShortestPaths(w).matrix()
     assert same_bits(got, metric_reference.shortest_paths_by_scipy(w))
     assert same_bits(got, got.T)
 
@@ -92,7 +93,7 @@ def test_a_path_one_ulp_shorter_is_taken(size):
     w[first, second] = w[second, first] = np.nextafter(via, 1.0)
     w[hub, first] = w[first, hub] = a
     w[hub, second] = w[second, hub] = b
-    got = shortest_paths(w)
+    got = ShortestPaths(w).matrix()
     assert same_bits(got, metric_reference.shortest_paths_by_scipy(w))
     assert np.all(got[first, second] == via)
 
@@ -102,14 +103,51 @@ def test_negative_zeros_give_equal_distances():
     for n in (2, 33, 65):
         w = rng.integers(0, 3, (n, n)) * 0.5
         w[rng.random((n, n)) < 0.3] = -0.0
-        assert np.array_equal(shortest_paths(w), metric_reference.shortest_paths_by_scipy(w))
+        want = metric_reference.shortest_paths_by_scipy(w)
+        assert np.array_equal(ShortestPaths(w).matrix(), want)
 
 
 def test_leaves_its_weights_as_they_were():
     w = np.random.default_rng(5).uniform(0.0, 1.0, (40, 40))
     kept = w.copy()
-    shortest_paths(w)
+    ShortestPaths(w)
     assert np.array_equal(w, kept)
+
+
+def ties_and_zeros(rng: np.random.Generator, shape) -> np.ndarray:
+    """Nonnegative entries on a grid of quarters, about a tenth of them 0."""
+    return np.where(rng.random(shape) < 0.1, 0.0, rng.integers(1, 8, shape) * 0.25)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.sampled_from([33, 40]),
+    queries=st.integers(1, 12),
+    cells=st.sampled_from([1, metric_core.ROW_BLOCK_CELLS]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_reads_and_queries_of_one_solve(n, queries, cells, seed):
+    # A partial last block; ties and zeros in the weights, the query rows
+    # and the direct edges.  One cell splits every chunk of pivot blocks,
+    # of queries and of live query triples down to one.
+    rng = np.random.default_rng(seed)
+    w = ties_and_zeros(rng, (n, n))
+    rows_p, rows_q = ties_and_zeros(rng, (2, queries, n))
+    direct = ties_and_zeros(rng, queries) * 4
+    with mock.patch.object(metric_core, "ROW_BLOCK_CELLS", cells):
+        paths = ShortestPaths(w)
+        got = direct.copy()
+        for part in paths.query_chunks(queries):
+            paths.lower(got[part], rows_p[part], rows_q[part])
+    want = metric_reference.shortest_paths_by_scipy(w)
+    assert len(paths) == n
+    assert same_bits(paths.matrix(), want)
+    assert same_bits(paths.cells(np.arange(n)[:, None], np.arange(n)), want)
+    assert all(same_bits(paths.cells(i, j), want[i, j]) for i, j in [(0, n - 1), (n - 1, 5)])
+    # The rows are in the solve's vertex order, so D is too.
+    d = paths.matrix()[np.ix_(paths.order, paths.order)]
+    through = ((rows_p[:, :, None] + d) + rows_q[:, None, :]).min(axis=(1, 2))
+    assert same_bits(got, np.minimum(direct, through))
 
 
 def padding_cells(d: np.ndarray, n: int) -> np.ndarray:
@@ -125,12 +163,11 @@ def test_the_padding_of_the_blocks_is_inf(n):
     # The last block row is short, so its padded rows must not keep the
     # rows of the block row before it.
     w = np.random.default_rng(n).uniform(0.0, 1.0, (n, n))
-    d, _ = _shortest_path_blocks(w)
-    assert np.all(padding_cells(d, n) == np.inf)
+    assert np.all(padding_cells(ShortestPaths(w)._blocks, n) == np.inf)
 
 
 def test_an_empty_matrix_has_no_paths():
-    assert shortest_paths(np.zeros((0, 0))).shape == (0, 0)
+    assert ShortestPaths(np.zeros((0, 0))).matrix().shape == (0, 0)
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, -1e-300, -1.0])
@@ -139,7 +176,7 @@ def test_a_bad_entry_raises_an_invariant_error(bad, cell):
     w = np.ones((3, 3))
     w[cell] = bad
     with pytest.raises(InvariantError, match="finite nonnegative"):
-        shortest_paths(w)
+        ShortestPaths(w)
 
 
 def chain_sample(space: dict, times, max_bases=None):
@@ -192,4 +229,4 @@ def test_a_chain_table_pads_its_blocks_with_inf():
     )
     table = ChainMetricTable(model.torus, sample)
     assert len(table) == 54
-    assert np.all(padding_cells(table._blocks, len(table)) == np.inf)
+    assert np.all(padding_cells(table._paths._blocks, len(table)) == np.inf)

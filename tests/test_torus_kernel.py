@@ -644,6 +644,23 @@ def test_quotient_views_do_not_grow_with_the_diameter_bound():
         assert time.perf_counter() - start < 0.1
 
 
+def test_a_diameter_bound_past_the_base_diameter_adds_no_shifts():
+    # The 1024-cycle ring has diameter 1/2, so no shift gap past
+    # max(1/2, 1) + 1 can win, whatever the declared bound: at B = 1e9 the
+    # 512-point matrix costs what it costs at B = 1, with the same bits.
+    space, f, _ = build_padic_cycle(2, 10)
+    sample = [TorusPoint(b, t) for b in space.points[:128] for t in (0.0, 0.25, 0.5, 0.75)]
+    narrow, wide = (make_torus_space(space, f, 1.0, bound) for bound in (1.0, 1e9))
+    want = quotient_distance_matrix(narrow, sample)
+    start = time.perf_counter()
+    got = quotient_distance_matrix(wide, sample)
+    assert time.perf_counter() - start < 0.1
+    assert got.tobytes() == want.tobytes()
+    pairs = paired(wide, sample, sample[::-1])
+    want = quotient_distance_pairs(narrow, *pairs)
+    assert quotient_distance_pairs(wide, *pairs).tobytes() == want.tobytes()
+
+
 def test_quotient_views_match_the_loop_at_a_wide_window():
     ts = _identity_glue(1e3)
     sample = _seam_sample(ts)
