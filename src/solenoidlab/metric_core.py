@@ -354,9 +354,10 @@ class ShortestPaths:
         nb = -(-n // b)
         w = _with_transpose(np.minimum, weights)
         order, _ = _prim_order(w)
-        # Blocks below the diagonal are read once mirrored.  The last block
-        # row can be short: the strip's rows past its last vertex are reset
-        # to inf, so that they keep no copy of the block row before.
+        # The padding is inf, which no pivot relaxes.  Blocks below the
+        # diagonal are read once mirrored.  The last block row can be short:
+        # the strip's rows past its last vertex are reset to inf, so that
+        # they keep no copy of the block row before.
         d = np.full((nb, nb, b, b), np.inf)
         strip = np.full((b, nb * b), np.inf)
         for rows in range(nb):
