@@ -1,8 +1,8 @@
 """Every operation of the golden corpus prints what the committed fixture
 holds: exit code, stderr without its timing line, and the report or the
 export's digest; each chain-sandwich operation's chain distances hash to
-their committed digest; and so do the quotient distances and flow-law draws
-of each run that makes them (see ``golden_reports.py``)."""
+their committed digest; and so do the quotient distances, flow-law draws
+and drawn cylinders of each run that makes them (see ``golden_reports.py``)."""
 
 import pytest
 
@@ -35,10 +35,11 @@ def test_the_chain_distances_match_their_digest(op_id):
 
 def test_the_draw_digests_cover_every_draw_operation():
     assert sorted(DRAW_DIGESTS) == golden_reports.draw_operations()
-    assert len(DRAW_DIGESTS) == 25
+    assert len(DRAW_DIGESTS) == 32
     hooked = [name for digests in DRAW_DIGESTS.values() for name in digests]
     assert hooked.count("_draw_flow_triples") == 16
     assert hooked.count("quotient_distance_pairs") == 23
+    assert hooked.count("_draw_cylinders") == 11
 
 
 @pytest.mark.parametrize("op_id", sorted(DRAW_DIGESTS))
