@@ -149,17 +149,17 @@ def _scan_payload(report, passed):
 # Check implementations
 # ============================================================
 
-def _check_metric_axioms(model, check, tol, rng):
+def _check_metric_axioms(model, check, tol, words):
     report = verify_metric_axioms(model.space, tol)
     return _scan_payload(report, report.is_metric)
 
 
-def _check_ultrametric(model, check, tol, rng):
+def _check_ultrametric(model, check, tol, words):
     report = verify_ultrametric(model.space, tol)
     return _scan_payload(report, report.is_ultrametric)
 
 
-def _check_bilipschitz(model, check, tol, rng):
+def _check_bilipschitz(model, check, tol, words):
     est = estimate_bilipschitz_constant(model.space, model.mapping)
     return {
         "status": "report",
@@ -194,13 +194,15 @@ def _word_stream(rng, size):
 
 class _Words:
     """The scalar ``randint(n)``, ``rand()`` and ``uniform(low, high)`` draws
-    of a legacy ``np.random.RandomState``, decoded from its word stream
-    (:func:`_word_stream`) as the generator decodes them, so a sequence of
-    calls gives the same values, bit for bit, as the same calls on the
-    generator.  NumPy keeps the legacy stream frozen (NEP 19).
+    and the list ``shuffle(x)`` of a legacy ``np.random.RandomState``,
+    decoded from its word stream (:func:`_word_stream`) as the generator
+    decodes them, so a sequence of calls gives the same values, bit for bit,
+    as the same calls on the generator.  NumPy keeps the legacy stream
+    frozen (NEP 19).
 
     The generator runs ahead of the draws by up to ``size`` words, so it
-    must not be drawn from again; each sampling check gets a fresh one.
+    must not be drawn from again: :func:`_run` makes one reader per sampling
+    check, and the check draws from it alone.
     """
 
     __slots__ = ("_next",)
@@ -235,12 +237,19 @@ class _Words:
         was compiled."""
         return low + (high - low) * self.rand()
 
+    def shuffle(self, x):
+        """Shuffle the list ``x`` in place as the generator shuffles a list:
+        from the last index down to 1, swap ``x[i]`` with ``x[randint(i + 1)]``."""
+        for i in range(len(x) - 1, 0, -1):
+            j = self.randint(i + 1)
+            x[i], x[j] = x[j], x[i]
 
-def _check_quotient_metric(model, check, tol, rng):
+
+def _check_quotient_metric(model, check, tol, words):
     ts, pairs = model.torus, _arg(check, "pairs")
     # Draw every pair first from the generator's words, the values the
     # per-pair loop drew with its calls, then answer them in bulk.
-    n, words = len(ts.base_space), _Words(rng)
+    n = len(ts.base_space)
     (i, j), (r, t) = np.empty((2, pairs), dtype=np.intp), np.empty((2, pairs))
     for k in range(pairs):
         i[k], r[k] = words.randint(n), words.rand()
@@ -264,12 +273,12 @@ def _check_quotient_metric(model, check, tol, rng):
     }
 
 
-def _draw_centered_times(rng):
-    """Two times drawn with ``rng.rand()`` (a generator or its
-    :class:`_Words`) until they sit within 1/2 of each other and their mean
-    within 1/2 of the seam, as representatives must."""
+def _draw_centered_times(words):
+    """Two times drawn with ``words.rand()`` (a :class:`_Words`, or in the
+    tests' per-pair loop a generator) until they sit within 1/2 of each
+    other and their mean within 1/2 of the seam, as representatives must."""
     while True:
-        r, t = float(rng.rand()), float(rng.rand())
+        r, t = float(words.rand()), float(words.rand())
         if abs(r - t) <= 0.5 and (r + t) / 2 <= 0.5:
             return r, t
 
@@ -296,14 +305,14 @@ def _refuse_chain_sample(model, check, where):
     _require_chain_sample_size(len(_chain_bases(model, check)) * len(set(_arg(check, "times"))))
 
 
-def _check_chain_sandwich(model, check, tol, rng):
+def _check_chain_sandwich(model, check, tol, words):
     ts, pairs = model.torus, _arg(check, "pairs")
     table = ChainMetricTable(ts, _chain_sample(model, check))
     c = ts.lipschitz_constant
     stretch = max(c, 2.0 * ts.diameter_bound)
     # Draw every pair first from the generator's words, the values the
     # per-pair loop drew with its calls, then answer them in bulk.
-    n, words = len(ts.base_space), _Words(rng)
+    n = len(ts.base_space)
     (i, j), (r, t) = np.empty((2, pairs), dtype=np.intp), np.empty((2, pairs))
     for k in range(pairs):
         r[k], t[k] = _draw_centered_times(words)
@@ -333,12 +342,11 @@ def _check_chain_sandwich(model, check, tol, rng):
     }
 
 
-def _draw_flow_triples(rng, n, triples):
+def _draw_flow_triples(words, n, triples):
     """``triples`` flow-law triples over ``n`` base points, as arrays: a base
     index, a time in [0, 1) and two flow times r and s in [-2, 2), drawn
     from the generator's words in the order the per-triple loop drew them
     with ``randint(n)``, ``rand()`` and ``uniform(-2.0, 2.0, size=2)``."""
-    words = _Words(rng)
     idx, (times, r, s) = np.empty(triples, dtype=np.intp), np.empty((3, triples))
     for k in range(triples):
         idx[k], times[k] = words.randint(n), words.rand()
@@ -346,10 +354,10 @@ def _draw_flow_triples(rng, n, triples):
     return idx, times, r, s
 
 
-def _check_flow_laws(model, check, tol, rng):
+def _check_flow_laws(model, check, tol, words):
     ts, triples = model.torus, _arg(check, "triples")
     # Draw every triple first, then judge them on index arrays.
-    idx, times, r, s = _draw_flow_triples(rng, len(ts.base_space), triples)
+    idx, times, r, s = _draw_flow_triples(words, len(ts.base_space), triples)
     bad = np.flatnonzero(flow_law_failures(ts, idx, times, r, s))
     witness = None
     if bad.size:
@@ -364,7 +372,7 @@ def _check_flow_laws(model, check, tol, rng):
     }
 
 
-def _check_connectedness(model, check, tol, rng):
+def _check_connectedness(model, check, tol, words):
     epsilon = float(check["epsilon"])
     parts = invariant_components(model.space, model.mapping, epsilon)
     return {
@@ -376,7 +384,7 @@ def _check_connectedness(model, check, tol, rng):
     }
 
 
-def _check_dense_orbit(model, check, tol, rng):
+def _check_dense_orbit(model, check, tol, words):
     epsilon = float(check["epsilon"])
     origin_index = _arg(check, "origin_index")
     max_iter = check.get("max_iter", len(model.space))
@@ -408,30 +416,26 @@ _CYLINDER_POOL = np.arange(-6, 7)
 _MAX_PINS = 4
 
 
-def _draw_cylinders(alphabet, count, rng) -> CylinderArrays:
+def _draw_cylinders(alphabet, count, words) -> CylinderArrays:
     """``count`` cylinders, each pinning 1 to ``_MAX_PINS`` distinct indices of
     ``_CYLINDER_POOL`` to uniform symbols, as ``(count, _MAX_PINS)`` arrays
     (:class:`~solenoidlab.measures.CylinderArrays`): each row's positions
     and symbol indices sorted by position, then padding.
 
-    The generator sees the calls of the first draw, ``rng.choice(...,
-    replace=False)`` and a symbol loop: per cylinder ``randint(1, 5)``, a
-    shuffle of the pool's indices, which draws what ``rng.permutation`` and
-    so the choice call draw, then one ``randint(len(alphabet))`` per pinned
-    index in shuffled order.  Only those calls run per cylinder; the pins
-    are placed and sorted in bulk after the last draw.  ``dtype=np.int64``
-    draws the same integers and only skips ``randint``'s conversion of each
-    one to a Python int, which took about 15% of the draw's time.
+    Each cylinder reads from the check's :class:`_Words` a size, a shuffle
+    of the pool's indices whose first ``size`` it pins, and a symbol index
+    for each pin in shuffled order; the pins are placed and sorted in bulk
+    after the last draw.
     """
     k, n = len(alphabet), len(_CYLINDER_POOL)
     sizes, picks, symbols = [], [], []
     for _ in range(count):
-        size = rng.randint(1, _MAX_PINS + 1, dtype=np.int64)
+        size = 1 + words.randint(_MAX_PINS)
         order = list(range(n))
-        rng.shuffle(order)
+        words.shuffle(order)
         sizes.append(size)
         picks += order[:size]
-        symbols += [rng.randint(k, dtype=np.int64) for _ in range(size)]
+        symbols += [words.randint(k) for _ in range(size)]
     # table[row, i]: the symbol index pinned at pool index i, or k for none.
     table = np.full((count, n), k, dtype=np.intp)
     table[np.repeat(np.arange(count), sizes), np.array(picks, dtype=np.intp)] = symbols
@@ -460,12 +464,12 @@ def _measure_family(model, check):
     return w, base_dim, samples
 
 
-def _check_measures(model, check, tol, rng):
+def _check_measures(model, check, tol, words):
     ts = model.torus
     cylinders = _arg(check, "cylinders")
     radii = _arg(check, "radii")
     w, base_dim, samples = _measure_family(model, check)
-    drawn = _draw_cylinders(w.alphabet, cylinders, rng)
+    drawn = _draw_cylinders(w.alphabet, cylinders, words)
     discrepancy = shift_invariance_check(w, drawn) if cylinders else 0.0
     base_band = ahlfors_check(samples, radii, base_dim, ts, w, mode="base")
     torus_band = ahlfors_check(samples, radii, base_dim + 1.0, ts, w, mode="torus")
@@ -504,7 +508,7 @@ def _refuse_measures(model, check, where):
             )
 
 
-def _check_dimension(model, check, tol, rng):
+def _check_dimension(model, check, tol, words):
     scales = [float(v) for v in check["scales"]]
     fit = box_counting_dimension(model.space, scales)
     return {
@@ -522,10 +526,12 @@ def _refuse_origin(model, check, where):
 
 
 class _Check(NamedTuple):
-    """A check: its function, its parameters as JSON Schema (see
-    ``CONFIG_SCHEMA``), its need (a key of ``_NEEDS``), whether it samples
-    and so needs a seed, and ``refuse(model, check, where)``, which raises
-    for parameters whose range depends on the model."""
+    """A check: its function ``run(model, check, tol, words)``, its
+    parameters as JSON Schema (see ``CONFIG_SCHEMA``), its need (a key of
+    ``_NEEDS``), whether it samples and so needs a seed and gets a
+    :class:`_Words` as ``words`` (None otherwise), and
+    ``refuse(model, check, where)``, which raises for parameters whose
+    range depends on the model."""
     run: Callable
     params: dict
     need: str
@@ -707,9 +713,11 @@ def _run(cfg, args) -> tuple[str, int]:
     results = []
     started = time.perf_counter()
     for i, check in enumerate(checks):
-        rng = np.random.RandomState((seed if seed is not None else 0, i))
+        row = _CHECKS[check["name"]]
+        # Only a sampling check gets a reader; _resolve_seed has required a seed for it.
+        words = _Words(np.random.RandomState((seed, i))) if row.samples else None
         try:
-            payload = _CHECKS[check["name"]].run(model, check, tol, rng)
+            payload = row.run(model, check, tol, words)
         except InvalidInputError as e:
             raise UsageError(f"$.checks[{i}]: {e}") from None
         results.append({"name": check["name"], **payload})

@@ -441,7 +441,8 @@ TWO_FIXED_POINTS = {"kind": "two-fixed-points", "parameters": {}}
 @pytest.mark.parametrize("seed", [1, 7, 401])
 def test_chain_sandwich_matches_the_per_pair_loop(space, check, tol, seed):
     model = cli._build({"space": space})
-    got = cli._check_chain_sandwich(model, check, tol, np.random.RandomState((seed, 2)))
+    words = cli._Words(np.random.RandomState((seed, 2)))
+    got = cli._check_chain_sandwich(model, check, tol, words)
     want = check_chain_sandwich_by_pair(model, check, tol, np.random.RandomState((seed, 2)))
     assert json.dumps(got, sort_keys=True) == json.dumps(want, sort_keys=True)
     assert (got["status"] == "fail") == (tol < 0)
@@ -459,7 +460,8 @@ def test_chain_sandwich_matches_the_per_pair_loop(space, check, tol, seed):
 @pytest.mark.parametrize("seed", [1, 7, 401])
 def test_quotient_check_matches_the_per_pair_loop(space, check, tol, seed):
     model = cli._build({"space": space})
-    got = cli._check_quotient_metric(model, check, tol, np.random.RandomState((seed, 0)))
+    words = cli._Words(np.random.RandomState((seed, 0)))
+    got = cli._check_quotient_metric(model, check, tol, words)
     want = check_quotient_metric_by_pair(model, check, tol, np.random.RandomState((seed, 0)))
     assert json.dumps(got, sort_keys=True) == json.dumps(want, sort_keys=True)
     assert (got["status"] == "fail") == (tol < 0)
@@ -478,7 +480,7 @@ def test_chain_sandwich_holds_the_quotient_below_the_chain(monkeypatch, space, i
     )
     model = cli._build({"space": space})
     check = {"name": "chain-sandwich", "pairs": 30}
-    got = cli._check_chain_sandwich(model, check, 1e-9, np.random.RandomState(5))
+    got = cli._check_chain_sandwich(model, check, 1e-9, cli._Words(np.random.RandomState(5)))
     assert got["violations"] == (30 if isometric else 0)
 
 
@@ -764,8 +766,8 @@ def test_csv_writer_matches_the_row_writer(monkeypatch, rows, cols, block_cells)
 )
 def test_cylinder_draws_match_the_choice_loop(seed, size, count):
     alphabet = Alphabet(tuple(f"s{k}" for k in range(size)))
-    rng, ref_rng = np.random.RandomState(seed), np.random.RandomState(seed)
-    drawn = cli._draw_cylinders(alphabet, count, rng)
+    words, ref_rng = cli._Words(np.random.RandomState(seed)), np.random.RandomState(seed)
+    drawn = cli._draw_cylinders(alphabet, count, words)
     # The first draw's cylinders as four slots a row: the pins sorted by
     # position, then padding, symbol index `size` at position 0.
     positions = np.zeros((count, 4), dtype=np.int64)
@@ -776,8 +778,9 @@ def test_cylinder_draws_match_the_choice_loop(seed, size, count):
     assert drawn.alphabet == alphabet and len(drawn) == count
     np.testing.assert_array_equal(drawn.positions, positions, strict=True)
     np.testing.assert_array_equal(drawn.symbols, symbols, strict=True)
-    # The generator ends in the same state, so later draws are unchanged.
-    assert rng.randint(2**31, size=4).tolist() == ref_rng.randint(2**31, size=4).tolist()
+    # The reader's next draws continue the generator's stream, so later
+    # draws are unchanged.
+    assert [words.randint(2**31) for _ in range(4)] == ref_rng.randint(2**31, size=4).tolist()
 
 
 def refuse_constant(name):

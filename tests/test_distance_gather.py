@@ -225,8 +225,8 @@ def wide_flow_draws(scale):
     its ``uniform``."""
     draw = cli._draw_flow_triples
 
-    def scaled(rng, n, triples):
-        idx, times, r, s = draw(rng, n, triples)
+    def scaled(words, n, triples):
+        idx, times, r, s = draw(words, n, triples)
         return idx, times, r * scale, s * scale
 
     return scaled
@@ -252,7 +252,7 @@ def test_flow_laws_report_equals_the_per_triple_loop(space, seed, triples, scale
     check = {"name": "flow-laws", "triples": triples}
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(cli, "_draw_flow_triples", wide_flow_draws(scale))
-        got = cli._check_flow_laws(model, check, 0.0, np.random.RandomState(seed))
+        got = cli._check_flow_laws(model, check, 0.0, cli._Words(np.random.RandomState(seed)))
     want = cli_reference.check_flow_laws_by_triple(model, check, 0.0, WideFlows(seed, scale))
     assert json.dumps(got) == json.dumps(want)
 
@@ -261,7 +261,7 @@ def test_wide_flows_break_the_laws_as_the_loop_does(monkeypatch):
     model = build_model(ModelSpec.from_dict(FLOW_MODELS[2]))
     check = {"name": "flow-laws", "triples": 400}
     monkeypatch.setattr(cli, "_draw_flow_triples", wide_flow_draws(1e15))
-    got = cli._check_flow_laws(model, check, 0.0, np.random.RandomState(5))
+    got = cli._check_flow_laws(model, check, 0.0, cli._Words(np.random.RandomState(5)))
     want = cli_reference.check_flow_laws_by_triple(model, check, 0.0, WideFlows(5, 1e15))
     assert got["status"] == "fail" and 0 < got["violations"] < 400
     assert got == want

@@ -211,7 +211,7 @@ def test_cylinder_kernel_equals_the_reference_loop(family, seed, count):
         got = measures._ball_measures(samples, radii, ts, w, mode)
         assert got.tobytes() == np.array(want, dtype=float).tobytes()
     # The check's drawn arrays measure what the first draw's cylinders did.
-    drawn = cli._draw_cylinders(w.alphabet, count, np.random.RandomState(seed))
+    drawn = cli._draw_cylinders(w.alphabet, count, cli._Words(np.random.RandomState(seed)))
     first = draw_cylinders_by_choice(w.alphabet, count, np.random.RandomState(seed))
     assert measures._cylinder_measures(drawn, w).tobytes() == measure_bytes(first, w)
     assert shift_invariance_check(w, drawn) == 0.0
