@@ -668,8 +668,9 @@ CONFIG_SCHEMA = {
 # ============================================================
 
 def _build(cfg) -> "BuiltModel":
+    """The model of ``cfg``, whose ``$.space`` :func:`_load_config` has validated."""
     try:
-        return build_model(ModelSpec.from_dict(cfg["space"]))
+        return build_model(ModelSpec(**cfg["space"]))
     except InvalidInputError as e:
         raise UsageError(f"$.space: {e}") from None
 

@@ -235,20 +235,25 @@ SPACE_SCHEMA = {
 
 @dataclass(frozen=True, eq=False)
 class ModelSpec:
-    """A validated (kind, parameters) pair naming one buildable model."""
+    """A (kind, parameters) pair naming one buildable model.  The constructor
+    takes a pair that :data:`SPACE_SCHEMA` has validated and copies the
+    parameters, number parameters given as integers becoming floats;
+    :meth:`from_dict` validates first."""
 
     kind: str
     parameters: dict
 
+    def __post_init__(self):
+        types = _KINDS[self.kind].types
+        object.__setattr__(self, "parameters", {
+            k: float(v) if types[k] == "number" else v for k, v in self.parameters.items()
+        })
+
     @classmethod
     def from_dict(cls, raw: Mapping[str, Any]) -> "ModelSpec":
-        """Validate ``raw`` against :data:`SPACE_SCHEMA`; number parameters
-        given as integers become floats."""
+        """Validate ``raw`` against :data:`SPACE_SCHEMA`, then construct."""
         validate(SPACE_SCHEMA, raw)
-        types = _KINDS[raw["kind"]].types
-        return cls(kind=raw["kind"], parameters={
-            k: float(v) if types[k] == "number" else v for k, v in raw["parameters"].items()
-        })
+        return cls(kind=raw["kind"], parameters=raw["parameters"])
 
 
 @dataclass(frozen=True, eq=False)

@@ -265,6 +265,12 @@ def test_integer_ratio_accepted_as_float():
     )
     model = build_model(spec)
     assert model.space.dist(0.0, 1.0) == 1.0
+    # The constructor coerces too, into a copy: the config keeps its int.
+    raw = {"grid_size": 8, "alpha": 1}
+    direct = ModelSpec("snowflake-interval", raw)
+    assert direct.parameters == spec.parameters
+    assert type(direct.parameters["alpha"]) is float and type(direct.parameters["grid_size"]) is int
+    assert type(raw["alpha"]) is int
 
 
 def test_point_labels():
