@@ -236,9 +236,9 @@ SPACE_SCHEMA = {
 @dataclass(frozen=True, eq=False)
 class ModelSpec:
     """A (kind, parameters) pair naming one buildable model.  The constructor
-    takes a pair that :data:`SPACE_SCHEMA` has validated and copies the
-    parameters, number parameters given as integers becoming floats;
-    :meth:`from_dict` validates first."""
+    expects a pair that :data:`SPACE_SCHEMA` accepts (:meth:`from_dict`
+    validates one first) and keeps a copy of the parameters, with number
+    parameters given as integers as floats."""
 
     kind: str
     parameters: dict
