@@ -327,7 +327,7 @@ class ShortestPaths:
     The pivots ``k`` run in index order, and each relaxes ``D[i, j]`` to
     ``fl(D[i, k] + D[k, j])`` where that is smaller, as scipy's loop does;
     row and column ``k`` cannot change at pivot ``k``, since ``D[k, k]`` is
-    0.  Three things make it fast without changing a bit:
+    0.  Four things make it fast without changing a bit:
 
     * A block pairs two runs of single-linkage neighbours.
     * A pivot skips every block pair ``(I, J)`` with ``fl(min_I c + min_J
@@ -339,11 +339,24 @@ class ShortestPaths:
       pivot relaxes.
     * ``fl(a + b) == fl(b + a)`` keeps D symmetric, so only the block pairs
       ``I <= J`` are relaxed (``bmax`` is ``-inf`` below the diagonal), and
-      the rest is mirrored at the end.
+      each relaxed block is written to its mirror too.  A pivot's column is
+      then its row, one read.
+    * Most pivots change nothing, and such a pivot leaves D and ``bmax`` as
+      they were.  So the pivots are checked a window at a time, on one
+      state: the window's columns are read at once, and the candidates
+      ``fl(c[i] + c[j])`` of its live block pairs are compared with the
+      blocks, a chunk of pairs at a time in pivot order.  The first pivot
+      whose candidates fall below a cell is the only one applied: its
+      blocks that change take the minimum, and the next window starts
+      just after it.  The pivots before it changed nothing and are done.
+      A window width starts at 1, doubles after a window that changes
+      nothing, and holds at most :data:`ROW_BLOCK_CELLS` column cells.  A
+      ``-0.0`` candidate does not fall below a ``+0.0`` cell, so a zero may
+      keep the other sign than scipy's.
 
-    Each pivot costs O(N^2 / B^2) in a few array calls, plus B^2 per block
-    pair it cannot rule out: scipy's O(N^3) at worst.  Besides the weights,
-    the solve holds two N x N arrays at a time.
+    Each window costs O(w N^2 / B^2) in a few array calls, plus B^2 per
+    block pair of its pivots that it cannot rule out: scipy's O(N^3) at
+    worst.  Besides the weights, the solve holds two N x N arrays at a time.
     """
 
     def __init__(self, weights: np.ndarray) -> None:
@@ -354,8 +367,8 @@ class ShortestPaths:
         nb = -(-n // b)
         w = _with_transpose(np.minimum, weights)
         order, _ = _prim_order(w)
-        # The padding is inf, which no pivot relaxes.  Blocks below the
-        # diagonal are read once mirrored.  The last block row can be short:
+        # The padding is inf, which no pivot relaxes.  D is stored whole, as
+        # the solve keeps it symmetric.  The last block row can be short:
         # the strip's rows past its last vertex are reset to inf, so that
         # they keep no copy of the block row before.
         d = np.full((nb, nb, b, b), np.inf)
@@ -372,23 +385,36 @@ class ShortestPaths:
         bmax[np.tril_indices(nb, -1)] = -np.inf
         place = np.empty(n, dtype=np.intp)
         place[order] = at
-        c = np.empty(nb * b)
-        cb = c.reshape(nb, b)
-        for k in range(n):
-            K, o = divmod(int(place[k]), b)
-            c[: K * b] = d[:K, K, :, o].ravel()
-            c[K * b :] = d[K, K:, o, :].ravel()
-            c[K * b + o] = np.inf
-            cmin = cb.min(axis=1)
-            I, J = np.nonzero(np.add.outer(cmin, cmin) < bmax)
-            for part in row_blocks(len(I), b * b):
-                i, j = I[part], J[part]
+        span = max(1, ROW_BLOCK_CELLS // max(1, nb * b))
+        start, width = 0, 1
+        while start < n:
+            pivots = place[start : start + width]
+            K, o = np.divmod(pivots, b)
+            cols = d[K, :, o, :]
+            cols.reshape(len(pivots), nb * b)[np.arange(len(pivots)), pivots] = np.inf
+            cmin = cols.min(axis=2)
+            T, I, J = np.nonzero(cmin[:, :, None] + cmin[:, None, :] < bmax)
+            first = None
+            for part in row_blocks(len(T), b * b):
+                t, i, j = T[part], I[part], J[part]
+                if first is not None and t[0] != first:
+                    break
                 blocks = d[i, j]
-                np.minimum(blocks, cb[i, :, None] + cb[j, None, :], out=blocks)
-                d[i, j] = blocks
-                bmax[i, j] = blocks.max(axis=(1, 2))
-        for rows in range(nb - 1):
-            d[rows + 1 :, rows] = d[rows, rows + 1 :].transpose(0, 2, 1)
+                through = cols[t, i, :, None] + cols[t, j, None, :]
+                hit = (through < blocks).any(axis=(1, 2))
+                if first is None and hit.any():
+                    first = t[hit.argmax()]
+                if first is not None:
+                    hit &= t == first
+                    i, j, blocks = i[hit], j[hit], blocks[hit]
+                    np.minimum(blocks, through[hit], out=blocks)
+                    d[i, j] = blocks
+                    d[j, i] = blocks.transpose(0, 2, 1)
+                    bmax[i, j] = blocks.max(axis=(1, 2))
+            if first is None:
+                start, width = start + width, min(2 * width, span)
+            else:
+                start, width = start + int(first) + 1, 1
         #: The vertices in the order the distances are stored in.
         self.order = order
         self._place = place

@@ -39,7 +39,7 @@ from solenoidlab import (
     truncate,
     verify_isometry,
 )
-from solenoidlab import cli, dynamics
+from solenoidlab import cli, dynamics, mapping_torus
 from solenoidlab.connectedness import _merge_labels
 from solenoidlab.dynamics import index_cycles
 from solenoidlab.models import ModelSpec, build_model
@@ -126,6 +126,40 @@ def test_index_steps_beyond_int64_are_exact(n):
     assert table.step(1, n) == (1 + n) % 9
     assert table.power(n).tolist() == [(i + n) % 9 for i in range(9)]
     assert iterate(mapping, n, 1) == (1 + n) % 9
+
+
+@settings(max_examples=150, deadline=None)
+@given(drawn=cycle_maps(), data=st.data())
+def test_a_table_of_powers_steps_as_each_index_does(drawn, data):
+    # _stepped reads f^n from one power per shift where the indices
+    # outnumber the points times the shifts, and steps each index
+    # otherwise.  Both must agree, for integral float shifts beyond int64
+    # (one shift there: its neighbours are not floats) and for an int.
+    points, mapping = drawn
+    table, n = mapping._cycles, len(points)
+    far = data.draw(st.sampled_from([0.0, 2.0 ** 63, -(2.0 ** 70), 1e20]))
+    spread = data.draw(st.integers(0, 3)) if far == 0.0 else 0
+    tabled = data.draw(st.booleans())
+    count = n * (2 * spread + 1) + data.draw(st.integers(1, 50)) if tabled else data.draw(st.integers(1, n))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+    x = rng.integers(0, n, count)
+    shifts = far + rng.integers(-spread, spread + 1, count)
+    want = [table.step(int(i), int(s)) for i, s in zip(x, shifts)]
+    assert mapping_torus._stepped(table, x, shifts).tolist() == want
+    whole = data.draw(st.integers(-5, 5))
+    assert np.array_equal(mapping_torus._stepped(table, x, whole), table.step(x, whole))
+
+
+@pytest.mark.parametrize("far", [2.0 ** 63, -(2.0 ** 70), 1e20])
+@pytest.mark.parametrize("count", [16, 17, 100])
+def test_canonical_points_at_integral_times_beyond_int64(far, count):
+    # 16 points: 16 indices step one by one, 17 and 100 read one power.
+    space, mapping, _ = build_padic_cycle(2, 4)
+    ts = TorusSpace(space, mapping, lipschitz_constant=1.0, diameter_bound=1.0)
+    x = np.arange(count) % 16
+    base, time = mapping_torus._canonical(ts, x, np.full(count, far))
+    assert base.tolist() == [(i - int(far)) % 16 for i in x.tolist()]
+    assert not time.any()
 
 
 def test_a_model_space_shares_the_maps_table_and_a_reordered_space_renumbers_it():

@@ -1,12 +1,16 @@
 """The block-pruned Floyd-Warshall against scipy's, bit for bit.
 
 ``metric_core.ShortestPaths`` skips every block pair a pivot provably
-cannot change, so each of its results must hold the same bits as scipy's
-undirected ``floyd_warshall`` (``metric_reference.shortest_paths_by_scipy``):
-on drawn weights of every size around the block side, on weights with ties,
-few distinct values and entries below scipy's dense-zero threshold, and on
-the chain samples the chain table solves.  Weights holding ``-0.0`` may give
-a zero of the other sign, so there the results are only ``np.array_equal``.
+cannot change, and checks the pivots a window at a time, applying only
+those that change a cell, so each of its results must hold the same bits as
+scipy's undirected ``floyd_warshall``
+(``metric_reference.shortest_paths_by_scipy``): on drawn weights of every
+size around the block side, on weights with ties, few distinct values and
+entries below scipy's dense-zero threshold, in narrow and wide windows, on
+weights whose changes fall at the first, two consecutive or the last pivot,
+and on the chain samples the chain table solves.  Weights holding ``-0.0``
+may give a zero of the other sign, so there the results are only
+``np.array_equal``.
 """
 
 import math
@@ -68,14 +72,31 @@ def weight_matrices(draw):
     return w
 
 
-@settings(max_examples=200)
-@given(weight_matrices())
-def test_equals_scipy_floyd_warshall_bit_for_bit(w):
+def narrow_windows(n: int) -> int:
+    """A ``ROW_BLOCK_CELLS`` under which a solve of ``n`` points checks
+    windows of at most two pivots, and evaluates one live block pair per
+    chunk, so that an applied pivot's pairs straddle chunk ends."""
+    return 2 * -(-n // metric_core._SOLVE_BLOCK) * metric_core._SOLVE_BLOCK
+
+
+@settings(max_examples=200, deadline=None)
+@given(weight_matrices(), st.booleans(), st.booleans(), st.integers(0, 2**32 - 1))
+def test_equals_scipy_floyd_warshall_bit_for_bit(w, narrow, negative_zeros, seed):
     # Asymmetric weights are read as min(w, w.T) and a nonzero diagonal as
-    # 0, as scipy's undirected solve reads them.
-    got = ShortestPaths(w).matrix()
-    assert same_bits(got, metric_reference.shortest_paths_by_scipy(w))
-    assert same_bits(got, got.T)
+    # 0, as scipy's undirected solve reads them.  Narrow windows restart at
+    # every applied pivot; wide ones (the default cells) find it among up
+    # to 64 pivots that change nothing.
+    if negative_zeros:
+        w = np.where(np.random.default_rng(seed).random(w.shape) < 0.2, -0.0, w)
+    cells = narrow_windows(len(w)) if narrow else metric_core.ROW_BLOCK_CELLS
+    with mock.patch.object(metric_core, "ROW_BLOCK_CELLS", cells):
+        got = ShortestPaths(w).matrix()
+    want = metric_reference.shortest_paths_by_scipy(w)
+    if negative_zeros:
+        assert np.array_equal(got, want)
+    else:
+        assert same_bits(got, want)
+        assert same_bits(got, got.T)
 
 
 @pytest.mark.parametrize("size", [1, 31, 32, 33])
@@ -112,6 +133,54 @@ def test_leaves_its_weights_as_they_were():
     kept = w.copy()
     ShortestPaths(w)
     assert np.array_equal(w, kept)
+
+
+def changing_pivots(w: np.ndarray) -> list:
+    """The pivots of a plain Floyd-Warshall over ``min(w, w.T)`` that lower a cell."""
+    d = np.minimum(w, w.T)
+    np.fill_diagonal(d, 0.0)
+    changed = []
+    for k in range(len(d)):
+        through = d[:, k, None] + d[k]
+        if (through < d).any():
+            changed.append(k)
+            np.minimum(d, through, out=d)
+    return changed
+
+
+def hub_weights(n: int, hubs) -> np.ndarray:
+    """Unit weights, but for each hub's edges to the points that are not
+    hubs, 0.4 for the first hub and 0.3 for the second, and 0.5 between
+    the hubs.  Paths through a hub are shorter than the edges they skip,
+    and no path through another point is shorter than the edge between the
+    hubs, so exactly the hubs change cells, once at least two points are
+    not hubs."""
+    w = np.ones((n, n))
+    rest = np.setdiff1d(np.arange(n), hubs)
+    for hub, weight in zip(hubs, (0.4, 0.3)):
+        w[hub, rest] = w[rest, hub] = weight
+    w[np.ix_(hubs, hubs)] = 0.5
+    return w
+
+
+HUBS = {
+    "first": lambda n: [0],
+    "consecutive": lambda n: [n // 2, n // 2 + 1],
+    "last": lambda n: [n - 1],
+}
+
+
+@pytest.mark.parametrize("n", [1, 31, 32, 33, 65])
+@pytest.mark.parametrize("hubs", HUBS)
+@pytest.mark.parametrize("narrow", [False, True])
+def test_only_the_pivots_that_change_a_cell_are_applied(n, hubs, narrow):
+    hubs = [k for k in HUBS[hubs](n) if k < n]
+    w = hub_weights(n, hubs)
+    assert changing_pivots(w) == (hubs if n - len(hubs) >= 2 else [])
+    cells = narrow_windows(n) if narrow else metric_core.ROW_BLOCK_CELLS
+    with mock.patch.object(metric_core, "ROW_BLOCK_CELLS", cells):
+        got = ShortestPaths(w).matrix()
+    assert same_bits(got, metric_reference.shortest_paths_by_scipy(w))
 
 
 def ties_and_zeros(rng: np.random.Generator, shape) -> np.ndarray:
