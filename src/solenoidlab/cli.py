@@ -789,12 +789,17 @@ def _csv_text(labels, matrix) -> str:
     return out.getvalue()
 
 
-def _write(text, path):
-    if path:
+def _write(text, path, where):
+    """``text`` to ``path``, or to stdout when there is none; a path that
+    cannot be written is a usage error named by ``where``."""
+    if not path:
+        sys.stdout.write(text)
+        return
+    try:
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(text)
-    else:
-        sys.stdout.write(text)
+    except OSError as e:
+        raise UsageError(f"{where}: cannot write {path}: {e.strerror or e}") from None
 
 
 def _parser():
@@ -845,12 +850,12 @@ def main(argv=None) -> int:
             return 0
         cfg = _load_config(args.config)
         out_path = args.out or cfg.get("output", {}).get("path")
+        where = "--out" if args.out else "$.output.path"
         if args.command == "run":
             text, code = _run(cfg, args)
-            _write(text, out_path)
+            _write(text, out_path, where)
             return code
-        text = _export(cfg, args)
-        _write(text, out_path)
+        _write(_export(cfg, args), out_path, where)
         return 0
     except (UsageError, InvalidInputError) as e:
         print(f"error: {e}", file=sys.stderr)

@@ -243,6 +243,16 @@ def _check_family(samples, radii, ts: TorusSpace, w: WeightVector, mode: str) ->
     _shift_ratio(ts)
 
 
+def _refuse_underflow(radii, *divisors) -> None:
+    """Refuse the first radius, in family order, one of whose divisors (its
+    ball measure, or a power of it) has underflowed to 0."""
+    for r, *values in zip(radii, *divisors):
+        if 0.0 in values:
+            raise InvalidInputError(
+                f"radius {r!r} is too small: its ball measure or its power underflows to 0"
+            )
+
+
 @dataclass(frozen=True)
 class RegularityBand:
     """Envelope of measure(ball)/radius^dim over a family, plus the pooled
@@ -265,13 +275,17 @@ def ahlfors_check(
     """Band of ball-measure to radius^expected_dim ratios.
 
     ``mode="base"`` measures base-space balls around the samples' base
-    points; ``mode="torus"`` measures balls in the glued space.
+    points; ``mode="torus"`` measures balls in the glued space.  A radius
+    whose ball measure or ``r ** expected_dim`` underflows to 0 raises
+    InvalidInputError.
     """
     _check_family(samples, radii, ts, w, mode)
     values = _ball_measures(samples, radii, ts, w, mode).ravel().tolist()
     radii = [r for _ in samples for r in radii]
+    powers = [r ** expected_dim for r in radii]
+    _refuse_underflow(radii, values, powers)
     ratios, logs_r, logs_v = zip(*[
-        (v / r ** expected_dim, math.log(r), math.log(v)) for v, r in zip(values, radii)
+        (v / power, math.log(r), math.log(v)) for v, r, power in zip(values, radii, powers)
     ])
     fit = np.polyfit(logs_r, logs_v, 1, full=True) if len(set(logs_r)) > 1 else None
     slope = float(fit[0][0]) if fit and fit[2] == 2 else math.nan  # rank < 2: no line
@@ -288,10 +302,12 @@ def doubling_check(
     """Worst ratio measure(B(2r))/measure(B(r)) over the family.
 
     Needs strictly positive weights; a zero weight makes balls of measure
-    zero and the ratio meaningless.
+    zero and the ratio meaningless.  A radius whose ball measure underflows
+    to 0 raises InvalidInputError.
     """
     _check_family(samples, radii, ts, w, mode)
     # Each radius follows its double: per sample, B(2r) is checked before B(r).
     pairs = [x for r in radii for x in (2.0 * r, r)]
     values = _ball_measures(samples, pairs, ts, w, mode).ravel().tolist()
+    _refuse_underflow([r for _ in samples for r in radii], values[1::2])
     return max([0.0] + [big / small for big, small in zip(values[::2], values[1::2])])

@@ -23,7 +23,8 @@ the representative window; quotient exports of the 3^3 ring and the two
 fixed points at times on both sides of the seam and 1/2 apart;
 chain-sandwich runs whose samples end in a partial block of the chain solve;
 seeded sampling runs on the 3^2 ring, whose index draws reject 7 of every 16
-words; and the smoke configs of CI, exit-2 refusals included.
+words; and eleven claims (``claims/``, read by name in :data:`_SMOKE`; its
+``smoke-*`` ids predate the claims), exit-2 refusals included.
 
 A report shows a chain distance only through the sandwich's verdict, so
 ``tests/fixtures/chain_distances.json`` also keeps, for each chain-sandwich
@@ -45,17 +46,16 @@ The same command rewrites all three fixtures.
 
 from __future__ import annotations
 
-import contextlib
 import hashlib
 import importlib.util
-import io
 import json
 import re
 import sys
-import tempfile
 from pathlib import Path
 
 import numpy as np
+
+import claims
 
 TESTS = Path(__file__).resolve().parent
 FIXTURE = TESTS / "fixtures" / "reports.json"
@@ -134,62 +134,12 @@ _REJECTION_SPACE = {"kind": "padic-cycle", "parameters": {"prime": 3, "digits": 
 _REJECTION_CHECKS = [{"name": "quotient-metric"}, {"name": "flow-laws"},
                      {"name": "chain-sandwich", "pairs": 500}]
 
-#: CI's smoke configs, each with the exit code CI requires.
+#: The claims (``claims/``) kept in the corpus, each under its operation id.
 _SMOKE = {
-    "smoke-needs": ("run", {
-        "space": {"kind": "snowflake-interval",
-                  "parameters": {"grid_size": 2048, "alpha": 0.5}},
-        "seed": 1,
-        "checks": [{"name": "metric-axioms"}, {"name": "flow-laws"}],
-    }),
-    "smoke-oversized": ("run", {
-        "space": {"kind": "padic-cycle", "parameters": {"prime": 2, "digits": 15}},
-        "checks": [{"name": "ultrametric"}],
-    }),
-    "smoke-subnormal": ("run", {
-        "space": {"kind": "full-shift",
-                  "parameters": {"alphabet_size": 2, "ratio": 1e-310, "max_period": 4}},
-        "checks": [{"name": "ultrametric"}],
-    }),
-    "smoke-underflow": ("run", {
-        "space": {"kind": "full-shift",
-                  "parameters": {"alphabet_size": 2, "ratio": 1e-200, "max_period": 6}},
-        "checks": [{"name": "ultrametric"}],
-    }),
-    "smoke-tiny": ("run", {
-        "space": {"kind": "full-shift",
-                  "parameters": {"alphabet_size": 2, "ratio": 0.001, "max_period": 10}},
-        "checks": [{"name": "metric-axioms"}, {"name": "ultrametric"}],
-    }),
-    "smoke-chain-2048": ("run", {
-        "space": {"kind": "padic-cycle", "parameters": {"prime": 2, "digits": 11}},
-        "seed": 1,
-        "checks": [{"name": "chain-sandwich", "pairs": 500, "max_bases": 512}],
-    }),
-    "smoke-no-digits": ("run", {
-        "space": {"kind": "padic-cycle", "parameters": {"prime": 10**400, "digits": 0}},
-        "checks": [{"name": "ultrametric"}],
-    }),
-    "smoke-tiny-radius": ("run", {
-        "space": _FULL_SHIFT,
-        "seed": 1,
-        "checks": [{"name": "measures", "radii": [0.5, 1e-160]}],
-    }),
-    "smoke-tiny-ball": ("run", {
-        "space": _FULL_SHIFT,
-        "seed": 1,
-        "checks": [{"name": "measures", "radii": [0.5, 1e-50],
-                    "weights": {"0": 0.999, "1": 0.001}}],
-    }),
-    "smoke-base-times": ("export", {
-        "space": _FULL_SHIFT,
-        "export": {"metric": "base", "times": [0.0, 0.5]},
-    }),
-    "smoke-flake": ("export", {
-        "space": {"kind": "snowflake-interval",
-                  "parameters": {"grid_size": 3, "alpha": 0.3}},
-        "export": {"metric": "base"},
-    }),
+    "smoke-needs": "needs", "smoke-oversized": "oversized", "smoke-subnormal": "subnormal",
+    "smoke-underflow": "underflow", "smoke-tiny": "tiny", "smoke-chain-2048": "chain-2048-queries",
+    "smoke-no-digits": "no-digits", "smoke-tiny-radius": "tiny-radius",
+    "smoke-tiny-ball": "tiny-ball", "smoke-base-times": "base-times", "smoke-flake": "flake",
 }
 
 
@@ -262,23 +212,16 @@ def operations() -> dict[str, tuple[str, dict, list[str]]]:
         # Below a negative tolerance the equal pairs fail, so the report
         # names the first drawn pair of each pair check.
         ops[f"rejection-padic-3-2-seed{seed}-tol-1e-9"] = ("run", cfg, ["--tol=-1e-9"])
-    for name, (command, cfg) in _SMOKE.items():
-        ops[name] = (command, cfg, [])
+    all_claims = claims.load()
+    for op_id, name in _SMOKE.items():
+        ops[op_id] = (all_claims[name]["command"], all_claims[name]["config"], [])
     return ops
 
 
 def record(command: str, cfg: dict, extra: list[str]) -> dict:
     """What one in-process ``cli.main`` call gives, as the fixture keeps it."""
-    from solenoidlab import cli
-
-    out, err = io.StringIO(), io.StringIO()
-    with tempfile.TemporaryDirectory() as tmp:
-        path = Path(tmp) / "config.json"
-        path.write_text(json.dumps(cfg), encoding="utf-8")
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            code = cli.main([command, str(path), *extra])
-    entry = {"exit": code, "stderr": _TIMING.sub("", err.getvalue())}
-    text = out.getvalue()
+    code, text, err = claims.run_in_process(command, cfg, extra)
+    entry = {"exit": code, "stderr": _TIMING.sub("", err)}
     if command == "export" and text:
         data = text.encode("utf-8")
         entry["stdout_sha256"] = hashlib.sha256(data).hexdigest()

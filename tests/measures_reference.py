@@ -7,7 +7,8 @@ keeps the per-cylinder and per-ball loops that call replaced, in the same
 order of cylinders, samples and radii and with the same checks per ball, and
 the depth rule in its plainest form: count up from 0 until ``ratio ** n <=
 radius``.  Property tests hold the library's views to these bit for bit, the
-error raised for the first faulty ball included.
+error raised for the first faulty ball included, and then for the first
+radius whose ball measure or power underflows to 0.
 """
 
 from __future__ import annotations
@@ -84,6 +85,11 @@ def family_ratio(samples, radii, ts, w, mode) -> float:
     return shift_ratio(ts)
 
 
+def underflow(r) -> InvalidInputError:
+    return InvalidInputError(
+        f"radius {r!r} is too small: its ball measure or its power underflows to 0")
+
+
 def ball_measure(p, r, ratio, ts, w, mode) -> float:
     if mode == "base":
         return base_ball_measure(p.base, r, ratio, w)
@@ -92,13 +98,15 @@ def ball_measure(p, r, ratio, ts, w, mode) -> float:
 
 def ahlfors_check(samples, radii, expected_dim, ts, w, mode="torus") -> RegularityBand:
     ratio = family_ratio(samples, radii, ts, w, mode)
+    balls = [(r, ball_measure(p, r, ratio, ts, w, mode)) for p in samples for r in radii]
     logs_r, logs_v, ratios = [], [], []
-    for p in samples:
-        for r in radii:
-            v = ball_measure(p, r, ratio, ts, w, mode)
-            ratios.append(v / r ** expected_dim)
-            logs_r.append(math.log(r))
-            logs_v.append(math.log(v))
+    for r, v in balls:
+        if v == 0.0 or r ** expected_dim == 0.0:
+            raise underflow(r)
+    for r, v in balls:
+        ratios.append(v / r ** expected_dim)
+        logs_r.append(math.log(r))
+        logs_v.append(math.log(v))
     # A fit of rank below 2 (fewer than two distinct radii, or radii too
     # close together) gives no slope.
     slope = math.nan
@@ -111,10 +119,14 @@ def ahlfors_check(samples, radii, expected_dim, ts, w, mode="torus") -> Regulari
 
 def doubling_check(samples, radii, ts, w, mode="torus") -> float:
     ratio = family_ratio(samples, radii, ts, w, mode)
+    balls = [
+        (r, ball_measure(p, 2.0 * r, ratio, ts, w, mode), ball_measure(p, r, ratio, ts, w, mode))
+        for p in samples for r in radii
+    ]
     worst = 0.0
-    for p in samples:
-        for r in radii:
-            big = ball_measure(p, 2.0 * r, ratio, ts, w, mode)
-            small = ball_measure(p, r, ratio, ts, w, mode)
-            worst = max(worst, big / small)
+    for r, _, small in balls:
+        if small == 0.0:
+            raise underflow(r)
+    for _, big, small in balls:
+        worst = max(worst, big / small)
     return worst

@@ -409,27 +409,6 @@ def test_a_radius_whose_power_or_ball_measure_underflows_is_refused(
     )
 
 
-def test_a_ratio_whose_reciprocal_overflows_is_refused_by_name(tmp_path, capsys, no_check_runs):
-    space = FULL_SHIFT | {"parameters": {"alphabet_size": 2, "ratio": 1e-310, "max_period": 4}}
-    cfg = {"space": space, "seed": 1, "checks": [{"name": "metric-axioms"}]}
-    assert main(["run", write_config(tmp_path, cfg)]) == 2
-    assert capsys.readouterr().err == (
-        "error: $.space: ratio must lie in (0, 1) with 1/ratio finite, got 1e-310\n"
-    )
-
-
-def test_a_ratio_whose_smallest_distance_underflows_is_refused_by_name(
-    tmp_path, capsys, no_check_runs
-):
-    space = FULL_SHIFT | {"parameters": {"alphabet_size": 2, "ratio": 1e-200, "max_period": 6}}
-    cfg = {"space": space, "seed": 1, "checks": [{"name": "metric-axioms"}]}
-    assert main(["run", write_config(tmp_path, cfg)]) == 2
-    assert capsys.readouterr().err == (
-        "error: $.space: ratio 1e-200 is too small for max_period 6: the smallest "
-        "distance, ratio ** 2, underflows to 0\n"
-    )
-
-
 @pytest.mark.parametrize("space, count", [
     (PADIC | {"parameters": {"prime": 2, "digits": 15}}, "2^15"),
     (PADIC | {"parameters": {"prime": 2**61 - 1, "digits": 1}}, f"{2**61 - 1}^1"),

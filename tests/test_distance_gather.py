@@ -357,7 +357,8 @@ def test_halves_round_to_even_in_both():
 
 def test_8192_point_padic_sampling_run_peaks_under_300_mib(tmp_path):
     """The sampling checks on a 2^13 residue ring, run in a child process:
-    with both N x N tables built it peaked at 1103 MiB."""
+    with both N x N tables built it peaked at 1103 MiB.  The child reports
+    VmHWM, as its ru_maxrss holds the test process's RSS from the exec."""
     config = tmp_path / "config.json"
     config.write_text(json.dumps({
         "space": {"kind": "padic-cycle", "parameters": {"prime": 2, "digits": 13}},
@@ -369,10 +370,10 @@ def test_8192_point_padic_sampling_run_peaks_under_300_mib(tmp_path):
         ],
     }))
     script = (
-        "import resource, sys\n"
         "from solenoidlab import cli\n"
         f"code = cli.main(['run', {str(config)!r}, '--out', {str(tmp_path / 'r.json')!r}])\n"
-        "print(code, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)\n"
+        "hwm = next(line for line in open('/proc/self/status') if line.startswith('VmHWM:'))\n"
+        "print(code, hwm.split()[1])\n"
     )
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))

@@ -354,6 +354,19 @@ def test_a_nan_radius_is_refused_as_not_positive():
         base_ball_measure(ZEROS, math.nan, 0.5, UNIFORM)
 
 
+def test_a_radius_whose_ball_or_power_underflows_is_refused(shift_torus):
+    # The CLI's samples: these raised ZeroDivisionError or a math domain error.
+    samples = [TorusPoint(b, 0.25) for b in shift_torus.base_space.points[:8]]
+    skew = WeightVector(BITS, (0.999, 0.001))
+    for call in (
+        lambda: ahlfors_check(samples, [0.5, 1e-160], 3.0, shift_torus, UNIFORM),
+        lambda: ahlfors_check(samples, [0.5, 1e-50], 2.0, shift_torus, skew, mode="base"),
+        lambda: doubling_check(samples, [0.25, 1e-50], shift_torus, skew),
+    ):
+        with pytest.raises(InvalidInputError, match=r"radius 1e-(160|50) is too small"):
+            call()
+
+
 def outcome(call):
     """What ``call()`` gives: its value's repr, or its error's type and text."""
     try:
