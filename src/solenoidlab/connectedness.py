@@ -63,7 +63,7 @@ def _merge_labels(count: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
 def invariant_components(
     space: FiniteMetricSpace, mapping: SelfMap, epsilon: float
 ) -> ComponentPartition:
-    if epsilon <= 0:
+    if not epsilon > 0:
         raise InvalidInputError(f"resolution must be positive, got {epsilon}")
     n = len(space)
     table = index_cycles(space, mapping)
@@ -125,7 +125,7 @@ def dense_orbit_check(
     resolution; that implication is checked and a failure raises
     :class:`InvariantError`.
     """
-    if epsilon <= 0:
+    if not epsilon > 0:
         raise InvalidInputError(f"resolution must be positive, got {epsilon}")
     if max_iter < 0:
         raise InvalidInputError(f"iteration budget must be nonnegative, got {max_iter}")

@@ -31,8 +31,17 @@ class IndexCycles(NamedTuple):
     def step(self, x: np.ndarray | int, n):
         """Index of f^n(points[x]) for an index or index array ``x`` and
         whole numbers ``n``, integers or integral floats of any size, that
-        broadcast against it.  ``n`` is reduced modulo the cycle length
-        first: exactly, in Python ints for an int beyond int64."""
+        broadcast against it.  Where a 1-D ``x`` outnumbers the points times
+        the span of shifts from the least n to the greatest, each f^n(x) is
+        read from a table of one :meth:`power` per shift: a gather.  Otherwise
+        ``n`` is reduced modulo the cycle length first: exactly, in Python
+        ints for an int beyond int64."""
+        if np.ndim(x) == 1 and len(x) > len(self.slots):
+            low = np.min(n)
+            span = np.max(n) - low + 1
+            if len(x) > len(self.slots) * span:
+                powers = np.stack([self.power(int(low) + k) for k in range(int(span))])
+                return powers[np.asarray(n - low, dtype=np.intp), x]
         slot = self.rank[x]
         first = self.start[slot]
         length = self.length[slot]

@@ -168,28 +168,12 @@ def _canonical_times(t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return n, time
 
 
-def _stepped(cycles: IndexCycles, x: np.ndarray, n) -> np.ndarray:
-    """``cycles.step(x, n)`` for base indices ``x`` and whole numbers ``n``,
-    an int or integral floats of the shape of ``x``.  Where the indices
-    outnumber the base points times the shifts from the least n to the
-    greatest, each f^n(x) is read from a table of one ``power`` per shift:
-    a gather, where a step reduces each shift modulo its cycle.  A float
-    shift beyond int64 is exact either way."""
-    if len(x) > len(cycles.slots):
-        low = np.min(n)
-        span = np.max(n) - low + 1
-        if len(x) > len(cycles.slots) * span:
-            powers = np.stack([cycles.power(int(low) + k) for k in range(int(span))])
-            return powers[np.asarray(n - low, dtype=np.intp), x]
-    return cycles.step(x, n)
-
-
 def _canonical(ts: TorusSpace, x: np.ndarray, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Base indices and times in [0, 1) of the representatives of the
     points (``x``, ``t``), base indices and finite times: (x, t) ->
     (f^n(x), t + n), with n from :func:`_canonical_times`."""
     n, time = _canonical_times(t)
-    return _stepped(ts._cycles, x, n), time
+    return ts._cycles.step(x, n), time
 
 
 def canonicalize(x: Point, t: float, ts: TorusSpace) -> TorusPoint:
@@ -362,9 +346,9 @@ def _shift_minimum(ts: TorusSpace, i, r, j, t, pairs, admissible) -> np.ndarray:
         if not k.size:
             continue
         if m not in rows:
-            rows[m] = _stepped(cycles, i, m).take(ca)
+            rows[m] = cycles.step(i, m).take(ca)
         if n not in cols:
-            cols[n] = _stepped(cycles, j, n)[pieces]
+            cols[n] = cycles.step(j, n)[pieces]
         rho = _product_kernel(
             ts, rows[m].take(k)[:, None], rp.take(k)[:, None],
             cols[n].take(cp.take(k), axis=0), tp.take(k)[:, None],
@@ -638,7 +622,7 @@ def _close(
     gap = r - t
     n = np.round(gap)
     close = np.abs(gap - n) <= tol
-    close[close] = i[close] == _stepped(ts._cycles, j[close], n[close])
+    close[close] = i[close] == ts._cycles.step(j[close], n[close])
     return close
 
 
@@ -651,6 +635,7 @@ def torus_points_close(
     t = 0 seam; this compares them as points of the glued space.  The 1x1
     view of the array comparison.
     """
+    _require_finite(p.time, q.time)
     i, j = (np.array([ts.base_space.index_of(x.base)]) for x in (p, q))
     r, t = (np.array([x.time], dtype=float) for x in (p, q))
     return bool(_close(ts, i, r, j, t, tol)[0])

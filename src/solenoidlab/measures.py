@@ -253,6 +253,14 @@ def _refuse_underflow(radii, *divisors) -> None:
             )
 
 
+def _power(r: float, dim: float) -> float:
+    """``r ** dim``, refusing a radius whose power overflows."""
+    try:
+        return r ** dim
+    except OverflowError:
+        raise InvalidInputError(f"radius {r!r} is too large: its power overflows") from None
+
+
 @dataclass(frozen=True)
 class RegularityBand:
     """Envelope of measure(ball)/radius^dim over a family, plus the pooled
@@ -276,13 +284,13 @@ def ahlfors_check(
 
     ``mode="base"`` measures base-space balls around the samples' base
     points; ``mode="torus"`` measures balls in the glued space.  A radius
-    whose ball measure or ``r ** expected_dim`` underflows to 0 raises
-    InvalidInputError.
+    whose ball measure or ``r ** expected_dim`` underflows to 0, or whose
+    power overflows, raises InvalidInputError.
     """
     _check_family(samples, radii, ts, w, mode)
     values = _ball_measures(samples, radii, ts, w, mode).ravel().tolist()
     radii = [r for _ in samples for r in radii]
-    powers = [r ** expected_dim for r in radii]
+    powers = [_power(r, expected_dim) for r in radii]
     _refuse_underflow(radii, values, powers)
     ratios, logs_r, logs_v = zip(*[
         (v / power, math.log(r), math.log(v)) for v, r, power in zip(values, radii, powers)

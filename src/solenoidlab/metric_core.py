@@ -707,7 +707,7 @@ def snowflake(space: FiniteMetricSpace, alpha: float) -> FiniteMetricSpace:
     plain space takes one Python power per distinct distance, as the levels
     do: numpy's array power can round differently.
     """
-    if alpha <= 0:
+    if not alpha > 0:
         raise InvalidInputError(f"snowflake exponent must be positive, got {alpha}")
     if space.power_base is not None:
         return FiniteMetricSpace(
@@ -721,7 +721,7 @@ def snowflake(space: FiniteMetricSpace, alpha: float) -> FiniteMetricSpace:
 
 def truncate(space: FiniteMetricSpace, k: float) -> FiniteMetricSpace:
     """Cap every distance at ``k`` (``min(d, k)``), a metric again for k > 0."""
-    if k <= 0:
+    if not k > 0:
         raise InvalidInputError(f"truncation level must be positive, got {k}")
     if k >= space.diameter():
         return space
@@ -744,7 +744,7 @@ def covering_number(space: FiniteMetricSpace, scale: float) -> int:
     """Greedy first-fit covering: walk points in index order, opening a new
     closed ball (centered at the current point) whenever the point is farther
     than ``scale`` from every existing center."""
-    if scale <= 0:
+    if not scale > 0:
         raise InvalidInputError(f"scale must be positive, got {scale}")
     covered = np.zeros(len(space), dtype=bool)
     count = 0
@@ -762,7 +762,7 @@ def fit_scales(space: FiniteMetricSpace, scales: Sequence[float]) -> tuple[float
     scales = tuple(float(s) for s in scales)
     if len(scales) < 3:
         raise InvalidInputError("need at least three scales for a dimension fit")
-    if any(s <= 0 for s in scales):
+    if any(not s > 0 for s in scales):
         raise InvalidInputError("scales must be positive")
     if any(a <= b for a, b in zip(scales, scales[1:])):
         raise InvalidInputError("scales must be strictly decreasing")

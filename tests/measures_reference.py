@@ -90,6 +90,13 @@ def underflow(r) -> InvalidInputError:
         f"radius {r!r} is too small: its ball measure or its power underflows to 0")
 
 
+def power(r, dim) -> float:
+    try:
+        return r ** dim
+    except OverflowError:
+        raise InvalidInputError(f"radius {r!r} is too large: its power overflows") from None
+
+
 def ball_measure(p, r, ratio, ts, w, mode) -> float:
     if mode == "base":
         return base_ball_measure(p.base, r, ratio, w)
@@ -100,11 +107,13 @@ def ahlfors_check(samples, radii, expected_dim, ts, w, mode="torus") -> Regulari
     ratio = family_ratio(samples, radii, ts, w, mode)
     balls = [(r, ball_measure(p, r, ratio, ts, w, mode)) for p in samples for r in radii]
     logs_r, logs_v, ratios = [], [], []
-    for r, v in balls:
-        if v == 0.0 or r ** expected_dim == 0.0:
+    # Every power is taken, and an overflow refused, before any underflow.
+    powers = [power(r, expected_dim) for r, _ in balls]
+    for (r, v), rd in zip(balls, powers):
+        if v == 0.0 or rd == 0.0:
             raise underflow(r)
-    for r, v in balls:
-        ratios.append(v / r ** expected_dim)
+    for (r, v), rd in zip(balls, powers):
+        ratios.append(v / rd)
         logs_r.append(math.log(r))
         logs_v.append(math.log(v))
     # A fit of rank below 2 (fewer than two distinct radii, or radii too

@@ -41,7 +41,7 @@ from solenoidlab import (
 )
 from solenoidlab import cli, dynamics, mapping_torus
 from solenoidlab.connectedness import _merge_labels
-from solenoidlab.dynamics import index_cycles
+from solenoidlab.dynamics import IndexCycles, index_cycles
 from solenoidlab.models import ModelSpec, build_model
 
 SEQUENCES = tuple(enumerate_periodic_points(Alphabet(("0", "1")), 6))
@@ -131,23 +131,50 @@ def test_index_steps_beyond_int64_are_exact(n):
 @settings(max_examples=150, deadline=None)
 @given(drawn=cycle_maps(), data=st.data())
 def test_a_table_of_powers_steps_as_each_index_does(drawn, data):
-    # _stepped reads f^n from one power per shift where the indices
-    # outnumber the points times the shifts, and steps each index
-    # otherwise.  Both must agree, for integral float shifts beyond int64
-    # (one shift there: its neighbours are not floats) and for an int.
+    # IndexCycles.step reads f^n from one power per shift where a 1-D index
+    # array outnumbers the points times the span of shifts, and steps each
+    # index otherwise.  Both must agree with per-index steps, at the
+    # boundary and off it, for integral float shifts beyond int64 (one
+    # shift there: its neighbours are not floats) and for an int; so must
+    # a scalar index against shifts, a 2-D index array and a power.
     points, mapping = drawn
     table, n = mapping._cycles, len(points)
     far = data.draw(st.sampled_from([0.0, 2.0 ** 63, -(2.0 ** 70), 1e20]))
     spread = data.draw(st.integers(0, 3)) if far == 0.0 else 0
-    tabled = data.draw(st.booleans())
-    count = n * (2 * spread + 1) + data.draw(st.integers(1, 50)) if tabled else data.draw(st.integers(1, n))
+    edge = n * (2 * spread + 1)
+    count = data.draw(st.sampled_from([edge, edge + 1]) | st.integers(1, edge + 50))
     rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
     x = rng.integers(0, n, count)
     shifts = far + rng.integers(-spread, spread + 1, count)
+    shifts[:2] = (far + np.array([-spread, spread]))[:count]  # the whole span
     want = [table.step(int(i), int(s)) for i, s in zip(x, shifts)]
-    assert mapping_torus._stepped(table, x, shifts).tolist() == want
+    assert table.step(x, shifts).tolist() == want
     whole = data.draw(st.integers(-5, 5))
-    assert np.array_equal(mapping_torus._stepped(table, x, whole), table.step(x, whole))
+    assert table.step(x, whole).tolist() == [table.step(int(i), whole) for i in x]
+    i = int(x[0])
+    assert table.step(i, shifts).tolist() == [table.step(i, int(s)) for s in shifts]
+    grid = np.stack([x, x[::-1]])
+    assert table.step(grid, shifts).tolist() == [
+        [table.step(int(i), int(s)) for i, s in zip(row, shifts)] for row in grid
+    ]
+    assert table.power(whole).tolist() == [table.step(i, whole) for i in range(n)]
+
+
+@pytest.mark.parametrize("low, high", [(0, 0), (-2, 1), (3, 3)])
+@pytest.mark.parametrize("extra", [0, 1])
+def test_a_step_reads_powers_only_above_the_points_times_the_span(low, high, extra):
+    # 16 points and shifts low..high: 16 * span indices step one by one,
+    # one more reads one power per shift.
+    space, mapping, _ = build_padic_cycle(2, 4)
+    table, span = index_cycles(space, mapping), high - low + 1
+    count = 16 * span + extra
+    x = np.arange(count) % 16
+    shifts = low + np.arange(count) % span
+    power = IndexCycles.power
+    with mock.patch.object(IndexCycles, "power", autospec=True, side_effect=power) as counted:
+        got = table.step(x, shifts)
+    assert counted.call_count == (span if extra else 0)
+    assert got.tolist() == [(i + s) % 16 for i, s in zip(x.tolist(), shifts.tolist())]
 
 
 @pytest.mark.parametrize("far", [2.0 ** 63, -(2.0 ** 70), 1e20])

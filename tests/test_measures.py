@@ -367,6 +367,14 @@ def test_a_radius_whose_ball_or_power_underflows_is_refused(shift_torus):
             call()
 
 
+def test_a_radius_whose_power_overflows_is_refused(shift_torus):
+    # The CLI's samples; 1e200 ** 2.0 overflows a float.
+    samples = [TorusPoint(b, 0.25) for b in shift_torus.base_space.points[:8]]
+    for check in (ahlfors_check, measures_reference.ahlfors_check):
+        with pytest.raises(InvalidInputError, match=r"radius 1e\+200 is too large"):
+            check(samples, [0.5, 1e200], 2.0, shift_torus, UNIFORM, mode="base")
+
+
 def outcome(call):
     """What ``call()`` gives: its value's repr, or its error's type and text."""
     try:

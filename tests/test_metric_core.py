@@ -13,13 +13,18 @@ import metric_reference
 from solenoidlab import (
     FiniteMetricSpace,
     InvalidInputError,
+    TorusPoint,
     box_counting_dimension,
     build_full_shift,
     build_padic_cycle,
     build_snowflake_interval,
+    canonicalize,
     covering_number,
+    dense_orbit_check,
+    invariant_components,
     metric_space_from_matrix,
     snowflake,
+    torus_points_close,
     truncate,
     verify_metric_axioms,
     verify_ultrametric,
@@ -320,3 +325,37 @@ def test_box_counting_degenerate_single_point():
     assert fit.slope == 0.0
     assert fit.r_squared == 1.0
 
+
+SHIFT = build_full_shift(2, 0.5, 4)  # 16 points
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda space, f, ts: covering_number(space, math.nan), "scale must be positive, got nan"),
+    (lambda space, f, ts: invariant_components(space, f, math.nan),
+     "resolution must be positive, got nan"),
+    (lambda space, f, ts: dense_orbit_check(space, f, space.points[0], math.nan, 16),
+     "resolution must be positive, got nan"),
+    (lambda space, f, ts: fit_scales(space, [0.5, math.nan, 0.125]), "scales must be positive"),
+    (lambda space, f, ts: truncate(space, math.nan), "truncation level must be positive, got nan"),
+    (lambda space, f, ts: snowflake(space, math.nan),
+     "snowflake exponent must be positive, got nan"),
+    (lambda space, f, ts: snowflake(LINE, math.nan), "snowflake exponent must be positive, got nan"),
+    (lambda space, f, ts: torus_points_close(
+        TorusPoint(space.points[0], math.nan), TorusPoint(space.points[0], 0.0), ts),
+     "time nan is not finite"),
+    (lambda space, f, ts: torus_points_close(
+        TorusPoint(space.points[0], 0.0), TorusPoint(space.points[0], math.nan), ts),
+     "time nan is not finite"),
+], ids=["covering_number", "invariant_components", "dense_orbit_check", "fit_scales", "truncate",
+        "snowflake-shift", "snowflake-plain", "points_close-first", "points_close-second"])
+def test_nan_is_refused_where_a_positive_or_finite_number_is_needed(call, message):
+    # NaN fails every comparison, so each guard asks `not x > 0`.
+    with pytest.raises(InvalidInputError, match=message):
+        call(*SHIFT)
+
+
+@pytest.mark.parametrize("t", [1.25, -3.75, 7.0])
+def test_points_close_still_takes_finite_times_off_the_unit_interval(t):
+    space, _, ts = SHIFT
+    for x in space.points:
+        assert torus_points_close(TorusPoint(x, t), canonicalize(x, t, ts), ts)
