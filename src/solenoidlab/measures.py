@@ -254,11 +254,14 @@ def _refuse_underflow(radii, *divisors) -> None:
 
 
 def _power(r: float, dim: float) -> float:
-    """``r ** dim``, refusing a radius whose power overflows."""
+    """``r ** dim``, refusing an infinite radius or one whose power overflows."""
     try:
-        return r ** dim
+        power = r ** dim
     except OverflowError:
-        raise InvalidInputError(f"radius {r!r} is too large: its power overflows") from None
+        power = math.inf
+    if math.isinf(r) or math.isinf(power):
+        raise InvalidInputError(f"radius {r!r} is too large: it or its power is not finite")
+    return power
 
 
 @dataclass(frozen=True)
@@ -285,7 +288,7 @@ def ahlfors_check(
     ``mode="base"`` measures base-space balls around the samples' base
     points; ``mode="torus"`` measures balls in the glued space.  A radius
     whose ball measure or ``r ** expected_dim`` underflows to 0, or whose
-    power overflows, raises InvalidInputError.
+    power overflows, or that is infinite, raises InvalidInputError.
     """
     _check_family(samples, radii, ts, w, mode)
     values = _ball_measures(samples, radii, ts, w, mode).ravel().tolist()

@@ -1,7 +1,6 @@
 """Reference CLI code: the ``quotient-metric`` and ``chain-sandwich`` checks
-one pair at a time, the ``flow-laws`` check one triple at a time, the CSV
-writer one row at a time, and the ``measures`` cylinder draws with
-``rng.choice``.
+one pair at a time, the ``flow-laws`` check one triple at a time and the CSV
+writer one row at a time.
 
 The command line draws every pair or triple first and answers them in bulk,
 and renders CSV rows a block at a time.  These are the loops they replaced,
@@ -22,7 +21,6 @@ import numpy as np
 import mapping_torus_reference as ref
 from solenoidlab import (
     ChainMetricTable,
-    CylinderSet,
     TorusPoint,
     circle_distance,
     dist_to_integers,
@@ -168,21 +166,3 @@ def csv_text_by_row(labels, matrix) -> str:
         out.write(",".join(cells))
         out.write("\n")
     return out.getvalue()
-
-
-def draw_cylinders_by_choice(alphabet, count, rng):
-    """The ``measures`` cylinders as first drawn: ``rng.choice`` without
-    replacement for the pinned indices, then one scalar ``randint`` per
-    index for its symbol."""
-    symbols = alphabet.symbols
-    drawn = []
-    for _ in range(count):
-        size = int(rng.randint(1, 5))
-        idx = rng.choice(np.arange(-6, 7), size=size, replace=False)
-        drawn.append(
-            CylinderSet.from_dict(
-                alphabet,
-                {int(j): symbols[rng.randint(len(symbols))] for j in idx},
-            )
-        )
-    return drawn

@@ -34,13 +34,12 @@ of the distances :meth:`~solenoidlab.mapping_torus.ChainMetricTable.distances_vi
 returned for its queried pairs.  A report shows neither the drawn points nor
 a quotient distance but through a verdict, so
 ``tests/fixtures/draw_digests.json`` keeps, for each run of
-``quotient-metric``, ``chain-sandwich``, ``flow-laws`` or ``measures`` in the
-corpus (once per config: a tolerance changes no draw), the sha256 of what
+``quotient-metric``, ``chain-sandwich`` or ``flow-laws`` in the corpus (once
+per config: a tolerance changes no draw), the sha256 of what
 ``cli.quotient_distance_pairs`` returned to the first two (nothing on
-bilipschitz glue or in a refused run), of what ``cli._draw_flow_triples``
-returned to the third and of the cylinders ``cli._draw_cylinders`` returned
-to the fourth, which no report shows: its invariance discrepancy is 0
-whatever is drawn.
+bilipschitz glue or in a refused run) and of what ``cli._draw_flow_triples``
+returned to the third.  The ``measures`` check draws nothing: its invariance
+discrepancy is 0 for every cylinder.
 The same command rewrites all three fixtures.
 """
 
@@ -241,22 +240,15 @@ def chain_operations() -> list[str]:
 def _digests(hooks: dict, command: str, cfg: dict, extra: list[str]) -> dict[str, str]:
     """For each ``label: (owner, name)`` of ``hooks``, the sha256 of the
     bytes of every array ``owner.name`` returns while the operation runs, in
-    call order: float64, integers as int64, each array of a tuple in turn,
-    and a :class:`~solenoidlab.measures.CylinderArrays` as its positions and
-    then its symbols."""
-    from solenoidlab.measures import CylinderArrays
-
+    call order: float64, integers as int64, and each array of a tuple in
+    turn."""
     digests = {label: hashlib.sha256() for label in hooks}
     originals = {label: getattr(owner, name) for label, (owner, name) in hooks.items()}
 
     def digesting(label):
         def call(*args):
             out = originals[label](*args)
-            if isinstance(out, CylinderArrays):
-                arrays = (out.positions, out.symbols)
-            else:
-                arrays = out if isinstance(out, tuple) else (out,)
-            for a in arrays:
+            for a in out if isinstance(out, tuple) else (out,):
                 a = np.asarray(a)
                 digests[label].update(
                     a.astype(np.int64 if a.dtype.kind in "iu" else np.float64).tobytes()
@@ -289,7 +281,6 @@ _DRAW_HOOKS = {
     "quotient-metric": ("quotient_distance_pairs",),
     "chain-sandwich": ("quotient_distance_pairs",),
     "flow-laws": ("_draw_flow_triples",),
-    "measures": ("_draw_cylinders",),
 }
 
 

@@ -92,9 +92,12 @@ def underflow(r) -> InvalidInputError:
 
 def power(r, dim) -> float:
     try:
-        return r ** dim
+        rd = r ** dim
     except OverflowError:
-        raise InvalidInputError(f"radius {r!r} is too large: its power overflows") from None
+        rd = math.inf
+    if math.isinf(r) or math.isinf(rd):
+        raise InvalidInputError(f"radius {r!r} is too large: it or its power is not finite")
+    return rd
 
 
 def ball_measure(p, r, ratio, ts, w, mode) -> float:
@@ -107,7 +110,7 @@ def ahlfors_check(samples, radii, expected_dim, ts, w, mode="torus") -> Regulari
     ratio = family_ratio(samples, radii, ts, w, mode)
     balls = [(r, ball_measure(p, r, ratio, ts, w, mode)) for p in samples for r in radii]
     logs_r, logs_v, ratios = [], [], []
-    # Every power is taken, and an overflow refused, before any underflow.
+    # Every power is taken, and an infinite radius or power refused, before any underflow.
     powers = [power(r, expected_dim) for r, _ in balls]
     for (r, v), rd in zip(balls, powers):
         if v == 0.0 or rd == 0.0:

@@ -6,18 +6,15 @@ import json
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 import metric_reference
 from cli_reference import (
     check_chain_sandwich_by_pair,
     check_quotient_metric_by_pair,
     csv_text_by_row,
-    draw_cylinders_by_choice,
 )
 from solenoidlab import (
-    Alphabet, InvalidInputError, cli, mapping_torus, metric_core, metric_space_from_matrix, models,
+    InvalidInputError, cli, mapping_torus, metric_core, metric_space_from_matrix, models,
 )
 from solenoidlab.cli import main
 
@@ -199,6 +196,16 @@ def test_missing_seed_for_sampling_checks(tmp_path, capsys):
     cfg = {"space": PADIC, "checks": [{"name": "quotient-metric"}]}
     assert main(["run", write_config(tmp_path, cfg)]) == 2
     assert "seed" in capsys.readouterr().err
+
+
+def test_measures_needs_no_seed(tmp_path, capsys):
+    cfg = {"space": FULL_SHIFT, "checks": [{"name": "measures", "cylinders": 20}]}
+    results = []
+    for seed in (None, 1, 7):
+        seeded = cfg if seed is None else {**cfg, "seed": seed}
+        assert main(["run", write_config(tmp_path, seeded)]) == 0
+        results.append(json.loads(capsys.readouterr().out)["results"])
+    assert results[0] == results[1] == results[2]
 
 
 def test_unknown_parameter_rejected(tmp_path, capsys):
@@ -719,31 +726,6 @@ def test_csv_writer_matches_the_row_writer(monkeypatch, rows, cols, block_cells)
     assert cli._csv_text(labels, distinct) == csv_text_by_row(labels, distinct)
     repeats = np.full((rows, cols), 0.1 + 0.2)
     assert cli._csv_text(labels, repeats) == csv_text_by_row(labels, repeats)
-
-
-@settings(max_examples=100, deadline=None)
-@given(
-    seed=st.integers(0, 2**32 - 1),
-    size=st.integers(2, 36),
-    count=st.integers(0, 60),
-)
-def test_cylinder_draws_match_the_choice_loop(seed, size, count):
-    alphabet = Alphabet(tuple(f"s{k}" for k in range(size)))
-    words, ref_rng = cli._Words(np.random.RandomState(seed)), np.random.RandomState(seed)
-    drawn = cli._draw_cylinders(alphabet, count, words)
-    # The first draw's cylinders as four slots a row: the pins sorted by
-    # position, then padding, symbol index `size` at position 0.
-    positions = np.zeros((count, 4), dtype=np.int64)
-    symbols = np.full((count, 4), size, dtype=np.intp)
-    for row, cyl in enumerate(draw_cylinders_by_choice(alphabet, count, ref_rng)):
-        for slot, (j, symbol) in enumerate(cyl.constraints):
-            positions[row, slot], symbols[row, slot] = j, alphabet.index(symbol)
-    assert drawn.alphabet == alphabet and len(drawn) == count
-    np.testing.assert_array_equal(drawn.positions, positions, strict=True)
-    np.testing.assert_array_equal(drawn.symbols, symbols, strict=True)
-    # The reader's next draws continue the generator's stream, so later
-    # draws are unchanged.
-    assert [words.randint(2**31) for _ in range(4)] == ref_rng.randint(2**31, size=4).tolist()
 
 
 def refuse_constant(name):

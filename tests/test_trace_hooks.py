@@ -74,7 +74,7 @@ def test_tracer_installs_runs_and_restores(tmp_path, monkeypatch):
     assert [dict(vars(owner)) for owner in OWNERS] == before
     unused = _unused_imports()
     assert not unused - patched, f"marked unused but not patched: {sorted(unused - patched)}"
-    assert len(unused) == 11  # cli's eight, mapping_torus' one and models' two
+    assert len(unused) == 12  # cli's nine, mapping_torus' one and models' two
     (totals,) = tracer.pass_totals()
     assert totals["models.build_calls"] == len(configs)
     # The chain-sandwich table's 32-point sample and the representative and

@@ -2,8 +2,7 @@
 bit.
 
 ``cli._Words`` decodes a legacy ``RandomState``'s 32-bit words as the
-generator's own ``randint(n)``, ``rand()``, ``uniform(low, high)`` and
-``shuffle(x)`` of a list do.
+generator's own ``randint(n)``, ``rand()`` and ``uniform(low, high)`` do.
 Each test makes the same sequence of draws from the reader and, per call,
 from a second generator on the same seed, and compares integers exactly and
 floats by their bits.  Buffers of a few words make refills land inside an
@@ -83,20 +82,6 @@ def test_two_uniforms_are_one_uniform_call_of_size_two(seed, count, size):
     for _ in range(count):
         got = np.array([words.uniform(-2.0, 2.0), words.uniform(-2.0, 2.0)])
         assert np.array_equal(got.view(np.int64), rng.uniform(-2.0, 2.0, size=2).view(np.int64))
-
-
-@settings(max_examples=200, deadline=None)
-@given(seed=st.integers(0, 2**32 - 1), length=st.integers(0, 40), size=st.integers(1, 5))
-def test_a_shuffle_is_the_generator_shuffle_of_a_list(seed, length, size):
-    # Each swap draws an index below i + 1 by rejection, so buffers of a few
-    # words refill inside the rejection loops.
-    words = cli._Words(np.random.RandomState(seed), size)
-    rng = np.random.RandomState(seed)
-    got, want = [f"x{k}" for k in range(length)], [f"x{k}" for k in range(length)]
-    words.shuffle(got)
-    rng.shuffle(want)
-    assert got == want
-    assert [words.randint(2**32) for _ in range(4)] == [int(rng.randint(2**32)) for _ in range(4)]
 
 
 def test_a_bound_of_one_reads_no_word():
