@@ -7,14 +7,15 @@ weights; on the torus the cross-section contributes a factor equal to the
 length of the time interval, ``min(2r, 1)``.
 
 Every measure is a product from one kernel, :func:`_cylinder_measures`, over
-cylinders held as :class:`CylinderArrays`: two ``(count, width)`` integer
-arrays, each row a cylinder's pinned positions and symbol indices sorted by
-position, padded with a symbol slot whose weight is exactly 1.0.  The kernel
+one ``(count, width)`` array of symbol indices: each row a cylinder's pinned
+symbols in index order, padded with ``len(alphabet)``, whose weight is
+exactly 1.0.  A measure reads no index, so none is kept.  The kernel
 multiplies each row's weights left to right from 1.0, a column at a time;
 multiplying by the padding's 1.0 is exact, so every product keeps the bits
-of the scalar loop in ``tests/measures_reference.py``.  A
-:class:`CylinderSet`, a ball or a list of radii (:func:`_ball_measures`) is
-converted to those arrays and measured in one kernel call.
+of the scalar loop in ``tests/measures_reference.py``.  A list of
+:class:`CylinderSet` becomes those rows through :func:`_symbol_rows`, and
+:func:`_ball_measures` writes the rows of a family of balls from their
+centers' cells; either is measured in one kernel call.
 
 :func:`shift_invariance_check` reads 0 by construction, whatever the
 cylinders: a shifted cylinder pins the same symbols in the same order, so
@@ -100,69 +101,43 @@ class CylinderSet:
         return CylinderSet(self.alphabet, tuple((j + k, s) for j, s in self.constraints))
 
 
-@dataclass(frozen=True, eq=False)
-class CylinderArrays:
-    """Cylinders as arrays, one row each: row k pins ``positions[k, j]`` to
-    ``alphabet.symbols[symbols[k, j]]``, sorted by position.  A row that pins
-    fewer than ``width`` indices ends in padding: symbol index
-    ``len(alphabet)``, whose weight is 1.0, at position 0."""
-
-    alphabet: Alphabet
-    positions: np.ndarray
-    symbols: np.ndarray
-
-    def __len__(self) -> int:
-        return len(self.symbols)
-
-    def shifted(self, k: int) -> "CylinderArrays":
-        """Pin index j+k wherever these cylinders pin index j."""
-        return CylinderArrays(self.alphabet, self.positions + k, self.symbols)
-
-
-def _as_arrays(cylinders: Sequence[CylinderSet], w: WeightVector) -> CylinderArrays:
-    """``cylinders`` as :class:`CylinderArrays`, positions as Python ints so any index fits."""
+def _symbol_rows(cylinders: Sequence[CylinderSet], w: WeightVector) -> np.ndarray:
+    """Each cylinder's pinned symbol indices in index order, one row each,
+    padded with ``len(alphabet)``, whose weight is 1.0."""
     alphabet = w.alphabet
     if any(cyl.alphabet != alphabet for cyl in cylinders):
         raise InvalidInputError("cylinder and weights use different alphabets")
     width = max((len(cyl.constraints) for cyl in cylinders), default=0)
-    positions = np.zeros((len(cylinders), width), dtype=object)
     symbols = np.full((len(cylinders), width), len(alphabet), dtype=np.intp)
     for row, cyl in enumerate(cylinders):
-        size = len(cyl.constraints)
-        positions[row, :size] = [j for j, _ in cyl.constraints]
-        symbols[row, :size] = [alphabet.index(s) for _, s in cyl.constraints]
-    return CylinderArrays(alphabet, positions, symbols)
+        symbols[row, :len(cyl.constraints)] = [alphabet.index(s) for _, s in cyl.constraints]
+    return symbols
 
 
 def cylinder_measure(cyl: CylinderSet, w: WeightVector) -> float:
     """Product of the weights of the pinned symbols (1 for no constraints)."""
-    return float(_cylinder_measures(_as_arrays([cyl], w), w)[0])
+    return float(_cylinder_measures(_symbol_rows([cyl], w), w)[0])
 
 
-def _cylinder_measures(cylinders: CylinderArrays, w: WeightVector) -> np.ndarray:
-    """The measure of each cylinder, as one array: its pinned weights
-    multiplied in position order, starting from 1.0."""
-    if cylinders.alphabet != w.alphabet:
-        raise InvalidInputError("cylinder and weights use different alphabets")
+def _cylinder_measures(symbols: np.ndarray, w: WeightVector) -> np.ndarray:
+    """The measure of each row of symbol indices, as one array: its weights
+    multiplied left to right, starting from 1.0."""
     weights = np.array(w.values + (1.0,))
-    products = np.ones(len(cylinders))
-    for column in weights[cylinders.symbols].T:
+    products = np.ones(len(symbols))
+    for column in weights[symbols].T:
         products *= column
     return products
 
 
-def shift_invariance_check(
-    w: WeightVector, cylinders: CylinderArrays | Iterable[CylinderSet]
-) -> float:
+def shift_invariance_check(w: WeightVector, cylinders: Iterable[CylinderSet]) -> float:
     """Largest discrepancy between a cylinder's measure and its image under
     one shift step.  A shifted cylinder pins the same symbols in the same
     order, so the two products are equal and the answer is 0 by
     construction.  A NaN discrepancy is skipped, as a running ``max`` would
     skip it."""
-    if not isinstance(cylinders, CylinderArrays):
-        cylinders = _as_arrays(list(cylinders), w)
-    before = _cylinder_measures(cylinders, w)
-    after = _cylinder_measures(cylinders.shifted(1), w)
+    cylinders = list(cylinders)
+    before = _cylinder_measures(_symbol_rows(cylinders, w), w)
+    after = _cylinder_measures(_symbol_rows([cyl.shifted(1) for cyl in cylinders], w), w)
     return float(np.fmax.reduce(np.abs(before - after), initial=0.0))
 
 
@@ -200,8 +175,8 @@ def _ball_measures(samples, radii, ts: TorusSpace, w: WeightVector, mode: str) -
     """Each sample's (rows) :func:`base_ball_measure` of each radius (columns),
     times ``min(2r, 1)`` in torus mode, in one :func:`_cylinder_measures` call.
     The balls are checked sample-major, so the first faulty one raises; then
-    each is written as one row of the kernel's arrays, its window -n+1 .. n
-    read from its center's cells."""
+    each is written as one row of symbol indices, its window -n+1 .. n read
+    from its center's cells."""
     for p in samples:
         depths = []  # the same for every sample
         for r in radii:
@@ -218,15 +193,12 @@ def _ball_measures(samples, radii, ts: TorusSpace, w: WeightVector, mode: str) -
     depths = np.array(depths, dtype=np.intp)[:, None]
     slots = np.arange(2 * depths.max(initial=0))
     pinned = slots < 2 * depths
-    positions = np.where(pinned, slots - depths + 1, 0)
+    window = slots - depths + 1  # each slot's index; a padding slot's cell is dropped
     symbols = []
     for p in samples:
         cells = np.array([w.alphabet.index(s) for s in p.base.cells])
-        symbols.append(np.where(pinned, cells[positions % len(cells)], len(w.alphabet)))
-    balls = CylinderArrays(
-        w.alphabet, np.tile(positions, (len(samples), 1)), np.concatenate(symbols)
-    )
-    out = _cylinder_measures(balls, w).reshape(len(samples), len(radii))
+        symbols.append(np.where(pinned, cells[window % len(cells)], len(w.alphabet)))
+    out = _cylinder_measures(np.concatenate(symbols), w).reshape(len(samples), len(radii))
     if mode == "torus":
         out *= [min(2.0 * r, 1.0) for r in radii]
     return out

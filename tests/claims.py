@@ -8,11 +8,13 @@ order, report fields, each an exact value or ``{"min": a}`` /
 A claim runs without ``--out``: its report is read from stdout, and its
 config may set ``output.path``.  :func:`problems` judges one run.
 ``tests/test_claims.py`` runs every claim in-process through ``cli.main``.
-Run as a script, this module runs each through the installed console
-script, in a child process of its own, under ``timeout`` when it has
-``seconds``, and judges the peak RSS ``os.wait4`` gives for that child::
+Run as a script, this module runs each as ``python -m solenoidlab.cli``
+under the running interpreter, in a child process of its own, under
+``timeout`` when it has ``seconds``, and judges the peak RSS ``os.wait4``
+gives for that child.  It needs no installed script, so a checkout runs it
+with ``PYTHONPATH=src``::
 
-    python tests/claims.py
+    PYTHONPATH=src python tests/claims.py
 """
 
 from __future__ import annotations
@@ -86,7 +88,8 @@ def _run_console(claim: dict, tmp: Path) -> tuple[list[str], str]:
     expect = claim["expect"]
     (tmp / "config.json").write_text(json.dumps(claim["config"]), encoding="utf-8")
     limit = ["timeout", str(expect["seconds"])] if "seconds" in expect else []
-    argv = [*limit, "solenoidlab", claim["command"], str(tmp / "config.json")]
+    cli = [sys.executable, "-m", "solenoidlab.cli"]
+    argv = [*limit, *cli, claim["command"], str(tmp / "config.json")]
     started = time.perf_counter()
     with open(tmp / "stdout", "w") as out, open(tmp / "stderr", "w") as err:
         child = subprocess.Popen(argv, stdout=out, stderr=err)

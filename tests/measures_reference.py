@@ -1,14 +1,15 @@
 """Reference measures: one scalar product per cylinder or ball, kept as the oracle.
 
-``measures`` holds cylinders as index arrays and multiplies all their
-weights in one :func:`~solenoidlab.measures._cylinder_measures` call, and
-builds every ball of a family as one more row of those arrays.  This module
-keeps the per-cylinder and per-ball loops that call replaced, in the same
-order of cylinders, samples and radii and with the same checks per ball, and
-the depth rule in its plainest form: count up from 0 until ``ratio ** n <=
-radius``.  Property tests hold the library's views to these bit for bit, the
-error raised for the first faulty ball included, and then for the first
-radius whose ball measure or power underflows to 0.
+``measures`` writes each cylinder as one row of symbol indices and
+multiplies all their weights in one
+:func:`~solenoidlab.measures._cylinder_measures` call, and writes every ball
+of a family as one more such row.  This module keeps the per-cylinder and
+per-ball loops that call replaced, in the same order of cylinders, samples
+and radii and with the same checks per ball, and the depth rule in its
+plainest form: count up from 0 until ``ratio ** n <= radius``.  Property
+tests hold the library's views to these bit for bit, the error raised for
+the first faulty ball included, and then for the first radius whose ball
+measure or power underflows to 0.
 """
 
 from __future__ import annotations

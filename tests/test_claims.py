@@ -3,6 +3,7 @@
 checker catches each way a run can break a claim (see ``claims.py``)."""
 
 import json
+import os
 import re
 
 import pytest
@@ -24,6 +25,18 @@ def test_the_claim_holds_in_process(name):
     assert expect["claim"].endswith(".") and ". " not in expect["claim"]
     outcome = claims.run_in_process(claim["command"], claim["config"])
     assert claims.problems(expect, *outcome) == []
+
+
+def test_a_claim_holds_through_the_console_runner(tmp_path, monkeypatch):
+    # A child process under `timeout`, judged on its os.wait4 rusage.  The
+    # claim states no peak_rss_mb: a child's ru_maxrss starts from its
+    # parent's RSS, and this process has already run the claims in-process.
+    claim = CLAIMS["tiny"]
+    assert "seconds" in claim["expect"] and "peak_rss_mb" not in claim["expect"]
+    src = str(claims.CLAIMS.parent / "src")  # the package under test
+    monkeypatch.setenv("PYTHONPATH", os.pathsep.join(filter(None, [src, os.getenv("PYTHONPATH")])))
+    found, summary = claims._run_console(claim, tmp_path)
+    assert found == [], summary
 
 
 @pytest.mark.parametrize("change", [

@@ -103,9 +103,10 @@ def test_shift_invariance_exactly_zero():
 @pytest.mark.parametrize("index", [2**63 - 1, 2**63, 10**20, -(2**63) - 1])
 def test_cylinders_pin_indices_of_any_size(index):
     # Positions stored as int64 overflowed here; the measure reads only the
-    # symbols.
+    # symbols, so no index changes it.
     cyl = CylinderSet.from_dict(BITS, {index: "0", 0: "1"})
     assert cylinder_measure(cyl, UNIFORM) == 0.25
+    assert cylinder_measure(cyl.shifted(index), UNIFORM) == 0.25
     assert cylinder_measure(CylinderSet.from_dict(BITS, {index: "0"}), UNIFORM) == 0.5
     assert shift_invariance_check(UNIFORM, [cyl]) == 0.0
 
@@ -127,7 +128,7 @@ def test_cylinder_measures_equal_the_scalar_products():
             )
         )
     want = np.array([cylinder_measure(c, w) for c in cylinders])
-    arrays = measures._as_arrays(cylinders, w)
+    arrays = measures._symbol_rows(cylinders, w)
     assert measures._cylinder_measures(arrays, w).tobytes() == want.tobytes()
     assert shift_invariance_check(w, cylinders) == 0.0
     assert shift_invariance_check(w, []) == 0.0
@@ -189,7 +190,7 @@ def measure_bytes(cylinders, w):
 def test_cylinder_kernel_equals_the_reference_loop(family):
     ts, w, cylinders, balls = family
     cylinders = cylinders + [CylinderSet.ball(center, n) for center, n in balls]
-    arrays = measures._as_arrays(cylinders, w)
+    arrays = measures._symbol_rows(cylinders, w)
     assert measures._cylinder_measures(arrays, w).tobytes() == measure_bytes(cylinders, w)
     for cyl in cylinders:
         assert repr(cylinder_measure(cyl, w)) == repr(measures_reference.cylinder_measure(cyl, w))
