@@ -13,15 +13,16 @@ row per model kind.
 from __future__ import annotations
 
 import math
+import numbers
+import re
 from dataclasses import dataclass
 from typing import Any, Callable, Mapping, NamedTuple
 
-import jsonschema
 import numpy as np
 
 from .dynamics import SelfMap
 from .dynamics import self_map_from_function  # unused here; bench/spans.py wraps models' binding
-from .errors import InvalidInputError
+from .errors import InvalidInputError, InvariantError
 from .mapping_torus import TorusPoint, TorusSpace, make_torus_space
 from .metric_core import FiniteMetricSpace, PowerLevels
 from .shift_space import (
@@ -173,23 +174,112 @@ def build_snowflake_interval(grid_size: int, alpha: float) -> FiniteMetricSpace:
 # Declarative specs
 # ============================================================
 
-#: Draft 7 with ``integer`` meaning a JSON integer literal.  Draft 7 itself
-#: counts any number with a zero fractional part, so ``5.0`` would pass.
-ConfigValidator = jsonschema.validators.extend(
-    jsonschema.Draft7Validator,
-    type_checker=jsonschema.Draft7Validator.TYPE_CHECKER.redefine(
-        "integer", lambda checker, x: isinstance(x, int) and not isinstance(x, bool)
-    ),
-)
+#: Draft 7's types, none holding a ``bool``, and ``integer`` meaning a JSON
+#: integer literal: Draft 7 itself counts ``5.0``, a zero fractional part.
+_TYPES = {"object": dict, "array": list, "string": str, "number": numbers.Number, "integer": int}
+
+#: The keys :func:`_errors` reads; the last six check nothing themselves.
+_KEYWORDS = frozenset("""type enum const required properties additionalProperties propertyNames
+    items minItems uniqueItems minimum maximum exclusiveMinimum exclusiveMaximum allOf if
+    then else $schema title description default""".split())
+
+#: A key that a JSON path spells ``.key``; any other is spelled ``['key']``.
+_PATH_NAME = re.compile("^[a-zA-Z][a-zA-Z0-9_]*$")
+
+
+def _equal(a, b) -> bool:
+    """JSON equality as Draft 7 reads it: ``true`` is not ``1``, ``1`` is ``1.0``."""
+    if isinstance(a, list) and isinstance(b, list):
+        return len(a) == len(b) and all(map(_equal, a, b))
+    if isinstance(a, dict) and isinstance(b, dict):
+        return len(a) == len(b) and all(k in b and _equal(v, b[k]) for k, v in a.items())
+    return a == b and isinstance(a, bool) == isinstance(b, bool)
+
+
+def _unique(items: list) -> bool:
+    """Whether no two items are equal: neighbours once sorted, if the items
+    sort and none is a ``bool``, otherwise every pair."""
+    try:
+        if any(isinstance(x, bool) for x in items):
+            raise TypeError
+        ordered = sorted(items)
+        pairs = zip(ordered, ordered[1:])
+    except TypeError:
+        pairs = ((a, b) for k, b in enumerate(items) for a in items[:k])
+    return not any(_equal(a, b) for a, b in pairs)
+
+
+def _errors(schema: dict, x, path: tuple = ()):
+    """Yield ``(path, message)`` for each Draft 7 error of ``x`` against
+    ``schema`` in jsonschema's words and order (the schema's keys in order,
+    ``allOf``, ``if`` and ``properties`` descending where they stand), extra
+    keys in the object's order.  A key outside :data:`_KEYWORDS` raises
+    :class:`InvariantError`: no schema outgrows the validator unnoticed."""
+    for key, value in schema.items():
+        if key not in _KEYWORDS:
+            raise InvariantError(f"schema keyword {key!r} is not supported")
+        if key == "type":
+            if not isinstance(x, _TYPES[value]) or isinstance(x, bool):
+                yield path, f"{x!r} is not of type {value!r}"
+        elif key == "enum":
+            if not any(_equal(e, x) for e in value):
+                yield path, f"{x!r} is not one of {value!r}"
+        elif key == "const":
+            if not _equal(value, x):
+                yield path, f"{value!r} was expected"
+        elif key == "allOf":
+            for sub in value:
+                yield from _errors(sub, x, path)
+        elif key == "if":
+            branch = "then" if next(_errors(value, x, path), None) is None else "else"
+            yield from _errors(schema.get(branch, {}), x, path)
+        elif isinstance(x, dict):
+            if key == "required":
+                yield from ((path, f"{k!r} is a required property") for k in value if k not in x)
+            elif key == "properties":
+                for k, sub in value.items():
+                    if k in x:
+                        yield from _errors(sub, x[k], path + (k,))
+            elif key == "additionalProperties":
+                extras = [k for k in x if k not in schema.get("properties", {})]
+                if value is False and extras:
+                    names = ", ".join(repr(k) for k in sorted(extras, key=str))
+                    verb = "was" if len(extras) == 1 else "were"
+                    yield path, f"Additional properties are not allowed ({names} {verb} unexpected)"
+                elif isinstance(value, dict):
+                    for k in extras:
+                        yield from _errors(value, x[k], path + (k,))
+            elif key == "propertyNames":
+                for k in x:
+                    yield from _errors(value, k, path)
+        elif isinstance(x, list):
+            if key == "items":
+                for i, item in enumerate(x):
+                    yield from _errors(value, item, path + (i,))
+            elif key == "minItems" and len(x) < value:
+                yield path, f"{x!r} {'should be non-empty' if value == 1 else 'is too short'}"
+            elif key == "uniqueItems" and value and not _unique(x):
+                yield path, f"{x!r} has non-unique elements"
+        elif isinstance(x, numbers.Number) and not isinstance(x, bool):
+            if key == "minimum" and x < value:
+                yield path, f"{x!r} is less than the minimum of {value!r}"
+            elif key == "maximum" and x > value:
+                yield path, f"{x!r} is greater than the maximum of {value!r}"
+            elif key == "exclusiveMinimum" and x <= value:
+                yield path, f"{x!r} is less than or equal to the minimum of {value!r}"
+            elif key == "exclusiveMaximum" and x >= value:
+                yield path, f"{x!r} is greater than or equal to the maximum of {value!r}"
 
 
 def validate(schema: dict, instance, root: str = "$") -> None:
     """Raise :class:`InvalidInputError` with ``"<json path>: <message>"`` of
     the first error in path order, if any, the path's ``$`` spelled ``root``."""
-    errors = ConfigValidator(schema).iter_errors(instance)
-    first = min(errors, key=lambda e: list(e.absolute_path), default=None)
+    first = min(_errors(schema, instance), key=lambda e: e[0], default=None)
     if first is not None:
-        raise InvalidInputError(f"{root}{first.json_path[1:]}: {first.message}")
+        path = "".join(f"[{k}]" if isinstance(k, int) else f".{k}" if _PATH_NAME.match(k)
+                       else "['" + k.replace("\\", "\\\\").replace("'", "\\'") + "']"
+                       for k in first[0])
+        raise InvalidInputError(f"{root}{path}: {first[1]}")
 
 
 class _Kind(NamedTuple):

@@ -1,10 +1,12 @@
-"""The package never loads scipy.
+"""The package never loads scipy or jsonschema.
 
 Importing scipy takes about half of the command line's start-up, and
-``scipy.sparse.csgraph`` alone tens of MiB.  Each case runs in a fresh
-interpreter, since this one has loaded scipy through the test references,
-and reports the ``scipy`` modules present in ``sys.modules`` after its last
-step.
+``scipy.sparse.csgraph`` alone tens of MiB; jsonschema, with the
+``referencing``, ``rpds`` and ``attrs`` it pulls in, takes about as long as
+numpy, and ``models.validate`` reads the config schema without it.  Each
+case runs in a fresh interpreter, since this one has loaded both through the
+test references, and reports the modules under those roots present in
+``sys.modules`` after its last step.
 """
 
 import json
@@ -39,12 +41,18 @@ MODELS = [
 ]
 
 
-def scipy_after(tmp_path, code):
-    """The sorted ``scipy`` module names loaded once ``code`` has run in a
-    fresh interpreter that can import the package under test."""
+#: The top-level packages the package must not load: scipy, which only the
+#: test references need, and jsonschema with what it imports.
+UNWANTED = ("scipy", "jsonschema", "referencing", "rpds", "attr", "attrs")
+
+
+def unwanted_after(tmp_path, code):
+    """The sorted names of the modules under :data:`UNWANTED` loaded once
+    ``code`` has run in a fresh interpreter that can import the package
+    under test."""
     script = code + (
         "\nimport json, sys"
-        "\nprint(json.dumps(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')))"
+        f"\nprint(json.dumps(sorted(m for m in sys.modules if m.split('.')[0] in {UNWANTED!r})))"
     )
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
@@ -56,22 +64,23 @@ def scipy_after(tmp_path, code):
     return json.loads(done.stdout.splitlines()[-1])
 
 
-def run_config(checks):
-    """Code running ``solenoidlab run`` on the max_period 5 full shift."""
+def run_config(checks, status=0):
+    """Code running ``solenoidlab run`` on the max_period 5 full shift and
+    exiting unless it exits with ``status``."""
     cfg = {"space": FULL_SHIFT, "seed": 3, "checks": checks}
     return (
         "import json\n"
         "from solenoidlab import cli\n"
         f"json.dump({cfg!r}, open('config.json', 'w'))\n"
         "status = cli.main(['run', 'config.json', '--out', 'report.json'])\n"
-        "if status:\n"
+        f"if status != {status}:\n"
         "    raise SystemExit(f'exit {status}')\n"
     )
 
 
 @pytest.mark.parametrize("code", ["import solenoidlab", "import solenoidlab.cli"])
 def test_imports_do_not_load_scipy(tmp_path, code):
-    assert scipy_after(tmp_path, code) == []
+    assert unwanted_after(tmp_path, code) == []
 
 
 @pytest.mark.parametrize("raw", MODELS, ids=[m["kind"] for m in MODELS])
@@ -80,11 +89,11 @@ def test_model_builds_do_not_load_scipy(tmp_path, raw):
         "from solenoidlab.models import ModelSpec, build_model\n"
         f"build_model(ModelSpec.from_dict({raw!r}))\n"
     )
-    assert scipy_after(tmp_path, code) == []
+    assert unwanted_after(tmp_path, code) == []
 
 
 def test_shift_scan_checks_do_not_load_scipy(tmp_path):
-    assert scipy_after(tmp_path, run_config(SHIFT_SCAN_CHECKS)) == []
+    assert unwanted_after(tmp_path, run_config(SHIFT_SCAN_CHECKS)) == []
 
 
 def test_shortest_path_solves_do_not_load_scipy(tmp_path):
@@ -116,4 +125,18 @@ def test_shortest_path_solves_do_not_load_scipy(tmp_path):
         "if len(solves) != 3:\n"
         "    raise SystemExit(f'solves {solves}')\n"
     )
-    assert scipy_after(tmp_path, code) == []
+    assert unwanted_after(tmp_path, code) == []
+
+
+@pytest.mark.parametrize("checks", [
+    [{"name": "metric-axioms", "bogus": 1}],
+    [{"name": "dimension", "scales": [0.5, 0.25]}],
+    [{"name": "connectedness"}],
+])
+def test_a_refused_config_does_not_load_jsonschema(tmp_path, checks):
+    assert unwanted_after(tmp_path, run_config(checks, status=2)) == []
+
+
+def test_the_guard_sees_jsonschema(tmp_path):
+    loaded = unwanted_after(tmp_path, "import jsonschema")
+    assert {"jsonschema", "referencing", "rpds"} <= {m.split(".")[0] for m in loaded}
